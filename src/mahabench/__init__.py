@@ -33,13 +33,13 @@ from .continual import (
     update_encoding,
 )
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     EmptyClass,
     EmptyQuery,
     FormatError,
     InvalidConfig,
     MahabenchError,
+    NonFiniteInput,
     NotEnoughClasses,
     NotPositiveDefinite,
     NotRepairable,
@@ -60,9 +60,7 @@ from .refine import (
     RefineConfig,
     RefineOutcome,
     Responsibilities,
-    SetEncodings,
     init_responsibilities,
-    pool_set_encodings,
     refine,
     weighted_class_statistics,
 )
@@ -76,8 +74,6 @@ from .riemann import (
 )
 from .rng import Rng, derive_seed
 from .spd import (
-    CholeskyFactor,
-    SymMatrix,
     cholesky,
     ensure_pd,
     logdet,

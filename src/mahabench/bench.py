@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import InvalidConfig
 from .methods import HeadConfig, evaluate_task, fit_statistics, parse_method, predict
 from .refine import RefineConfig
 from .rng import derive_seed
@@ -192,9 +192,9 @@ def run_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> Benc
     configured domains.
     """
     if cfg.n_tasks < 30 and tasks_by_domain is None:
-        raise ConfigError("n_tasks must be at least 30 for CI sanity")
+        raise InvalidConfig("n_tasks must be at least 30 for CI sanity")
     if not cfg.methods:
-        raise ConfigError("no methods configured")
+        raise InvalidConfig("no methods configured")
     heads = _resolve_heads(cfg)
 
     if tasks_by_domain is None:

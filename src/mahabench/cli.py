@@ -39,7 +39,7 @@ from .worlds import (
 CSV_SCHEMA_VERSION = "v1"
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, method: str = "simple,transductive") -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", type=int, default=6)
     p.add_argument("--classes", type=int, default=12)
@@ -50,9 +50,9 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--domain-id", default="world")
     p.add_argument("--tasks", type=int, default=100)
     p.add_argument("--out", default=None)
-    p.add_argument("--method", default="simple,transductive",
-                   help="comma list; metric ablations as simple:<metric>")
-    p.add_argument("--metric", default="mahalanobis")
+    p.add_argument("--method", default=method,
+                   help="comma list (one name for active and continual); "
+                        "metric ablations as simple:<metric>")
     p.add_argument("--min-steps", type=int, default=2)
     p.add_argument("--max-steps", type=int, default=4)
     p.add_argument("--beta", type=float, default=1.0)
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_recall.add_argument("--query", type=int, default=10)
 
     p_active = sub.add_parser("active", help="active-learning accuracy curves")
-    _common_flags(p_active)
+    _common_flags(p_active, method="simple")
     p_active.add_argument("--sessions", type=int, default=50)
     p_active.add_argument("--budget", type=int, default=20)
     p_active.add_argument("--pool-per-class", type=int, default=10)
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma list of random,entropy,variation-ratios or all")
 
     p_cont = sub.add_parser("continual", help="continual-learning accuracy matrices")
-    _common_flags(p_cont)
+    _common_flags(p_cont, method="simple")
     p_cont.add_argument("--streams", type=int, default=20)
     p_cont.add_argument("--length", type=int, default=5)
     p_cont.add_argument("--classes-per-task", type=int, default=2)
@@ -268,6 +268,14 @@ def build_active_session(world, strategy, pool_per_class, test_per_class, budget
     )
 
 
+def _one_head(args):
+    """The head of ``--method`` for commands that run a single method."""
+    if "," in args.method:
+        raise InvalidConfig(f"{args.command} runs one method, got {args.method!r}")
+    refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps, beta=args.beta)
+    return parse_method(args.method, refine_cfg, args.beta)
+
+
 def _cmd_active(args) -> int:
     names = list(_STRATEGY_NAMES) if args.strategy == "all" else [
         s.strip() for s in args.strategy.split(",") if s.strip()
@@ -275,14 +283,12 @@ def _cmd_active(args) -> int:
     for name in names:
         if name not in _STRATEGY_NAMES:
             raise InvalidConfig(f"unknown strategy {name!r}")
-    head_name = args.method.split(",")[0]
-    refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps, beta=args.beta)
-    head = parse_method(head_name, refine_cfg, args.beta)
+    head = _one_head(args)
     domain = _domain_from_args(args)
     echo = {
         "command": "active", "schema": f"active/{CSV_SCHEMA_VERSION}",
         "seed": args.seed, "sessions": args.sessions, "budget": args.budget,
-        "strategies": names, "method": head_name, "domain": domain.domain_id,
+        "strategies": names, "method": args.method, "domain": domain.domain_id,
         "dims": args.dims, "classes": args.classes, "anisotropy": args.anisotropy,
         "mean_radius": args.mean_radius, "pool_per_class": args.pool_per_class,
         "test_per_class": args.test_per_class,
@@ -320,9 +326,7 @@ def _cmd_continual(args) -> int:
         modes = list(HeadMode) if args.head_mode == "both" else [HeadMode(args.head_mode)]
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from None
-    head_name = args.method.split(",")[0]
-    refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps, beta=args.beta)
-    head = parse_method(head_name, refine_cfg, args.beta)
+    head = _one_head(args)
     stream = StreamConfig(
         num_tasks=args.length,
         classes_per_task=args.classes_per_task,
@@ -342,7 +346,7 @@ def _cmd_continual(args) -> int:
         "command": "continual", "schema": f"continual/{CSV_SCHEMA_VERSION}",
         "seed": args.seed, "streams": args.streams, "length": args.length,
         "classes_per_task": args.classes_per_task, "shot": args.shot,
-        "drift": args.drift, "method": head_name,
+        "drift": args.drift, "method": args.method,
         "strategies": [s.value for s in strategies],
         "head_modes": [m.value for m in modes],
         "dims": args.dims, "anisotropy": args.anisotropy,

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import spd
 from .errors import DimensionMismatch, InvalidConfig, NotEnoughClasses
 from .heads import ClassStatistics
 from .methods import HeadConfig, fit_statistics, predict
@@ -34,9 +35,20 @@ class HeadMode(Enum):
 
 @dataclass
 class ClassRecord:
+    """Merged statistics of one class; the covariance is factored once.
+
+    Without a ``factor`` the covariance is repaired and factored on
+    creation, so evaluations reuse the factor instead of re-factoring.
+    """
+
     mean: np.ndarray
     covariance: np.ndarray
     count: float
+    factor: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.factor is None:
+            self.covariance, self.factor = spd.ensure_pd(self.covariance)
 
 
 @dataclass
@@ -130,10 +142,15 @@ def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> li
 
 
 def _stats_from_records(records: list[ClassRecord]) -> ClassStatistics:
-    return ClassStatistics.from_moments(
-        means=np.stack([r.mean for r in records]),
-        covariances=np.stack([r.covariance for r in records]),
-        counts=np.array([r.count for r in records]),
+    """Stack the records' moments and cached factors."""
+    means, covs, counts, factors = zip(
+        *((r.mean, r.covariance, r.count, r.factor) for r in records)
+    )
+    return ClassStatistics(
+        means=np.stack(means),
+        covariances=np.stack(covs),
+        counts=np.array(counts),
+        factors=np.stack(factors),
     )
 
 
@@ -190,6 +207,7 @@ def run_continual_session(
                 mean=stats.means[slot],
                 covariance=stats.covariances[slot],
                 count=float(stream.shot),
+                factor=stats.factors[slot],
             )
             if cid in state.classes:
                 state.classes[cid] = merge_class_statistics(state.classes[cid], new_rec)

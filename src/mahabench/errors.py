@@ -37,8 +37,8 @@ class InvalidConfig(MahabenchError):
     """A configuration value violates its documented constraints."""
 
 
-class ConfigError(InvalidConfig):
-    """A harness run configuration is invalid."""
+class NonFiniteInput(MahabenchError):
+    """Features or queries contain NaN or infinite values."""
 
 
 class NotEnoughClasses(MahabenchError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import spd
 from .errors import DimensionMismatch
-from .heads import ClassStatistics, _mahalanobis_sq, softmax
+from .heads import ClassStatistics, _mahalanobis_sq, _query_rows, softmax
 from .refine import RefineConfig, RefineOutcome, run_refinement
 
 
@@ -49,16 +49,11 @@ def gmm_log_scores(query: np.ndarray, stats: ClassStatistics, prior: ClassPrior)
     """Unnormalized log posterior per class for one query or an (m, d) batch."""
     if prior.probs.shape[0] != stats.class_count:
         raise DimensionMismatch("prior length != class count")
-    q = np.asarray(query, dtype=np.float64)
-    single = q.ndim == 1
-    rows = q[None, :] if single else q
-    if rows.shape[1] != stats.dims:
-        raise DimensionMismatch(f"query dim {rows.shape[1]} != stats dim {stats.dims}")
-    logdets = np.array([spd.logdet(f) for f in stats.factors])
+    rows, single = _query_rows(query, stats.dims)
     scores = (
         np.log(prior.probs)[None, :]
         - 0.5 * _mahalanobis_sq(rows, stats)
-        - 0.5 * logdets[None, :]
+        - 0.5 * spd.logdet(stats.factors)[None, :]
     )
     return scores[0] if single else scores
 

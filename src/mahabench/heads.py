@@ -1,14 +1,18 @@
 """Closed-form class statistics and metric-based softmax classification.
 
-The core head estimates a mean and a regularized covariance per class from
-the support set, then scores queries with a choice of metric.  The default
-squared-Mahalanobis scoring uses, per class,
+The core head estimates a mean and a regularized covariance per class, then
+scores queries with a choice of metric.  ``class_statistics`` is the one
+estimator every head uses: support rows count fully toward their own class,
+query rows toward every class with soft weights, and per class
 
     Q_k = lam_k * S_k + (1 - lam_k) * S + beta * I,   lam_k = n_k / (n_k + 1)
 
-where ``S`` and ``S_k`` are the 1/n-normalized scatter matrices of the whole
-support set and of class k.  Scores deliberately carry no 1/2 coefficient;
-the GMM head owns that variant.
+where ``n_k`` is the (soft) count and ``S`` and ``S_k`` are the
+count-normalized scatter matrices of the whole weighted set and of class k.
+``estimate_class_statistics`` runs it on the support set alone; the
+transductive refinement (``refine.weighted_class_statistics``) adds the
+query rows.  Scores deliberately carry no 1/2 coefficient; the GMM head
+owns that variant.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,11 @@ from enum import Enum
 import numpy as np
 
 from . import spd
-from .errors import DimensionMismatch, EmptyClass
+from .errors import DimensionMismatch, EmptyClass, NonFiniteInput
+
+# soft counts below this are treated as an empty class rather than silently
+# regularized; only adversarial synthetic data can get here
+SOFT_COUNT_FLOOR = 1e-12
 
 
 class MetricKind(Enum):
@@ -33,14 +41,14 @@ class MetricKind(Enum):
 class ClassStatistics:
     """Per-class means, regularized covariances and effective counts.
 
-    ``factors`` caches the Cholesky factor of each covariance; instances are
-    immutable and safe to share across threads.
+    ``factors`` holds the lower Cholesky factor of every covariance as one
+    stack; instances are immutable and safe to share across threads.
     """
 
     means: np.ndarray  # (K, d)
     covariances: np.ndarray  # (K, d, d)
     counts: np.ndarray  # (K,), support counts or soft counts
-    factors: tuple
+    factors: np.ndarray  # (K, d, d)
 
     @property
     def class_count(self) -> int:
@@ -62,18 +70,75 @@ class ClassStatistics:
         counts = np.asarray(counts, dtype=np.float64)
         if np.any(counts <= 0):
             raise EmptyClass(int(np.argmax(counts <= 0)))
-        covs = []
-        factors = []
-        for q in covariances:
-            repaired, factor = spd.ensure_pd(q)
-            covs.append(repaired.entries)
-            factors.append(factor)
+        repaired = [spd.ensure_pd(q) for q in covariances]
         return cls(
             means=means,
-            covariances=np.stack(covs),
+            covariances=np.stack([cov for cov, _ in repaired]),
             counts=counts,
-            factors=tuple(factors),
+            factors=np.stack([factor for _, factor in repaired]),
         )
+
+
+def _require_finite(x: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput(f"{what} contain NaN or infinite values")
+
+
+def class_statistics(
+    support_x: np.ndarray,
+    support_y: np.ndarray,
+    query_x: np.ndarray,
+    query_weights: np.ndarray,
+    beta: float,
+) -> ClassStatistics:
+    """The one class-statistics estimator shared by every head.
+
+    Support row i counts with weight 1 toward class ``support_y[i]`` only;
+    query row j counts toward class k with weight ``query_weights[j, k]``.
+    Counts, means and scatters are weighted sums, and ``S`` is normalized by
+    the total count.  Query rows with zero weight add exact zeros, so an
+    all-zero query block gives bit-identical statistics to an empty one.
+
+    Raises
+    ------
+    EmptyClass
+        If some class's count is below ``SOFT_COUNT_FLOOR``.
+    NonFiniteInput
+        If a support or query row has a NaN or infinite entry.
+    """
+    _require_finite(support_x, "support features")
+    _require_finite(query_x, "query features")
+    n, d = support_x.shape
+    k_count = query_weights.shape[1]
+    n_k = np.bincount(support_y, minlength=k_count)
+    counts = n_k + query_weights.sum(axis=0)
+    if np.any(counts < SOFT_COUNT_FLOOR):
+        raise EmptyClass(int(np.argmax(counts < SOFT_COUNT_FLOOR)))
+
+    # class k's support rows, in input order, fill block[k, :n_k[k]]; the
+    # zero padding adds nothing to the sums below
+    order = np.argsort(support_y, kind="stable")
+    slot = np.empty(n, dtype=np.intp)
+    slot[order] = np.arange(n) - np.repeat(np.cumsum(n_k) - n_k, n_k)
+    block = np.zeros((k_count, n_k.max(), d))
+    block[support_y, slot] = support_x
+    means = (block.sum(axis=1) + query_weights.T @ query_x) / counts[:, None]
+
+    total = counts.sum()
+    row_mass = query_weights.sum(axis=1)
+    task_mean = (support_x.sum(axis=0) + row_mass @ query_x) / total
+    cs = support_x - task_mean
+    cq = query_x - task_mean
+    task_scatter = (cs.T @ cs + (cq * row_mass[:, None]).T @ cq) / total
+
+    block[support_y, slot] = support_x - means[support_y]
+    dq = query_x[None, :, :] - means[:, None, :]  # (K, m, d)
+    weighted = dq * query_weights.T[:, :, None]
+    class_scatter = block.transpose(0, 2, 1) @ block + weighted.transpose(0, 2, 1) @ dq
+    class_scatter /= counts[:, None, None]
+    lam = (counts / (counts + 1.0))[:, None, None]
+    covs = lam * class_scatter + (1.0 - lam) * task_scatter + beta * np.eye(d)
+    return ClassStatistics.from_moments(means, covs, counts)
 
 
 def estimate_class_statistics(
@@ -83,6 +148,8 @@ def estimate_class_statistics(
     num_classes: int | None = None,
 ) -> ClassStatistics:
     """Closed-form class statistics from a labelled support set.
+
+    ``class_statistics`` with an empty query block.
 
     Parameters
     ----------
@@ -99,6 +166,8 @@ def estimate_class_statistics(
     ------
     EmptyClass
         If some class in [0, K) has no support example.
+    NonFiniteInput
+        If a feature is NaN or infinite.
     """
     z = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -110,39 +179,26 @@ def estimate_class_statistics(
         raise EmptyClass(0, "support set is empty")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-
-    n, d = z.shape
     k_count = int(num_classes) if num_classes is not None else int(y.max()) + 1
-    n_k = np.bincount(y, minlength=k_count).astype(np.float64)
-    if len(n_k) > k_count or np.any(y < 0):
+    if np.any(y < 0) or np.any(y >= k_count):
         raise ValueError("label outside [0, num_classes)")
-    for k in range(k_count):
-        if n_k[k] == 0:
-            raise EmptyClass(k)
+    return class_statistics(z, y, np.empty((0, z.shape[1])), np.empty((0, k_count)), beta)
 
-    task_mean = z.mean(axis=0)
-    centered = z - task_mean
-    task_scatter = centered.T @ centered / n
 
-    means = np.empty((k_count, d))
-    covs = np.empty((k_count, d, d))
-    eye = np.eye(d)
-    for k in range(k_count):
-        rows = z[y == k]
-        means[k] = rows.mean(axis=0)
-        ck = rows - means[k]
-        class_scatter = ck.T @ ck / n_k[k]
-        lam = n_k[k] / (n_k[k] + 1.0)
-        covs[k] = lam * class_scatter + (1.0 - lam) * task_scatter + beta * eye
-    return ClassStatistics.from_moments(means, covs, n_k)
+def _query_rows(query: np.ndarray, dims: int) -> tuple[np.ndarray, bool]:
+    """(m, d) finite query rows and whether a single vector was given."""
+    q = np.asarray(query, dtype=np.float64)
+    single = q.ndim == 1
+    rows = q[None, :] if single else q
+    if rows.ndim != 2 or rows.shape[1] != dims:
+        raise DimensionMismatch(f"query shape {q.shape} does not match stats dim {dims}")
+    _require_finite(rows, "queries")
+    return rows, single
 
 
 def _mahalanobis_sq(queries: np.ndarray, stats: ClassStatistics) -> np.ndarray:
-    """(m, K) squared Mahalanobis distances via triangular solves."""
-    out = np.empty((queries.shape[0], stats.class_count))
-    for k, factor in enumerate(stats.factors):
-        out[:, k] = spd.quad_form(factor, queries - stats.means[k])
-    return out
+    """(m, K) squared Mahalanobis distances through the stacked factors."""
+    return spd.quad_form(stats.factors, queries[:, None, :] - stats.means[None, :, :])
 
 
 def class_scores(query: np.ndarray, stats: ClassStatistics, metric: MetricKind) -> np.ndarray:
@@ -153,12 +209,7 @@ def class_scores(query: np.ndarray, stats: ClassStatistics, metric: MetricKind) 
     "negative dot product" of the distance framing is the negated
     similarity, so the raw dot product already ranks correctly).
     """
-    q = np.asarray(query, dtype=np.float64)
-    single = q.ndim == 1
-    rows = q[None, :] if single else q
-    if rows.shape[1] != stats.dims:
-        raise DimensionMismatch(f"query dim {rows.shape[1]} != stats dim {stats.dims}")
-
+    rows, single = _query_rows(query, stats.dims)
     if metric is MetricKind.SQUARED_MAHALANOBIS:
         scores = -_mahalanobis_sq(rows, stats)
     elif metric is MetricKind.ROOT_RIEMANNIAN:
@@ -218,8 +269,6 @@ def bregman_divergence(z: np.ndarray, z_ref: np.ndarray, q) -> float:
     if z.shape != z_ref.shape:
         raise DimensionMismatch("z and z_ref must have the same shape")
     factor = spd.cholesky(q)
-    if z.shape[0] != factor.dim:
-        raise DimensionMismatch(f"vector length {z.shape[0]} != matrix dim {factor.dim}")
     f_z = spd.quad_form(factor, z)
     f_ref = spd.quad_form(factor, z_ref)
     grad_ref = 2.0 * spd.solve_spd(factor, z_ref)

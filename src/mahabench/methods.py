@@ -2,17 +2,14 @@
 
 A method is a head (metric-based or GMM) plus an optional refinement
 configuration.  The registry maps the benchmark's method names to
-configurations; ``simple:<metric>`` selects a metric ablation.  Without a
-neural feature extractor the task encoding is exogenous, so the
-classification-only-transductive analog coincides with the transductive
-method; both names are registered.
+configurations; ``simple:<metric>`` selects a metric ablation.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import InvalidConfig
 from .gmm import ClassPrior, gmm_classify, gmm_em_refine
 from .heads import ClassStatistics, MetricKind, classify, estimate_class_statistics
 from .refine import RefineConfig, refine
@@ -26,13 +23,6 @@ class HeadConfig:
     beta: float = 1.0
     refine: RefineConfig | None = None  # None = single estimation pass
     gmm: bool = False  # GMM scoring with a uniform prior
-
-    def with_steps(self, min_steps: int, max_steps: int) -> "HeadConfig":
-        if self.refine is None:
-            return self
-        return replace(
-            self, refine=replace(self.refine, min_steps=min_steps, max_steps=max_steps)
-        )
 
 
 def fit_statistics(head: HeadConfig, support_x, support_y, query_x) -> ClassStatistics:
@@ -69,17 +59,13 @@ def parse_method(name: str, refine_defaults: RefineConfig | None = None, beta: f
         try:
             metric = MetricKind(suffix)
         except ValueError:
-            raise ConfigError(f"unknown metric {suffix!r}") from None
+            raise InvalidConfig(f"unknown metric {suffix!r}") from None
     if base == "simple":
         return HeadConfig(metric=metric, beta=beta)
-    if base in ("transductive", "cot"):
+    if base == "transductive":
         return HeadConfig(metric=metric, beta=beta, refine=refine_cfg)
     if base == "gmm":
         return HeadConfig(beta=beta, gmm=True)
     if base == "gmm-em":
         return HeadConfig(beta=beta, gmm=True, refine=refine_cfg)
-    raise ConfigError(f"unknown method {name!r}")
-
-
-METHOD_NAMES = ("simple", "transductive", "cot", "gmm", "gmm-em")
-METRIC_NAMES = tuple(m.value for m in MetricKind)
+    raise InvalidConfig(f"unknown method {name!r}")

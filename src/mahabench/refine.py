@@ -1,9 +1,10 @@
 """Transductive refinement of class statistics via soft k-means.
 
 Responsibilities are one-hot on support rows and predicted probabilities on
-query rows.  The loop alternates weighted statistics with a responsibility
-refresh and stops once the per-query argmax stops changing, subject to hard
-minimum and maximum step counts.  The first completed iteration reproduces
+query rows.  The loop alternates weighted statistics, computed by the one
+estimator ``heads.class_statistics``, with a responsibility refresh and
+stops once the per-query argmax stops changing, subject to hard minimum and
+maximum step counts.  The first completed iteration reproduces
 the non-transductive head's query probabilities.
 """
 
@@ -11,20 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyClass, EmptyQuery
-from .heads import ClassStatistics, MetricKind, classify
-
-# soft counts below this are treated as an empty class rather than silently
-# regularized; only adversarial synthetic data can get here
-SOFT_COUNT_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class SetEncodings:
-    """Pooled support and query codes (class-balanced vs plain mean)."""
-
-    support_encoding: np.ndarray
-    query_encoding: np.ndarray
+from .errors import DimensionMismatch
+from .heads import ClassStatistics, MetricKind, class_statistics, classify
 
 
 @dataclass
@@ -34,18 +23,14 @@ class Responsibilities:
     support: np.ndarray  # (n, K), exact one-hot
     query: np.ndarray  # (m, K), all-zero before the first refresh
 
-    def combined(self) -> np.ndarray:
-        return np.vstack([self.support, self.query])
-
 
 @dataclass(frozen=True)
 class RefineConfig:
     """Step limits and head settings for the refinement loop.
 
-    Defaults follow the variable-way benchmark setting (min 2, max 4);
-    ``fixed_way_preset`` gives the 10-step cap used for fixed way/shot
-    worlds.  ``min_steps = max_steps = 1`` reproduces the training-time
-    behavior of a single estimation pass.
+    Defaults follow the variable-way benchmark setting (min 2, max 4).
+    ``min_steps = max_steps = 1`` reproduces the training-time behavior of
+    a single estimation pass.
     """
 
     min_steps: int = 2
@@ -59,12 +44,6 @@ class RefineConfig:
         if self.max_steps < self.min_steps:
             raise ValueError("max_steps must be >= min_steps")
 
-    @classmethod
-    def fixed_way_preset(cls, **kwargs) -> "RefineConfig":
-        kwargs.setdefault("min_steps", 2)
-        kwargs.setdefault("max_steps", 10)
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class RefineOutcome:
@@ -72,47 +51,6 @@ class RefineOutcome:
     responsibilities: Responsibilities
     iterations_run: int
     converged_early: bool
-
-
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows in lexicographic order, giving a canonical accumulation order."""
-    if rows.shape[0] <= 1:
-        return rows
-    order = np.lexsort(rows.T[::-1])
-    return rows[order]
-
-
-def pool_set_encodings(
-    support_codes: np.ndarray,
-    support_labels: np.ndarray,
-    query_codes: np.ndarray,
-    num_classes: int | None = None,
-) -> SetEncodings:
-    """Permutation-invariant pooling of per-example codes.
-
-    The support encoding averages class means with equal class weight
-    (inverse class counts), preventing bias from class imbalance; the query
-    encoding is a plain mean.  Rows are accumulated in sorted order so a
-    permutation of the inputs gives bit-identical outputs.
-    """
-    codes = np.asarray(support_codes, dtype=np.float64)
-    labels = np.asarray(support_labels, dtype=np.int64)
-    queries = np.asarray(query_codes, dtype=np.float64)
-    if queries.shape[0] == 0:
-        raise EmptyQuery("query codes are empty")
-    if codes.shape[0] != labels.shape[0]:
-        raise DimensionMismatch("support codes and labels disagree on n")
-    k_count = int(num_classes) if num_classes is not None else int(labels.max()) + 1
-    class_means = np.empty((k_count, codes.shape[1]))
-    for k in range(k_count):
-        rows = codes[labels == k]
-        if rows.shape[0] == 0:
-            raise EmptyClass(k)
-        class_means[k] = _sorted_rows(rows).mean(axis=0)
-    return SetEncodings(
-        support_encoding=class_means.mean(axis=0),
-        query_encoding=_sorted_rows(queries).mean(axis=0),
-    )
 
 
 def init_responsibilities(support_labels: np.ndarray, m_query: int, num_classes: int) -> Responsibilities:
@@ -130,37 +68,18 @@ def weighted_class_statistics(
     """Responsibility-weighted means and regularized covariances.
 
     ``features`` stacks support rows then query rows, matching ``resp``.
-    Soft counts are column sums of the responsibilities; the task mean and
-    task scatter are normalized by the total soft count.  With all-zero
-    query rows this reduces to the plain support-only estimator.
+    This is ``heads.class_statistics`` with the support labels read off the
+    one-hot support rows and ``resp.query`` as the query weights, so all-zero
+    query rows give exactly the plain support-only estimator.
     """
     z = np.asarray(features, dtype=np.float64)
-    w = resp.combined()
-    if w.shape[0] != z.shape[0]:
+    n, k_count = resp.support.shape
+    if z.ndim != 2 or z.shape[0] != n + resp.query.shape[0] or resp.query.shape[1] != k_count:
         raise DimensionMismatch("responsibilities and features disagree on rows")
-    d = z.shape[1]
-    k_count = w.shape[1]
-
-    soft_counts = w.sum(axis=0)
-    for k in range(k_count):
-        if soft_counts[k] < SOFT_COUNT_FLOOR:
-            raise EmptyClass(k, f"soft count for class {k} underflowed")
-    total = soft_counts.sum()
-
-    means = (w.T @ z) / soft_counts[:, None]
-    row_mass = w.sum(axis=1)
-    task_mean = (row_mass @ z) / total
-    centered = z - task_mean
-    task_scatter = (centered * row_mass[:, None]).T @ centered / total
-
-    covs = np.empty((k_count, d, d))
-    eye = np.eye(d)
-    for k in range(k_count):
-        ck = z - means[k]
-        class_scatter = (ck * w[:, k, None]).T @ ck / soft_counts[k]
-        lam = soft_counts[k] / (soft_counts[k] + 1.0)
-        covs[k] = lam * class_scatter + (1.0 - lam) * task_scatter + beta * eye
-    return ClassStatistics.from_moments(means, covs, soft_counts)
+    labels = np.argmax(resp.support, axis=1)
+    if not np.array_equal(resp.support, np.eye(k_count)[labels]):
+        raise ValueError("support responsibilities must be one-hot")
+    return class_statistics(z[:n], labels, z[n:], resp.query, beta)
 
 
 def run_refinement(
@@ -176,7 +95,12 @@ def run_refinement(
     query responsibilities are refreshed.
     """
     support_x = np.asarray(support_x, dtype=np.float64)
-    query_x = np.asarray(query_x, dtype=np.float64).reshape(-1, support_x.shape[1])
+    query_x = np.asarray(query_x, dtype=np.float64)
+    d = support_x.shape[1]
+    if query_x.size == 0:
+        query_x = query_x.reshape(0, d)
+    if query_x.ndim != 2 or query_x.shape[1] != d:
+        raise DimensionMismatch(f"query shape {query_x.shape} does not match support dim {d}")
     labels = np.asarray(support_y, dtype=np.int64)
     k_count = int(labels.max()) + 1
     m = query_x.shape[0]

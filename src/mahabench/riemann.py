@@ -106,7 +106,7 @@ class MetricField:
         precisions = np.empty((k, centroids.shape[1], centroids.shape[1]))
         for i, cov in enumerate(covariances):
             factor = spd.cholesky(cov)
-            precisions[i] = spd.solve_spd(factor, np.eye(factor.dim))
+            precisions[i] = spd.solve_spd(factor, np.eye(len(factor)))
         if k == 1:
             radius = np.array([1.0])
         else:
@@ -121,10 +121,11 @@ class MetricField:
         return cls.from_covariances(stats.means, stats.covariances, **kwargs)
 
 
-def metric_at(field: MetricField, x: np.ndarray) -> spd.SymMatrix:
-    """The metric tensor at one point: sum_k w_k(x - mu_k) P_k."""
+def metric_at(field: MetricField, x: np.ndarray) -> np.ndarray:
+    """The symmetrized metric tensor at one point: sum_k w_k(x - mu_k) P_k."""
     w = field.partition.weights(np.asarray(x, dtype=np.float64), field.centroids)[0]
-    return spd.SymMatrix(np.einsum("k,kde->de", w, field.precisions))
+    g = np.einsum("k,kde->de", w, field.precisions)
+    return (g + g.T) / 2.0
 
 
 def _crossings(part: PartitionOfUnity, a: float, b: np.ndarray, c: np.ndarray) -> np.ndarray:

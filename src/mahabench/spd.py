@@ -1,15 +1,24 @@
-"""Dense symmetric-positive-definite linear algebra.
+"""Dense symmetric-positive-definite linear algebra on plain arrays.
 
 Factorization, solves, log-determinants and PSD repair used by every
-classification head.  Quadratic forms are always evaluated through the
-Cholesky factor (``||L^-1 v||^2``); explicit inverses are never formed.
+classification head.  A factor is the lower-triangular Cholesky factor L as
+a ``(d, d)`` array; ``quad_form`` and ``logdet`` also take a ``(K, d, d)``
+stack of factors.  Inputs are checked for squareness and symmetrized as
+(A + A^T) / 2 at the ``cholesky`` / ``ensure_pd`` boundary only.
+
+Quadratic forms are evaluated as ||L^-1 v||^2 through the LAPACK triangular
+inverse of the factor (``dtrtri``), never through an inverse of L L^T.  This
+is acceptable because the conditioning that matters is that of L, the square
+root of the conditioning of L L^T, and triangular inversion is as accurate
+as a triangular solve for the well-conditioned, ridge-regularized factors
+the heads produce.  The result stays an exact sum of squares, hence
+nonnegative, and one inverse per class turns the scoring of every
+(query, class) pair into a single batched matmul.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotRepairable
 
@@ -18,122 +27,120 @@ from .errors import DimensionMismatch, NotPositiveDefinite, NotRepairable
 DEFAULT_JITTER_SCHEDULE = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense symmetric matrix; construction symmetrizes as (A + A^T) / 2."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise DimensionMismatch("matrix dimension must be at least 1")
-        object.__setattr__(self, "entries", (a + a.T) / 2.0)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+def _symmetrized(m) -> np.ndarray:
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise DimensionMismatch("matrix dimension must be at least 1")
+    return (a + a.T) / 2.0
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L L^T equal to the source matrix."""
-
-    lower: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-
-def _as_sym(m) -> SymMatrix:
-    return m if isinstance(m, SymMatrix) else SymMatrix(m)
-
-
-def cholesky(m) -> CholeskyFactor:
+def cholesky(m) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     Parameters
     ----------
-    m : SymMatrix or array_like
-        Matrix to factor; arrays are symmetrized on entry.
+    m : (d, d) array_like
+        Matrix to factor; symmetrized on entry.
 
     Raises
     ------
+    DimensionMismatch
+        If ``m`` is not a non-empty square matrix.
     NotPositiveDefinite
         If some leading minor is singular or negative; carries the 0-based
         failing pivot index.
     """
-    sym = _as_sym(m)
-    c, info = dpotrf(sym.entries, lower=1, clean=1, overwrite_a=0)
+    c, info = dpotrf(_symmetrized(m), lower=1, clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefinite(pivot=int(info) - 1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} passed to dpotrf")
-    return CholeskyFactor(lower=c)
+    return c
 
 
-def solve_spd(f: CholeskyFactor, v: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = v given the factor."""
+def solve_spd(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = v given the factor L."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != f.dim:
-        raise DimensionMismatch(f"vector length {v.shape[0]} != matrix dim {f.dim}")
-    return cho_solve((f.lower, True), v)
+    if v.shape[0] != factor.shape[0]:
+        raise DimensionMismatch(f"vector length {v.shape[0]} != matrix dim {factor.shape[0]}")
+    return cho_solve((factor, True), v)
 
 
-def solve_lower(f: CholeskyFactor, b: np.ndarray) -> np.ndarray:
-    """Solve L y = b (forward substitution only)."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != f.dim:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix dim {f.dim}")
-    return solve_triangular(f.lower, b, lower=True, check_finite=False)
-
-
-def quad_form(f: CholeskyFactor, diffs: np.ndarray) -> np.ndarray:
+def quad_form(factor: np.ndarray, diffs: np.ndarray):
     """Quadratic forms diff^T (L L^T)^-1 diff, one per row of ``diffs``.
 
-    Evaluated as ||L^-1 diff||^2, which keeps the result exactly
-    nonnegative.  Accepts a single vector or an (m, d) stack of rows.
+    With one ``(d, d)`` factor, ``diffs`` is a single vector (a float is
+    returned) or an ``(m, d)`` stack of rows (an ``(m,)`` array).  With a
+    ``(K, d, d)`` stack of factors, ``diffs`` is ``(K, d)`` or ``(m, K, d)``
+    and row i, class k is scored against factor k, giving ``(K,)`` or
+    ``(m, K)``.
     """
+    factor = np.asarray(factor, dtype=np.float64)
     diffs = np.asarray(diffs, dtype=np.float64)
-    single = diffs.ndim == 1
-    rows = diffs[None, :] if single else diffs
-    if rows.shape[1] != f.dim:
-        raise DimensionMismatch(f"vector length {rows.shape[1]} != matrix dim {f.dim}")
-    y = solve_triangular(f.lower, rows.T, lower=True, check_finite=False)
-    q = np.einsum("dm,dm->m", y, y)
+    single = diffs.ndim == factor.ndim - 1
+    rows = diffs[None] if single else diffs
+    if (
+        factor.ndim not in (2, 3)
+        or rows.ndim != factor.ndim
+        or rows.shape[1:] != factor.shape[:-1]
+    ):
+        raise DimensionMismatch(
+            f"diffs of shape {diffs.shape} do not match factors of shape {factor.shape}"
+        )
+    if factor.ndim == 3:
+        q = _stacked_quad_form(factor, rows)
+        return q[0] if single else q
+    q = _stacked_quad_form(factor[None], rows[:, None, :])[:, 0]
     return float(q[0]) if single else q
 
 
-def logdet(f: CholeskyFactor) -> float:
-    """Log-determinant of the factored matrix: 2 * sum(log diag(L))."""
-    return float(2.0 * np.sum(np.log(np.diag(f.lower))))
+def _stacked_quad_form(factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(m, K) forms of (m, K, d) rows against a (K, d, d) stack of factors."""
+    inverses = np.stack([dtrtri(f, lower=1)[0] for f in factors])
+    # (K, m, d) @ (K, d, d): y[k, i] = L_k^-1 rows[i, k]
+    y = rows.transpose(1, 0, 2) @ inverses.transpose(0, 2, 1)
+    return np.einsum("kmd,kmd->mk", y, y)
 
 
-def ensure_pd(m, jitter_schedule=DEFAULT_JITTER_SCHEDULE) -> tuple[SymMatrix, CholeskyFactor]:
+def logdet(factor: np.ndarray):
+    """Log-determinant of the factored matrix: 2 * sum(log diag(L)).
+
+    A float for one factor, a ``(K,)`` array for a stack of factors.
+    """
+    factor = np.asarray(factor, dtype=np.float64)
+    out = 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
+    return float(out) if factor.ndim == 2 else out
+
+
+def ensure_pd(m, jitter_schedule=DEFAULT_JITTER_SCHEDULE) -> tuple[np.ndarray, np.ndarray]:
     """Repair a nearly-PSD matrix by adding the smallest scheduled jitter.
 
     Tries ``m + j*I`` for each ``j`` in the schedule in order and returns the
-    first repaired matrix together with its factor.  The schedule must be
-    non-decreasing and start at 0 so exact-PD inputs come back unchanged.
+    first repaired (symmetrized) matrix together with its lower factor.  The
+    schedule must be non-decreasing and start at 0 so exact-PD inputs come
+    back unchanged.
 
     Raises
     ------
     NotRepairable
-        If no scheduled jitter makes the factorization succeed.
+        If ``m`` has a non-finite entry, or no scheduled jitter makes the
+        factorization succeed.
     """
     schedule = list(jitter_schedule)
     if not schedule or schedule[0] != 0.0:
         raise ValueError("jitter schedule must start at 0")
     if any(b < a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("jitter schedule must be non-decreasing")
-    sym = _as_sym(m)
-    eye = np.eye(sym.dim)
+    sym = _symmetrized(m)
+    # dpotrf reports success on NaN input, so a NaN factor would pass through
+    if not np.all(np.isfinite(sym)):
+        raise NotRepairable("matrix has non-finite entries")
+    eye = np.eye(sym.shape[0])
     for j in schedule:
         try:
-            repaired = sym if j == 0.0 else SymMatrix(sym.entries + j * eye)
+            repaired = sym if j == 0.0 else sym + j * eye
             return repaired, cholesky(repaired)
         except NotPositiveDefinite:
             continue

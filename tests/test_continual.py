@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mahabench.bench import DomainSpec
 from mahabench.continual import (
@@ -60,6 +64,35 @@ class TestMergeClassStatistics:
                 record(rng.normal(3), b @ b.T + np.eye(3), 1 + rng.below(10)),
             )
             cholesky(merged.covariance)  # zero jitter must succeed
+
+    def test_record_caches_the_factor_of_its_covariance(self):
+        rec = record([0.0, 0.0], [[4.0, 2.0], [2.0, 5.0]], 3)
+        assert np.array_equal(rec.factor, cholesky(rec.covariance))
+        merged = merge_class_statistics(rec, record([1.0, 1.0], np.eye(2), 1))
+        assert np.array_equal(merged.factor, cholesky(merged.covariance))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_records=st.integers(2, 4),
+        dims=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_merge_order_does_not_matter(self, n_records, dims, seed):
+        rng = Rng(seed)
+        records = []
+        for _ in range(n_records):
+            a = rng.normal((dims, dims))
+            records.append(record(rng.normal(dims), a @ a.T + np.eye(dims), 1 + rng.below(10)))
+        results = []
+        for order in itertools.permutations(records):
+            merged = order[0]
+            for rec in order[1:]:
+                merged = merge_class_statistics(merged, rec)
+            results.append(merged)
+        for other in results[1:]:
+            assert other.count == results[0].count
+            assert np.allclose(other.mean, results[0].mean, rtol=1e-10, atol=1e-12)
+            assert np.allclose(other.covariance, results[0].covariance, rtol=1e-10, atol=1e-12)
 
 
 class TestUpdateEncoding:

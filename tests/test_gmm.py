@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mahabench.errors import NonFiniteInput
 from mahabench.gmm import ClassPrior, gmm_classify, gmm_em_refine, gmm_log_scores
 from mahabench.heads import ClassStatistics, MetricKind, classify, estimate_class_statistics
 from mahabench.refine import RefineConfig
@@ -76,6 +77,11 @@ class TestGmmLogScores:
                 - 0.5 * np.log(np.linalg.det(cov))
             )
             assert scores[k] == pytest.approx(expected, rel=1e-10)
+
+    def test_non_finite_query_raises(self):
+        stats = random_stats(Rng(6))
+        with pytest.raises(NonFiniteInput):
+            gmm_classify(np.array([0.0, np.nan, 0.0]), stats, ClassPrior.uniform(3))
 
 
 class TestGmmClassify:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mahabench.errors import DimensionMismatch, EmptyClass, NotPositiveDefinite
+from mahabench.errors import DimensionMismatch, EmptyClass, NonFiniteInput, NotPositiveDefinite
 from mahabench.heads import (
     ClassStatistics,
     MetricKind,
@@ -87,6 +89,41 @@ class TestEstimateClassStatistics:
         with pytest.raises(EmptyClass) as info:
             estimate_class_statistics(np.zeros((2, 2)), np.array([0, 2]))
         assert info.value.class_index == 1
+
+    def test_non_finite_support_row_raises(self):
+        feats = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, np.nan]])
+        with pytest.raises(NonFiniteInput):
+            estimate_class_statistics(feats, np.array([0, 0, 1]))
+        feats[2, 1] = np.inf
+        with pytest.raises(NonFiniteInput):
+            estimate_class_statistics(feats, np.array([0, 0, 1]))
+
+    def test_factors_are_one_stack(self):
+        rng = Rng(5)
+        feats, labels = random_task(rng, n_classes=3, dims=4)
+        stats = estimate_class_statistics(feats, labels)
+        assert stats.factors.shape == (3, 4, 4)
+        for k in range(3):
+            assert np.array_equal(stats.factors[k], cholesky(stats.covariances[k]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_classes=st.integers(1, 4),
+        per_class=st.integers(1, 5),
+        dims=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_support_permutation_leaves_statistics_unchanged(
+        self, n_classes, per_class, dims, seed
+    ):
+        rng = Rng(seed)
+        feats, labels = random_task(rng, n_classes, per_class, dims)
+        perm = rng.permutation(len(labels))
+        base = estimate_class_statistics(feats, labels)
+        other = estimate_class_statistics(feats[perm], labels[perm])
+        assert np.array_equal(base.counts, other.counts)
+        for name in ("means", "covariances", "factors"):
+            assert np.allclose(getattr(base, name), getattr(other, name), rtol=1e-10, atol=1e-12)
 
     def test_single_shot_covariance_is_half_task_scatter_plus_beta(self):
         # n_k = 1: class scatter is 0, so Q_k = 0.5 * task_scatter + beta I
@@ -183,6 +220,15 @@ class TestClassify:
         stats = stats_with_covariances([[0.0, 0.0]], [np.eye(2)])
         probs, label = classify(np.ones(2), stats, MetricKind.SQUARED_MAHALANOBIS)
         assert probs[0] == 1.0 and label == 0
+
+    def test_non_finite_query_raises(self):
+        # a NaN score must not turn into label 0 through argmax
+        stats = stats_with_covariances([[0.0, 0.0], [4.0, 0.0]], [np.eye(2), np.eye(2)])
+        for metric in MetricKind:
+            with pytest.raises(NonFiniteInput):
+                classify(np.array([np.nan, 0.0]), stats, metric)
+            with pytest.raises(NonFiniteInput):
+                classify(np.array([[1.0, 0.0], [0.0, np.inf]]), stats, metric)
 
     def test_probabilities_sum_to_one_and_shift_invariant(self):
         rng = Rng(17)

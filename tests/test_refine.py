@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from mahabench.errors import EmptyClass, EmptyQuery
+from mahabench.errors import DimensionMismatch, EmptyClass, NonFiniteInput
 from mahabench.heads import MetricKind, classify, estimate_class_statistics
 from mahabench.refine import (
     RefineConfig,
     init_responsibilities,
-    pool_set_encodings,
     refine,
     weighted_class_statistics,
 )
@@ -88,44 +87,6 @@ def small_task(rng, n_classes=2, shots=2, m_query=4, dims=2, spread=0.8, sep=2.5
     return np.vstack(sup), np.array(lab, dtype=np.int64), query
 
 
-class TestPoolSetEncodings:
-    def test_single_class_mean(self):
-        enc = pool_set_encodings(
-            np.array([[1.0, 1.0], [3.0, 3.0]]), np.array([0, 0]), np.array([[0.0, 0.0]])
-        )
-        assert np.allclose(enc.support_encoding, [2.0, 2.0])
-        assert np.allclose(enc.query_encoding, [0.0, 0.0])
-
-    def test_class_balanced_average(self):
-        # class A has 1 code, class B has 2: classes weigh equally
-        codes = np.array([[2.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
-        labels = np.array([0, 1, 1])
-        enc = pool_set_encodings(codes, labels, np.array([[1.0, 1.0]]))
-        assert np.allclose(enc.support_encoding, [1.0, 1.0])
-
-    def test_permutation_gives_bit_identical_outputs(self):
-        rng = Rng(3)
-        codes = rng.normal((7, 3))
-        labels = np.array([0, 1, 0, 2, 1, 2, 0], dtype=np.int64)
-        queries = rng.normal((5, 3))
-        base = pool_set_encodings(codes, labels, queries)
-        perm = rng.permutation(7)
-        qperm = rng.permutation(5)
-        other = pool_set_encodings(codes[perm], labels[perm], queries[qperm])
-        assert np.array_equal(base.support_encoding, other.support_encoding)
-        assert np.array_equal(base.query_encoding, other.query_encoding)
-
-    def test_empty_query_raises(self):
-        with pytest.raises(EmptyQuery):
-            pool_set_encodings(np.ones((1, 2)), np.array([0]), np.empty((0, 2)))
-
-    def test_missing_class_raises(self):
-        with pytest.raises(EmptyClass):
-            pool_set_encodings(
-                np.ones((2, 2)), np.array([0, 2]), np.ones((1, 2)), num_classes=3
-            )
-
-
 class TestInitResponsibilities:
     def test_one_hot_support_zero_query(self):
         resp = init_responsibilities(np.array([0, 1]), 2, 2)
@@ -143,14 +104,21 @@ class TestInitResponsibilities:
 
 class TestWeightedClassStatistics:
     def test_zero_query_rows_reduce_to_plain_estimator(self):
+        # one estimator: all-zero query weights add exact zeros, so the
+        # statistics are bit-identical to the support-only ones
         rng = Rng(5)
-        sup, lab, query = small_task(rng, n_classes=3, shots=3)
-        resp = init_responsibilities(lab, query.shape[0], 3)
-        weighted = weighted_class_statistics(np.vstack([sup, query]), resp, beta=1.0)
-        plain = estimate_class_statistics(sup, lab, beta=1.0)
-        assert np.allclose(weighted.means, plain.means, atol=1e-12)
-        assert np.allclose(weighted.covariances, plain.covariances, atol=1e-12)
-        assert np.allclose(weighted.counts, plain.counts)
+        for trial in range(100):
+            k = 2 + trial % 4
+            sup, lab, query = small_task(
+                rng, n_classes=k, shots=1 + trial % 5, m_query=1 + trial % 7, dims=1 + trial % 6
+            )
+            resp = init_responsibilities(lab, query.shape[0], k)
+            weighted = weighted_class_statistics(np.vstack([sup, query]), resp, beta=1.0)
+            plain = estimate_class_statistics(sup, lab, beta=1.0)
+            assert np.array_equal(weighted.means, plain.means)
+            assert np.array_equal(weighted.covariances, plain.covariances)
+            assert np.array_equal(weighted.factors, plain.factors)
+            assert np.array_equal(weighted.counts, plain.counts)
 
     def test_two_point_weighted_mean_by_hand(self):
         resp = init_responsibilities(np.array([0]), 1, 1)
@@ -181,17 +149,33 @@ class TestWeightedClassStatistics:
             weighted_class_statistics(np.zeros((2, 2)), resp, beta=1.0)
         assert info.value.class_index == 1
 
+    def test_non_finite_query_row_raises(self):
+        resp = init_responsibilities(np.array([0, 1]), 1, 2)
+        feats = np.array([[0.0, 0.0], [4.0, 0.0], [np.nan, 2.0]])
+        with pytest.raises(NonFiniteInput):
+            weighted_class_statistics(feats, resp, beta=1.0)
+
 
 class TestRefine:
     def test_empty_query_runs_min_steps_with_plain_statistics(self):
         rng = Rng(7)
-        sup, lab, _ = small_task(rng)
-        out = refine(sup, lab, np.empty((0, 2)), RefineConfig(min_steps=2, max_steps=4))
-        assert out.iterations_run == 2
-        assert out.converged_early
-        plain = estimate_class_statistics(sup, lab, beta=1.0)
-        assert np.allclose(out.statistics.means, plain.means, atol=1e-12)
-        assert np.allclose(out.statistics.covariances, plain.covariances, atol=1e-12)
+        for trial in range(30):
+            dims = 1 + trial % 5
+            sup, lab, _ = small_task(rng, n_classes=2 + trial % 3, shots=1 + trial % 4, dims=dims)
+            out = refine(sup, lab, np.empty((0, dims)), RefineConfig(min_steps=2, max_steps=4))
+            assert out.iterations_run == 2
+            assert out.converged_early
+            plain = estimate_class_statistics(sup, lab, beta=1.0)
+            assert np.array_equal(out.statistics.means, plain.means)
+            assert np.array_equal(out.statistics.covariances, plain.covariances)
+            assert np.array_equal(out.statistics.factors, plain.factors)
+
+    def test_wrong_query_width_raises_dimension_mismatch(self):
+        rng = Rng(8)
+        sup, lab, _ = small_task(rng, dims=2)
+        for query in (np.ones((3, 3)), np.ones((2, 1)), np.ones(2)):
+            with pytest.raises(DimensionMismatch):
+                refine(sup, lab, query)
 
     def test_single_step_equals_plain_classifier(self):
         rng = Rng(9)
@@ -241,7 +225,7 @@ class TestRefine:
         rng = Rng(23)
         sup, lab, query = small_task(rng, m_query=7)
         out = refine(sup, lab, query, RefineConfig(min_steps=2, max_steps=4))
-        total = out.responsibilities.combined().sum()
+        total = out.responsibilities.support.sum() + out.responsibilities.query.sum()
         assert total == pytest.approx(len(sup) + len(query), abs=1e-9)
 
     def test_deterministic(self):

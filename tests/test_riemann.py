@@ -75,7 +75,7 @@ class TestMetricAt:
         field = two_metric_field()
         for k in range(2):
             g = metric_at(field, field.centroids[k])
-            assert np.array_equal(g.entries, (field.precisions[k] + field.precisions[k].T) / 2)
+            assert np.array_equal(g, (field.precisions[k] + field.precisions[k].T) / 2)
 
     def test_single_centroid_constant_everywhere(self):
         prec = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -84,13 +84,13 @@ class TestMetricAt:
         rng = Rng(3)
         for _ in range(20):
             x = 5.0 * rng.normal(2)
-            assert np.allclose(metric_at(field, x).entries, prec, atol=1e-12)
+            assert np.allclose(metric_at(field, x), prec, atol=1e-12)
 
     def test_symmetric_midpoint_is_half_mix(self):
         field = two_metric_field(support_scale=0.9)  # overlapping supports
         mid = field.centroids.mean(axis=0)
         expected = 0.5 * field.precisions[0] + 0.5 * field.precisions[1]
-        assert np.allclose(metric_at(field, mid).entries, expected, atol=1e-12)
+        assert np.allclose(metric_at(field, mid), expected, atol=1e-12)
 
 
 class TestPathEnergy:

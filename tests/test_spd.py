@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mahabench.errors import DimensionMismatch, NotPositiveDefinite, NotRepairable
 from mahabench.rng import Rng
 from mahabench.spd import (
-    CholeskyFactor,
-    SymMatrix,
     cholesky,
     ensure_pd,
     logdet,
@@ -26,25 +26,31 @@ def brute_force_det(a: np.ndarray) -> float:
     return total
 
 
-class TestSymMatrix:
-    def test_symmetrizes_on_construction(self):
-        m = SymMatrix([[1.0, 2.0], [0.0, 1.0]])
-        assert np.array_equal(m.entries, m.entries.T)
-        assert m.entries[0, 1] == 1.0
+class TestSymmetricInput:
+    def test_symmetrizes_on_entry(self):
+        a = np.array([[2.0, 2.0], [0.0, 2.0]])
+        repaired, f = ensure_pd(a)
+        assert np.array_equal(repaired, repaired.T)
+        assert repaired[0, 1] == 1.0
+        assert np.allclose(cholesky(a) @ cholesky(a).T, [[2.0, 1.0], [1.0, 2.0]], rtol=1e-12)
+        assert np.array_equal(f, cholesky(a))
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            SymMatrix(np.zeros((2, 3)))
+        for bad in (np.zeros((2, 3)), np.zeros(2), np.zeros((0, 0))):
+            with pytest.raises(DimensionMismatch):
+                cholesky(bad)
+            with pytest.raises(DimensionMismatch):
+                ensure_pd(bad)
 
 
 class TestCholesky:
     def test_diagonal_case(self):
         f = cholesky(np.diag([4.0, 9.0]))
-        assert np.allclose(f.lower, np.diag([2.0, 3.0]))
+        assert np.allclose(f, np.diag([2.0, 3.0]))
 
     def test_identity_case(self):
         f = cholesky(np.eye(3))
-        assert np.allclose(f.lower, np.eye(3))
+        assert np.allclose(f, np.eye(3))
 
     def test_two_by_two_hand_recurrence(self):
         # hand Cholesky of [[2,1],[1,2]]: l11=sqrt(2), l21=1/sqrt(2),
@@ -52,8 +58,8 @@ class TestCholesky:
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         f = cholesky(a)
         expected = np.array([[1.41421356, 0.0], [0.70710678, 1.22474487]])
-        assert np.allclose(f.lower, expected, atol=1e-8)
-        assert np.allclose(f.lower @ f.lower.T, a, rtol=1e-12)
+        assert np.allclose(f, expected, atol=1e-8)
+        assert np.allclose(f @ f.T, a, rtol=1e-12)
 
     def test_failure_carries_pivot(self):
         with pytest.raises(NotPositiveDefinite) as info:
@@ -124,22 +130,29 @@ class TestLogdet:
 class TestEnsurePd:
     def test_pd_input_unchanged(self):
         repaired, f = ensure_pd(np.eye(2), [0.0, 1e-8])
-        assert np.array_equal(repaired.entries, np.eye(2))
-        assert isinstance(f, CholeskyFactor)
+        assert np.array_equal(repaired, np.eye(2))
+        assert np.array_equal(f, np.eye(2))
 
     def test_zero_matrix_takes_first_working_jitter(self):
         repaired, f = ensure_pd(np.zeros((2, 2)), [0.0, 1e-6, 1e-3])
-        assert np.allclose(repaired.entries, 1e-6 * np.eye(2))
-        assert np.allclose(f.lower, 1e-3 * np.eye(2))
+        assert np.allclose(repaired, 1e-6 * np.eye(2))
+        assert np.allclose(f, 1e-3 * np.eye(2))
 
     def test_rank_one_matrix_repaired(self):
         # eigenvalues {0, 2}: the zero pivot triggers repair at 1e-6
         repaired, _ = ensure_pd(np.ones((2, 2)), [0.0, 1e-6])
-        assert np.allclose(repaired.entries, np.ones((2, 2)) + 1e-6 * np.eye(2))
+        assert np.allclose(repaired, np.ones((2, 2)) + 1e-6 * np.eye(2))
 
     def test_not_repairable(self):
         with pytest.raises(NotRepairable):
             ensure_pd(np.array([[-5.0, 0.0], [0.0, -5.0]]), [0.0, 1e-6])
+
+    def test_non_finite_matrix_not_repairable(self):
+        # LAPACK's dpotrf reports success on NaN input; the factor must not
+        # come back as NaN
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotRepairable):
+                ensure_pd(np.array([[1.0, bad], [bad, 1.0]]))
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -153,11 +166,10 @@ class TestEnsurePd:
         for trial in range(100):
             d = 2 + trial % 8
             s = rng.normal((d, d))
-            sym = SymMatrix(s)
-            m = sym.entries + s.T @ s + np.eye(d)
+            m = (s + s.T) / 2 + s.T @ s + np.eye(d)
             repaired, f = ensure_pd(m)
-            rebuilt = f.lower @ f.lower.T
-            err = np.linalg.norm(rebuilt - repaired.entries) / np.linalg.norm(repaired.entries)
+            rebuilt = f @ f.T
+            err = np.linalg.norm(rebuilt - repaired) / np.linalg.norm(repaired)
             assert err <= 1e-10
 
 
@@ -176,3 +188,32 @@ class TestQuadForm:
     def test_single_vector_returns_scalar(self):
         f = cholesky(np.eye(2))
         assert quad_form(f, np.array([3.0, 4.0])) == pytest.approx(25.0)
+
+    def test_dimension_mismatch(self):
+        f = cholesky(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            quad_form(f, np.ones((4, 2)))
+        with pytest.raises(DimensionMismatch):
+            quad_form(np.stack([f, f]), np.ones((4, 3, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        d=st.integers(1, 6),
+        m=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_equals_per_factor(self, k, d, m, seed):
+        rng = Rng(seed)
+        factors = []
+        for _ in range(k):
+            a = rng.normal((d, d))
+            factors.append(cholesky(a @ a.T + np.eye(d)))
+        stack = np.stack(factors)
+        diffs = rng.normal((m, k, d))
+        stacked = quad_form(stack, diffs)
+        assert stacked.shape == (m, k)
+        for j, f in enumerate(factors):
+            assert np.allclose(stacked[:, j], quad_form(f, diffs[:, j]), rtol=1e-12, atol=0)
+        assert np.allclose(quad_form(stack, diffs[0]), stacked[0], rtol=1e-12, atol=0)
+        assert np.array_equal(logdet(stack), [logdet(f) for f in factors])
