@@ -76,6 +76,7 @@ from .rng import Rng, derive_seed
 from .spd import (
     cholesky,
     ensure_pd,
+    factor_stack,
     logdet,
     solve_spd,
 )

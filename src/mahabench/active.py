@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PoolExhausted, StrategyHasNoScore
+from .errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
 from .methods import HeadConfig, fit_statistics, predict
 from .rng import Rng
 
@@ -39,7 +39,7 @@ class ActiveSession:
 
     def __post_init__(self):
         if self.budget < 0 or self.budget > self.pool_x.shape[0]:
-            raise ValueError("budget must lie in [0, pool size]")
+            raise InvalidConfig("budget must lie in [0, pool size]")
 
 
 def acquisition_scores(pool_probs: np.ndarray, strategy: AcquisitionStrategy) -> np.ndarray:
@@ -56,18 +56,22 @@ def acquisition_scores(pool_probs: np.ndarray, strategy: AcquisitionStrategy) ->
 def select_next(
     pool_probs: np.ndarray,
     strategy: AcquisitionStrategy,
-    acquired,
+    acquired: np.ndarray,
     rng: Rng,
 ) -> int:
     """Index of the next pool example to label.
 
-    Scored strategies take the argmax acquisition score over unacquired
-    examples, ties toward the lowest index; random selection draws
-    uniformly from the unacquired set using the session generator.
+    ``acquired`` is a boolean mask over the pool, true where an example was
+    already acquired.  Scored strategies take the argmax acquisition score
+    over unacquired examples, ties toward the lowest index; random
+    selection draws uniformly from the unacquired set using the session
+    generator.
     """
     probs = np.atleast_2d(np.asarray(pool_probs, dtype=np.float64))
-    taken = set(acquired)
-    open_idx = np.array([i for i in range(probs.shape[0]) if i not in taken], dtype=np.int64)
+    acquired = np.asarray(acquired, dtype=bool)
+    if acquired.shape != probs.shape[:1]:
+        raise DimensionMismatch(f"mask of shape {acquired.shape} for a pool of {probs.shape[0]}")
+    open_idx = np.flatnonzero(~acquired)
     if open_idx.size == 0:
         raise PoolExhausted("no unacquired pool examples left")
     if strategy is AcquisitionStrategy.RANDOM:
@@ -86,14 +90,13 @@ def run_active_session(session: ActiveSession, head: HeadConfig, return_acquired
     pool indices are returned alongside the curve.
     """
     rng = Rng(session.seed)
-    acquired: list[int] = []
-    curve = np.empty(session.budget + 1)
+    acquired: list[int] = []  # in acquisition order, which the refit sees
     pool_size = session.pool_x.shape[0]
+    taken = np.zeros(pool_size, dtype=bool)
+    curve = np.empty(session.budget + 1)
 
     for t in range(session.budget + 1):
-        open_idx = np.array(
-            [i for i in range(pool_size) if i not in set(acquired)], dtype=np.int64
-        )
+        open_idx = np.flatnonzero(~taken)
         labeled_x = np.vstack([session.seed_x, session.pool_x[acquired]])
         labeled_y = np.concatenate(
             [session.seed_y, session.pool_y[acquired]]
@@ -106,8 +109,9 @@ def run_active_session(session: ActiveSession, head: HeadConfig, return_acquired
         open_probs, _ = predict(head, stats, session.pool_x[open_idx])
         full_probs = np.zeros((pool_size, stats.class_count))
         full_probs[open_idx] = open_probs
-        choice = select_next(full_probs, session.strategy, acquired, rng)
+        choice = select_next(full_probs, session.strategy, taken, rng)
         acquired.append(choice)
+        taken[choice] = True
     if return_acquired:
         return curve, acquired
     return curve

@@ -38,17 +38,26 @@ class ClassRecord:
     """Merged statistics of one class; the covariance is factored once.
 
     Without a ``factor`` the covariance is repaired and factored on
-    creation, so evaluations reuse the factor instead of re-factoring.
+    creation, and the factor's inverse and the jitter it needed are kept
+    beside it, so evaluations reuse both instead of re-factoring or
+    re-inverting.  A record given a ``factor`` must be given its
+    ``inverse_factor`` too.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
     count: float
     factor: np.ndarray | None = None
+    inverse_factor: np.ndarray | None = None
+    jitter: float = 0.0
 
     def __post_init__(self):
         if self.factor is None:
-            self.covariance, self.factor = spd.ensure_pd(self.covariance)
+            covs, factors, inverses, jitter = spd.factor_stack([self.covariance])
+            self.covariance, self.factor, self.inverse_factor = covs[0], factors[0], inverses[0]
+            self.jitter = float(jitter[0])
+        elif self.inverse_factor is None:
+            raise ValueError("a record with a factor needs its inverse factor")
 
 
 @dataclass
@@ -142,15 +151,20 @@ def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> li
 
 
 def _stats_from_records(records: list[ClassRecord]) -> ClassStatistics:
-    """Stack the records' moments and cached factors."""
-    means, covs, counts, factors = zip(
-        *((r.mean, r.covariance, r.count, r.factor) for r in records)
+    """Stack the records' moments, cached factors and inverse factors."""
+    means, covs, counts, factors, inverses, jitter = zip(
+        *(
+            (r.mean, r.covariance, r.count, r.factor, r.inverse_factor, r.jitter)
+            for r in records
+        )
     )
     return ClassStatistics(
         means=np.stack(means),
         covariances=np.stack(covs),
         counts=np.array(counts),
         factors=np.stack(factors),
+        inverse_factors=np.stack(inverses),
+        jitter=np.array(jitter),
     )
 
 
@@ -208,6 +222,8 @@ def run_continual_session(
                 covariance=stats.covariances[slot],
                 count=float(stream.shot),
                 factor=stats.factors[slot],
+                inverse_factor=stats.inverse_factors[slot],
+                jitter=float(stats.jitter[slot]),
             )
             if cid in state.classes:
                 state.classes[cid] = merge_class_statistics(state.classes[cid], new_rec)

@@ -9,10 +9,12 @@ query rows toward every class with soft weights, and per class
 
 where ``n_k`` is the (soft) count and ``S`` and ``S_k`` are the
 count-normalized scatter matrices of the whole weighted set and of class k.
-``estimate_class_statistics`` runs it on the support set alone; the
-transductive refinement (``refine.weighted_class_statistics``) adds the
-query rows.  Scores deliberately carry no 1/2 coefficient; the GMM head
-owns that variant.
+The support set enters through a ``SupportLayout``, which groups it by
+class once.  ``estimate_class_statistics`` runs the estimator on the
+support set alone; the transductive refinement
+(``refine.weighted_class_statistics``) adds the query rows and reuses one
+layout across all of a task's iterations.  Scores deliberately carry no 1/2
+coefficient; the GMM head owns that variant.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import spd
-from .errors import DimensionMismatch, EmptyClass, NonFiniteInput
+from .errors import DimensionMismatch, EmptyClass, InvalidConfig, NonFiniteInput
 
 # soft counts below this are treated as an empty class rather than silently
 # regularized; only adversarial synthetic data can get here
@@ -42,13 +44,20 @@ class ClassStatistics:
     """Per-class means, regularized covariances and effective counts.
 
     ``factors`` holds the lower Cholesky factor of every covariance as one
-    stack; instances are immutable and safe to share across threads.
+    stack, and ``inverse_factors`` the lower triangular inverse of each
+    factor, so scoring needs no further factorization or inversion.
+    ``jitter`` is the ridge each covariance needed on top of its estimate to
+    factor (0 for every class unless beta is 0 or the inputs are
+    degenerate); ``covariances`` already include it.  Instances are
+    immutable and safe to share across threads.
     """
 
     means: np.ndarray  # (K, d)
     covariances: np.ndarray  # (K, d, d)
     counts: np.ndarray  # (K,), support counts or soft counts
     factors: np.ndarray  # (K, d, d)
+    inverse_factors: np.ndarray  # (K, d, d)
+    jitter: np.ndarray  # (K,)
 
     @property
     def class_count(self) -> int:
@@ -60,22 +69,25 @@ class ClassStatistics:
 
     @classmethod
     def from_moments(cls, means, covariances, counts) -> "ClassStatistics":
-        """Build statistics from raw moments, factoring each covariance.
+        """Build statistics from raw moments, factoring the covariance stack.
 
-        Covariances are symmetrized; a matrix that fails exact Cholesky is
-        repaired through the default jitter schedule (only reachable when
-        beta is 0 or the inputs are degenerate).
+        Covariances are symmetrized and factored in one ``spd.factor_stack``
+        pass; a matrix that fails exact Cholesky is repaired through the
+        default jitter schedule (only reachable when beta is 0 or the inputs
+        are degenerate).
         """
         means = np.asarray(means, dtype=np.float64)
         counts = np.asarray(counts, dtype=np.float64)
         if np.any(counts <= 0):
             raise EmptyClass(int(np.argmax(counts <= 0)))
-        repaired = [spd.ensure_pd(q) for q in covariances]
+        covariances, factors, inverses, jitter = spd.factor_stack(covariances)
         return cls(
             means=means,
-            covariances=np.stack([cov for cov, _ in repaired]),
+            covariances=covariances,
             counts=counts,
-            factors=np.stack([factor for _, factor in repaired]),
+            factors=factors,
+            inverse_factors=inverses,
+            jitter=jitter,
         )
 
 
@@ -84,54 +96,100 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise NonFiniteInput(f"{what} contain NaN or infinite values")
 
 
+@dataclass(frozen=True)
+class SupportLayout:
+    """A labelled support set grouped by class, built once per support set.
+
+    Class k's rows, in input order, fill ``slot`` positions ``0..n_k - 1``
+    of a zero-padded ``(K, width, d)`` block.  The per-class and total
+    feature sums are taken once here, so a fit that reuses the layout
+    (every refinement iteration of one task) repeats none of this work.
+    """
+
+    features: np.ndarray  # (n, d), finite
+    labels: np.ndarray  # (n,)
+    class_sizes: np.ndarray  # (K,), n_k
+    slot: np.ndarray  # (n,), position of each row inside its class
+    width: int  # max n_k, the padded block's second dimension
+    class_sums: np.ndarray  # (K, d), sum of each class's rows
+    feature_sum: np.ndarray  # (d,), sum of all rows
+
+    @property
+    def class_count(self) -> int:
+        return self.class_sizes.shape[0]
+
+    @classmethod
+    def build(
+        cls, support_x: np.ndarray, support_y: np.ndarray, num_classes: int
+    ) -> "SupportLayout":
+        """Group ``(n, d)`` support rows by their labels in ``[0, num_classes)``.
+
+        Raises
+        ------
+        NonFiniteInput
+            If a support row has a NaN or infinite entry.
+        """
+        _require_finite(support_x, "support features")
+        n, d = support_x.shape
+        n_k = np.bincount(support_y, minlength=num_classes)
+        order = np.argsort(support_y, kind="stable")
+        slot = np.empty(n, dtype=np.intp)
+        slot[order] = np.arange(n) - np.repeat(np.cumsum(n_k) - n_k, n_k)
+        width = int(n_k.max())
+        # the zero padding adds nothing to the class sums
+        block = np.zeros((num_classes, width, d))
+        block[support_y, slot] = support_x
+        return cls(
+            features=support_x,
+            labels=support_y,
+            class_sizes=n_k,
+            slot=slot,
+            width=width,
+            class_sums=block.sum(axis=1),
+            feature_sum=support_x.sum(axis=0),
+        )
+
+
 def class_statistics(
-    support_x: np.ndarray,
-    support_y: np.ndarray,
+    layout: SupportLayout,
     query_x: np.ndarray,
     query_weights: np.ndarray,
     beta: float,
 ) -> ClassStatistics:
     """The one class-statistics estimator shared by every head.
 
-    Support row i counts with weight 1 toward class ``support_y[i]`` only;
-    query row j counts toward class k with weight ``query_weights[j, k]``.
-    Counts, means and scatters are weighted sums, and ``S`` is normalized by
-    the total count.  Query rows with zero weight add exact zeros, so an
-    all-zero query block gives bit-identical statistics to an empty one.
+    Support row i counts with weight 1 toward class ``layout.labels[i]``
+    only; query row j counts toward class k with weight
+    ``query_weights[j, k]``.  Counts, means and scatters are weighted sums,
+    and ``S`` is normalized by the total count.  Query rows with zero weight
+    add exact zeros, so an all-zero query block gives bit-identical
+    statistics to an empty one.
 
     Raises
     ------
     EmptyClass
         If some class's count is below ``SOFT_COUNT_FLOOR``.
     NonFiniteInput
-        If a support or query row has a NaN or infinite entry.
+        If a query row has a NaN or infinite entry.
     """
-    _require_finite(support_x, "support features")
     _require_finite(query_x, "query features")
-    n, d = support_x.shape
-    k_count = query_weights.shape[1]
-    n_k = np.bincount(support_y, minlength=k_count)
-    counts = n_k + query_weights.sum(axis=0)
+    support_x, support_y = layout.features, layout.labels
+    d = support_x.shape[1]
+    k_count = layout.class_count
+    counts = layout.class_sizes + query_weights.sum(axis=0)
     if np.any(counts < SOFT_COUNT_FLOOR):
         raise EmptyClass(int(np.argmax(counts < SOFT_COUNT_FLOOR)))
-
-    # class k's support rows, in input order, fill block[k, :n_k[k]]; the
-    # zero padding adds nothing to the sums below
-    order = np.argsort(support_y, kind="stable")
-    slot = np.empty(n, dtype=np.intp)
-    slot[order] = np.arange(n) - np.repeat(np.cumsum(n_k) - n_k, n_k)
-    block = np.zeros((k_count, n_k.max(), d))
-    block[support_y, slot] = support_x
-    means = (block.sum(axis=1) + query_weights.T @ query_x) / counts[:, None]
+    means = (layout.class_sums + query_weights.T @ query_x) / counts[:, None]
 
     total = counts.sum()
     row_mass = query_weights.sum(axis=1)
-    task_mean = (support_x.sum(axis=0) + row_mass @ query_x) / total
+    task_mean = (layout.feature_sum + row_mass @ query_x) / total
     cs = support_x - task_mean
     cq = query_x - task_mean
     task_scatter = (cs.T @ cs + (cq * row_mass[:, None]).T @ cq) / total
 
-    block[support_y, slot] = support_x - means[support_y]
+    block = np.zeros((k_count, layout.width, d))
+    block[support_y, layout.slot] = support_x - means[support_y]
     dq = query_x[None, :, :] - means[:, None, :]  # (K, m, d)
     weighted = dq * query_weights.T[:, :, None]
     class_scatter = block.transpose(0, 2, 1) @ block + weighted.transpose(0, 2, 1) @ dq
@@ -168,6 +226,8 @@ def estimate_class_statistics(
         If some class in [0, K) has no support example.
     NonFiniteInput
         If a feature is NaN or infinite.
+    InvalidConfig
+        If ``beta`` is negative.
     """
     z = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -178,11 +238,12 @@ def estimate_class_statistics(
     if z.shape[0] == 0:
         raise EmptyClass(0, "support set is empty")
     if beta < 0:
-        raise ValueError("beta must be nonnegative")
+        raise InvalidConfig("beta must be nonnegative")
     k_count = int(num_classes) if num_classes is not None else int(y.max()) + 1
     if np.any(y < 0) or np.any(y >= k_count):
         raise ValueError("label outside [0, num_classes)")
-    return class_statistics(z, y, np.empty((0, z.shape[1])), np.empty((0, k_count)), beta)
+    layout = SupportLayout.build(z, y, k_count)
+    return class_statistics(layout, np.empty((0, z.shape[1])), np.empty((0, k_count)), beta)
 
 
 def _query_rows(query: np.ndarray, dims: int) -> tuple[np.ndarray, bool]:
@@ -197,8 +258,10 @@ def _query_rows(query: np.ndarray, dims: int) -> tuple[np.ndarray, bool]:
 
 
 def _mahalanobis_sq(queries: np.ndarray, stats: ClassStatistics) -> np.ndarray:
-    """(m, K) squared Mahalanobis distances through the stacked factors."""
-    return spd.quad_form(stats.factors, queries[:, None, :] - stats.means[None, :, :])
+    """(m, K) squared Mahalanobis distances through the cached inverse factors."""
+    return spd.inverse_quad_form(
+        stats.inverse_factors, queries[:, None, :] - stats.means[None, :, :]
+    )
 
 
 def class_scores(query: np.ndarray, stats: ClassStatistics, metric: MetricKind) -> np.ndarray:

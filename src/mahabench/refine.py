@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .heads import ClassStatistics, MetricKind, class_statistics, classify
+from .errors import DimensionMismatch, InvalidConfig
+from .heads import ClassStatistics, MetricKind, SupportLayout, class_statistics, classify
 
 
 @dataclass
@@ -40,9 +40,9 @@ class RefineConfig:
 
     def __post_init__(self):
         if self.min_steps < 1:
-            raise ValueError("min_steps must be at least 1")
+            raise InvalidConfig("min_steps must be at least 1")
         if self.max_steps < self.min_steps:
-            raise ValueError("max_steps must be >= min_steps")
+            raise InvalidConfig("max_steps must be >= min_steps")
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,40 @@ def init_responsibilities(support_labels: np.ndarray, m_query: int, num_classes:
 
 
 def weighted_class_statistics(
-    features: np.ndarray, resp: Responsibilities, beta: float = 1.0
+    features: np.ndarray,
+    resp: Responsibilities,
+    beta: float = 1.0,
+    *,
+    layout: SupportLayout | None = None,
 ) -> ClassStatistics:
     """Responsibility-weighted means and regularized covariances.
 
     ``features`` stacks support rows then query rows, matching ``resp``.
     This is ``heads.class_statistics`` with the support labels read off the
     one-hot support rows and ``resp.query`` as the query weights, so all-zero
-    query rows give exactly the plain support-only estimator.
+    query rows give exactly the plain support-only estimator.  A ``layout``
+    built from ``features[:n]`` and the support labels (as
+    ``run_refinement`` does once per task) stands in for the one-hot
+    support rows, and is not rebuilt.
     """
     z = np.asarray(features, dtype=np.float64)
     n, k_count = resp.support.shape
     if z.ndim != 2 or z.shape[0] != n + resp.query.shape[0] or resp.query.shape[1] != k_count:
         raise DimensionMismatch("responsibilities and features disagree on rows")
-    labels = np.argmax(resp.support, axis=1)
-    if not np.array_equal(resp.support, np.eye(k_count)[labels]):
+    if layout is None:
+        layout = _support_layout(z[:n], resp.support)
+    elif layout.features.shape != (n, z.shape[1]) or layout.class_count != k_count:
+        raise DimensionMismatch("support layout and responsibilities disagree")
+    return class_statistics(layout, z[n:], resp.query, beta)
+
+
+def _support_layout(support_x: np.ndarray, support_resp: np.ndarray) -> SupportLayout:
+    """The layout of one-hot support rows; anything else is rejected."""
+    k_count = support_resp.shape[1]
+    labels = np.argmax(support_resp, axis=1)
+    if not np.array_equal(support_resp, np.eye(k_count)[labels]):
         raise ValueError("support responsibilities must be one-hot")
-    return class_statistics(z[:n], labels, z[n:], resp.query, beta)
+    return SupportLayout.build(support_x, labels, k_count)
 
 
 def run_refinement(
@@ -92,7 +109,8 @@ def run_refinement(
     """Shared refinement loop; ``predict(stats, X) -> (probs, labels)``.
 
     Used by both the metric head and the GMM head, which differ only in how
-    query responsibilities are refreshed.
+    query responsibilities are refreshed.  The support layout is built once
+    and reused by every iteration.
     """
     support_x = np.asarray(support_x, dtype=np.float64)
     query_x = np.asarray(query_x, dtype=np.float64)
@@ -107,13 +125,14 @@ def run_refinement(
 
     resp = init_responsibilities(labels, m, k_count)
     feats = np.vstack([support_x, query_x])
+    layout = _support_layout(feats[: labels.shape[0]], resp.support)
     prev_assign = None
     stats = None
     iterations = 0
     converged = False
     for it in range(1, cfg.max_steps + 1):
         iterations = it
-        stats = weighted_class_statistics(feats, resp, cfg.beta)
+        stats = weighted_class_statistics(feats, resp, cfg.beta, layout=layout)
         if m > 0:
             probs, assign = predict(stats, query_x)
             resp.query = probs

@@ -4,7 +4,15 @@ Factorization, solves, log-determinants and PSD repair used by every
 classification head.  A factor is the lower-triangular Cholesky factor L as
 a ``(d, d)`` array; ``quad_form`` and ``logdet`` also take a ``(K, d, d)``
 stack of factors.  Inputs are checked for squareness and symmetrized as
-(A + A^T) / 2 at the ``cholesky`` / ``ensure_pd`` boundary only.
+(A + A^T) / 2 at the ``cholesky`` / ``ensure_pd`` / ``factor_stack``
+boundary only.
+
+``factor_stack`` factors a ``(K, d, d)`` stack of covariances in one pass:
+one symmetrization and one finiteness check over the whole stack, then one
+LAPACK ``dpotrf`` per matrix.  Only a matrix whose exact factorization
+fails goes through ``ensure_pd``'s jitter schedule, and the jitter each
+matrix needed comes back as a ``(K,)`` array, so no repair is silent.  The
+result is bit-identical to calling ``ensure_pd`` on each matrix.
 
 Quadratic forms are evaluated as ||L^-1 v||^2 through the LAPACK triangular
 inverse of the factor (``dtrtri``), never through an inverse of L L^T.  This
@@ -13,7 +21,11 @@ root of the conditioning of L L^T, and triangular inversion is as accurate
 as a triangular solve for the well-conditioned, ridge-regularized factors
 the heads produce.  The result stays an exact sum of squares, hence
 nonnegative, and one inverse per class turns the scoring of every
-(query, class) pair into a single batched matmul.
+(query, class) pair into a single batched matmul.  ``factor_stack`` takes
+each inverse in the same loop as its factor, so a caller that keeps them
+(``heads.ClassStatistics.inverse_factors``) scores through
+``inverse_quad_form`` without inverting again; ``quad_form`` inverts its
+factors and delegates to the same kernel.
 """
 
 import numpy as np
@@ -89,16 +101,21 @@ def quad_form(factor: np.ndarray, diffs: np.ndarray):
         raise DimensionMismatch(
             f"diffs of shape {diffs.shape} do not match factors of shape {factor.shape}"
         )
+    stack = factor if factor.ndim == 3 else factor[None]
+    inverses = np.stack([dtrtri(f, lower=1)[0] for f in stack])
     if factor.ndim == 3:
-        q = _stacked_quad_form(factor, rows)
+        q = inverse_quad_form(inverses, rows)
         return q[0] if single else q
-    q = _stacked_quad_form(factor[None], rows[:, None, :])[:, 0]
+    q = inverse_quad_form(inverses, rows[:, None, :])[:, 0]
     return float(q[0]) if single else q
 
 
-def _stacked_quad_form(factors: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(m, K) forms of (m, K, d) rows against a (K, d, d) stack of factors."""
-    inverses = np.stack([dtrtri(f, lower=1)[0] for f in factors])
+def inverse_quad_form(inverses: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(m, K) forms ||L_k^-1 rows[i, k]||^2 from a (K, d, d) stack of L_k^-1.
+
+    ``rows`` is ``(m, K, d)``; row i, class k is mapped by inverse k.  The
+    inverses are the lower triangular ones ``factor_stack`` returns.
+    """
     # (K, m, d) @ (K, d, d): y[k, i] = L_k^-1 rows[i, k]
     y = rows.transpose(1, 0, 2) @ inverses.transpose(0, 2, 1)
     return np.einsum("kmd,kmd->mk", y, y)
@@ -114,13 +131,13 @@ def logdet(factor: np.ndarray):
     return float(out) if factor.ndim == 2 else out
 
 
-def ensure_pd(m, jitter_schedule=DEFAULT_JITTER_SCHEDULE) -> tuple[np.ndarray, np.ndarray]:
+def ensure_pd(m, jitter_schedule=DEFAULT_JITTER_SCHEDULE) -> tuple[np.ndarray, np.ndarray, float]:
     """Repair a nearly-PSD matrix by adding the smallest scheduled jitter.
 
     Tries ``m + j*I`` for each ``j`` in the schedule in order and returns the
-    first repaired (symmetrized) matrix together with its lower factor.  The
-    schedule must be non-decreasing and start at 0 so exact-PD inputs come
-    back unchanged.
+    first repaired (symmetrized) matrix, its lower factor and the jitter
+    ``j`` that worked.  The schedule must be non-decreasing and start at 0 so
+    exact-PD inputs come back unchanged, with jitter 0.
 
     Raises
     ------
@@ -141,7 +158,44 @@ def ensure_pd(m, jitter_schedule=DEFAULT_JITTER_SCHEDULE) -> tuple[np.ndarray, n
     for j in schedule:
         try:
             repaired = sym if j == 0.0 else sym + j * eye
-            return repaired, cholesky(repaired)
+            return repaired, cholesky(repaired), float(j)
         except NotPositiveDefinite:
             continue
     raise NotRepairable(f"no jitter in {schedule} repaired the matrix")
+
+
+def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Factor a ``(K, d, d)`` stack of covariances in one pass.
+
+    Returns ``(repaired, factors, inverses, jitter)``: the symmetrized (and,
+    where needed, repaired) covariances, their lower Cholesky factors, the
+    lower triangular inverses of those factors, all ``(K, d, d)``, and the
+    ``(K,)`` jitter each matrix needed (0 for an exact factorization).  A
+    matrix whose exact ``dpotrf`` fails is handed to ``ensure_pd`` with the
+    default schedule; every output is bit-identical to ``ensure_pd`` on
+    each matrix in turn.
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``covs`` is not a stack of non-empty square matrices.
+    NotRepairable
+        If an entry is non-finite, or no scheduled jitter repairs a matrix.
+    """
+    a = np.asarray(covs, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise DimensionMismatch(f"expected a (K, d, d) stack, got shape {a.shape}")
+    sym = (a + a.transpose(0, 2, 1)) / 2.0
+    # dpotrf reports success on NaN input, so a NaN factor would pass through
+    if not np.all(np.isfinite(sym)):
+        raise NotRepairable("matrix has non-finite entries")
+    factors = np.empty_like(sym)
+    inverses = np.empty_like(sym)
+    jitter = np.zeros(sym.shape[0])
+    for k, m in enumerate(sym):
+        factor, info = dpotrf(m, lower=1, clean=1, overwrite_a=0)
+        if info != 0:
+            sym[k], factor, jitter[k] = ensure_pd(m)
+        factors[k] = factor
+        inverses[k] = dtrtri(factor, lower=1)[0]
+    return sym, factors, inverses, jitter

@@ -298,6 +298,9 @@ def _parse_examples(rows, dims, line_no):
             raise FormatError(line_no, f"expected {dims} features, got {len(values)}")
         feats[i] = values
         labels[i] = row["label"]
+    # json reads NaN and Infinity; the estimator would reject them much later
+    if not np.all(np.isfinite(feats)):
+        raise FormatError(line_no, "non-finite feature value")
     return feats, labels
 
 

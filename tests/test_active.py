@@ -8,7 +8,7 @@ from mahabench.active import (
     run_active_session,
     select_next,
 )
-from mahabench.errors import PoolExhausted, StrategyHasNoScore
+from mahabench.errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
 from mahabench.heads import MetricKind, classify, estimate_class_statistics
 from mahabench.methods import HeadConfig
 from mahabench.rng import Rng
@@ -46,25 +46,29 @@ class TestAcquisitionScores:
 class TestSelectNext:
     def test_argmax_selection(self):
         probs = np.array([[0.95, 0.05], [0.7, 0.3]])
-        assert select_next(probs, ENTROPY, [], Rng(0)) == 1
+        assert select_next(probs, ENTROPY, [False, False], Rng(0)) == 1
 
     def test_tie_breaks_to_lowest_index(self):
         probs = np.array([[0.7, 0.3], [0.7, 0.3]])
-        assert select_next(probs, ENTROPY, [], Rng(0)) == 0
+        assert select_next(probs, ENTROPY, [False, False], Rng(0)) == 0
 
     def test_acquired_indices_skipped(self):
         probs = np.array([[0.5, 0.5], [0.9, 0.1], [0.8, 0.2]])
-        assert select_next(probs, ENTROPY, [0], Rng(0)) == 2
+        assert select_next(probs, ENTROPY, [True, False, False], Rng(0)) == 2
 
     def test_random_reproducible(self):
         probs = np.full((6, 2), 0.5)
-        picks_a = [select_next(probs, RANDOM, [], Rng(4)) for _ in range(5)]
-        picks_b = [select_next(probs, RANDOM, [], Rng(4)) for _ in range(5)]
+        picks_a = [select_next(probs, RANDOM, np.zeros(6, bool), Rng(4)) for _ in range(5)]
+        picks_b = [select_next(probs, RANDOM, np.zeros(6, bool), Rng(4)) for _ in range(5)]
         assert picks_a == picks_b
 
     def test_pool_exhausted(self):
         with pytest.raises(PoolExhausted):
-            select_next(np.full((2, 2), 0.5), ENTROPY, [0, 1], Rng(0))
+            select_next(np.full((2, 2), 0.5), ENTROPY, [True, True], Rng(0))
+
+    def test_mask_must_cover_the_pool(self):
+        with pytest.raises(DimensionMismatch):
+            select_next(np.full((3, 2), 0.5), ENTROPY, [False, False], Rng(0))
 
 
 def toy_session(strategy, budget=3, seed=0):
@@ -149,5 +153,5 @@ class TestRunActiveSession:
         assert np.array_equal(ent_order, var_order)
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             toy_session(RANDOM, budget=11)

@@ -58,6 +58,9 @@ class TestCliMain:
         ["bench", "--tasks", "5"],
         ["recall", "--scale-spread", "0.5"],
         ["gen-tasks"],
+        ["continual", "--min-steps", "0"],
+        ["bench", "--tasks", "30", "--beta", "-1"],
+        ["active", "--budget", "100", "--classes", "3", "--pool-per-class", "2"],
     ])
     def test_config_errors_exit_two(self, argv, capsys):
         assert cli_main(argv) == 2

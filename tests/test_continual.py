@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtrtri
 
 from mahabench.bench import DomainSpec
 from mahabench.continual import (
@@ -70,6 +71,16 @@ class TestMergeClassStatistics:
         assert np.array_equal(rec.factor, cholesky(rec.covariance))
         merged = merge_class_statistics(rec, record([1.0, 1.0], np.eye(2), 1))
         assert np.array_equal(merged.factor, cholesky(merged.covariance))
+        for r in (rec, merged):
+            assert np.array_equal(r.inverse_factor, dtrtri(r.factor, lower=1)[0])
+            assert r.jitter == 0.0
+
+    def test_record_keeps_the_jitter_its_repair_needed(self):
+        rec = record([0.0, 0.0], np.ones((2, 2)), 3)  # rank one
+        assert rec.jitter == 1e-10
+        assert np.array_equal(rec.covariance, np.ones((2, 2)) + 1e-10 * np.eye(2))
+        with pytest.raises(ValueError):
+            ClassRecord(rec.mean, rec.covariance, 3.0, factor=rec.factor)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtrtri
 
 from mahabench.errors import DimensionMismatch, EmptyClass, NonFiniteInput, NotPositiveDefinite
 from mahabench.heads import (
@@ -14,7 +15,7 @@ from mahabench.heads import (
     softmax,
 )
 from mahabench.rng import Rng
-from mahabench.spd import cholesky
+from mahabench.spd import cholesky, quad_form
 
 
 def stats_with_covariances(means, covs):
@@ -102,9 +103,11 @@ class TestEstimateClassStatistics:
         rng = Rng(5)
         feats, labels = random_task(rng, n_classes=3, dims=4)
         stats = estimate_class_statistics(feats, labels)
-        assert stats.factors.shape == (3, 4, 4)
+        assert stats.factors.shape == stats.inverse_factors.shape == (3, 4, 4)
+        assert np.array_equal(stats.jitter, np.zeros(3))
         for k in range(3):
             assert np.array_equal(stats.factors[k], cholesky(stats.covariances[k]))
+            assert np.array_equal(stats.inverse_factors[k], dtrtri(stats.factors[k], lower=1)[0])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -159,6 +162,17 @@ class TestClassScores:
         maha = class_scores(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
         root = class_scores(queries, stats, MetricKind.ROOT_RIEMANNIAN)
         assert np.allclose(root, -np.sqrt(-maha))
+
+    def test_mahalanobis_scores_are_quad_form_on_the_factors(self):
+        # scoring from the cached inverse factors is bit-identical to
+        # inverting the factors afresh
+        rng = Rng(12)
+        feats, labels = random_task(rng)
+        stats = estimate_class_statistics(feats, labels)
+        queries = rng.normal((6, 4))
+        maha = class_scores(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
+        diffs = queries[:, None, :] - stats.means[None, :, :]
+        assert np.array_equal(maha, -quad_form(stats.factors, diffs))
 
     def test_all_metric_kinds_against_direct_formulas(self):
         rng = Rng(13)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mahabench.errors import DimensionMismatch, EmptyClass, NonFiniteInput
-from mahabench.heads import MetricKind, classify, estimate_class_statistics
+from mahabench.errors import DimensionMismatch, EmptyClass, InvalidConfig, NonFiniteInput
+from mahabench.heads import MetricKind, SupportLayout, classify, estimate_class_statistics
 from mahabench.refine import (
     RefineConfig,
     init_responsibilities,
@@ -155,6 +157,21 @@ class TestWeightedClassStatistics:
         with pytest.raises(NonFiniteInput):
             weighted_class_statistics(feats, resp, beta=1.0)
 
+    def test_reused_layout_gives_identical_statistics(self):
+        rng = Rng(6)
+        sup, lab, query = small_task(rng, n_classes=3, shots=3, m_query=5, dims=3)
+        feats = np.vstack([sup, query])
+        resp = init_responsibilities(lab, query.shape[0], 3)
+        resp.query[:] = rng.uniform(15).reshape(5, 3)
+        layout = SupportLayout.build(feats[:9], lab, 3)
+        fresh = weighted_class_statistics(feats, resp, beta=1.0)
+        reused = weighted_class_statistics(feats, resp, beta=1.0, layout=layout)
+        for name in ("means", "covariances", "counts", "factors", "inverse_factors", "jitter"):
+            assert np.array_equal(getattr(fresh, name), getattr(reused, name))
+        for wrong in (SupportLayout.build(sup[:6], lab[:6], 3), SupportLayout.build(sup, lab, 4)):
+            with pytest.raises(DimensionMismatch):
+                weighted_class_statistics(feats, resp, beta=1.0, layout=wrong)
+
 
 class TestRefine:
     def test_empty_query_runs_min_steps_with_plain_statistics(self):
@@ -169,6 +186,25 @@ class TestRefine:
             assert np.array_equal(out.statistics.means, plain.means)
             assert np.array_equal(out.statistics.covariances, plain.covariances)
             assert np.array_equal(out.statistics.factors, plain.factors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_classes=st.integers(1, 4),
+        shots=st.integers(1, 4),
+        m_query=st.integers(1, 6),
+        dims=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_step_gives_the_simple_head_statistics(
+        self, n_classes, shots, m_query, dims, seed
+    ):
+        # min = max = 1 is one support-only estimation pass, bit for bit
+        sup, lab, query = small_task(Rng(seed), n_classes, shots, m_query, dims)
+        out = refine(sup, lab, query, RefineConfig(min_steps=1, max_steps=1))
+        plain = estimate_class_statistics(sup, lab, beta=1.0)
+        assert out.iterations_run == 1
+        for name in ("means", "covariances", "counts", "factors", "inverse_factors", "jitter"):
+            assert np.array_equal(getattr(out.statistics, name), getattr(plain, name))
 
     def test_wrong_query_width_raises_dimension_mismatch(self):
         rng = Rng(8)
@@ -272,7 +308,7 @@ class TestRefine:
         assert np.array_equal(after, truth)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             RefineConfig(min_steps=0, max_steps=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             RefineConfig(min_steps=3, max_steps=2)

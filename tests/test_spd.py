@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg.lapack import dtrtri
+
 from mahabench.errors import DimensionMismatch, NotPositiveDefinite, NotRepairable
 from mahabench.rng import Rng
 from mahabench.spd import (
+    DEFAULT_JITTER_SCHEDULE,
     cholesky,
     ensure_pd,
+    factor_stack,
     logdet,
     quad_form,
     solve_spd,
@@ -29,7 +33,7 @@ def brute_force_det(a: np.ndarray) -> float:
 class TestSymmetricInput:
     def test_symmetrizes_on_entry(self):
         a = np.array([[2.0, 2.0], [0.0, 2.0]])
-        repaired, f = ensure_pd(a)
+        repaired, f, _ = ensure_pd(a)
         assert np.array_equal(repaired, repaired.T)
         assert repaired[0, 1] == 1.0
         assert np.allclose(cholesky(a) @ cholesky(a).T, [[2.0, 1.0], [1.0, 2.0]], rtol=1e-12)
@@ -41,6 +45,8 @@ class TestSymmetricInput:
                 cholesky(bad)
             with pytest.raises(DimensionMismatch):
                 ensure_pd(bad)
+            with pytest.raises(DimensionMismatch):
+                factor_stack(bad[None])
 
 
 class TestCholesky:
@@ -129,23 +135,28 @@ class TestLogdet:
 
 class TestEnsurePd:
     def test_pd_input_unchanged(self):
-        repaired, f = ensure_pd(np.eye(2), [0.0, 1e-8])
+        repaired, f, jitter = ensure_pd(np.eye(2), [0.0, 1e-8])
         assert np.array_equal(repaired, np.eye(2))
         assert np.array_equal(f, np.eye(2))
+        assert jitter == 0.0
 
     def test_zero_matrix_takes_first_working_jitter(self):
-        repaired, f = ensure_pd(np.zeros((2, 2)), [0.0, 1e-6, 1e-3])
+        repaired, f, jitter = ensure_pd(np.zeros((2, 2)), [0.0, 1e-6, 1e-3])
         assert np.allclose(repaired, 1e-6 * np.eye(2))
         assert np.allclose(f, 1e-3 * np.eye(2))
+        assert jitter == 1e-6
 
     def test_rank_one_matrix_repaired(self):
         # eigenvalues {0, 2}: the zero pivot triggers repair at 1e-6
-        repaired, _ = ensure_pd(np.ones((2, 2)), [0.0, 1e-6])
+        repaired, _, jitter = ensure_pd(np.ones((2, 2)), [0.0, 1e-6])
+        assert jitter == 1e-6
         assert np.allclose(repaired, np.ones((2, 2)) + 1e-6 * np.eye(2))
 
     def test_not_repairable(self):
         with pytest.raises(NotRepairable):
             ensure_pd(np.array([[-5.0, 0.0], [0.0, -5.0]]), [0.0, 1e-6])
+        with pytest.raises(NotRepairable):
+            factor_stack([np.eye(2), -5.0 * np.eye(2)])
 
     def test_non_finite_matrix_not_repairable(self):
         # LAPACK's dpotrf reports success on NaN input; the factor must not
@@ -153,6 +164,8 @@ class TestEnsurePd:
         for bad in (np.nan, np.inf):
             with pytest.raises(NotRepairable):
                 ensure_pd(np.array([[1.0, bad], [bad, 1.0]]))
+            with pytest.raises(NotRepairable):
+                factor_stack([np.eye(2), np.array([[1.0, bad], [bad, 1.0]])])
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -167,10 +180,88 @@ class TestEnsurePd:
             d = 2 + trial % 8
             s = rng.normal((d, d))
             m = (s + s.T) / 2 + s.T @ s + np.eye(d)
-            repaired, f = ensure_pd(m)
+            repaired, f, _ = ensure_pd(m)
             rebuilt = f @ f.T
             err = np.linalg.norm(rebuilt - repaired) / np.linalg.norm(repaired)
             assert err <= 1e-10
+
+
+class TestFactorStack:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        d=st.integers(1, 6),
+        ranks=st.lists(st.integers(0, 6), min_size=6, max_size=6),
+        noise=st.sampled_from([0.0, 1e-12, 1e-9, 1e-7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_ensure_pd_per_class(self, k, d, ranks, noise, seed):
+        # full-rank, rank-deficient and slightly asymmetric or indefinite
+        # covariances: every output is the per-class ensure_pd result, bit
+        # for bit, and each inverse is dtrtri of its factor
+        rng = Rng(seed)
+        covs = []
+        for j in range(k):
+            a = rng.normal((d, min(ranks[j], d)))
+            ridge = np.eye(d) if ranks[j] > d else 0.0
+            covs.append(a @ a.T + ridge + noise * rng.normal((d, d)))
+        covs = np.stack(covs)
+        try:
+            expected = [ensure_pd(c) for c in covs]
+        except NotRepairable:
+            with pytest.raises(NotRepairable):
+                factor_stack(covs)
+            return
+        repaired, factors, inverses, jitter = factor_stack(covs)
+        assert repaired.shape == factors.shape == inverses.shape == (k, d, d)
+        assert jitter.shape == (k,)
+        for j, (cov, factor, step) in enumerate(expected):
+            assert np.array_equal(repaired[j], cov)
+            assert np.array_equal(factors[j], factor)
+            assert jitter[j] == step
+            assert np.array_equal(inverses[j], dtrtri(factors[j], lower=1)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        d=st.integers(1, 5),
+        bad=st.integers(0, 4),
+        deficit=st.sampled_from([0.0, 5e-11, 5e-9, 5e-7, 5e-5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_deficient_class_repaired_at_first_working_step(self, k, d, bad, deficit, seed):
+        # class `bad` has an exactly decoupled pivot of -deficit (0: rank
+        # deficient), so exact Cholesky fails and the first schedule step
+        # above the deficit is the first that works
+        rng = Rng(seed)
+        covs = []
+        for _ in range(k):
+            a = rng.normal((d, d))
+            covs.append(a @ a.T + np.eye(d))
+        bad %= k
+        pivot = rng.below(d)
+        covs[bad][pivot, :] = 0.0
+        covs[bad][:, pivot] = 0.0
+        covs[bad][pivot, pivot] = -deficit
+        repaired, factors, _, jitter = factor_stack(covs)
+
+        def factors_at(j):
+            try:
+                cholesky(covs[bad] + j * np.eye(d))
+                return True
+            except NotPositiveDefinite:
+                return False
+
+        step = next(j for j in DEFAULT_JITTER_SCHEDULE if factors_at(j))
+        assert step == min(j for j in DEFAULT_JITTER_SCHEDULE if j > deficit)
+        assert jitter[bad] == step
+        assert np.array_equal(repaired[bad], covs[bad] + step * np.eye(d))
+        assert np.array_equal(factors[bad], cholesky(repaired[bad]))
+        others = [j for j in range(k) if j != bad]
+        assert np.all(jitter[others] == 0.0)
+        for j in others:
+            assert np.array_equal(repaired[j], covs[j])
+            assert np.array_equal(factors[j], cholesky(covs[j]))
 
 
 class TestQuadForm:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,19 @@ class TestTaskFiles:
         write_tasks(path, self._tasks(2))
         lines = path.read_text().splitlines()
         lines[2] = lines[2][:40]  # truncate the second task record
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            read_tasks(path)
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_feature_reports_line_number(self, tmp_path, value):
+        path = tmp_path / "nonfinite.jsonl"
+        write_tasks(path, self._tasks(2))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["query"][1]["features"][0] = value
+        lines[2] = json.dumps(rec)  # writes NaN / Infinity, which json reads back
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError) as info:
             read_tasks(path)
