@@ -38,6 +38,7 @@ from .errors import (
     EmptyQuery,
     FormatError,
     InvalidConfig,
+    LabelOutOfRange,
     MahabenchError,
     NonFiniteInput,
     NotEnoughClasses,

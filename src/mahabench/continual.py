@@ -168,6 +168,14 @@ def _stats_from_records(records: list[ClassRecord]) -> ClassStatistics:
     )
 
 
+def _cached_stack(stacks: dict, records: dict, ids: tuple) -> ClassStatistics:
+    """The stack of ``ids``' current records, built on its first request."""
+    stats = stacks.get(ids)
+    if stats is None:
+        stats = stacks[ids] = _stats_from_records([records[c] for c in ids])
+    return stats
+
+
 def run_continual_session(
     world: ClusterWorld,
     stream: StreamConfig,
@@ -185,6 +193,14 @@ def run_continual_session(
     Merging weights use the per-task support counts even when statistics
     come from transductive refinement, so class counts always total the
     support examples shown.
+
+    Stacked class statistics are cached per tuple of class ids for the
+    whole session.  After step t merges its classes, every cached stack
+    that holds one of them is dropped, and the evaluations rebuild a stack
+    only on its first request.  With the default disjoint groups, each
+    multi-head group is stacked once per session, and one single-head stack
+    per step serves every earlier task; overlapping groups stay correct
+    because invalidation is per class id.
     """
     t_count = stream.num_tasks
     if class_groups is None:
@@ -208,6 +224,7 @@ def run_continual_session(
         raw_query.append(np.vstack(qry))
 
     state = ContinualState(strategy=strategy)
+    stacks: dict[tuple, ClassStatistics] = {}
     matrix = np.full((t_count, t_count), np.nan)
     for t in range(t_count):
         group = class_groups[t]
@@ -229,14 +246,17 @@ def run_continual_session(
                 state.classes[cid] = merge_class_statistics(state.classes[cid], new_rec)
             else:
                 state.classes[cid] = new_rec
+        merged = set(group)
+        for ids in [ids for ids in stacks if not merged.isdisjoint(ids)]:
+            del stacks[ids]
 
-        seen_ids = sorted(state.classes)
+        seen_ids = tuple(sorted(state.classes))
         for j in range(t + 1):
             if head_mode is HeadMode.MULTI_HEAD:
-                ids = sorted(class_groups[j])
+                ids = tuple(sorted(class_groups[j]))
             else:
                 ids = seen_ids
-            stats_j = _stats_from_records([state.classes[c] for c in ids])
+            stats_j = _cached_stack(stacks, state.classes, ids)
             truth = np.repeat(
                 [ids.index(c) for c in class_groups[j]], stream.query_per_class
             )

@@ -29,6 +29,10 @@ class EmptyClass(MahabenchError):
         super().__init__(message or f"class {class_index} has no support mass")
 
 
+class LabelOutOfRange(MahabenchError):
+    """A class label lies outside ``[0, num_classes)``."""
+
+
 class EmptyQuery(MahabenchError):
     """An operation that needs query examples received none."""
 

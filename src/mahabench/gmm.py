@@ -16,7 +16,7 @@ import numpy as np
 from . import spd
 from .errors import DimensionMismatch
 from .heads import ClassStatistics, _mahalanobis_sq, _query_rows, softmax
-from .refine import RefineConfig, RefineOutcome, run_refinement
+from .refine import RefineConfig, RefineOutcome, run_refinement, support_class_count
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ def gmm_em_refine(
 
     The prior defaults to uniform and is held fixed across iterations.
     """
-    k_count = int(np.asarray(support_y).max()) + 1
-    prior = prior if prior is not None else ClassPrior.uniform(k_count)
+    if prior is None:
+        prior = ClassPrior.uniform(support_class_count(support_y))
     return run_refinement(
         support_x,
         support_y,

@@ -15,19 +15,58 @@ support set alone; the transductive refinement
 (``refine.weighted_class_statistics``) adds the query rows and reuses one
 layout across all of a task's iterations.  Scores deliberately carry no 1/2
 coefficient; the GMM head owns that variant.
+
+The estimator's ``(K, width, d)`` support block and ``(K, m, d)`` query
+blocks, and the Mahalanobis scorer's ``(K, m, d)`` differences and their
+images, are carved out of one grow-only float64 buffer per thread
+(``_scratch``) instead of being allocated afresh on every refinement step
+and scoring call.  A scratch view never leaves the function that took it
+and is dead before that function makes another call that takes scratch;
+every result (statistics, scores) is a fresh array.
 """
 
+import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import spd
-from .errors import DimensionMismatch, EmptyClass, InvalidConfig, NonFiniteInput
+from .errors import (
+    DimensionMismatch,
+    EmptyClass,
+    InvalidConfig,
+    LabelOutOfRange,
+    NonFiniteInput,
+)
 
 # soft counts below this are treated as an empty class rather than silently
 # regularized; only adversarial synthetic data can get here
 SOFT_COUNT_FLOOR = 1e-12
+
+
+_arena = threading.local()
+
+
+def _scratch(*shapes) -> tuple:
+    """One float64 view per shape, carved out of this thread's scratch buffer.
+
+    The views do not overlap one another, but they alias memory that the
+    next ``_scratch`` call on this thread hands out again: their contents
+    are garbage on entry, and they must not outlive the caller.  The
+    buffer grows to the largest request seen and is never shrunk.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    buffer = getattr(_arena, "buffer", None)
+    if buffer is None or buffer.size < sum(sizes):
+        buffer = _arena.buffer = np.empty(sum(sizes))
+    views = []
+    start = 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buffer[start : start + size].reshape(shape))
+        start += size
+    return tuple(views)
 
 
 class MetricKind(Enum):
@@ -188,10 +227,12 @@ def class_statistics(
     cq = query_x - task_mean
     task_scatter = (cs.T @ cs + (cq * row_mass[:, None]).T @ cq) / total
 
-    block = np.zeros((k_count, layout.width, d))
+    m = query_x.shape[0]
+    block, dq, weighted = _scratch((k_count, layout.width, d), (k_count, m, d), (k_count, m, d))
+    block.fill(0.0)
     block[support_y, layout.slot] = support_x - means[support_y]
-    dq = query_x[None, :, :] - means[:, None, :]  # (K, m, d)
-    weighted = dq * query_weights.T[:, :, None]
+    np.subtract(query_x[None, :, :], means[:, None, :], out=dq)
+    np.multiply(dq, query_weights.T[:, :, None], out=weighted)
     class_scatter = block.transpose(0, 2, 1) @ block + weighted.transpose(0, 2, 1) @ dq
     class_scatter /= counts[:, None, None]
     lam = (counts / (counts + 1.0))[:, None, None]
@@ -228,6 +269,8 @@ def estimate_class_statistics(
         If a feature is NaN or infinite.
     InvalidConfig
         If ``beta`` is negative.
+    LabelOutOfRange
+        If a label lies outside [0, K).
     """
     z = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -241,7 +284,7 @@ def estimate_class_statistics(
         raise InvalidConfig("beta must be nonnegative")
     k_count = int(num_classes) if num_classes is not None else int(y.max()) + 1
     if np.any(y < 0) or np.any(y >= k_count):
-        raise ValueError("label outside [0, num_classes)")
+        raise LabelOutOfRange(f"support label outside [0, {k_count})")
     layout = SupportLayout.build(z, y, k_count)
     return class_statistics(layout, np.empty((0, z.shape[1])), np.empty((0, k_count)), beta)
 
@@ -259,9 +302,10 @@ def _query_rows(query: np.ndarray, dims: int) -> tuple[np.ndarray, bool]:
 
 def _mahalanobis_sq(queries: np.ndarray, stats: ClassStatistics) -> np.ndarray:
     """(m, K) squared Mahalanobis distances through the cached inverse factors."""
-    return spd.inverse_quad_form(
-        stats.inverse_factors, queries[:, None, :] - stats.means[None, :, :]
-    )
+    shape = (stats.class_count, queries.shape[0], stats.dims)
+    diffs, images = _scratch(shape, shape)
+    np.subtract(queries[None, :, :], stats.means[:, None, :], out=diffs)
+    return spd.inverse_quad_form(stats.inverse_factors, diffs, out=images)
 
 
 def class_scores(query: np.ndarray, stats: ClassStatistics, metric: MetricKind) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import DimensionMismatch, EmptyClass, InvalidConfig, LabelOutOfRange
 from .heads import ClassStatistics, MetricKind, SupportLayout, class_statistics, classify
 
 
@@ -99,6 +99,24 @@ def _support_layout(support_x: np.ndarray, support_resp: np.ndarray) -> SupportL
     return SupportLayout.build(support_x, labels, k_count)
 
 
+def support_class_count(support_y: np.ndarray) -> int:
+    """The class count of a refinement's support labels: the largest plus one.
+
+    Raises
+    ------
+    EmptyClass
+        If there are no labels.
+    LabelOutOfRange
+        If a label is negative.
+    """
+    labels = np.asarray(support_y, dtype=np.int64)
+    if labels.size == 0:
+        raise EmptyClass(0, "support set is empty")
+    if labels.min() < 0:
+        raise LabelOutOfRange("support labels must be nonnegative")
+    return int(labels.max()) + 1
+
+
 def run_refinement(
     support_x: np.ndarray,
     support_y: np.ndarray,
@@ -110,7 +128,16 @@ def run_refinement(
 
     Used by both the metric head and the GMM head, which differ only in how
     query responsibilities are refreshed.  The support layout is built once
-    and reused by every iteration.
+    and reused by every iteration.  The class count is
+    ``support_class_count(support_y)``.
+
+    Raises
+    ------
+    EmptyClass
+        If the support set is empty, or a class below the largest label has
+        no support row.
+    LabelOutOfRange
+        If a support label is negative.
     """
     support_x = np.asarray(support_x, dtype=np.float64)
     query_x = np.asarray(query_x, dtype=np.float64)
@@ -120,7 +147,7 @@ def run_refinement(
     if query_x.ndim != 2 or query_x.shape[1] != d:
         raise DimensionMismatch(f"query shape {query_x.shape} does not match support dim {d}")
     labels = np.asarray(support_y, dtype=np.int64)
-    k_count = int(labels.max()) + 1
+    k_count = support_class_count(labels)
     m = query_x.shape[0]
 
     resp = init_responsibilities(labels, m, k_count)

@@ -24,8 +24,11 @@ nonnegative, and one inverse per class turns the scoring of every
 (query, class) pair into a single batched matmul.  ``factor_stack`` takes
 each inverse in the same loop as its factor, so a caller that keeps them
 (``heads.ClassStatistics.inverse_factors``) scores through
-``inverse_quad_form`` without inverting again; ``quad_form`` inverts its
-factors and delegates to the same kernel.
+``inverse_quad_form(inverses, diffs, out=None)`` without inverting again;
+``quad_form`` inverts its factors and delegates to the same kernel.  That
+kernel takes class-major ``(K, m, d)`` differences, so a caller can build
+them in a block of its own and pass a second block as ``out`` for the
+images, which keeps the scoring hot path free of large allocations.
 """
 
 import numpy as np
@@ -104,20 +107,25 @@ def quad_form(factor: np.ndarray, diffs: np.ndarray):
     stack = factor if factor.ndim == 3 else factor[None]
     inverses = np.stack([dtrtri(f, lower=1)[0] for f in stack])
     if factor.ndim == 3:
-        q = inverse_quad_form(inverses, rows)
+        q = inverse_quad_form(inverses, rows.transpose(1, 0, 2))
         return q[0] if single else q
-    q = inverse_quad_form(inverses, rows[:, None, :])[:, 0]
+    q = inverse_quad_form(inverses, rows[None])[:, 0]
     return float(q[0]) if single else q
 
 
-def inverse_quad_form(inverses: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(m, K) forms ||L_k^-1 rows[i, k]||^2 from a (K, d, d) stack of L_k^-1.
+def inverse_quad_form(
+    inverses: np.ndarray, diffs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(m, K) forms ||L_k^-1 diffs[k, i]||^2 from a (K, d, d) stack of L_k^-1.
 
-    ``rows`` is ``(m, K, d)``; row i, class k is mapped by inverse k.  The
-    inverses are the lower triangular ones ``factor_stack`` returns.
+    ``diffs`` is class-major, ``(K, m, d)``: row i of class k is mapped by
+    inverse k.  The inverses are the lower triangular ones ``factor_stack``
+    returns.  The ``(K, m, d)`` images are written to ``out`` when given
+    (a scratch block the caller owns), else to a new array; the returned
+    forms are always a new array.
     """
-    # (K, m, d) @ (K, d, d): y[k, i] = L_k^-1 rows[i, k]
-    y = rows.transpose(1, 0, 2) @ inverses.transpose(0, 2, 1)
+    # (K, m, d) @ (K, d, d): y[k, i] = L_k^-1 diffs[k, i]
+    y = np.matmul(diffs, inverses.transpose(0, 2, 1), out=out)
     return np.einsum("kmd,kmd->mk", y, y)
 
 

@@ -304,8 +304,35 @@ def _parse_examples(rows, dims, line_no):
     return feats, labels
 
 
+def _check_labels(way: int, support_y: np.ndarray, query_y: np.ndarray, line_no: int) -> None:
+    """Reject a task no head can score: an empty support or query set, a
+    label outside ``[0, way)``, or a class without a support row."""
+    if support_y.size == 0:
+        raise FormatError(line_no, "support set is empty")
+    if query_y.size == 0:
+        raise FormatError(line_no, "query set is empty")
+    for what, labels in (("support", support_y), ("query", query_y)):
+        bad = labels[(labels < 0) | (labels >= way)]
+        if bad.size:
+            raise FormatError(line_no, f"{what} label {int(bad[0])} outside [0, {way})")
+    # no minlength: ``way`` comes from the file and may be huge
+    shown = np.bincount(support_y)
+    missing = np.flatnonzero(shown == 0)
+    if missing.size or shown.size < way:
+        k = int(missing[0]) if missing.size else shown.size
+        raise FormatError(line_no, f"class {k} has no support row")
+
+
 def read_tasks(path) -> list:
-    """Read tasks written by :func:`write_tasks`; lossless round trip."""
+    """Read tasks written by :func:`write_tasks`; lossless round trip.
+
+    Raises
+    ------
+    FormatError
+        With the 1-based line of the first bad record: malformed JSON or
+        fields, a non-finite feature, an empty support or query set, a label
+        outside ``[0, way)``, or a class with no support row.
+    """
     tasks = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -325,11 +352,13 @@ def read_tasks(path) -> list:
             dims = int(rec["dims"])
             support_x, support_y = _parse_examples(rec["support"], dims, line_no)
             query_x, query_y = _parse_examples(rec["query"], dims, line_no)
+            way = int(rec["way"])
+            _check_labels(way, support_y, query_y, line_no)
             tasks.append(
                 EpisodicTask(
                     domain_id=rec["domain_id"],
                     seed=int(rec["seed"]),
-                    way=int(rec["way"]),
+                    way=way,
                     dims=dims,
                     support_x=support_x,
                     support_y=support_y,

@@ -66,6 +66,18 @@ class TestCliMain:
         assert cli_main(argv) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_bad_label_in_tasks_file_exits_one_with_line(self, tmp_path, capsys):
+        tasks = tmp_path / "tasks.jsonl"
+        assert cli_main(["gen-tasks", "--tasks", "30", "--out", str(tasks)]) == 0
+        lines = tasks.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["support"][0]["label"] = -1
+        lines[2] = json.dumps(rec)
+        tasks.write_text("\n".join(lines) + "\n")
+        argv = ["bench", "--tasks-file", str(tasks), "--method", "transductive"]
+        assert cli_main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+        assert "line 3" in capsys.readouterr().err
+
     def test_riemann_runs(self, tmp_path):
         out = tmp_path / "riemann.csv"
         assert cli_main(["riemann", "--fields", "2", "--dims", "2", "--out", str(out)]) == 0

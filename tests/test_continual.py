@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtri
 
+from mahabench import continual
 from mahabench.bench import DomainSpec
 from mahabench.continual import (
     ClassRecord,
@@ -262,6 +263,39 @@ class TestRunContinualSession:
         # overlapping groups merge: task 3 re-estimates classes 0/1, so its
         # row-0 entry reflects merged statistics (smoke: still in range)
         assert np.all(matrix[np.tril_indices(3)] >= 0.0)
+
+    @pytest.mark.parametrize("mode", list(HeadMode))
+    def test_cached_stacks_match_restacking_every_evaluation(self, mode, monkeypatch):
+        # later tasks revisit earlier classes, so their merges must drop the
+        # stacks that earlier tasks' evaluations cached
+        world = small_world()
+        stream = StreamConfig(num_tasks=5, classes_per_task=2, shot=2, drift=0.3)
+        groups = [[0, 1], [1, 2], [0, 2], [3, 0], [1, 3]]
+        cached = [
+            run_continual_session(world, stream, EncodingStrategy.FIRST, mode, seed=seed,
+                                  class_groups=groups)
+            for seed in range(3)
+        ]
+        monkeypatch.setattr(
+            continual, "_cached_stack",
+            lambda stacks, records, ids: continual._stats_from_records([records[c] for c in ids]),
+        )
+        for seed, matrix in enumerate(cached):
+            restacked = run_continual_session(
+                world, stream, EncodingStrategy.FIRST, mode, seed=seed, class_groups=groups
+            )
+            assert np.array_equal(matrix, restacked, equal_nan=True)
+
+    @pytest.mark.parametrize("mode", list(HeadMode))
+    def test_disjoint_groups_stack_once_per_task(self, mode, monkeypatch):
+        calls = []
+        stack = continual._stats_from_records
+        monkeypatch.setattr(
+            continual, "_stats_from_records", lambda records: calls.append(1) or stack(records)
+        )
+        stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=3)
+        run_continual_session(small_world(), stream, EncodingStrategy.MOVING, mode, seed=0)
+        assert len(calls) == 4
 
     def test_not_enough_classes(self):
         world = small_world(classes=4)

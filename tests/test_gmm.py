@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mahabench.errors import NonFiniteInput
+from mahabench.errors import EmptyClass, LabelOutOfRange, NonFiniteInput
 from mahabench.gmm import ClassPrior, gmm_classify, gmm_em_refine, gmm_log_scores
-from mahabench.heads import ClassStatistics, MetricKind, classify, estimate_class_statistics
+from mahabench.heads import (
+    ClassStatistics,
+    MetricKind,
+    class_scores,
+    classify,
+    estimate_class_statistics,
+)
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 
@@ -47,6 +55,28 @@ class TestGmmLogScores:
         gmm_arg = gmm_log_scores(queries, stats, prior).argmax(axis=1)
         _, maha_arg = classify(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
         assert np.array_equal(gmm_arg, maha_arg)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(2, 6),
+        d=st.integers(1, 5),
+        spread=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_covariances_uniform_prior_rank_like_mahalanobis(self, k, d, spread, seed):
+        rng = Rng(seed)
+        a = rng.normal((d, d))
+        stats = stats_with(spread * rng.normal((k, d)), [a @ a.T + 0.1 * np.eye(d)] * k)
+        queries = spread * rng.normal((20, d))
+        maha = -class_scores(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
+        gmm = gmm_log_scores(queries, stats, ClassPrior.uniform(k))
+        # classes nearest-first by Mahalanobis distance are best-first by GMM
+        order = np.argsort(maha, axis=1, kind="stable")
+        assert np.all(np.diff(np.take_along_axis(gmm, order, axis=1), axis=1) <= 0)
+        # and the labels agree wherever rounding cannot tie the two best
+        top2 = np.sort(maha, axis=1)[:, :2]
+        clear = top2[:, 1] - top2[:, 0] > 1e-9 * (1.0 + top2[:, 1])
+        assert np.array_equal(gmm.argmax(axis=1)[clear], maha.argmin(axis=1)[clear])
 
     def test_log_determinant_term_prefers_tight_class(self):
         # equal means, Q2 = 4I in 2-D: scores differ by -0.5 * log|4I|
@@ -128,6 +158,12 @@ class TestGmmEmRefine:
         lab = np.array([0, 0, 1, 1], dtype=np.int64)
         query = np.vstack([rng.normal((3, 2)), 3.0 + rng.normal((3, 2))])
         return sup, lab, query
+
+    @pytest.mark.parametrize("labels, error", [([], EmptyClass), ([0, -1], LabelOutOfRange)])
+    def test_bad_support_labels_raise_typed_errors(self, labels, error):
+        support = np.zeros((len(labels), 2))
+        with pytest.raises(error):
+            gmm_em_refine(support, np.array(labels, dtype=np.int64), np.ones((3, 2)))
 
     def test_empty_query_equals_support_only_gmm(self):
         rng = Rng(13)

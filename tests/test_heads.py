@@ -1,19 +1,33 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtri
 
-from mahabench.errors import DimensionMismatch, EmptyClass, NonFiniteInput, NotPositiveDefinite
+from mahabench import heads
+from mahabench.errors import (
+    DimensionMismatch,
+    EmptyClass,
+    LabelOutOfRange,
+    NonFiniteInput,
+    NotPositiveDefinite,
+)
 from mahabench.heads import (
     ClassStatistics,
     MetricKind,
+    SupportLayout,
     bregman_divergence,
     class_scores,
+    class_statistics,
     classify,
     estimate_class_statistics,
     softmax,
 )
+from mahabench.refine import refine
 from mahabench.rng import Rng
 from mahabench.spd import cholesky, quad_form
 
@@ -90,6 +104,11 @@ class TestEstimateClassStatistics:
         with pytest.raises(EmptyClass) as info:
             estimate_class_statistics(np.zeros((2, 2)), np.array([0, 2]))
         assert info.value.class_index == 1
+
+    @pytest.mark.parametrize("labels, num_classes", [([0, -1], None), ([0, 2], 2)])
+    def test_label_out_of_range_raises(self, labels, num_classes):
+        with pytest.raises(LabelOutOfRange):
+            estimate_class_statistics(np.zeros((2, 2)), np.array(labels), num_classes=num_classes)
 
     def test_non_finite_support_row_raises(self):
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, np.nan]])
@@ -295,6 +314,85 @@ class TestInvariants:
             stats = estimate_class_statistics(feats, labels, beta=1.0)
             for q in stats.covariances:
                 cholesky(q)  # raises NotPositiveDefinite on failure
+
+
+def soft_task(rng, k, m, d, per_class=2):
+    """A support layout with ``per_class`` rows per class and soft query weights."""
+    labels = np.repeat(np.arange(k), per_class)
+    layout = SupportLayout.build(rng.normal((k * per_class, d)), labels, k)
+    return layout, rng.normal((m, d)), softmax(rng.normal((m, k)))
+
+
+def stats_fields(stats):
+    return [stats.means, stats.covariances, stats.counts, stats.factors,
+            stats.inverse_factors, stats.jitter]
+
+
+class TestScratchArena:
+    def test_results_own_their_memory_and_survive_later_calls(self):
+        rng = Rng(51)
+        layout, queries, weights = soft_task(rng, k=3, m=7, d=4)
+        stats = class_statistics(layout, queries, weights, 1.0)
+        scores = class_scores(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
+        results = [*stats_fields(stats), scores]
+        kept = [r.copy() for r in results]
+        for _ in range(2):  # the arena as the results saw it, then after it grew
+            assert not any(np.shares_memory(r, heads._arena.buffer) for r in results)
+            other_layout, other_queries, other_weights = soft_task(rng, k=5, m=60, d=6)
+            other = class_statistics(other_layout, other_queries, other_weights, 1.0)
+            class_scores(other_queries, other, MetricKind.ROOT_RIEMANNIAN)
+        assert all(np.array_equal(r, k) for r, k in zip(results, kept))
+
+    def test_concurrent_threads_match_a_serial_run(self):
+        # one shape for every thread, so that a shared buffer would be
+        # carved identically by all of them
+        def work(seed):
+            rng = Rng(seed)
+            out = []
+            for _ in range(40):
+                layout, queries, _ = soft_task(rng, k=5, m=60, d=8)
+                fit = refine(layout.features, layout.labels, queries)
+                out.append(class_scores(queries, fit.statistics, MetricKind.SQUARED_MAHALANOBIS))
+                out.extend(stats_fields(fit.statistics))
+            return out
+
+        seeds = range(60, 64)  # more threads than the test machine has cores
+        serial = [work(seed) for seed in seeds]
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda s=seed: results.__setitem__(s, work(s)))
+                for seed in seeds
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, expected in zip(seeds, serial):
+            assert all(np.array_equal(a, b) for a, b in zip(results[seed], expected))
+
+    def test_kernels_peak_below_one_query_block(self):
+        k, m, d = 20, 800, 32
+        layout, queries, weights = soft_task(Rng(52), k, m, d)
+        stats = class_statistics(layout, queries, weights, 1.0)  # sizes the arena
+        heads._mahalanobis_sq(queries, stats)
+        block = k * m * d * 8
+        for call in (
+            lambda: class_statistics(layout, queries, weights, 1.0),
+            lambda: heads._mahalanobis_sq(queries, stats),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < block
 
 
 class TestBregmanDivergence:

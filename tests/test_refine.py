@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahabench.errors import DimensionMismatch, EmptyClass, InvalidConfig, NonFiniteInput
+from mahabench.errors import (
+    DimensionMismatch,
+    EmptyClass,
+    InvalidConfig,
+    LabelOutOfRange,
+    NonFiniteInput,
+)
 from mahabench.heads import MetricKind, SupportLayout, classify, estimate_class_statistics
 from mahabench.refine import (
     RefineConfig,
@@ -212,6 +218,19 @@ class TestRefine:
         for query in (np.ones((3, 3)), np.ones((2, 1)), np.ones(2)):
             with pytest.raises(DimensionMismatch):
                 refine(sup, lab, query)
+
+    def test_negative_support_label_raises(self):
+        # read as an index, -1 would silently become the last class
+        rng = Rng(8)
+        sup, lab, query = small_task(rng, dims=2)
+        lab = lab.copy()
+        lab[0] = -1
+        with pytest.raises(LabelOutOfRange):
+            refine(sup, lab, query)
+
+    def test_empty_support_raises_empty_class(self):
+        with pytest.raises(EmptyClass):
+            refine(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.ones((3, 2)))
 
     def test_single_step_equals_plain_classifier(self):
         rng = Rng(9)

@@ -182,6 +182,28 @@ class TestTaskFiles:
             read_tasks(path)
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: rec["support"][0].update(label=-1), "support label -1"),
+        (lambda rec: rec["support"][0].update(label=rec["way"]), "support label 5"),
+        (lambda rec: rec["query"][0].update(label=rec["way"]), "query label 5"),
+        (lambda rec: rec.update(support=[]), "support set is empty"),
+        (lambda rec: rec.update(query=[]), "query set is empty"),
+        (lambda rec: rec.update(support=[r for r in rec["support"] if r["label"] != 1]),
+         "class 1 has no support row"),
+        (lambda rec: rec.update(way=10**12), "class 5 has no support row"),
+    ])
+    def test_bad_labels_report_line_number(self, tmp_path, edit, message):
+        path = tmp_path / "labels.jsonl"
+        write_tasks(path, self._tasks(2))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        edit(rec)
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=message) as info:
+            read_tasks(path)
+        assert info.value.line == 3
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "noheader.jsonl"
         path.write_text('{"domain_id": "x"}\n')
