@@ -46,6 +46,7 @@ from .errors import (
     NotRepairable,
     PoolExhausted,
     StrategyHasNoScore,
+    WorkerFailed,
 )
 from .gmm import ClassPrior, gmm_classify, gmm_em_refine, gmm_log_scores
 from .heads import (

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .methods import HeadConfig, evaluate_task, fit_statistics, parse_method, predict
+from .parallel import ordered_map
 from .refine import RefineConfig
 from .rng import derive_seed
 from .worlds import (
@@ -166,15 +167,35 @@ class BenchmarkReport:
         }
 
 
-def generate_tasks(cfg: BenchConfig, domain: DomainSpec) -> list[EpisodicTask]:
-    """The task sequence a run evaluates for one domain; methods share it."""
+def _task_sampler(cfg: BenchConfig, domain: DomainSpec):
+    """Task ``i`` of one domain's sequence, as a function of ``i`` alone."""
     world = domain.build(cfg.seed)
     encoding = EncodingTransform.identity(domain.dims)
-    tasks = []
-    for i in range(cfg.n_tasks):
+
+    def task(i: int) -> EpisodicTask:
         task_seed = derive_seed(cfg.seed, "task", domain.domain_id, i)
-        tasks.append(sample_task(world, cfg.sampler, encoding, task_seed))
-    return tasks
+        return sample_task(world, cfg.sampler, encoding, task_seed)
+
+    return task
+
+
+def generate_tasks(cfg: BenchConfig, domain: DomainSpec) -> list[EpisodicTask]:
+    """The task sequence a run evaluates for one domain; methods share it."""
+    task = _task_sampler(cfg, domain)
+    return [task(i) for i in range(cfg.n_tasks)]
+
+
+def _task_units(cfg: BenchConfig, tasks_by_domain: dict | None):
+    """``(units, task)``: one ``(domain_id, task_index)`` per task, ordered by
+    domain and index, and ``task(domain_id, task_index)`` returning that
+    task.  Tasks that were not supplied are sampled inside ``task``, so each
+    unit samples its own."""
+    if tasks_by_domain is None:
+        samplers = {d.domain_id: _task_sampler(cfg, d) for d in cfg.domains}
+        units = [(d, i) for d in sorted(samplers) for i in range(cfg.n_tasks)]
+        return units, lambda d, i: samplers[d](i)
+    units = [(d, i) for d in sorted(tasks_by_domain) for i in range(len(tasks_by_domain[d]))]
+    return units, lambda d, i: tasks_by_domain[d][i]
 
 
 def _resolve_heads(cfg: BenchConfig) -> dict:
@@ -196,36 +217,32 @@ def run_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> Benc
     if not cfg.methods:
         raise InvalidConfig("no methods configured")
     heads = _resolve_heads(cfg)
+    units, task_of = _task_units(cfg, tasks_by_domain)
 
-    if tasks_by_domain is None:
-        tasks_by_domain = {d.domain_id: generate_tasks(cfg, d) for d in cfg.domains}
+    def evaluate(u: int):
+        task = task_of(*units[u])
+        return task.seed, [evaluate_task(heads[method], task) for method in cfg.methods]
+
+    results = ordered_map(evaluate, len(units))
 
     rows = []
     summary = {}
     per_domain_means: dict[str, dict[str, float]] = {}
-    for domain_id in sorted(tasks_by_domain):
-        tasks = tasks_by_domain[domain_id]
+    for domain_id in dict.fromkeys(d for d, _ in units):
+        done = [(idx, res) for (d, idx), res in zip(units, results) if d == domain_id]
         per_domain_means[domain_id] = {}
-        for method in cfg.methods:
-            head = heads[method]
-            accs = []
-            for idx, task in enumerate(tasks):
-                acc = evaluate_task(head, task)
-                rows.append(
-                    TaskRow(
-                        domain_id=domain_id,
-                        method=method,
-                        task_index=idx,
-                        task_seed=task.seed,
-                        accuracy=acc,
-                    )
-                )
-                accs.append(acc)
-            mean, half = mean_ci(accs)
+        for m, method in enumerate(cfg.methods):
+            method_rows = [
+                TaskRow(domain_id=domain_id, method=method, task_index=idx,
+                        task_seed=task_seed, accuracy=accs[m])
+                for idx, (task_seed, accs) in done
+            ]
+            rows.extend(method_rows)
+            mean, half = mean_ci([r.accuracy for r in method_rows])
             summary[(domain_id, method)] = {
                 "mean": mean,
                 "ci95": half,
-                "n_tasks": len(accs),
+                "n_tasks": len(method_rows),
             }
             per_domain_means[domain_id][method] = mean
     report = BenchmarkReport(
@@ -269,33 +286,34 @@ def recall_vs_shot(cfg: BenchConfig, tasks_by_domain: dict | None = None):
     omitted.
     """
     heads = _resolve_heads(cfg)
-    if tasks_by_domain is None:
-        tasks_by_domain = {d.domain_id: generate_tasks(cfg, d) for d in cfg.domains}
+    units, task_of = _task_units(cfg, tasks_by_domain)
 
-    records = []
-    for domain_id in sorted(tasks_by_domain):
-        for idx, task in enumerate(tasks_by_domain[domain_id]):
-            shots = task.shots
-            preds = {}
-            for method, head in heads.items():
-                stats = fit_statistics(head, task.support_x, task.support_y, task.query_x)
-                _, preds[method] = predict(head, stats, task.query_x)
-            for k in range(task.way):
-                mask = task.query_y == k
-                if not np.any(mask):
-                    continue
-                recalls = {
-                    method: float(np.mean(preds[method][mask] == k)) for method in heads
-                }
-                records.append(
-                    RecallRecord(
-                        domain_id=domain_id,
-                        task_index=idx,
-                        shot=int(shots[k]),
-                        bucket=shot_bucket(int(shots[k])),
-                        recalls=recalls,
-                    )
+    def class_records(u: int) -> list:
+        domain_id, idx = units[u]
+        task = task_of(domain_id, idx)
+        preds = {}
+        for method, head in heads.items():
+            stats = fit_statistics(head, task.support_x, task.support_y, task.query_x)
+            _, preds[method] = predict(head, stats, task.query_x)
+        records = []
+        for k in range(task.way):
+            mask = task.query_y == k
+            if not np.any(mask):
+                continue
+            shot = int(task.shots[k])
+            records.append(
+                RecallRecord(
+                    domain_id=domain_id,
+                    task_index=idx,
+                    shot=shot,
+                    bucket=shot_bucket(shot),
+                    recalls={m: float(np.mean(preds[m][mask] == k)) for m in heads},
                 )
+            )
+        return records
+
+    records = [r for task_records in ordered_map(class_records, len(units))
+               for r in task_records]
 
     curves = {}
     for method in heads:

@@ -6,6 +6,13 @@ writes CSV or JSON to --out.  CSV files start with a ``#`` comment line
 echoing the configuration as JSON; identical seeds produce byte-identical
 outputs.  Exit codes: 0 success, 2 configuration/usage error, 1 runtime
 error.
+
+bench and recall tasks, active sessions and continual streams run in
+forked worker processes, one per CPU of the process's affinity mask; the
+rows come out in the same order and the same bytes as a serial run.
+``taskset -c 0 mahabench ...`` runs serially, which is also how to take a
+per-layer trace.  Without ``fork`` (or ``sched_getaffinity``) every run is
+serial.  riemann always runs serially.
 """
 
 import argparse
@@ -26,6 +33,7 @@ from .continual import (
 )
 from .errors import InvalidConfig, MahabenchError
 from .methods import parse_method
+from .parallel import ordered_map
 from .refine import RefineConfig
 from .rng import Rng, derive_seed
 from .worlds import (
@@ -295,17 +303,21 @@ def _cmd_active(args) -> int:
     }
     _echo(echo)
     world = domain.build(args.seed)
-    rows = []
-    for sid in range(args.sessions):
-        session_seed = derive_seed(args.seed, "active", sid)
-        for name in names:
-            session = build_active_session(
-                world, _STRATEGY_NAMES[name], args.pool_per_class,
-                args.test_per_class, args.budget, session_seed,
-            )
-            curve = run_active_session(session, head)
-            for step, acc in enumerate(curve):
-                rows.append((sid, name, step, repr(float(acc))))
+    units = [(sid, name) for sid in range(args.sessions) for name in names]
+
+    def curve(u: int):
+        sid, name = units[u]
+        session = build_active_session(
+            world, _STRATEGY_NAMES[name], args.pool_per_class,
+            args.test_per_class, args.budget, derive_seed(args.seed, "active", sid),
+        )
+        return run_active_session(session, head)
+
+    rows = [
+        (sid, name, step, repr(float(acc)))
+        for (sid, name), accs in zip(units, ordered_map(curve, len(units)))
+        for step, acc in enumerate(accs)
+    ]
     if args.out:
         _write_csv(args.out, echo, ["session_id", "strategy", "step", "accuracy"], rows)
     finals = {}
@@ -353,20 +365,20 @@ def _cmd_continual(args) -> int:
     }
     _echo(echo)
     world = domain.build(args.seed)
-    rows = []
-    for sid in range(args.streams):
-        stream_seed = derive_seed(args.seed, "continual", sid)
-        for strategy in strategies:
-            for mode in modes:
-                matrix = run_continual_session(
-                    world, stream, strategy, mode, head, seed=stream_seed
-                )
-                for step in range(args.length):
-                    for task in range(step + 1):
-                        rows.append(
-                            (sid, strategy.value, mode.value, step, task,
-                             repr(float(matrix[step, task])))
-                        )
+    units = [(sid, strategy, mode) for sid in range(args.streams)
+             for strategy in strategies for mode in modes]
+
+    def matrix(u: int):
+        sid, strategy, mode = units[u]
+        return run_continual_session(world, stream, strategy, mode, head,
+                                     seed=derive_seed(args.seed, "continual", sid))
+
+    rows = [
+        (sid, strategy.value, mode.value, step, task, repr(float(accs[step, task])))
+        for (sid, strategy, mode), accs in zip(units, ordered_map(matrix, len(units)))
+        for step in range(args.length)
+        for task in range(step + 1)
+    ]
     if args.out:
         _write_csv(
             args.out, echo,

@@ -12,6 +12,9 @@ class NotPositiveDefinite(MahabenchError):
         self.pivot = pivot
         super().__init__(message or f"matrix is not positive definite (pivot {pivot})")
 
+    def __reduce__(self):  # pickle rebuilds from args, which hold the message only
+        return type(self), (self.pivot, str(self))
+
 
 class NotRepairable(MahabenchError):
     """No jitter level in the schedule made the matrix positive definite."""
@@ -27,6 +30,9 @@ class EmptyClass(MahabenchError):
     def __init__(self, class_index: int, message: str | None = None):
         self.class_index = class_index
         super().__init__(message or f"class {class_index} has no support mass")
+
+    def __reduce__(self):
+        return type(self), (self.class_index, str(self))
 
 
 class LabelOutOfRange(MahabenchError):
@@ -62,4 +68,12 @@ class FormatError(MahabenchError):
 
     def __init__(self, line: int, message: str):
         self.line = line
+        self.reason = message
         super().__init__(f"line {line}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.line, self.reason)
+
+
+class WorkerFailed(MahabenchError):
+    """A worker process died, or sent back a result that could not be read."""

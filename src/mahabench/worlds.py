@@ -297,7 +297,11 @@ def _parse_examples(rows, dims, line_no):
         if len(values) != dims:
             raise FormatError(line_no, f"expected {dims} features, got {len(values)}")
         feats[i] = values
-        labels[i] = row["label"]
+        label = row["label"]
+        # int64 assignment would truncate 0.7 to 0 and read true as 1
+        if isinstance(label, bool) or not isinstance(label, int):
+            raise FormatError(line_no, f"label {json.dumps(label)} is not an integer")
+        labels[i] = label
     # json reads NaN and Infinity; the estimator would reject them much later
     if not np.all(np.isfinite(feats)):
         raise FormatError(line_no, "non-finite feature value")
@@ -368,7 +372,7 @@ def read_tasks(path) -> list:
             )
         except FormatError:
             raise
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(line_no, f"bad task record: {exc}") from exc
     if header.get("count") is not None and header["count"] != len(tasks):
         raise FormatError(1, f"header count {header['count']} != {len(tasks)} records")

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from mahabench import bench, parallel
 from mahabench.cli import cli_main
 
 
@@ -84,3 +86,28 @@ class TestCliMain:
         _, header, rows = read_csv(out)
         assert header == "field_seed,pair,delta_energy,half_gap,rel_error"
         assert len(rows) == 2
+
+
+class TestParallelUnits:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--tasks", "30", "--mode", "metadataset",
+         "--method", "simple,transductive,gmm-em"],
+        ["recall", "--tasks", "6", "--method", "simple,transductive"],
+        [*SMALL_ACTIVE, "--sessions", "3", "--strategy", "all"],
+        [*SMALL_CONTINUAL, "--streams", "2", "--strategy", "all", "--head-mode", "both"],
+    ], ids=lambda argv: argv[0])
+    def test_serial_and_parallel_write_identical_bytes(self, tmp_path, monkeypatch, argv):
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "_worker_count", lambda count, w=workers: min(w, count))
+            out = tmp_path / f"{workers}.csv"
+            assert cli_main([*argv, "--seed", "5", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_dead_worker_exits_one_with_an_error_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(parallel, "_worker_count", lambda count: min(2, count))
+        monkeypatch.setattr(bench, "evaluate_task", lambda head, task: os._exit(1))
+        assert cli_main(["bench", "--tasks", "30", "--method", "simple"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

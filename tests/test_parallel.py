@@ -1,0 +1,114 @@
+import os
+import pickle
+import threading
+import time
+
+import pytest
+
+from mahabench import errors, parallel
+from mahabench.errors import EmptyClass, FormatError, MahabenchError, WorkerFailed
+from mahabench.parallel import ordered_map
+
+LIMIT_S = 60.0
+
+
+def within_limit(fn):
+    """``fn()`` on a helper thread; a call still running after LIMIT_S fails
+    the test instead of hanging it."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed to the test thread below
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(LIMIT_S)
+    assert not thread.is_alive(), f"no result after {LIMIT_S} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    monkeypatch.setattr(parallel, "_worker_count", lambda count: min(2, count))
+
+
+def all_error_types(cls=MahabenchError):
+    found = [cls]
+    for sub in cls.__subclasses__():
+        found.extend(all_error_types(sub))
+    return found
+
+
+# constructor arguments of the errors that take more than a message
+ERROR_ARGS = {
+    errors.NotPositiveDefinite: [(2,), (2, "leading minor 3 is negative")],
+    errors.EmptyClass: [(3,), (3, "class 3 lost its last example")],
+    errors.FormatError: [(7, "bad")],
+}
+
+
+def error_cases():
+    for cls in all_error_types():
+        for args in ERROR_ARGS.get(cls, [("something went wrong",)]):
+            yield pytest.param(cls, args, id=f"{cls.__name__}{args}")
+
+
+class TestErrorsCrossProcesses:
+    @pytest.mark.parametrize("cls, args", error_cases())
+    def test_pickle_keeps_type_message_and_fields(self, cls, args):
+        exc = cls(*args)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+
+    @pytest.mark.parametrize("exc", [EmptyClass(3), FormatError(7, "bad")], ids=repr)
+    def test_unit_error_reaches_the_caller(self, two_workers, exc):
+        def unit(i):
+            if i == 1:
+                raise exc
+            return i
+
+        with pytest.raises(type(exc)) as info:
+            within_limit(lambda: ordered_map(unit, 4))
+        assert str(info.value) == str(exc)
+        assert vars(info.value) == vars(exc)
+
+    def test_dead_worker_raises(self, two_workers):
+        def unit(i):
+            if i == 2:
+                os._exit(1)
+            return i
+
+        with pytest.raises(WorkerFailed):
+            within_limit(lambda: ordered_map(unit, 4))
+
+
+class TestOrderedMap:
+    def test_keeps_index_order_when_units_take_uneven_time(self, two_workers):
+        def unit(i):
+            time.sleep(0.02 * (i % 3))
+            return i * i, os.getpid()
+
+        results = within_limit(lambda: ordered_map(unit, 9))
+        assert [value for value, _ in results] == [i * i for i in range(9)]
+        assert os.getpid() not in {pid for _, pid in results}
+
+    def test_one_worker_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_worker_count", lambda count: 1)
+        assert ordered_map(lambda i: (i, os.getpid()), 3) == [(i, os.getpid()) for i in range(3)]
+
+    def test_a_call_inside_a_worker_runs_in_that_worker(self, two_workers):
+        def unit(i):
+            return os.getpid(), ordered_map(lambda j: os.getpid(), 3)
+
+        for worker, inner in within_limit(lambda: ordered_map(unit, 2)):
+            assert inner == [worker] * 3
+
+    def test_no_units(self):
+        assert ordered_map(lambda i: i, 0) == []

@@ -191,6 +191,10 @@ class TestTaskFiles:
         (lambda rec: rec.update(support=[r for r in rec["support"] if r["label"] != 1]),
          "class 1 has no support row"),
         (lambda rec: rec.update(way=10**12), "class 5 has no support row"),
+        (lambda rec: rec["support"][0].update(label=0.7), "label 0.7 is not an integer"),
+        (lambda rec: rec["query"][0].update(label=1.5), "label 1.5 is not an integer"),
+        (lambda rec: rec["support"][0].update(label=True), "label true is not an integer"),
+        (lambda rec: rec["query"][0].update(label=2**70), "bad task record"),
     ])
     def test_bad_labels_report_line_number(self, tmp_path, edit, message):
         path = tmp_path / "labels.jsonl"
