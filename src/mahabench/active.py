@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
-from .methods import HeadConfig, fit_statistics, predict
+from .methods import HeadConfig, fit_statistics, predict, predict_labels
 from .rng import Rng
 
 
@@ -102,7 +102,7 @@ def run_active_session(session: ActiveSession, head: HeadConfig, return_acquired
             [session.seed_y, session.pool_y[acquired]]
         ).astype(np.int64)
         stats = fit_statistics(head, labeled_x, labeled_y, session.pool_x[open_idx])
-        _, test_pred = predict(head, stats, session.test_x)
+        test_pred = predict_labels(head, stats, session.test_x)
         curve[t] = float(np.mean(test_pred == session.test_y))
         if t == session.budget:
             break

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .methods import HeadConfig, evaluate_task, fit_statistics, parse_method, predict
+from .methods import HeadConfig, evaluate_task, fit_statistics, parse_method, predict_labels
 from .parallel import ordered_map
 from .refine import RefineConfig
 from .rng import derive_seed
@@ -294,7 +294,7 @@ def recall_vs_shot(cfg: BenchConfig, tasks_by_domain: dict | None = None):
         preds = {}
         for method, head in heads.items():
             stats = fit_statistics(head, task.support_x, task.support_y, task.query_x)
-            _, preds[method] = predict(head, stats, task.query_x)
+            preds[method] = predict_labels(head, stats, task.query_x)
         records = []
         for k in range(task.way):
             mask = task.query_y == k

@@ -7,12 +7,13 @@ echoing the configuration as JSON; identical seeds produce byte-identical
 outputs.  Exit codes: 0 success, 2 configuration/usage error, 1 runtime
 error.
 
-bench and recall tasks, active sessions and continual streams run in
-forked worker processes, one per CPU of the process's affinity mask; the
-rows come out in the same order and the same bytes as a serial run.
-``taskset -c 0 mahabench ...`` runs serially, which is also how to take a
-per-layer trace.  Without ``fork`` (or ``sched_getaffinity``) every run is
-serial.  riemann always runs serially.
+bench and recall tasks, active sessions, continual streams and riemann
+fields run in forked worker processes, one per CPU of the process's
+affinity mask; the rows come out in the same order and the same bytes as a
+serial run.  ``taskset -c 0 mahabench ...`` runs serially, which is also
+how to take a per-layer trace.  Without ``fork`` (or ``sched_getaffinity``)
+every run is serial.  ``python -m mahabench`` and ``python -m
+mahabench.cli`` run the same command line as the ``mahabench`` script.
 """
 
 import argparse
@@ -402,8 +403,8 @@ def _cmd_riemann(args) -> int:
         "quadrature": args.quadrature, "points_per_field": args.points_per_field,
     }
     _echo(echo)
-    rows = []
-    for fid in range(args.fields):
+
+    def field_rows(fid: int) -> list:
         field_seed = derive_seed(args.seed, "riemann", fid)
         field = riemann_mod.make_two_centroid_field(
             field_seed, dims=args.dims, separation=args.separation,
@@ -411,6 +412,7 @@ def _cmd_riemann(args) -> int:
             weak_side_scale=args.weak_scale,
         )
         rng = Rng(derive_seed(field_seed, "points"))
+        rows = []
         for _p in range(args.points_per_field):
             x = riemann_mod.sample_plateau_point(field, 0, rng)
             check = riemann_mod.energy_gap_check(field, x, 0, 1, args.quadrature)
@@ -418,6 +420,9 @@ def _cmd_riemann(args) -> int:
                 (field_seed, "0-1", repr(check.delta_energy),
                  repr(check.half_maha_gap), repr(check.relative_error))
             )
+        return rows
+
+    rows = [row for rows in ordered_map(field_rows, args.fields) for row in rows]
     if args.out:
         _write_csv(
             args.out, echo,
@@ -462,3 +467,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

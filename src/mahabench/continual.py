@@ -17,7 +17,7 @@ import numpy as np
 from . import spd
 from .errors import DimensionMismatch, InvalidConfig, NotEnoughClasses
 from .heads import ClassStatistics
-from .methods import HeadConfig, fit_statistics, predict
+from .methods import HeadConfig, fit_statistics, predict_labels
 from .rng import Rng
 from .worlds import ClusterWorld, EncodingTransform, draw_class_examples
 
@@ -261,6 +261,6 @@ def run_continual_session(
                 [ids.index(c) for c in class_groups[j]], stream.query_per_class
             )
             feats = working.apply(raw_query[j])
-            _, pred = predict(head, stats_j, feats)
+            pred = predict_labels(head, stats_j, feats)
             matrix[t, j] = float(np.mean(pred == truth))
     return matrix

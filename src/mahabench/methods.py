@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import gmm, heads
 from .errors import InvalidConfig
 from .gmm import ClassPrior, gmm_classify, gmm_em_refine
 from .heads import ClassStatistics, MetricKind, classify, estimate_class_statistics
@@ -42,10 +43,21 @@ def predict(head: HeadConfig, stats: ClassStatistics, x):
     return classify(x, stats, head.metric)
 
 
+def predict_labels(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
+    """The labels of ``predict`` for an ``(m, d)`` batch, without the softmax."""
+    # the scorers are looked up on their modules, so each keeps the bindings
+    # that perfbench's per-layer trace counts and checks
+    if head.gmm:
+        scores = gmm.gmm_log_scores(x, stats, ClassPrior.uniform(stats.class_count))
+    else:
+        scores = heads.class_scores(x, stats, head.metric)
+    return np.argmax(scores, axis=1)
+
+
 def evaluate_task(head: HeadConfig, task) -> float:
     """Per-task query accuracy (fraction of query examples correct)."""
     stats = fit_statistics(head, task.support_x, task.support_y, task.query_x)
-    _, labels = predict(head, stats, task.query_x)
+    labels = predict_labels(head, stats, task.query_x)
     return float(np.mean(labels == task.query_y))
 
 

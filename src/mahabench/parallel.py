@@ -15,6 +15,15 @@ that dies raises ``WorkerFailed``; it never leaves the caller waiting,
 which is why this uses ``concurrent.futures`` and not
 ``multiprocessing.Pool``.
 
+Indices go to the workers in contiguous blocks, about four per worker
+(``count // (4 * workers)`` units each), and every block comes back as one
+list.  One index per round trip would cost about as much inter-process
+traffic as a millisecond-sized unit (a ``riemann`` field) takes to
+compute; several blocks per worker, rather than one, keep a worker that
+drew slow units (large meta-dataset tasks) from holding up the others.
+Blocks are returned in order and a block stops at its first exception, so
+the first failing index still wins.
+
 There is no setting.  With one usable CPU (``taskset -c 0 mahabench ...``),
 on a platform without ``fork`` or ``sched_getaffinity``, or inside a
 worker, the units run in a plain in-process loop.  Run under
@@ -62,7 +71,8 @@ def ordered_map(fn, count: int) -> list:
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_become_worker, initargs=(fn,))
     try:
-        return list(pool.map(_run_unit, range(count)))
+        chunk = max(1, count // (4 * workers))
+        return list(pool.map(_run_unit, range(count), chunksize=chunk))
     except BrokenProcessPool as exc:
         raise WorkerFailed(str(exc)) from exc
     finally:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
 from . import spd
 from .errors import DimensionMismatch, InvalidConfig
@@ -87,13 +88,10 @@ class MetricField:
         dist = np.linalg.norm(
             self.centroids[:, None, :] - self.centroids[None, :, :], axis=2
         )
-        k = dist.shape[0]
-        for j in range(k):
-            others = np.delete(dist[:, j], j)
-            if np.any(others < self.partition.support_radius[np.arange(k) != j]):
-                raise InvalidConfig(
-                    "support radii overlap a foreign centroid; shrink them"
-                )
+        covers = dist < self.partition.support_radius[:, None]  # bump i covers mu_j
+        np.fill_diagonal(covers, False)
+        if np.any(covers):
+            raise InvalidConfig("support radii overlap a foreign centroid; shrink them")
 
     @classmethod
     def from_covariances(
@@ -103,10 +101,12 @@ class MetricField:
         centroid separation and ``flatness`` sets plateau/support."""
         centroids = np.asarray(centroids, dtype=np.float64)
         k = centroids.shape[0]
-        precisions = np.empty((k, centroids.shape[1], centroids.shape[1]))
+        d = centroids.shape[1]
+        precisions = np.empty((k, d, d))
+        eye = np.eye(d)
         for i, cov in enumerate(covariances):
-            factor = spd.cholesky(cov)
-            precisions[i] = spd.solve_spd(factor, np.eye(len(factor)))
+            # the solve ``spd.solve_spd`` makes, without its per-call checks
+            precisions[i], _ = dpotrs(spd.cholesky(cov), eye, lower=1)
         if k == 1:
             radius = np.array([1.0])
         else:

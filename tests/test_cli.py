@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,14 @@ def read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# ")
     return json.loads(lines[0][2:]), lines[1], lines[2:]
+
+
+def run_module(module, argv):
+    """``python -m module *argv`` with this checkout's package importable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
 
 
 SMALL_ACTIVE = ["active", "--sessions", "1", "--budget", "2", "--classes", "3",
@@ -88,6 +99,25 @@ class TestCliMain:
         assert len(rows) == 2
 
 
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["mahabench", "mahabench.cli"])
+    def test_runs_the_command_line(self, tmp_path, module):
+        out = tmp_path / "riemann.csv"
+        argv = ["riemann", "--fields", "2", "--dims", "2", "--out", str(out)]
+        done = run_module(module, argv)
+        assert done.returncode == 0, done.stderr
+        assert "median rel error" in done.stdout
+        _, header, rows = read_csv(out)
+        assert header == "field_seed,pair,delta_energy,half_gap,rel_error"
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("module", ["mahabench", "mahabench.cli"])
+    def test_config_error_exits_two(self, module):
+        done = run_module(module, ["recall", "--scale-spread", "0.5"])
+        assert done.returncode == 2
+        assert "config error" in done.stderr
+
+
 class TestParallelUnits:
     @pytest.mark.parametrize("argv", [
         ["bench", "--tasks", "30", "--mode", "metadataset",
@@ -95,6 +125,7 @@ class TestParallelUnits:
         ["recall", "--tasks", "6", "--method", "simple,transductive"],
         [*SMALL_ACTIVE, "--sessions", "3", "--strategy", "all"],
         [*SMALL_CONTINUAL, "--streams", "2", "--strategy", "all", "--head-mode", "both"],
+        ["riemann", "--fields", "5", "--dims", "3", "--points-per-field", "3"],
     ], ids=lambda argv: argv[0])
     def test_serial_and_parallel_write_identical_bytes(self, tmp_path, monkeypatch, argv):
         outputs = []

@@ -88,6 +88,31 @@ class TestErrorsCrossProcesses:
         with pytest.raises(WorkerFailed):
             within_limit(lambda: ordered_map(unit, 4))
 
+    def test_first_failing_index_wins_across_blocks(self, two_workers):
+        # 40 units on 2 workers go out in blocks of 5: unit 7 is in the
+        # second block, unit 31 in the seventh, and unit 7 sleeps so that
+        # unit 31 fails first in time
+        def unit(i):
+            if i == 7:
+                time.sleep(0.5)
+                raise FormatError(i, "first in order")
+            if i == 31:
+                raise FormatError(i, "first in time")
+            return i
+
+        with pytest.raises(FormatError) as info:
+            within_limit(lambda: ordered_map(unit, 40))
+        assert info.value.line == 7
+
+    def test_dead_worker_in_the_middle_of_a_block_raises(self, two_workers):
+        def unit(i):
+            if i == 12:  # third of the five units in its block
+                os._exit(1)
+            return i
+
+        with pytest.raises(WorkerFailed):
+            within_limit(lambda: ordered_map(unit, 40))
+
 
 class TestOrderedMap:
     def test_keeps_index_order_when_units_take_uneven_time(self, two_workers):
@@ -98,6 +123,16 @@ class TestOrderedMap:
         results = within_limit(lambda: ordered_map(unit, 9))
         assert [value for value, _ in results] == [i * i for i in range(9)]
         assert os.getpid() not in {pid for _, pid in results}
+
+    @pytest.mark.parametrize("count", [1, 7, 33, 2000])
+    def test_blocks_keep_index_order(self, two_workers, count):
+        results = within_limit(lambda: ordered_map(lambda i: (i, os.getpid()), count))
+        assert [i for i, _ in results] == list(range(count))
+        # each block runs in one worker, so the worker changes only between
+        # blocks: about four blocks per worker, at least one unit each
+        blocks = -(-count // max(1, count // 8))
+        switches = sum(a[1] != b[1] for a, b in zip(results, results[1:]))
+        assert switches < blocks
 
     def test_one_worker_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(parallel, "_worker_count", lambda count: 1)

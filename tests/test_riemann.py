@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mahabench import spd
 from mahabench.errors import InvalidConfig
 from mahabench.riemann import (
     MetricField,
@@ -68,6 +69,52 @@ class TestPartitionOfUnity:
         precs = np.stack([np.eye(2)] * 2)
         with pytest.raises(InvalidConfig):
             MetricField(cents, precs, PartitionOfUnity(np.full(2, 2.0), np.full(2, 1.0)))
+
+    def test_overlap_check_matches_the_per_centroid_loop(self):
+        def loop_rejects(cents, sup):
+            dist = np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=2)
+            k = len(cents)
+            return any(
+                np.any(np.delete(dist[:, j], j) < sup[np.arange(k) != j]) for j in range(k)
+            )
+
+        rng = Rng(4)
+        verdicts = set()
+        for _ in range(200):
+            k = 2 + rng.below(3)
+            cents = 3.0 * rng.normal((k, 2))
+            sup = 0.5 + 3.0 * rng.uniform(k)
+            part = PartitionOfUnity(sup, sup / 2.0)
+            expected = loop_rejects(cents, sup)
+            verdicts.add(expected)
+            if expected:
+                with pytest.raises(InvalidConfig, match="foreign centroid"):
+                    MetricField(cents, np.stack([np.eye(2)] * k), part)
+            else:
+                MetricField(cents, np.stack([np.eye(2)] * k), part)
+        assert verdicts == {True, False}
+
+    def test_a_foreign_centroid_on_the_support_sphere_is_allowed(self):
+        cents = np.array([[0.0, 0.0], [1.0, 0.0]])
+        precs = np.stack([np.eye(2)] * 2)
+        MetricField(cents, precs, PartitionOfUnity(np.array([1.0, 0.5]), np.full(2, 0.25)))
+        with pytest.raises(InvalidConfig):
+            MetricField(cents, precs, PartitionOfUnity(np.array([1.5, 0.5]), np.full(2, 0.25)))
+
+
+class TestFromCovariances:
+    def test_precisions_are_bit_identical_to_solve_spd(self):
+        rng = Rng(8)
+        for dims in (1, 2, 16):
+            covs = []
+            for _ in range(3):
+                a = rng.normal((dims, dims))
+                covs.append(a @ a.T + 0.1 * np.eye(dims))
+            cents = 10.0 * np.arange(3)[:, None] * np.ones(dims)
+            field = MetricField.from_covariances(cents, covs)
+            for prec, cov in zip(field.precisions, covs):
+                expected = spd.solve_spd(spd.cholesky(cov), np.eye(dims))
+                assert prec.tobytes() == expected.tobytes()
 
 
 class TestMetricAt:
