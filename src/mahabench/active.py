@@ -106,7 +106,7 @@ def run_active_session(session: ActiveSession, head: HeadConfig, return_acquired
         curve[t] = float(np.mean(test_pred == session.test_y))
         if t == session.budget:
             break
-        open_probs, _ = predict(head, stats, session.pool_x[open_idx])
+        open_probs = predict(head, stats, session.pool_x[open_idx])
         full_probs = np.zeros((pool_size, stats.class_count))
         full_probs[open_idx] = open_probs
         choice = select_next(full_probs, session.strategy, taken, rng)

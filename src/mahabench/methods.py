@@ -11,8 +11,8 @@ import numpy as np
 
 from . import gmm, heads
 from .errors import InvalidConfig
-from .gmm import ClassPrior, gmm_classify, gmm_em_refine
-from .heads import ClassStatistics, MetricKind, classify, estimate_class_statistics
+from .gmm import ClassPrior, gmm_em_refine
+from .heads import ClassStatistics, MetricKind, estimate_class_statistics
 from .refine import RefineConfig, refine
 
 
@@ -36,22 +36,23 @@ def fit_statistics(head: HeadConfig, support_x, support_y, query_x) -> ClassStat
     return estimate_class_statistics(support_x, support_y, beta=head.beta)
 
 
-def predict(head: HeadConfig, stats: ClassStatistics, x):
-    """Probabilities and argmax labels for ``x`` under a fitted head."""
+def _scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
+    # scorers are looked up on their modules: a by-name import would add a
+    # binding to the ones perfbench's traced run counts and pins
     if head.gmm:
-        return gmm_classify(x, stats, ClassPrior.uniform(stats.class_count))
-    return classify(x, stats, head.metric)
+        return gmm.gmm_log_scores(x, stats, ClassPrior.uniform(stats.class_count))
+    return heads.class_scores(x, stats, head.metric)
+
+
+def predict(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
+    """Class probabilities for ``x`` under a fitted head."""
+    return heads.softmax(_scores(head, stats, x))
 
 
 def predict_labels(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
-    """The labels of ``predict`` for an ``(m, d)`` batch, without the softmax."""
-    # the scorers are looked up on their modules, so each keeps the bindings
-    # that perfbench's per-layer trace counts and checks
-    if head.gmm:
-        scores = gmm.gmm_log_scores(x, stats, ClassPrior.uniform(stats.class_count))
-    else:
-        scores = heads.class_scores(x, stats, head.metric)
-    return np.argmax(scores, axis=1)
+    """Argmax labels for an ``(m, d)`` batch; ties break toward the lowest
+    class index."""
+    return np.argmax(_scores(head, stats, x), axis=1)
 
 
 def evaluate_task(head: HeadConfig, task) -> float:

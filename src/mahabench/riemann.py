@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from . import spd
 from .errors import DimensionMismatch, InvalidConfig
@@ -105,8 +104,7 @@ class MetricField:
         precisions = np.empty((k, d, d))
         eye = np.eye(d)
         for i, cov in enumerate(covariances):
-            # the solve ``spd.solve_spd`` makes, without its per-call checks
-            precisions[i], _ = dpotrs(spd.cholesky(cov), eye, lower=1)
+            precisions[i] = spd.solve_spd(spd.cholesky(cov), eye)
         if k == 1:
             radius = np.array([1.0])
         else:

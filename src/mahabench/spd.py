@@ -32,8 +32,7 @@ images, which keeps the scoring hot path free of large allocations.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotRepairable
 
@@ -80,7 +79,12 @@ def solve_spd(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape[0] != factor.shape[0]:
         raise DimensionMismatch(f"vector length {v.shape[0]} != matrix dim {factor.shape[0]}")
-    return cho_solve((factor, True), v)
+    if not (np.all(np.isfinite(factor)) and np.all(np.isfinite(v))):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(factor, v, lower=1)
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} passed to dpotrs")
+    return x
 
 
 def quad_form(factor: np.ndarray, diffs: np.ndarray):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mahabench import spd
 from mahabench.errors import InvalidConfig
 from mahabench.riemann import (
     MetricField,
@@ -100,21 +99,6 @@ class TestPartitionOfUnity:
         MetricField(cents, precs, PartitionOfUnity(np.array([1.0, 0.5]), np.full(2, 0.25)))
         with pytest.raises(InvalidConfig):
             MetricField(cents, precs, PartitionOfUnity(np.array([1.5, 0.5]), np.full(2, 0.25)))
-
-
-class TestFromCovariances:
-    def test_precisions_are_bit_identical_to_solve_spd(self):
-        rng = Rng(8)
-        for dims in (1, 2, 16):
-            covs = []
-            for _ in range(3):
-                a = rng.normal((dims, dims))
-                covs.append(a @ a.T + 0.1 * np.eye(dims))
-            cents = 10.0 * np.arange(3)[:, None] * np.ones(dims)
-            field = MetricField.from_covariances(cents, covs)
-            for prec, cov in zip(field.precisions, covs):
-                expected = spd.solve_spd(spd.cholesky(cov), np.eye(dims))
-                assert prec.tobytes() == expected.tobytes()
 
 
 class TestMetricAt:

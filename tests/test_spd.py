@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtri
 
 from mahabench.errors import DimensionMismatch, NotPositiveDefinite, NotRepairable
@@ -96,6 +97,23 @@ class TestSolve:
         f = cholesky(np.eye(3))
         with pytest.raises(DimensionMismatch):
             solve_spd(f, np.ones(2))
+
+    def test_bits_match_cho_solve(self):
+        # one vector and a whole identity block, the inverse riemann builds
+        rng = Rng(8)
+        for trial in range(200):
+            d = 1 + trial % 16
+            a = rng.normal((d, d))
+            f = cholesky(a @ a.T + 0.1 * np.eye(d))
+            for v in (rng.normal(d), np.eye(d)):
+                assert solve_spd(f, v).tobytes() == cho_solve((f, True), v).tobytes()
+
+    def test_non_finite_input_is_rejected(self):
+        f = cholesky(np.eye(2))
+        with pytest.raises(ValueError):
+            solve_spd(f, [np.nan, 0.0])
+        with pytest.raises(ValueError):
+            solve_spd(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2))
 
     def test_residuals_on_random_systems(self):
         # 1000 random SPD systems up to dim 64
