@@ -35,7 +35,6 @@ from .continual import (
 from .errors import (
     DimensionMismatch,
     EmptyClass,
-    EmptyQuery,
     FormatError,
     InvalidConfig,
     LabelOutOfRange,

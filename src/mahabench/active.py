@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
-from .methods import HeadConfig, fit_statistics, predict, predict_labels
+from .methods import HeadConfig, fit_statistics, predict_labels
 from .rng import Rng
 
 
@@ -86,7 +86,8 @@ def run_active_session(session: ActiveSession, head: HeadConfig, return_acquired
     ``curve[t]`` is test accuracy after ``t`` acquisitions; statistics are
     refit from scratch at every step.  Transductive heads treat the
     unacquired pool as the refinement query set, so pool probabilities fall
-    out of the refinement itself.  With ``return_acquired`` the acquired
+    out of the refinement itself; either way they are the fit's query
+    probabilities.  With ``return_acquired`` the acquired
     pool indices are returned alongside the curve.
     """
     rng = Rng(session.seed)
@@ -101,14 +102,13 @@ def run_active_session(session: ActiveSession, head: HeadConfig, return_acquired
         labeled_y = np.concatenate(
             [session.seed_y, session.pool_y[acquired]]
         ).astype(np.int64)
-        stats = fit_statistics(head, labeled_x, labeled_y, session.pool_x[open_idx])
-        test_pred = predict_labels(head, stats, session.test_x)
+        fit = fit_statistics(head, labeled_x, labeled_y, session.pool_x[open_idx])
+        test_pred = predict_labels(head, fit.statistics, session.test_x)
         curve[t] = float(np.mean(test_pred == session.test_y))
         if t == session.budget:
             break
-        open_probs = predict(head, stats, session.pool_x[open_idx])
-        full_probs = np.zeros((pool_size, stats.class_count))
-        full_probs[open_idx] = open_probs
+        full_probs = np.zeros((pool_size, fit.statistics.class_count))
+        full_probs[open_idx] = fit.query_probs
         choice = select_next(full_probs, session.strategy, taken, rng)
         acquired.append(choice)
         taken[choice] = True

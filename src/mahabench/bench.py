@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .methods import HeadConfig, evaluate_task, fit_statistics, parse_method, predict_labels
+from .methods import HeadConfig, evaluate_task, fit_statistics, parse_method, support_fits
 from .parallel import ordered_map
 from .refine import RefineConfig
 from .rng import derive_seed
@@ -217,11 +217,12 @@ def run_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> Benc
     if not cfg.methods:
         raise InvalidConfig("no methods configured")
     heads = _resolve_heads(cfg)
+    configs = [heads[method] for method in cfg.methods]
     units, task_of = _task_units(cfg, tasks_by_domain)
 
     def evaluate(u: int):
         task = task_of(*units[u])
-        return task.seed, [evaluate_task(heads[method], task) for method in cfg.methods]
+        return task.seed, evaluate_task(configs, task)
 
     results = ordered_map(evaluate, len(units))
 
@@ -291,10 +292,12 @@ def recall_vs_shot(cfg: BenchConfig, tasks_by_domain: dict | None = None):
     def class_records(u: int) -> list:
         domain_id, idx = units[u]
         task = task_of(domain_id, idx)
-        preds = {}
-        for method, head in heads.items():
-            stats = fit_statistics(head, task.support_x, task.support_y, task.query_x)
-            preds[method] = predict_labels(head, stats, task.query_x)
+        x, y, query = task.support_x, task.support_y, task.query_x
+        starts = support_fits(heads.values(), x, y, query)
+        preds = {
+            method: fit_statistics(head, x, y, query, start=start).query_labels
+            for (method, head), start in zip(heads.items(), starts)
+        }
         records = []
         for k in range(task.way):
             mask = task.query_y == k

@@ -139,6 +139,13 @@ def _echo(config: dict) -> None:
     print(json.dumps(config, sort_keys=True))
 
 
+def _require_positive(args, *names: str) -> None:
+    """Reject a run size below 1: it would aggregate nothing."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise InvalidConfig(f"--{name.replace('_', '-')} must be at least 1")
+
+
 def _domain_from_args(args) -> bench_mod.DomainSpec:
     spread = args.scale_spread
     if spread < 1.0:
@@ -189,6 +196,8 @@ def _cmd_bench(args) -> int:
     tasks_by_domain = None
     if args.tasks_file:
         tasks = read_tasks(args.tasks_file)
+        if not tasks:
+            raise InvalidConfig(f"{args.tasks_file} holds no tasks")
         tasks_by_domain = {}
         for task in tasks:
             tasks_by_domain.setdefault(task.domain_id, []).append(task)
@@ -236,6 +245,7 @@ def _cmd_gen_tasks(args) -> int:
 
 
 def _cmd_recall(args) -> int:
+    _require_positive(args, "tasks")
     sampler = SamplerConfig(mode=SamplerMode.META_DATASET_LIKE, query_per_class=args.query)
     cfg = _bench_config(args, sampler=sampler)
     echo = {"command": "recall", "schema": f"recall/{CSV_SCHEMA_VERSION}", **cfg.resolved()}
@@ -286,6 +296,7 @@ def _one_head(args):
 
 
 def _cmd_active(args) -> int:
+    _require_positive(args, "sessions", "test_per_class")
     names = list(_STRATEGY_NAMES) if args.strategy == "all" else [
         s.strip() for s in args.strategy.split(",") if s.strip()
     ]
@@ -332,6 +343,7 @@ def _cmd_active(args) -> int:
 
 
 def _cmd_continual(args) -> int:
+    _require_positive(args, "streams")
     try:
         strategies = list(EncodingStrategy) if args.strategy == "all" else [
             EncodingStrategy(s.strip()) for s in args.strategy.split(",") if s.strip()
@@ -395,6 +407,7 @@ def _cmd_continual(args) -> int:
 
 
 def _cmd_riemann(args) -> int:
+    _require_positive(args, "fields", "points_per_field")
     echo = {
         "command": "riemann", "schema": f"riemann/{CSV_SCHEMA_VERSION}",
         "seed": args.seed, "fields": args.fields, "dims": args.dims,

@@ -232,7 +232,7 @@ def run_continual_session(
         local_y = np.repeat(np.arange(len(group), dtype=np.int64), stream.shot)
         support_feat = working.apply(raw_support[t])
         query_feat = working.apply(raw_query[t])
-        stats = fit_statistics(head, support_feat, local_y, query_feat)
+        stats = fit_statistics(head, support_feat, local_y, query_feat).statistics
         for slot, cid in enumerate(group):
             new_rec = ClassRecord(
                 mean=stats.means[slot],

@@ -39,10 +39,6 @@ class LabelOutOfRange(MahabenchError):
     """A class label lies outside ``[0, num_classes)``."""
 
 
-class EmptyQuery(MahabenchError):
-    """An operation that needs query examples received none."""
-
-
 class InvalidConfig(MahabenchError):
     """A configuration value violates its documented constraints."""
 

@@ -268,7 +268,7 @@ def estimate_class_statistics(
     NonFiniteInput
         If a feature is NaN or infinite.
     InvalidConfig
-        If ``beta`` is negative.
+        If ``beta`` is negative, NaN or infinite.
     LabelOutOfRange
         If a label lies outside [0, K).
     """
@@ -280,8 +280,8 @@ def estimate_class_statistics(
         raise DimensionMismatch("labels and features disagree on n")
     if z.shape[0] == 0:
         raise EmptyClass(0, "support set is empty")
-    if beta < 0:
-        raise InvalidConfig("beta must be nonnegative")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise InvalidConfig("beta must be finite and nonnegative")
     k_count = int(num_classes) if num_classes is not None else int(y.max()) + 1
     if np.any(y < 0) or np.any(y >= k_count):
         raise LabelOutOfRange(f"support label outside [0, {k_count})")

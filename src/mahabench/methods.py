@@ -3,17 +3,23 @@
 A method is a head (metric-based or GMM) plus an optional refinement
 configuration.  The registry maps the benchmark's method names to
 configurations; ``simple:<metric>`` selects a metric ablation.
+
+A fit (``Fit``) carries the class statistics and the query predictions
+they give.  Heads fitted to one task share its support-only estimate
+(``support_fits``): a single-pass head's fit is that estimate, and a
+refining head starts its loop from it.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import gmm, heads
 from .errors import InvalidConfig
-from .gmm import ClassPrior, gmm_em_refine
+from .gmm import ClassPrior
 from .heads import ClassStatistics, MetricKind, estimate_class_statistics
-from .refine import RefineConfig, refine
+from .refine import RefineConfig, run_refinement
 
 
 @dataclass(frozen=True)
@@ -26,14 +32,93 @@ class HeadConfig:
     gmm: bool = False  # GMM scoring with a uniform prior
 
 
-def fit_statistics(head: HeadConfig, support_x, support_y, query_x) -> ClassStatistics:
-    """Class statistics under a head; transductive heads use the query set."""
-    if head.refine is not None:
-        cfg = replace(head.refine, beta=head.beta, metric=head.metric)
-        if head.gmm:
-            return gmm_em_refine(support_x, support_y, query_x, cfg).statistics
-        return refine(support_x, support_y, query_x, cfg).statistics
-    return estimate_class_statistics(support_x, support_y, beta=head.beta)
+@dataclass(frozen=True, eq=False)
+class Fit:
+    """A head fitted to one (support, query) pair.
+
+    ``query_probs`` and ``query_labels`` are the head's class probabilities
+    and argmax labels (ties toward the lowest class index) for the query
+    set.  A refining head fills them from its last responsibility refresh,
+    which scored the query set under the final statistics.  A single-pass
+    head scores the query set the first time either is read, so a caller
+    that reads neither (continual) scores nothing.
+    """
+
+    statistics: ClassStatistics
+    head: HeadConfig
+    query_x: np.ndarray
+    refresh: tuple | None = None  # a refining head's last (probs, labels)
+
+    @cached_property
+    def _predictions(self) -> tuple:
+        if self.refresh is not None:
+            return self.refresh
+        return _refresh(self.head, self.statistics, self.query_x)
+
+    @property
+    def query_probs(self) -> np.ndarray:
+        return self._predictions[0]
+
+    @property
+    def query_labels(self) -> np.ndarray:
+        return self._predictions[1]
+
+
+def _single_pass(head: HeadConfig) -> HeadConfig:
+    return replace(head, refine=None)
+
+
+def support_fits(configs, support_x, support_y, query_x) -> list:
+    """The support-only fit of every head, in order: the ``start`` that
+    ``fit_statistics`` takes.
+
+    Statistics are estimated once per distinct beta, and heads whose
+    single-pass forms are equal share one ``Fit``, so its query predictions
+    are computed at most once.
+    """
+    statistics = {}
+    fits = {}
+    for head in configs:
+        base = _single_pass(head)
+        if base not in fits:
+            if head.beta not in statistics:
+                statistics[head.beta] = estimate_class_statistics(
+                    support_x, support_y, beta=head.beta
+                )
+            fits[base] = Fit(statistics[head.beta], base, query_x)
+    return [fits[_single_pass(head)] for head in configs]
+
+
+def fit_statistics(
+    head: HeadConfig, support_x, support_y, query_x, *, start: Fit | None = None
+) -> Fit:
+    """Fit a head; transductive heads also use the query set.
+
+    ``start`` is the head's support-only fit on the same support and query
+    sets (``support_fits``), shared by the heads a caller fits to one task.
+    It is the whole fit of a single-pass head.  A refining head starts its
+    loop from it: iteration 1 takes its statistics and its query
+    predictions, which are the bits that iteration would compute.
+    """
+    if start is None:
+        start = support_fits([head], support_x, support_y, query_x)[0]
+    elif start.head != _single_pass(head):
+        raise ValueError("start is not the support-only fit of this head")
+    if head.refine is None:
+        return start
+    cfg = replace(head.refine, beta=head.beta, metric=head.metric)
+
+    def refresh_query(stats, x):
+        # iteration 1 runs on the start statistics, which ``start`` scores
+        # (at most once, for every head sharing it) under this head's scorer
+        if stats is start.statistics:
+            return start.query_probs, start.query_labels
+        return _refresh(head, stats, x)
+
+    outcome = run_refinement(
+        support_x, support_y, query_x, cfg, refresh_query, start=start.statistics
+    )
+    return Fit(outcome.statistics, head, query_x, (outcome.responsibilities.query, outcome.labels))
 
 
 def _scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
@@ -42,6 +127,14 @@ def _scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
     if head.gmm:
         return gmm.gmm_log_scores(x, stats, ClassPrior.uniform(stats.class_count))
     return heads.class_scores(x, stats, head.metric)
+
+
+def _refresh(head: HeadConfig, stats: ClassStatistics, x) -> tuple:
+    """``(probs, labels)`` for an ``(m, d)`` batch from one scoring, as the
+    head's classifier (``heads.classify`` or ``gmm.gmm_classify``) gives
+    them."""
+    scores = _scores(head, stats, x)
+    return heads.softmax(scores), np.argmax(scores, axis=1)
 
 
 def predict(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
@@ -55,11 +148,20 @@ def predict_labels(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
     return np.argmax(_scores(head, stats, x), axis=1)
 
 
-def evaluate_task(head: HeadConfig, task) -> float:
-    """Per-task query accuracy (fraction of query examples correct)."""
-    stats = fit_statistics(head, task.support_x, task.support_y, task.query_x)
-    labels = predict_labels(head, stats, task.query_x)
-    return float(np.mean(labels == task.query_y))
+def evaluate_task(configs, task) -> list[float]:
+    """Query accuracy (fraction of query examples correct) of each head on
+    one task, in order.
+
+    The heads share their support-only fits (``support_fits``): the
+    support statistics are estimated once per distinct beta, and every
+    refining head starts from them.
+    """
+    x, y, query = task.support_x, task.support_y, task.query_x
+    accuracies = []
+    for head, start in zip(configs, support_fits(configs, x, y, query)):
+        fit = fit_statistics(head, x, y, query, start=start)
+        accuracies.append(float(np.mean(fit.query_labels == task.query_y)))
+    return accuracies
 
 
 def parse_method(name: str, refine_defaults: RefineConfig | None = None, beta: float = 1.0) -> HeadConfig:

@@ -5,7 +5,9 @@ query rows.  The loop alternates weighted statistics, computed by the one
 estimator ``heads.class_statistics``, with a responsibility refresh and
 stops once the per-query argmax stops changing, subject to hard minimum and
 maximum step counts.  The first completed iteration reproduces
-the non-transductive head's query probabilities.
+the non-transductive head's query probabilities, so a caller that already
+holds the support-only statistics can hand them to the loop as its first
+iteration (``run_refinement(..., start=...)``).
 """
 
 from dataclasses import dataclass
@@ -47,10 +49,18 @@ class RefineConfig:
 
 @dataclass(frozen=True)
 class RefineOutcome:
+    """The final statistics and the last responsibility refresh.
+
+    ``responsibilities.query`` and ``labels`` are the query probabilities
+    and argmax labels under ``statistics``: the last refresh scored the
+    query set after the last statistics update.
+    """
+
     statistics: ClassStatistics
     responsibilities: Responsibilities
     iterations_run: int
     converged_early: bool
+    labels: np.ndarray  # (m,) query labels of the last refresh
 
 
 def init_responsibilities(support_labels: np.ndarray, m_query: int, num_classes: int) -> Responsibilities:
@@ -123,6 +133,8 @@ def run_refinement(
     query_x: np.ndarray,
     cfg: RefineConfig,
     predict,
+    *,
+    start: ClassStatistics | None = None,
 ) -> RefineOutcome:
     """Shared refinement loop; ``predict(stats, X) -> (probs, labels)``.
 
@@ -131,6 +143,13 @@ def run_refinement(
     and reused by every iteration.  The class count is
     ``support_class_count(support_y)``.
 
+    ``start`` is the support-only estimate of the same support set at
+    ``cfg.beta`` (``estimate_class_statistics``).  Iteration 1 then takes it
+    as its statistics instead of computing them: with all-zero query
+    responsibilities ``weighted_class_statistics`` would return exactly
+    these bits.  Iteration 1 still counts toward ``iterations_run``, and
+    its refresh is ``predict(start, X)``.
+
     Raises
     ------
     EmptyClass
@@ -138,6 +157,8 @@ def run_refinement(
         no support row.
     LabelOutOfRange
         If a support label is negative.
+    DimensionMismatch
+        If ``start`` disagrees with the support set on classes or dims.
     """
     support_x = np.asarray(support_x, dtype=np.float64)
     query_x = np.asarray(query_x, dtype=np.float64)
@@ -148,6 +169,8 @@ def run_refinement(
         raise DimensionMismatch(f"query shape {query_x.shape} does not match support dim {d}")
     labels = np.asarray(support_y, dtype=np.int64)
     k_count = support_class_count(labels)
+    if start is not None and (start.class_count, start.dims) != (k_count, d):
+        raise DimensionMismatch("start statistics and support set disagree")
     m = query_x.shape[0]
 
     resp = init_responsibilities(labels, m, k_count)
@@ -159,7 +182,10 @@ def run_refinement(
     converged = False
     for it in range(1, cfg.max_steps + 1):
         iterations = it
-        stats = weighted_class_statistics(feats, resp, cfg.beta, layout=layout)
+        if it == 1 and start is not None:
+            stats = start
+        else:
+            stats = weighted_class_statistics(feats, resp, cfg.beta, layout=layout)
         if m > 0:
             probs, assign = predict(stats, query_x)
             resp.query = probs
@@ -176,6 +202,7 @@ def run_refinement(
         responsibilities=resp,
         iterations_run=iterations,
         converged_early=converged,
+        labels=assign,
     )
 
 

@@ -261,16 +261,16 @@ def make_two_centroid_field(
     direction /= np.linalg.norm(direction)
     centroids = np.stack([np.zeros(dims), separation * direction])
 
-    covs = []
+    # per centroid, a Gaussian for the eigenbasis, then eigenvalues in [1, 2)
+    gauss = np.empty((2, dims, dims))
+    eigs = np.empty((2, dims))
     for k in range(2):
-        gauss = rng.normal((dims, dims))
-        q, r = np.linalg.qr(gauss)
-        q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
-        eigs = np.exp(rng.uniform(dims) * np.log(2.0))  # spread in [1, 2)
-        cov = (q * eigs) @ q.T
-        if k == 0:
-            cov = cov * weak_side_scale
-        covs.append(cov)
+        gauss[k] = rng.normal((dims, dims))
+        eigs[k] = np.exp(rng.uniform(dims) * np.log(2.0))
+    q, r = np.linalg.qr(gauss)
+    q *= np.where(np.diagonal(r, axis1=1, axis2=2) >= 0, 1.0, -1.0)[:, None, :]
+    covs = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
+    covs[0] *= weak_side_scale
     return MetricField.from_covariances(
         centroids, covs, support_scale=support_scale, flatness=flatness
     )

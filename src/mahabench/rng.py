@@ -21,6 +21,8 @@ Derived streams are decorrelated by reseeding:
 time.  String tags are hashed with FNV-1a (64-bit).
 """
 
+import math
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -33,7 +35,7 @@ _INV_2_53 = float(2.0**-53)
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
+    """splitmix64 finalizer on a fresh uint64 array, in place; returns it."""
     z ^= z >> _U64(30)
     z *= _U64(_MIX1)
     z ^= z >> _U64(27)
@@ -83,10 +85,11 @@ class Rng:
         """Next ``n`` raw uint64 outputs."""
         start = self._counter + 1
         self._counter += n
-        idx = np.arange(start, start + n, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            z = _U64(self._seed) + idx * _U64(GOLDEN)
-            return _mix64_array(z)
+        # uint64 array arithmetic wraps modulo 2**64 without a warning
+        z = np.arange(start, start + n, dtype=np.uint64)
+        z *= _U64(GOLDEN)
+        z += _U64(self._seed)
+        return _mix64_array(z)
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1), 53-bit resolution."""
@@ -95,11 +98,13 @@ class Rng:
     def normal(self, shape) -> np.ndarray:
         """Standard normals of the given shape via Box-Muller pairs."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         pairs = (count + 1) // 2
-        # u1 in (0, 1] so log() is finite; u2 in [0, 1).
-        u1 = ((self.raw(pairs) >> _U64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = self.uniform(pairs)
+        # the first `pairs` raw outputs give u1 in (0, 1], so log() is
+        # finite, and the next `pairs` give u2 in [0, 1)
+        bits = (self.raw(2 * pairs) >> _U64(11)).astype(np.float64)
+        u1 = (bits[:pairs] + 1.0) * _INV_2_53
+        u2 = bits[pairs:] * _INV_2_53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
@@ -127,7 +132,3 @@ class Rng:
             j = self.below(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
         return perm
-
-    def spawn(self, *tags: int | str) -> "Rng":
-        """Independent child stream keyed by tags (counter not shared)."""
-        return Rng(derive_seed(self._seed, *tags))

@@ -74,10 +74,26 @@ class TestCliMain:
         ["continual", "--min-steps", "0"],
         ["bench", "--tasks", "30", "--beta", "-1"],
         ["active", "--budget", "100", "--classes", "3", "--pool-per-class", "2"],
+        ["active", "--sessions", "0"],
+        ["active", "--test-per-class", "0"],
+        ["continual", "--streams", "0"],
+        ["riemann", "--fields", "0"],
+        ["riemann", "--points-per-field", "0"],
+        ["recall", "--tasks", "0"],
+        ["bench", "--tasks", "30", "--beta", "nan"],
+        ["bench", "--tasks", "30", "--beta", "inf"],
+        ["bench", "--tasks", "30", "--method", "transductive", "--beta", "nan"],
     ])
     def test_config_errors_exit_two(self, argv, capsys):
         assert cli_main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_empty_tasks_file_exits_two(self, tmp_path, capsys):
+        tasks, out = tmp_path / "tasks.jsonl", tmp_path / "out.csv"
+        assert cli_main(["gen-tasks", "--tasks", "0", "--out", str(tasks)]) == 0
+        assert cli_main(["bench", "--tasks-file", str(tasks), "--out", str(out)]) == 2
+        assert "holds no tasks" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_label_in_tasks_file_exits_one_with_line(self, tmp_path, capsys):
         tasks = tmp_path / "tasks.jsonl"

@@ -1,9 +1,22 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from mahabench import heads
 from mahabench.gmm import ClassPrior, gmm_classify
 from mahabench.heads import MetricKind, classify, estimate_class_statistics
-from mahabench.methods import HeadConfig, predict, predict_labels
+from mahabench.methods import (
+    HeadConfig,
+    evaluate_task,
+    fit_statistics,
+    parse_method,
+    predict,
+    predict_labels,
+    support_fits,
+)
+from mahabench.refine import RefineConfig, refine
 from mahabench.rng import Rng
 
 HEADS = [HeadConfig(metric=metric) for metric in MetricKind] + [HeadConfig(gmm=True)]
@@ -25,3 +38,83 @@ def test_predictions_are_the_bits_of_the_head_classifier(head):
     assert got.dtype == labels.dtype
     assert got.tobytes() == labels.tobytes()
     assert predict(head, stats, queries).tobytes() == probs.tobytes()
+
+
+def toy_task(seed, way=4, shot=3, query_per_class=5, dims=3):
+    rng = Rng(seed)
+    centers = 2.0 * rng.normal((way, dims))
+    support_y = np.repeat(np.arange(way), shot)
+    query_y = np.repeat(np.arange(way), query_per_class)
+    return SimpleNamespace(
+        support_x=centers[support_y] + rng.normal((way * shot, dims)),
+        support_y=support_y,
+        query_x=centers[query_y] + rng.normal((way * query_per_class, dims)),
+        query_y=query_y,
+    )
+
+
+METHODS = [
+    parse_method(name, RefineConfig(min_steps=1, max_steps=3), beta)
+    for beta in (1.0, 0.25)
+    for name in ("simple", "transductive", "gmm", "gmm-em", "simple:euclidean",
+                 "transductive:euclidean")
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_fits_give_the_bits_of_one_fit_per_head(seed):
+    task = toy_task(seed)
+    got = evaluate_task(METHODS, task)
+    for head, accuracy in zip(METHODS, got):
+        # each head on its own, its query set scored again after the fit
+        alone = fit_statistics(head, task.support_x, task.support_y, task.query_x)
+        labels = predict_labels(head, alone.statistics, task.query_x)
+        assert accuracy == float(np.mean(labels == task.query_y))
+        assert alone.query_labels.tobytes() == labels.tobytes()
+        probs = predict(head, alone.statistics, task.query_x)
+        assert alone.query_probs.tobytes() == probs.tobytes()
+
+
+def test_support_fits_estimate_once_per_beta_and_share_equal_scorers():
+    task = toy_task(0)
+    fits = support_fits(METHODS, task.support_x, task.support_y, task.query_x)
+    by_beta = {}
+    for head, fit in zip(METHODS, fits):
+        assert fit.head == replace(head, refine=None)
+        assert by_beta.setdefault(head.beta, fit.statistics) is fit.statistics
+    assert len({id(f) for f in fits}) == 6  # 3 scorers at each of 2 betas
+    simple, transductive = fits[0], fits[1]
+    assert simple is transductive
+
+
+def test_the_refinement_starts_from_the_shared_scoring(monkeypatch):
+    task = toy_task(1, query_per_class=7)
+    calls = []
+    scorer = heads.class_scores
+    monkeypatch.setattr(heads, "class_scores", lambda *a: calls.append(1) or scorer(*a))
+    simple, transductive = parse_method("simple"), parse_method("transductive")
+    evaluate_task([simple, transductive], task)
+    scorings = len(calls)
+    outcome = refine(task.support_x, task.support_y, task.query_x, transductive.refine)
+    assert outcome.iterations_run == 3
+    # the simple head's scoring is the first refresh: one scoring per iteration
+    assert scorings == outcome.iterations_run
+
+
+def test_a_single_pass_fit_scores_nothing_until_read(monkeypatch):
+    task = toy_task(2)
+    calls = []
+    scorer = heads.class_scores
+    monkeypatch.setattr(heads, "class_scores", lambda *a: calls.append(1) or scorer(*a))
+    fit = fit_statistics(HeadConfig(), task.support_x, task.support_y, task.query_x)
+    assert calls == []
+    fit.query_probs, fit.query_labels, fit.query_labels
+    assert calls == [1]
+
+
+def test_a_start_fit_of_another_head_is_rejected():
+    task = toy_task(3)
+    start = support_fits([HeadConfig(beta=0.5)], task.support_x, task.support_y, task.query_x)[0]
+    with pytest.raises(ValueError, match="support-only fit"):
+        fit_statistics(parse_method("transductive"), task.support_x, task.support_y,
+                       task.query_x, start=start)

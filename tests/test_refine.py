@@ -15,9 +15,14 @@ from mahabench.refine import (
     RefineConfig,
     init_responsibilities,
     refine,
+    run_refinement,
     weighted_class_statistics,
 )
 from mahabench.rng import Rng
+
+
+def mahalanobis_refresh(stats, x):
+    return classify(x, stats, MetricKind.SQUARED_MAHALANOBIS)
 
 
 def brute_force_loop(support_x, support_y, query_x, beta, max_steps, min_steps=1):
@@ -211,6 +216,49 @@ class TestRefine:
         assert out.iterations_run == 1
         for name in ("means", "covariances", "counts", "factors", "inverse_factors", "jitter"):
             assert np.array_equal(getattr(out.statistics, name), getattr(plain, name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_classes=st.integers(1, 4),
+        shots=st.integers(1, 4),
+        m_query=st.integers(0, 6),
+        min_steps=st.integers(1, 3),
+        extra_steps=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_starting_from_the_support_estimate_changes_no_bit(
+        self, n_classes, shots, m_query, min_steps, extra_steps, seed
+    ):
+        sup, lab, query = small_task(Rng(seed), n_classes, shots, max(m_query, 1), dims=3)
+        query = query[:m_query]
+        cfg = RefineConfig(min_steps=min_steps, max_steps=min_steps + extra_steps, beta=0.5)
+        start = estimate_class_statistics(sup, lab, beta=0.5)
+        got = run_refinement(sup, lab, query, cfg, mahalanobis_refresh, start=start)
+        want = run_refinement(sup, lab, query, cfg, mahalanobis_refresh)
+        assert (got.iterations_run, got.converged_early) == (
+            want.iterations_run, want.converged_early
+        )
+        for name in ("means", "covariances", "counts", "factors", "inverse_factors", "jitter"):
+            got_bits, want_bits = getattr(got.statistics, name), getattr(want.statistics, name)
+            assert got_bits.tobytes() == want_bits.tobytes()
+        assert got.responsibilities.query.tobytes() == want.responsibilities.query.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_labels_are_the_argmax_of_the_final_statistics(self):
+        rng = Rng(21)
+        for _ in range(10):
+            sup, lab, query = small_task(rng, n_classes=3, shots=2, m_query=9)
+            out = refine(sup, lab, query, RefineConfig(min_steps=1, max_steps=3))
+            probs, labels = classify(query, out.statistics, MetricKind.SQUARED_MAHALANOBIS)
+            assert out.labels.tobytes() == labels.tobytes()
+            assert out.responsibilities.query.tobytes() == probs.tobytes()
+
+    def test_start_of_another_shape_raises_dimension_mismatch(self):
+        sup, lab, query = small_task(Rng(8), n_classes=2, dims=2)
+        for classes, dims in ((3, 2), (2, 3)):
+            other = estimate_class_statistics(*small_task(Rng(9), classes, dims=dims)[:2])
+            with pytest.raises(DimensionMismatch):
+                run_refinement(sup, lab, query, RefineConfig(), mahalanobis_refresh, start=other)
 
     def test_wrong_query_width_raises_dimension_mismatch(self):
         rng = Rng(8)
