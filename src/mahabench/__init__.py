@@ -4,6 +4,12 @@ Closed-form Mahalanobis classification heads, transductive soft k-means
 refinement, GMM ablation heads, synthetic Gaussian cluster worlds with
 episodic task samplers, active and continual learning loops, a Riemannian
 metric-field verification, and a deterministic benchmark harness.
+
+Every head is fitted and queried along one path in ``mahabench.methods``:
+``support_fits`` checks a task's support set and estimates its
+support-only statistics, ``fit_statistics`` turns that start into a head's
+fit (running ``refine.run_refinement`` for a transductive or GMM-EM head),
+and ``predict`` / ``predict_labels`` score queries under it.
 """
 
 from .active import (
@@ -47,30 +53,22 @@ from .errors import (
     StrategyHasNoScore,
     WorkerFailed,
 )
-from .gmm import ClassPrior, gmm_classify, gmm_em_refine, gmm_log_scores
+from .gmm import ClassPrior, gmm_log_scores
 from .heads import (
     ClassStatistics,
     MetricKind,
+    SupportLayout,
     bregman_divergence,
     class_scores,
-    classify,
     estimate_class_statistics,
 )
 from .methods import HeadConfig, parse_method
-from .refine import (
-    RefineConfig,
-    RefineOutcome,
-    Responsibilities,
-    init_responsibilities,
-    refine,
-    weighted_class_statistics,
-)
+from .refine import RefineConfig, RefineOutcome, weighted_class_statistics
 from .riemann import (
     MetricField,
     PartitionOfUnity,
     energy_gap_check,
     metric_at,
-    path_arclength,
     path_energy,
 )
 from .rng import Rng, derive_seed

@@ -5,8 +5,11 @@ and add a class prior and a log-determinant term:
 
     log pi_k - (1/2) (z - mu_k)^T Q_k^-1 (z - mu_k) - (1/2) log |Q_k|
 
-GMM-EM reuses the refinement loop with this assignment rule; everything
-else (weighted updates, step limits) is identical to the metric head.
+A GMM head is fitted and queried through ``methods`` like every other
+head (``fit_statistics``, then ``predict`` or ``predict_labels``), with a
+uniform prior.  GMM-EM is the refinement loop with these scores as its
+refresh; everything else (weighted updates, step limits) is identical to
+the metric head.
 """
 
 from dataclasses import dataclass
@@ -15,8 +18,7 @@ import numpy as np
 
 from . import spd
 from .errors import DimensionMismatch
-from .heads import ClassStatistics, _mahalanobis_sq, _query_rows, softmax
-from .refine import RefineConfig, RefineOutcome, run_refinement, support_class_count
+from .heads import ClassStatistics, _mahalanobis_sq, _query_rows
 
 
 @dataclass(frozen=True)
@@ -39,11 +41,6 @@ class ClassPrior:
     def uniform(cls, num_classes: int) -> "ClassPrior":
         return cls(np.full(num_classes, 1.0 / num_classes))
 
-    @classmethod
-    def from_counts(cls, counts) -> "ClassPrior":
-        counts = np.asarray(counts, dtype=np.float64)
-        return cls(counts / counts.sum())
-
 
 def gmm_log_scores(query: np.ndarray, stats: ClassStatistics, prior: ClassPrior) -> np.ndarray:
     """Unnormalized log posterior per class for one query or an (m, d) batch."""
@@ -56,34 +53,3 @@ def gmm_log_scores(query: np.ndarray, stats: ClassStatistics, prior: ClassPrior)
         - 0.5 * spd.logdet(stats.factors)[None, :]
     )
     return scores[0] if single else scores
-
-
-def gmm_classify(query: np.ndarray, stats: ClassStatistics, prior: ClassPrior):
-    """Softmax over GMM log scores; ties break toward the lowest index."""
-    scores = gmm_log_scores(query, stats, prior)
-    probs = softmax(scores)
-    if scores.ndim == 1:
-        return probs, int(np.argmax(scores))
-    return probs, np.argmax(scores, axis=1)
-
-
-def gmm_em_refine(
-    support_x: np.ndarray,
-    support_y: np.ndarray,
-    query_x: np.ndarray,
-    cfg: RefineConfig = RefineConfig(),
-    prior: ClassPrior | None = None,
-) -> RefineOutcome:
-    """Refinement loop with GMM responsibilities.
-
-    The prior defaults to uniform and is held fixed across iterations.
-    """
-    if prior is None:
-        prior = ClassPrior.uniform(support_class_count(support_y))
-    return run_refinement(
-        support_x,
-        support_y,
-        query_x,
-        cfg,
-        lambda stats, x: gmm_classify(x, stats, prior),
-    )

@@ -1,20 +1,23 @@
-"""Closed-form class statistics and metric-based softmax classification.
+"""Closed-form class statistics and metric-based class scores.
 
 The core head estimates a mean and a regularized covariance per class, then
-scores queries with a choice of metric.  ``class_statistics`` is the one
-estimator every head uses: support rows count fully toward their own class,
-query rows toward every class with soft weights, and per class
+scores queries with a choice of metric (``class_scores``).
+``class_statistics`` is the one estimator every head uses: support rows
+count fully toward their own class, query rows toward every class with soft
+weights, and per class
 
     Q_k = lam_k * S_k + (1 - lam_k) * S + beta * I,   lam_k = n_k / (n_k + 1)
 
 where ``n_k`` is the (soft) count and ``S`` and ``S_k`` are the
 count-normalized scatter matrices of the whole weighted set and of class k.
-The support set enters through a ``SupportLayout``, which groups it by
-class once.  ``estimate_class_statistics`` runs the estimator on the
-support set alone; the transductive refinement
-(``refine.weighted_class_statistics``) adds the query rows and reuses one
-layout across all of a task's iterations.  Scores deliberately carry no 1/2
-coefficient; the GMM head owns that variant.
+The support set enters through a ``SupportLayout``, which checks it and
+groups it by class once.  ``estimate_class_statistics`` runs the estimator
+on the layout alone; the transductive refinement
+(``refine.weighted_class_statistics``) adds the query rows and reuses the
+same layout in every iteration.  Heads are fitted and queried through
+``methods``, the one path: ``support_fits`` -> ``fit_statistics`` ->
+``refine.run_refinement``, then ``predict`` or ``predict_labels``.  Scores
+deliberately carry no 1/2 coefficient; the GMM head owns that variant.
 
 The estimator's ``(K, width, d)`` support block and ``(K, m, d)`` query
 blocks, and the Mahalanobis scorer's ``(K, m, d)`` differences and their
@@ -159,24 +162,45 @@ class SupportLayout:
 
     @classmethod
     def build(
-        cls, support_x: np.ndarray, support_y: np.ndarray, num_classes: int
+        cls, features: np.ndarray, labels: np.ndarray, num_classes: int | None = None
     ) -> "SupportLayout":
-        """Group ``(n, d)`` support rows by their labels in ``[0, num_classes)``.
+        """Group ``(n, d)`` support rows by their labels in ``[0, K)``.
+
+        This is where a labelled support set enters the package, so every
+        check on it runs here, once per support set.  ``K`` is
+        ``num_classes``, or the largest label plus one when omitted.
 
         Raises
         ------
+        DimensionMismatch
+            If ``features`` is not 2-D or ``labels`` disagrees with it on n.
+        EmptyClass
+            If the support set is empty.
+        LabelOutOfRange
+            If a label lies outside [0, K).
         NonFiniteInput
             If a support row has a NaN or infinite entry.
         """
+        support_x = np.asarray(features, dtype=np.float64)
+        support_y = np.asarray(labels, dtype=np.int64)
+        if support_x.ndim != 2:
+            raise DimensionMismatch("features must be a 2-D array")
+        if support_y.shape[0] != support_x.shape[0]:
+            raise DimensionMismatch("labels and features disagree on n")
+        if support_x.shape[0] == 0:
+            raise EmptyClass(0, "support set is empty")
+        k_count = int(num_classes) if num_classes is not None else int(support_y.max()) + 1
+        if np.any(support_y < 0) or np.any(support_y >= k_count):
+            raise LabelOutOfRange(f"support label outside [0, {k_count})")
         _require_finite(support_x, "support features")
         n, d = support_x.shape
-        n_k = np.bincount(support_y, minlength=num_classes)
+        n_k = np.bincount(support_y, minlength=k_count)
         order = np.argsort(support_y, kind="stable")
         slot = np.empty(n, dtype=np.intp)
         slot[order] = np.arange(n) - np.repeat(np.cumsum(n_k) - n_k, n_k)
         width = int(n_k.max())
         # the zero padding adds nothing to the class sums
-        block = np.zeros((num_classes, width, d))
+        block = np.zeros((k_count, width, d))
         block[support_y, slot] = support_x
         return cls(
             features=support_x,
@@ -240,53 +264,25 @@ def class_statistics(
     return ClassStatistics.from_moments(means, covs, counts)
 
 
-def estimate_class_statistics(
-    features: np.ndarray,
-    labels: np.ndarray,
-    beta: float = 1.0,
-    num_classes: int | None = None,
-) -> ClassStatistics:
-    """Closed-form class statistics from a labelled support set.
+def estimate_class_statistics(layout: SupportLayout, beta: float = 1.0) -> ClassStatistics:
+    """Closed-form class statistics from a labelled support set alone.
 
-    ``class_statistics`` with an empty query block.
-
-    Parameters
-    ----------
-    features : (n, d) array
-        Support feature vectors.
-    labels : (n,) int array
-        Class index per row, in [0, K).
-    beta : float
-        Ridge added to every covariance (default 1.0).
-    num_classes : int, optional
-        K; inferred as ``labels.max() + 1`` when omitted.
+    ``class_statistics`` with an empty query block.  ``layout`` is the
+    support set (``SupportLayout.build``), which several estimates at
+    different betas can share; ``beta`` is the ridge added to every
+    covariance.
 
     Raises
     ------
     EmptyClass
         If some class in [0, K) has no support example.
-    NonFiniteInput
-        If a feature is NaN or infinite.
     InvalidConfig
         If ``beta`` is negative, NaN or infinite.
-    LabelOutOfRange
-        If a label lies outside [0, K).
     """
-    z = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2:
-        raise DimensionMismatch("features must be a 2-D array")
-    if y.shape[0] != z.shape[0]:
-        raise DimensionMismatch("labels and features disagree on n")
-    if z.shape[0] == 0:
-        raise EmptyClass(0, "support set is empty")
     if not (math.isfinite(beta) and beta >= 0):
         raise InvalidConfig("beta must be finite and nonnegative")
-    k_count = int(num_classes) if num_classes is not None else int(y.max()) + 1
-    if np.any(y < 0) or np.any(y >= k_count):
-        raise LabelOutOfRange(f"support label outside [0, {k_count})")
-    layout = SupportLayout.build(z, y, k_count)
-    return class_statistics(layout, np.empty((0, z.shape[1])), np.empty((0, k_count)), beta)
+    d = layout.features.shape[1]
+    return class_statistics(layout, np.empty((0, d)), np.empty((0, layout.class_count)), beta)
 
 
 def _query_rows(query: np.ndarray, dims: int) -> tuple[np.ndarray, bool]:
@@ -347,20 +343,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     shifted = s - s.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def classify(query: np.ndarray, stats: ClassStatistics, metric: MetricKind):
-    """Class probabilities and argmax labels under a metric.
-
-    Returns ``(probs, label)`` for a single query vector or
-    ``(probs (m, K), labels (m,))`` for a batch.  Ties break toward the
-    lowest class index.
-    """
-    scores = class_scores(query, stats, metric)
-    probs = softmax(scores)
-    if scores.ndim == 1:
-        return probs, int(np.argmax(scores))
-    return probs, np.argmax(scores, axis=1)
 
 
 def bregman_divergence(z: np.ndarray, z_ref: np.ndarray, q) -> float:

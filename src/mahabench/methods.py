@@ -1,13 +1,17 @@
-"""Head configurations shared by the benchmark, active and continual loops.
+"""Head configurations, and the one path that fits and queries a head.
 
 A method is a head (metric-based or GMM) plus an optional refinement
 configuration.  The registry maps the benchmark's method names to
 configurations; ``simple:<metric>`` selects a metric ablation.
 
-A fit (``Fit``) carries the class statistics and the query predictions
-they give.  Heads fitted to one task share its support-only estimate
-(``support_fits``): a single-pass head's fit is that estimate, and a
-refining head starts its loop from it.
+Every head is fitted the same way.  ``support_fits`` checks a task's
+support set and groups it by class once (``heads.SupportLayout``), then
+estimates its support-only statistics once per distinct beta.
+``fit_statistics`` turns one such start fit into the head's fit: a
+single-pass head's fit is the start itself, and a refining head hands the
+start's layout and statistics to ``refine.run_refinement``.  A fit
+(``Fit``) carries the class statistics and the query predictions they
+give; ``predict`` and ``predict_labels`` score any batch under a head.
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +22,7 @@ import numpy as np
 from . import gmm, heads
 from .errors import InvalidConfig
 from .gmm import ClassPrior
-from .heads import ClassStatistics, MetricKind, estimate_class_statistics
+from .heads import ClassStatistics, MetricKind, SupportLayout, estimate_class_statistics
 from .refine import RefineConfig, run_refinement
 
 
@@ -36,24 +40,26 @@ class HeadConfig:
 class Fit:
     """A head fitted to one (support, query) pair.
 
-    ``query_probs`` and ``query_labels`` are the head's class probabilities
-    and argmax labels (ties toward the lowest class index) for the query
-    set.  A refining head fills them from its last responsibility refresh,
-    which scored the query set under the final statistics.  A single-pass
-    head scores the query set the first time either is read, so a caller
-    that reads neither (continual) scores nothing.
+    ``layout`` is the support set grouped by class, shared by every fit to
+    the same support set.  ``query_probs`` and ``query_labels`` are the
+    head's class probabilities and argmax labels (ties toward the lowest
+    class index) for the query set.  A refining head fills them from its
+    last refresh, which scored the query set under the final statistics.
+    A single-pass head scores the query set the first time either is read,
+    so a caller that reads neither (continual) scores nothing.
     """
 
     statistics: ClassStatistics
     head: HeadConfig
     query_x: np.ndarray
+    layout: SupportLayout
     refresh: tuple | None = None  # a refining head's last (probs, labels)
 
     @cached_property
     def _predictions(self) -> tuple:
         if self.refresh is not None:
             return self.refresh
-        return _refresh(self.head, self.statistics, self.query_x)
+        return predict(self.head, self.statistics, self.query_x)
 
     @property
     def query_probs(self) -> np.ndarray:
@@ -72,20 +78,26 @@ def support_fits(configs, support_x, support_y, query_x) -> list:
     """The support-only fit of every head, in order: the ``start`` that
     ``fit_statistics`` takes.
 
-    Statistics are estimated once per distinct beta, and heads whose
-    single-pass forms are equal share one ``Fit``, so its query predictions
-    are computed at most once.
+    The support set is checked and grouped into one layout, statistics are
+    estimated once per distinct beta, and heads whose single-pass forms are
+    equal share one ``Fit``, so its query predictions are computed at most
+    once.
+
+    Raises
+    ------
+    DimensionMismatch, EmptyClass, LabelOutOfRange, NonFiniteInput
+        For a bad support set, as ``SupportLayout.build`` and
+        ``estimate_class_statistics`` raise them.
     """
+    layout = SupportLayout.build(support_x, support_y)
     statistics = {}
     fits = {}
     for head in configs:
         base = _single_pass(head)
         if base not in fits:
             if head.beta not in statistics:
-                statistics[head.beta] = estimate_class_statistics(
-                    support_x, support_y, beta=head.beta
-                )
-            fits[base] = Fit(statistics[head.beta], base, query_x)
+                statistics[head.beta] = estimate_class_statistics(layout, beta=head.beta)
+            fits[base] = Fit(statistics[head.beta], base, query_x, layout)
     return [fits[_single_pass(head)] for head in configs]
 
 
@@ -95,10 +107,11 @@ def fit_statistics(
     """Fit a head; transductive heads also use the query set.
 
     ``start`` is the head's support-only fit on the same support and query
-    sets (``support_fits``), shared by the heads a caller fits to one task.
-    It is the whole fit of a single-pass head.  A refining head starts its
-    loop from it: iteration 1 takes its statistics and its query
-    predictions, which are the bits that iteration would compute.
+    sets (``support_fits``), shared by the heads a caller fits to one task;
+    without it, this call makes it.  It is the whole fit of a single-pass
+    head.  A refining head runs ``refine.run_refinement`` on its layout and
+    statistics; iteration 1 takes the start's query predictions, which are
+    the bits that iteration would compute.
     """
     if start is None:
         start = support_fits([head], support_x, support_y, query_x)[0]
@@ -113,12 +126,11 @@ def fit_statistics(
         # (at most once, for every head sharing it) under this head's scorer
         if stats is start.statistics:
             return start.query_probs, start.query_labels
-        return _refresh(head, stats, x)
+        return predict(head, stats, x)
 
-    outcome = run_refinement(
-        support_x, support_y, query_x, cfg, refresh_query, start=start.statistics
-    )
-    return Fit(outcome.statistics, head, query_x, (outcome.responsibilities.query, outcome.labels))
+    outcome = run_refinement(start.layout, start.statistics, query_x, cfg, refresh_query)
+    predictions = (outcome.query_probs, outcome.labels)
+    return Fit(outcome.statistics, head, query_x, start.layout, predictions)
 
 
 def _scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
@@ -129,22 +141,20 @@ def _scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
     return heads.class_scores(x, stats, head.metric)
 
 
-def _refresh(head: HeadConfig, stats: ClassStatistics, x) -> tuple:
-    """``(probs, labels)`` for an ``(m, d)`` batch from one scoring, as the
-    head's classifier (``heads.classify`` or ``gmm.gmm_classify``) gives
-    them."""
+def predict(head: HeadConfig, stats: ClassStatistics, x) -> tuple:
+    """``(probs, labels)`` under a fitted head, from one scoring.
+
+    For an ``(m, d)`` batch, the ``(m, K)`` softmax probabilities and the
+    ``(m,)`` argmax labels; for one vector, ``(K,)`` probabilities and one
+    label.  Ties break toward the lowest class index.
+    """
     scores = _scores(head, stats, x)
-    return heads.softmax(scores), np.argmax(scores, axis=1)
-
-
-def predict(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
-    """Class probabilities for ``x`` under a fitted head."""
-    return heads.softmax(_scores(head, stats, x))
+    return heads.softmax(scores), np.argmax(scores, axis=-1)
 
 
 def predict_labels(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
     """Argmax labels for an ``(m, d)`` batch; ties break toward the lowest
-    class index."""
+    class index.  The labels of ``predict``, without the softmax."""
     return np.argmax(_scores(head, stats, x), axis=1)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import spd
 from .errors import DimensionMismatch, InvalidConfig
-from .heads import ClassStatistics
 from .rng import Rng
 
 _GL_ORDER = 8
@@ -114,10 +113,6 @@ class MetricField:
         part = PartitionOfUnity(radius, flatness * radius)
         return cls(centroids=centroids, precisions=precisions, partition=part)
 
-    @classmethod
-    def from_statistics(cls, stats: ClassStatistics, **kwargs) -> "MetricField":
-        return cls.from_covariances(stats.means, stats.covariances, **kwargs)
-
 
 def metric_at(field: MetricField, x: np.ndarray) -> np.ndarray:
     """The symmetrized metric tensor at one point: sum_k w_k(x - mu_k) P_k."""
@@ -193,20 +188,6 @@ def path_energy(
         return 0.0
     weights, vals = _energy_density(field, x, delta, quadrature_points)
     return float(weights @ vals)
-
-
-def path_arclength(
-    field: MetricField, x: np.ndarray, y: np.ndarray, quadrature_points: int = 64
-) -> float:
-    """Arclength of the straight-line path: integral of the square root of
-    the same quadratic form, on the same quadrature grid as the energy."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    delta = y - x
-    if not np.any(delta):
-        return 0.0
-    weights, vals = _energy_density(field, x, delta, quadrature_points)
-    return float(weights @ np.sqrt(np.maximum(vals, 0.0)))
 
 
 class GapCheck(NamedTuple):

@@ -9,8 +9,8 @@ from mahabench.active import (
     select_next,
 )
 from mahabench.errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
-from mahabench.heads import MetricKind, classify, estimate_class_statistics
-from mahabench.methods import HeadConfig
+from mahabench.heads import MetricKind, SupportLayout, estimate_class_statistics
+from mahabench.methods import HeadConfig, predict
 from mahabench.rng import Rng
 
 ENTROPY = AcquisitionStrategy.PREDICTIVE_ENTROPY
@@ -126,8 +126,8 @@ class TestRunActiveSession:
         for t in range(session.budget + 1):
             lx = np.vstack([session.seed_x, session.pool_x[taken]])
             ly = np.concatenate([session.seed_y, session.pool_y[taken]]).astype(np.int64)
-            stats = estimate_class_statistics(lx, ly, beta=1.0)
-            _, pred = classify(session.test_x, stats, MetricKind.SQUARED_MAHALANOBIS)
+            stats = estimate_class_statistics(SupportLayout.build(lx, ly), beta=1.0)
+            _, pred = predict(head, stats, session.test_x)
             expected_curve.append(np.mean(pred == session.test_y))
             if t == session.budget:
                 break
@@ -135,7 +135,7 @@ class TestRunActiveSession:
             for i in range(session.pool_x.shape[0]):
                 if i in taken:
                     continue
-                probs, _ = classify(session.pool_x[i], stats, MetricKind.SQUARED_MAHALANOBIS)
+                probs, _ = predict(head, stats, session.pool_x[i])
                 ent = -np.sum(np.where(probs > 0, probs * np.log(probs), 0.0))
                 if ent > best_score:
                     best, best_score = i, ent

@@ -20,8 +20,8 @@ from mahabench.continual import (
     update_encoding,
 )
 from mahabench.errors import NotEnoughClasses
-from mahabench.heads import MetricKind, classify, estimate_class_statistics
-from mahabench.methods import HeadConfig
+from mahabench.heads import SupportLayout, estimate_class_statistics
+from mahabench.methods import HeadConfig, predict
 from mahabench.rng import Rng
 from mahabench.spd import cholesky
 from mahabench.worlds import EncodingTransform, make_cluster_world
@@ -203,8 +203,8 @@ class TestRunContinualSession:
         qry = np.vstack(draw_class_examples(world, [0, 1, 2], [10] * 3, rng))
         lab = np.repeat(np.arange(3), 8)
         truth = np.repeat(np.arange(3), 10)
-        stats = estimate_class_statistics(sup, lab)
-        _, pred = classify(qry, stats, MetricKind.SQUARED_MAHALANOBIS)
+        stats = estimate_class_statistics(SupportLayout.build(sup, lab))
+        _, pred = predict(HeadConfig(), stats, qry)
         assert matrix[0, 0] == pytest.approx(np.mean(pred == truth))
 
     def test_first_encoding_multi_head_has_no_forgetting(self):

@@ -4,16 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahabench.errors import EmptyClass, LabelOutOfRange, NonFiniteInput
-from mahabench.gmm import ClassPrior, gmm_classify, gmm_em_refine, gmm_log_scores
+from mahabench.gmm import ClassPrior, gmm_log_scores
 from mahabench.heads import (
     ClassStatistics,
     MetricKind,
+    SupportLayout,
     class_scores,
-    classify,
     estimate_class_statistics,
 )
+from mahabench.methods import HeadConfig, fit_statistics, predict
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
+
+GMM = HeadConfig(gmm=True)
+
+
+def gmm_em(steps_min=2, steps_max=4):
+    return HeadConfig(gmm=True, refine=RefineConfig(min_steps=steps_min, max_steps=steps_max))
 
 
 def stats_with(means, covs):
@@ -33,9 +40,6 @@ class TestClassPrior:
     def test_uniform(self):
         assert np.allclose(ClassPrior.uniform(4).probs, 0.25)
 
-    def test_from_counts(self):
-        assert np.allclose(ClassPrior.from_counts([3, 1]).probs, [0.75, 0.25])
-
     def test_zero_entry_rejected(self):
         with pytest.raises(ValueError):
             ClassPrior(np.array([1.0, 0.0]))
@@ -53,7 +57,7 @@ class TestGmmLogScores:
         prior = ClassPrior.uniform(3)
         queries = rng.normal((50, 2))
         gmm_arg = gmm_log_scores(queries, stats, prior).argmax(axis=1)
-        _, maha_arg = classify(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
+        _, maha_arg = predict(HeadConfig(), stats, queries)
         assert np.array_equal(gmm_arg, maha_arg)
 
     @settings(max_examples=80, deadline=None)
@@ -111,13 +115,13 @@ class TestGmmLogScores:
     def test_non_finite_query_raises(self):
         stats = random_stats(Rng(6))
         with pytest.raises(NonFiniteInput):
-            gmm_classify(np.array([0.0, np.nan, 0.0]), stats, ClassPrior.uniform(3))
+            predict(GMM, stats, np.array([0.0, np.nan, 0.0]))
 
 
 class TestGmmClassify:
     def test_identical_classes_give_uniform_probabilities(self):
         stats = stats_with([[1.0, 1.0], [1.0, 1.0]], [np.eye(2), np.eye(2)])
-        probs, label = gmm_classify(np.zeros(2), stats, ClassPrior.uniform(2))
+        probs, label = predict(GMM, stats, np.zeros(2))
         assert np.allclose(probs, 0.5)
         assert label == 0
 
@@ -129,24 +133,23 @@ class TestGmmClassify:
         a = rng.normal((3, 3))
         cov = a @ a.T + np.eye(3)
         stats = stats_with(means, [cov] * 4)
-        prior = ClassPrior.uniform(4)
         queries = rng.normal((100, 3))
-        _, maha = classify(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
-        _, gmm = gmm_classify(queries, stats, prior)
+        _, maha = predict(HeadConfig(), stats, queries)
+        _, gmm = predict(GMM, stats, queries)
         assert np.array_equal(maha, gmm)
 
     def test_probabilities_normalize_over_random_draws(self):
         rng = Rng(9)
         for _ in range(1000):
             stats = random_stats(rng, k=2, d=2)
-            probs, _ = gmm_classify(rng.normal(2), stats, ClassPrior.uniform(2))
+            probs, _ = predict(GMM, stats, rng.normal(2))
             assert abs(probs.sum() - 1.0) <= 1e-9
 
     def test_shift_invariance_of_probabilities(self):
         rng = Rng(11)
         stats = random_stats(rng)
         q = rng.normal(3)
-        probs, _ = gmm_classify(q, stats, ClassPrior.uniform(3))
+        probs, _ = predict(GMM, stats, q)
         scores = gmm_log_scores(q, stats, ClassPrior.uniform(3))
         shifted = np.exp(scores + 50.0 - (scores + 50.0).max())
         assert np.allclose(probs, shifted / shifted.sum(), atol=1e-12)
@@ -163,23 +166,23 @@ class TestGmmEmRefine:
     def test_bad_support_labels_raise_typed_errors(self, labels, error):
         support = np.zeros((len(labels), 2))
         with pytest.raises(error):
-            gmm_em_refine(support, np.array(labels, dtype=np.int64), np.ones((3, 2)))
+            fit_statistics(gmm_em(), support, np.array(labels, dtype=np.int64), np.ones((3, 2)))
 
     def test_empty_query_equals_support_only_gmm(self):
         rng = Rng(13)
         sup, lab, _ = self._task(rng)
-        out = gmm_em_refine(sup, lab, np.empty((0, 2)), RefineConfig())
-        plain = estimate_class_statistics(sup, lab, beta=1.0)
+        out = fit_statistics(gmm_em(), sup, lab, np.empty((0, 2)))
+        plain = estimate_class_statistics(SupportLayout.build(sup, lab), beta=1.0)
         assert np.allclose(out.statistics.means, plain.means, atol=1e-12)
         assert np.allclose(out.statistics.covariances, plain.covariances, atol=1e-12)
 
     def test_single_step_matches_gmm_classify(self):
         rng = Rng(17)
         sup, lab, query = self._task(rng)
-        out = gmm_em_refine(sup, lab, query, RefineConfig(min_steps=1, max_steps=1))
-        plain = estimate_class_statistics(sup, lab, beta=1.0)
-        probs, _ = gmm_classify(query, plain, ClassPrior.uniform(2))
-        assert np.allclose(out.responsibilities.query, probs, atol=1e-12)
+        out = fit_statistics(gmm_em(1, 1), sup, lab, query)
+        plain = estimate_class_statistics(SupportLayout.build(sup, lab), beta=1.0)
+        probs, _ = predict(GMM, plain, query)
+        assert np.allclose(out.query_probs, probs, atol=1e-12)
 
     def test_loop_matches_brute_force_simulation(self):
         # independent reimplementation of the EM-style loop with GMM
@@ -228,10 +231,8 @@ class TestGmmEmRefine:
             sup, lab, query = self._task(rng)
             for steps in (1, 2, 3):
                 expected = oracle(sup, lab, query, 1.0, steps)
-                out = gmm_em_refine(
-                    sup, lab, query, RefineConfig(min_steps=steps, max_steps=steps)
-                )
-                assert np.allclose(out.responsibilities.query, expected, atol=1e-10)
+                out = fit_statistics(gmm_em(steps, steps), sup, lab, query)
+                assert np.allclose(out.query_probs, expected, atol=1e-10)
 
     def test_priors_held_fixed_across_iterations(self):
         # uniform prior throughout: with symmetric classes the query mass
@@ -239,5 +240,5 @@ class TestGmmEmRefine:
         sup = np.array([[-2.0, 0.0], [2.0, 0.0]])
         lab = np.array([0, 1], dtype=np.int64)
         query = np.array([[-1.5, 0.0], [1.5, 0.0]])
-        out = gmm_em_refine(sup, lab, query, RefineConfig(min_steps=2, max_steps=4))
-        assert np.allclose(out.responsibilities.query.sum(axis=0), [1.0, 1.0], atol=1e-9)
+        out = fit_statistics(gmm_em(2, 4), sup, lab, query)
+        assert np.allclose(out.query_probs.sum(axis=0), [1.0, 1.0], atol=1e-9)

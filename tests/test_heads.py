@@ -12,6 +12,7 @@ from mahabench import heads
 from mahabench.errors import (
     DimensionMismatch,
     EmptyClass,
+    InvalidConfig,
     LabelOutOfRange,
     NonFiniteInput,
     NotPositiveDefinite,
@@ -23,13 +24,16 @@ from mahabench.heads import (
     bregman_divergence,
     class_scores,
     class_statistics,
-    classify,
     estimate_class_statistics,
     softmax,
 )
-from mahabench.refine import refine
+from mahabench.methods import HeadConfig, fit_statistics, predict
+from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 from mahabench.spd import cholesky, quad_form
+
+
+TRANSDUCTIVE = HeadConfig(refine=RefineConfig())
 
 
 def stats_with_covariances(means, covs):
@@ -49,7 +53,8 @@ def random_task(rng, n_classes=3, per_class=4, dims=4, spread=1.0):
 class TestEstimateClassStatistics:
     def test_single_point_single_class(self):
         # one point: scatters are zero, lambda = 1/2, Q = beta * I
-        stats = estimate_class_statistics(np.zeros((1, 2)), np.array([0]), beta=1.0)
+        layout = SupportLayout.build(np.zeros((1, 2)), np.array([0]))
+        stats = estimate_class_statistics(layout, beta=1.0)
         assert np.allclose(stats.means[0], [0.0, 0.0])
         assert np.allclose(stats.covariances[0], np.eye(2))
         assert stats.counts[0] == 1.0
@@ -59,7 +64,7 @@ class TestEstimateClassStatistics:
         # Q_A evaluated by hand from the blended-covariance formula
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         labels = np.array([0, 0, 1])
-        stats = estimate_class_statistics(feats, labels, beta=1.0)
+        stats = estimate_class_statistics(SupportLayout.build(feats, labels), beta=1.0)
         assert np.allclose(stats.means[0], [1.0, 0.0])
         assert stats.counts[0] == 2.0
         q_a = np.array([[53.0 / 27.0, -4.0 / 27.0], [-4.0 / 27.0, 35.0 / 27.0]])
@@ -78,7 +83,7 @@ class TestEstimateClassStatistics:
         assert np.allclose(task_mean, [2 / 3, 2 / 3])
         assert np.allclose(task_scatter, [[8 / 9, -4 / 9], [-4 / 9, 8 / 9]])
 
-        stats = estimate_class_statistics(feats, labels, beta=1.0)
+        stats = estimate_class_statistics(SupportLayout.build(feats, labels), beta=1.0)
         for k in (0, 1):
             rows = feats[labels == k]
             mu_k = rows.mean(axis=0)
@@ -96,32 +101,38 @@ class TestEstimateClassStatistics:
             assert n_k / (n_k + 1) == lam
         feats = np.vstack([np.zeros((4, 2)), np.ones((1, 2))])
         labels = np.array([0, 0, 0, 0, 1])
-        stats = estimate_class_statistics(feats, labels)
+        stats = estimate_class_statistics(SupportLayout.build(feats, labels))
         # class 0 blend weight shows up through the task-scatter share
         assert stats.counts[0] == 4.0
 
     def test_empty_class_raises(self):
         with pytest.raises(EmptyClass) as info:
-            estimate_class_statistics(np.zeros((2, 2)), np.array([0, 2]))
+            estimate_class_statistics(SupportLayout.build(np.zeros((2, 2)), np.array([0, 2])))
         assert info.value.class_index == 1
 
     @pytest.mark.parametrize("labels, num_classes", [([0, -1], None), ([0, 2], 2)])
     def test_label_out_of_range_raises(self, labels, num_classes):
         with pytest.raises(LabelOutOfRange):
-            estimate_class_statistics(np.zeros((2, 2)), np.array(labels), num_classes=num_classes)
+            SupportLayout.build(np.zeros((2, 2)), np.array(labels), num_classes)
 
     def test_non_finite_support_row_raises(self):
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, np.nan]])
         with pytest.raises(NonFiniteInput):
-            estimate_class_statistics(feats, np.array([0, 0, 1]))
+            SupportLayout.build(feats, np.array([0, 0, 1]))
         feats[2, 1] = np.inf
         with pytest.raises(NonFiniteInput):
-            estimate_class_statistics(feats, np.array([0, 0, 1]))
+            SupportLayout.build(feats, np.array([0, 0, 1]))
+
+    @pytest.mark.parametrize("beta", [-0.5, np.nan, np.inf])
+    def test_bad_beta_raises(self, beta):
+        layout = SupportLayout.build(np.eye(2), np.array([0, 1]))
+        with pytest.raises(InvalidConfig):
+            estimate_class_statistics(layout, beta=beta)
 
     def test_factors_are_one_stack(self):
         rng = Rng(5)
         feats, labels = random_task(rng, n_classes=3, dims=4)
-        stats = estimate_class_statistics(feats, labels)
+        stats = estimate_class_statistics(SupportLayout.build(feats, labels))
         assert stats.factors.shape == stats.inverse_factors.shape == (3, 4, 4)
         assert np.array_equal(stats.jitter, np.zeros(3))
         for k in range(3):
@@ -141,8 +152,8 @@ class TestEstimateClassStatistics:
         rng = Rng(seed)
         feats, labels = random_task(rng, n_classes, per_class, dims)
         perm = rng.permutation(len(labels))
-        base = estimate_class_statistics(feats, labels)
-        other = estimate_class_statistics(feats[perm], labels[perm])
+        base = estimate_class_statistics(SupportLayout.build(feats, labels))
+        other = estimate_class_statistics(SupportLayout.build(feats[perm], labels[perm]))
         assert np.array_equal(base.counts, other.counts)
         for name in ("means", "covariances", "factors"):
             assert np.allclose(getattr(base, name), getattr(other, name), rtol=1e-10, atol=1e-12)
@@ -152,7 +163,7 @@ class TestEstimateClassStatistics:
         rng = Rng(3)
         feats = rng.normal((4, 3))
         labels = np.arange(4, dtype=np.int64) % 4
-        stats = estimate_class_statistics(feats, labels, beta=1.0)
+        stats = estimate_class_statistics(SupportLayout.build(feats, labels), beta=1.0)
         centered = feats - feats.mean(axis=0)
         task_scatter = centered.T @ centered / 4
         for k in range(4):
@@ -176,7 +187,7 @@ class TestClassScores:
     def test_root_riemannian_is_sqrt_of_mahalanobis(self):
         rng = Rng(11)
         feats, labels = random_task(rng)
-        stats = estimate_class_statistics(feats, labels)
+        stats = estimate_class_statistics(SupportLayout.build(feats, labels))
         queries = rng.normal((6, 4))
         maha = class_scores(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
         root = class_scores(queries, stats, MetricKind.ROOT_RIEMANNIAN)
@@ -187,7 +198,7 @@ class TestClassScores:
         # inverting the factors afresh
         rng = Rng(12)
         feats, labels = random_task(rng)
-        stats = estimate_class_statistics(feats, labels)
+        stats = estimate_class_statistics(SupportLayout.build(feats, labels))
         queries = rng.normal((6, 4))
         maha = class_scores(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
         diffs = queries[:, None, :] - stats.means[None, :, :]
@@ -196,7 +207,7 @@ class TestClassScores:
     def test_all_metric_kinds_against_direct_formulas(self):
         rng = Rng(13)
         feats, labels = random_task(rng)
-        stats = estimate_class_statistics(feats, labels)
+        stats = estimate_class_statistics(SupportLayout.build(feats, labels))
         q = rng.normal(4)
         for k in range(stats.class_count):
             diff = q - stats.means[k]
@@ -234,7 +245,7 @@ class TestClassify:
         stats = stats_with_covariances(
             [[0.0, 0.0], [4.0, 0.0]], [np.eye(2), np.eye(2)]
         )
-        probs, label = classify(np.array([1.0, 0.0]), stats, MetricKind.SQUARED_MAHALANOBIS)
+        probs, label = predict(HeadConfig(), stats, np.array([1.0, 0.0]))
         expected = np.exp([-1.0, -9.0])
         expected /= expected.sum()
         assert np.allclose(probs, expected)
@@ -245,23 +256,23 @@ class TestClassify:
         stats = stats_with_covariances(
             [[-1.0, 0.0], [1.0, 0.0]], [np.eye(2), np.eye(2)]
         )
-        probs, label = classify(np.zeros(2), stats, MetricKind.SQUARED_MAHALANOBIS)
+        probs, label = predict(HeadConfig(), stats, np.zeros(2))
         assert np.allclose(probs, [0.5, 0.5])
         assert label == 0
 
     def test_single_class(self):
         stats = stats_with_covariances([[0.0, 0.0]], [np.eye(2)])
-        probs, label = classify(np.ones(2), stats, MetricKind.SQUARED_MAHALANOBIS)
+        probs, label = predict(HeadConfig(), stats, np.ones(2))
         assert probs[0] == 1.0 and label == 0
 
     def test_non_finite_query_raises(self):
         # a NaN score must not turn into label 0 through argmax
         stats = stats_with_covariances([[0.0, 0.0], [4.0, 0.0]], [np.eye(2), np.eye(2)])
-        for metric in MetricKind:
+        for head in [HeadConfig(metric=metric) for metric in MetricKind] + [HeadConfig(gmm=True)]:
             with pytest.raises(NonFiniteInput):
-                classify(np.array([np.nan, 0.0]), stats, metric)
+                predict(head, stats, np.array([np.nan, 0.0]))
             with pytest.raises(NonFiniteInput):
-                classify(np.array([[1.0, 0.0], [0.0, np.inf]]), stats, metric)
+                predict(head, stats, np.array([[1.0, 0.0], [0.0, np.inf]]))
 
     def test_probabilities_sum_to_one_and_shift_invariant(self):
         rng = Rng(17)
@@ -288,10 +299,10 @@ class TestInvariants:
         rng = Rng(29)
         for _ in range(200):
             feats, labels = random_task(rng)
-            stats = estimate_class_statistics(feats, labels)
+            stats = estimate_class_statistics(SupportLayout.build(feats, labels))
             queries = rng.normal((5, 4))
-            _, maha_labels = classify(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
-            _, root_labels = classify(queries, stats, MetricKind.ROOT_RIEMANNIAN)
+            _, maha_labels = predict(HeadConfig(), stats, queries)
+            _, root_labels = predict(HeadConfig(metric=MetricKind.ROOT_RIEMANNIAN), stats, queries)
             assert np.array_equal(maha_labels, root_labels)
 
     def test_translation_equivariance(self):
@@ -299,11 +310,11 @@ class TestInvariants:
         feats, labels = random_task(rng)
         queries = rng.normal((8, 4))
         shift = rng.normal(4) * 10.0
-        p1, _ = classify(queries, estimate_class_statistics(feats, labels),
-                         MetricKind.SQUARED_MAHALANOBIS)
-        p2, _ = classify(queries + shift,
-                         estimate_class_statistics(feats + shift, labels),
-                         MetricKind.SQUARED_MAHALANOBIS)
+        p1, _ = predict(HeadConfig(), estimate_class_statistics(SupportLayout.build(feats, labels)),
+                        queries)
+        p2, _ = predict(HeadConfig(),
+                        estimate_class_statistics(SupportLayout.build(feats + shift, labels)),
+                        queries + shift)
         assert np.allclose(p1, p2, atol=1e-9)
 
     def test_covariances_spd_with_zero_jitter_over_many_tasks(self):
@@ -311,7 +322,7 @@ class TestInvariants:
         rng = Rng(37)
         for _ in range(10_000):
             feats, labels = random_task(rng, n_classes=3, per_class=2, dims=3)
-            stats = estimate_class_statistics(feats, labels, beta=1.0)
+            stats = estimate_class_statistics(SupportLayout.build(feats, labels), beta=1.0)
             for q in stats.covariances:
                 cholesky(q)  # raises NotPositiveDefinite on failure
 
@@ -351,7 +362,7 @@ class TestScratchArena:
             out = []
             for _ in range(40):
                 layout, queries, _ = soft_task(rng, k=5, m=60, d=8)
-                fit = refine(layout.features, layout.labels, queries)
+                fit = fit_statistics(TRANSDUCTIVE, layout.features, layout.labels, queries)
                 out.append(class_scores(queries, fit.statistics, MetricKind.SQUARED_MAHALANOBIS))
                 out.extend(stats_fields(fit.statistics))
             return out

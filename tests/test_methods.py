@@ -4,9 +4,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mahabench import heads
-from mahabench.gmm import ClassPrior, gmm_classify
-from mahabench.heads import MetricKind, classify, estimate_class_statistics
+from mahabench import heads, methods
+from mahabench.errors import DimensionMismatch, EmptyClass, LabelOutOfRange, NonFiniteInput
+from mahabench.gmm import ClassPrior, gmm_log_scores
+from mahabench.heads import (
+    MetricKind,
+    SupportLayout,
+    class_scores,
+    estimate_class_statistics,
+    softmax,
+)
 from mahabench.methods import (
     HeadConfig,
     evaluate_task,
@@ -16,7 +23,7 @@ from mahabench.methods import (
     predict_labels,
     support_fits,
 )
-from mahabench.refine import RefineConfig, refine
+from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 
 HEADS = [HeadConfig(metric=metric) for metric in MetricKind] + [HeadConfig(gmm=True)]
@@ -28,16 +35,19 @@ def test_predictions_are_the_bits_of_the_head_classifier(head):
     first, second = rng.normal((6, 4)), rng.normal((6, 4)) + 2.0
     # classes 0 and 2 share their examples, so every row ties between them
     support = np.vstack([first, second, first])
-    stats = estimate_class_statistics(support, np.repeat(np.arange(3), 6))
+    stats = estimate_class_statistics(SupportLayout.build(support, np.repeat(np.arange(3), 6)))
     queries = np.vstack([3.0 * rng.normal((40, 4)), stats.means])
     if head.gmm:
-        probs, labels = gmm_classify(queries, stats, ClassPrior.uniform(3))
+        scores = gmm_log_scores(queries, stats, ClassPrior.uniform(3))
     else:
-        probs, labels = classify(queries, stats, head.metric)
+        scores = class_scores(queries, stats, head.metric)
+    probs, labels = predict(head, stats, queries)
+    assert probs.tobytes() == softmax(scores).tobytes()
+    assert labels.tobytes() == np.argmax(scores, axis=1).tobytes()
+    assert not np.any(labels == 2)  # ties break toward the lowest class index
     got = predict_labels(head, stats, queries)
     assert got.dtype == labels.dtype
     assert got.tobytes() == labels.tobytes()
-    assert predict(head, stats, queries).tobytes() == probs.tobytes()
 
 
 def toy_task(seed, way=4, shot=3, query_per_class=5, dims=3):
@@ -71,7 +81,7 @@ def test_shared_fits_give_the_bits_of_one_fit_per_head(seed):
         labels = predict_labels(head, alone.statistics, task.query_x)
         assert accuracy == float(np.mean(labels == task.query_y))
         assert alone.query_labels.tobytes() == labels.tobytes()
-        probs = predict(head, alone.statistics, task.query_x)
+        probs, _ = predict(head, alone.statistics, task.query_x)
         assert alone.query_probs.tobytes() == probs.tobytes()
 
 
@@ -92,10 +102,15 @@ def test_the_refinement_starts_from_the_shared_scoring(monkeypatch):
     calls = []
     scorer = heads.class_scores
     monkeypatch.setattr(heads, "class_scores", lambda *a: calls.append(1) or scorer(*a))
+    outcomes = []
+    loop = methods.run_refinement
+    monkeypatch.setattr(
+        methods, "run_refinement", lambda *a: outcomes.append(loop(*a)) or outcomes[-1]
+    )
     simple, transductive = parse_method("simple"), parse_method("transductive")
     evaluate_task([simple, transductive], task)
     scorings = len(calls)
-    outcome = refine(task.support_x, task.support_y, task.query_x, transductive.refine)
+    [outcome] = outcomes
     assert outcome.iterations_run == 3
     # the simple head's scoring is the first refresh: one scoring per iteration
     assert scorings == outcome.iterations_run
@@ -118,3 +133,48 @@ def test_a_start_fit_of_another_head_is_rejected():
     with pytest.raises(ValueError, match="support-only fit"):
         fit_statistics(parse_method("transductive"), task.support_x, task.support_y,
                        task.query_x, start=start)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_task_builds_one_support_layout_for_every_head(monkeypatch, seed):
+    # two betas, refining and GMM heads: one layout, handed to every fit
+    builds = []
+    build = SupportLayout.build.__func__
+    monkeypatch.setattr(
+        SupportLayout, "build", classmethod(lambda cls, *a: builds.append(1) or build(cls, *a))
+    )
+    evaluate_task(METHODS, toy_task(seed))
+    assert len(builds) == 1
+
+
+def fit_error(head, support_x, support_y, query_x):
+    """The typed error fitting ``head`` raises, or None."""
+    try:
+        fit = fit_statistics(head, support_x, support_y, query_x)
+        fit.query_labels
+    except (DimensionMismatch, EmptyClass, LabelOutOfRange, NonFiniteInput) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("head", METHODS[:6], ids=lambda h: f"{'gmm' if h.gmm else h.metric.value}"
+                         f"{'-refining' if h.refine else ''}")
+def test_bad_input_raises_a_typed_error_through_fit_statistics(head):
+    task = toy_task(4, way=3, shot=2, query_per_class=2, dims=2)
+    x, y, query = task.support_x, task.support_y, task.query_x
+    gap = np.where(y == 1, 2, y)  # class 1 has no support row
+    negative = y.copy()
+    negative[0] = -1
+    nan_support, nan_query = x.copy(), query.copy()
+    nan_support[1, 0] = np.nan
+    nan_query[1, 0] = np.inf
+    assert fit_error(head, x, y, query) is None
+    assert fit_error(head, np.empty((0, 2)), np.empty(0, dtype=np.int64), query) is EmptyClass
+    assert fit_error(head, x, gap, query) is EmptyClass
+    assert fit_error(head, x, negative, query) is LabelOutOfRange
+    for width in (1, 3):
+        assert fit_error(head, x, y, np.ones((4, width))) is DimensionMismatch
+    if head.refine is not None:  # a single-pass head scores one vector as one query
+        assert fit_error(head, x, y, np.ones(2)) is DimensionMismatch
+    assert fit_error(head, nan_support, y, query) is NonFiniteInput
+    assert fit_error(head, x, y, nan_query) is NonFiniteInput

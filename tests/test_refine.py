@@ -10,19 +10,26 @@ from mahabench.errors import (
     LabelOutOfRange,
     NonFiniteInput,
 )
-from mahabench.heads import MetricKind, SupportLayout, classify, estimate_class_statistics
-from mahabench.refine import (
-    RefineConfig,
-    init_responsibilities,
-    refine,
-    run_refinement,
-    weighted_class_statistics,
-)
+from mahabench.heads import SupportLayout, estimate_class_statistics
+from mahabench.methods import HeadConfig, fit_statistics, predict
+from mahabench.refine import RefineConfig, run_refinement, weighted_class_statistics
 from mahabench.rng import Rng
+
+MAHALANOBIS = HeadConfig()
+TRANSDUCTIVE = HeadConfig(refine=RefineConfig())
+STAT_FIELDS = ("means", "covariances", "counts", "factors", "inverse_factors", "jitter")
 
 
 def mahalanobis_refresh(stats, x):
-    return classify(x, stats, MetricKind.SQUARED_MAHALANOBIS)
+    return predict(MAHALANOBIS, stats, x)
+
+
+def transductive(sup, lab, query, cfg=RefineConfig()):
+    """The Mahalanobis head's refinement loop, started from its support-only
+    estimate as ``fit_statistics`` starts it."""
+    layout = SupportLayout.build(sup, lab)
+    start = estimate_class_statistics(layout, beta=cfg.beta)
+    return run_refinement(layout, start, query, cfg, mahalanobis_refresh)
 
 
 def brute_force_loop(support_x, support_y, query_x, beta, max_steps, min_steps=1):
@@ -101,18 +108,32 @@ def small_task(rng, n_classes=2, shots=2, m_query=4, dims=2, spread=0.8, sep=2.5
 
 
 class TestInitResponsibilities:
+    # the loop's first responsibilities: support rows one-hot, query rows
+    # zero, so iteration 1 is the support-only estimate
     def test_one_hot_support_zero_query(self):
-        resp = init_responsibilities(np.array([0, 1]), 2, 2)
-        assert np.array_equal(resp.support, [[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(resp.query, np.zeros((2, 2)))
+        sup, lab, query = small_task(Rng(3), n_classes=2, m_query=2)
+        layout = SupportLayout.build(sup, lab)
+        start = estimate_class_statistics(layout)
+        seen = []
+        cfg = RefineConfig(min_steps=1, max_steps=1)
+        run_refinement(
+            layout, start, query, cfg, lambda s, x: seen.append(s) or mahalanobis_refresh(s, x)
+        )
+        zero = weighted_class_statistics(layout, query, np.zeros((2, 2)), 1.0)
+        [first] = seen
+        for name in STAT_FIELDS:
+            assert np.array_equal(getattr(first, name), getattr(zero, name))
 
     def test_no_query_rows(self):
-        resp = init_responsibilities(np.array([0, 1]), 0, 2)
-        assert resp.query.shape == (0, 2)
+        out = transductive(np.eye(2), np.array([0, 1]), np.empty((0, 2)))
+        assert out.query_probs.shape == (0, 2)
+        assert out.labels.shape == (0,)
 
     def test_single_class(self):
-        resp = init_responsibilities(np.array([0, 0, 0]), 0, 1)
-        assert np.array_equal(resp.support, np.ones((3, 1)))
+        sup, lab, query = small_task(Rng(4), n_classes=1, shots=3, m_query=2)
+        out = transductive(sup, lab, query, RefineConfig(min_steps=2, max_steps=2))
+        assert np.array_equal(out.query_probs, np.ones((2, 1)))
+        assert np.array_equal(out.statistics.counts, [5.0])
 
 
 class TestWeightedClassStatistics:
@@ -125,20 +146,15 @@ class TestWeightedClassStatistics:
             sup, lab, query = small_task(
                 rng, n_classes=k, shots=1 + trial % 5, m_query=1 + trial % 7, dims=1 + trial % 6
             )
-            resp = init_responsibilities(lab, query.shape[0], k)
-            weighted = weighted_class_statistics(np.vstack([sup, query]), resp, beta=1.0)
-            plain = estimate_class_statistics(sup, lab, beta=1.0)
-            assert np.array_equal(weighted.means, plain.means)
-            assert np.array_equal(weighted.covariances, plain.covariances)
-            assert np.array_equal(weighted.factors, plain.factors)
-            assert np.array_equal(weighted.counts, plain.counts)
+            layout = SupportLayout.build(sup, lab)
+            weighted = weighted_class_statistics(layout, query, np.zeros((len(query), k)), 1.0)
+            plain = estimate_class_statistics(SupportLayout.build(sup, lab), beta=1.0)
+            for name in STAT_FIELDS:
+                assert np.array_equal(getattr(weighted, name), getattr(plain, name))
 
     def test_two_point_weighted_mean_by_hand(self):
-        resp = init_responsibilities(np.array([0]), 1, 1)
-        resp.query[0, 0] = 1.0
-        stats = weighted_class_statistics(
-            np.array([[0.0, 0.0], [2.0, 0.0]]), resp, beta=1.0
-        )
+        layout = SupportLayout.build(np.array([[0.0, 0.0]]), np.array([0]))
+        stats = weighted_class_statistics(layout, np.array([[2.0, 0.0]]), np.ones((1, 1)), 1.0)
         assert np.allclose(stats.means[0], [1.0, 0.0])
         assert stats.counts[0] == pytest.approx(2.0)
         # lambda = 2/3 at soft count 2 shows up in the covariance blend
@@ -148,40 +164,44 @@ class TestWeightedClassStatistics:
         assert np.allclose(stats.covariances[0], expected)
 
     def test_split_responsibility_contributes_half_to_each(self):
-        resp = init_responsibilities(np.array([0, 1]), 1, 2)
-        resp.query[0] = [0.5, 0.5]
         feats = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 2.0]])
-        stats = weighted_class_statistics(feats, resp, beta=1.0)
+        layout = SupportLayout.build(feats[:2], np.array([0, 1]))
+        stats = weighted_class_statistics(layout, feats[2:], np.array([[0.5, 0.5]]), 1.0)
         assert np.allclose(stats.counts, [1.5, 1.5])
         assert np.allclose(stats.means[0], (feats[0] + 0.5 * feats[2]) / 1.5)
         assert np.allclose(stats.means[1], (feats[1] + 0.5 * feats[2]) / 1.5)
 
     def test_soft_count_underflow_raises(self):
-        resp = init_responsibilities(np.array([0]), 1, 2)  # class 1 unsupported
+        layout = SupportLayout.build(np.zeros((1, 2)), np.array([0]), 2)  # class 1 unsupported
         with pytest.raises(EmptyClass) as info:
-            weighted_class_statistics(np.zeros((2, 2)), resp, beta=1.0)
+            weighted_class_statistics(layout, np.zeros((1, 2)), np.zeros((1, 2)), 1.0)
         assert info.value.class_index == 1
 
     def test_non_finite_query_row_raises(self):
-        resp = init_responsibilities(np.array([0, 1]), 1, 2)
-        feats = np.array([[0.0, 0.0], [4.0, 0.0], [np.nan, 2.0]])
+        layout = SupportLayout.build(np.array([[0.0, 0.0], [4.0, 0.0]]), np.array([0, 1]))
         with pytest.raises(NonFiniteInput):
-            weighted_class_statistics(feats, resp, beta=1.0)
+            weighted_class_statistics(layout, np.array([[np.nan, 2.0]]), np.zeros((1, 2)), 1.0)
 
     def test_reused_layout_gives_identical_statistics(self):
+        # a layout reused across calls (as every iteration of one task
+        # reuses it) gives the bits of a freshly built one
         rng = Rng(6)
         sup, lab, query = small_task(rng, n_classes=3, shots=3, m_query=5, dims=3)
-        feats = np.vstack([sup, query])
-        resp = init_responsibilities(lab, query.shape[0], 3)
-        resp.query[:] = rng.uniform(15).reshape(5, 3)
-        layout = SupportLayout.build(feats[:9], lab, 3)
-        fresh = weighted_class_statistics(feats, resp, beta=1.0)
-        reused = weighted_class_statistics(feats, resp, beta=1.0, layout=layout)
-        for name in ("means", "covariances", "counts", "factors", "inverse_factors", "jitter"):
+        weights = rng.uniform(15).reshape(5, 3)
+        layout = SupportLayout.build(sup, lab)
+        weighted_class_statistics(layout, query[::-1], weights[::-1], 0.5)
+        reused = weighted_class_statistics(layout, query, weights, 1.0)
+        fresh = weighted_class_statistics(SupportLayout.build(sup, lab), query, weights, 1.0)
+        for name in STAT_FIELDS:
             assert np.array_equal(getattr(fresh, name), getattr(reused, name))
-        for wrong in (SupportLayout.build(sup[:6], lab[:6], 3), SupportLayout.build(sup, lab, 4)):
+
+    def test_weights_of_another_shape_raise_dimension_mismatch(self):
+        rng = Rng(7)
+        sup, lab, query = small_task(rng, n_classes=3, shots=3, m_query=5, dims=3)
+        layout = SupportLayout.build(sup, lab)
+        for weights in (np.zeros((4, 3)), np.zeros((5, 4)), np.zeros((5, 2))):
             with pytest.raises(DimensionMismatch):
-                weighted_class_statistics(feats, resp, beta=1.0, layout=wrong)
+                weighted_class_statistics(layout, query, weights, 1.0)
 
 
 class TestRefine:
@@ -190,10 +210,12 @@ class TestRefine:
         for trial in range(30):
             dims = 1 + trial % 5
             sup, lab, _ = small_task(rng, n_classes=2 + trial % 3, shots=1 + trial % 4, dims=dims)
-            out = refine(sup, lab, np.empty((0, dims)), RefineConfig(min_steps=2, max_steps=4))
+            cfg = RefineConfig(min_steps=2, max_steps=4)
+            out = transductive(sup, lab, np.empty((0, dims)), cfg)
             assert out.iterations_run == 2
             assert out.converged_early
-            plain = estimate_class_statistics(sup, lab, beta=1.0)
+            assert out.query_probs.shape == (0, int(lab.max()) + 1)
+            plain = estimate_class_statistics(SupportLayout.build(sup, lab), beta=1.0)
             assert np.array_equal(out.statistics.means, plain.means)
             assert np.array_equal(out.statistics.covariances, plain.covariances)
             assert np.array_equal(out.statistics.factors, plain.factors)
@@ -211,11 +233,13 @@ class TestRefine:
     ):
         # min = max = 1 is one support-only estimation pass, bit for bit
         sup, lab, query = small_task(Rng(seed), n_classes, shots, m_query, dims)
-        out = refine(sup, lab, query, RefineConfig(min_steps=1, max_steps=1))
-        plain = estimate_class_statistics(sup, lab, beta=1.0)
-        assert out.iterations_run == 1
-        for name in ("means", "covariances", "counts", "factors", "inverse_factors", "jitter"):
-            assert np.array_equal(getattr(out.statistics, name), getattr(plain, name))
+        one_step = HeadConfig(refine=RefineConfig(min_steps=1, max_steps=1))
+        out = fit_statistics(one_step, sup, lab, query)
+        plain = fit_statistics(MAHALANOBIS, sup, lab, query)
+        for name in STAT_FIELDS:
+            assert np.array_equal(getattr(out.statistics, name), getattr(plain.statistics, name))
+        assert out.query_probs.tobytes() == plain.query_probs.tobytes()
+        assert out.query_labels.tobytes() == plain.query_labels.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -229,65 +253,71 @@ class TestRefine:
     def test_starting_from_the_support_estimate_changes_no_bit(
         self, n_classes, shots, m_query, min_steps, extra_steps, seed
     ):
+        # the support-only estimate is the bits the loop's own estimator
+        # gives with all-zero query weights, so it can stand in as iteration 1
         sup, lab, query = small_task(Rng(seed), n_classes, shots, max(m_query, 1), dims=3)
         query = query[:m_query]
         cfg = RefineConfig(min_steps=min_steps, max_steps=min_steps + extra_steps, beta=0.5)
-        start = estimate_class_statistics(sup, lab, beta=0.5)
-        got = run_refinement(sup, lab, query, cfg, mahalanobis_refresh, start=start)
-        want = run_refinement(sup, lab, query, cfg, mahalanobis_refresh)
+        layout = SupportLayout.build(sup, lab)
+        start = estimate_class_statistics(layout, beta=0.5)
+        zero = weighted_class_statistics(layout, query, np.zeros((m_query, n_classes)), 0.5)
+        got = run_refinement(layout, start, query, cfg, mahalanobis_refresh)
+        want = run_refinement(layout, zero, query, cfg, mahalanobis_refresh)
         assert (got.iterations_run, got.converged_early) == (
             want.iterations_run, want.converged_early
         )
-        for name in ("means", "covariances", "counts", "factors", "inverse_factors", "jitter"):
+        for name in STAT_FIELDS:
             got_bits, want_bits = getattr(got.statistics, name), getattr(want.statistics, name)
             assert got_bits.tobytes() == want_bits.tobytes()
-        assert got.responsibilities.query.tobytes() == want.responsibilities.query.tobytes()
+        assert got.query_probs.tobytes() == want.query_probs.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_labels_are_the_argmax_of_the_final_statistics(self):
         rng = Rng(21)
         for _ in range(10):
             sup, lab, query = small_task(rng, n_classes=3, shots=2, m_query=9)
-            out = refine(sup, lab, query, RefineConfig(min_steps=1, max_steps=3))
-            probs, labels = classify(query, out.statistics, MetricKind.SQUARED_MAHALANOBIS)
+            out = transductive(sup, lab, query, RefineConfig(min_steps=1, max_steps=3))
+            probs, labels = predict(MAHALANOBIS, out.statistics, query)
             assert out.labels.tobytes() == labels.tobytes()
-            assert out.responsibilities.query.tobytes() == probs.tobytes()
+            assert out.query_probs.tobytes() == probs.tobytes()
 
     def test_start_of_another_shape_raises_dimension_mismatch(self):
         sup, lab, query = small_task(Rng(8), n_classes=2, dims=2)
+        layout = SupportLayout.build(sup, lab)
         for classes, dims in ((3, 2), (2, 3)):
-            other = estimate_class_statistics(*small_task(Rng(9), classes, dims=dims)[:2])
+            other = estimate_class_statistics(
+                SupportLayout.build(*small_task(Rng(9), classes, dims=dims)[:2])
+            )
             with pytest.raises(DimensionMismatch):
-                run_refinement(sup, lab, query, RefineConfig(), mahalanobis_refresh, start=other)
+                run_refinement(layout, other, query, RefineConfig(), mahalanobis_refresh)
 
     def test_wrong_query_width_raises_dimension_mismatch(self):
-        rng = Rng(8)
-        sup, lab, _ = small_task(rng, dims=2)
+        sup, lab, _ = small_task(Rng(8), dims=2)
         for query in (np.ones((3, 3)), np.ones((2, 1)), np.ones(2)):
             with pytest.raises(DimensionMismatch):
-                refine(sup, lab, query)
+                fit_statistics(TRANSDUCTIVE, sup, lab, query)
 
     def test_negative_support_label_raises(self):
         # read as an index, -1 would silently become the last class
-        rng = Rng(8)
-        sup, lab, query = small_task(rng, dims=2)
+        sup, lab, query = small_task(Rng(8), dims=2)
         lab = lab.copy()
         lab[0] = -1
         with pytest.raises(LabelOutOfRange):
-            refine(sup, lab, query)
+            fit_statistics(TRANSDUCTIVE, sup, lab, query)
 
     def test_empty_support_raises_empty_class(self):
         with pytest.raises(EmptyClass):
-            refine(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.ones((3, 2)))
+            empty = np.empty(0, dtype=np.int64)
+            fit_statistics(TRANSDUCTIVE, np.empty((0, 2)), empty, np.ones((3, 2)))
 
     def test_single_step_equals_plain_classifier(self):
         rng = Rng(9)
         for _ in range(20):
             sup, lab, query = small_task(rng)
-            out = refine(sup, lab, query, RefineConfig(min_steps=1, max_steps=1))
-            plain_stats = estimate_class_statistics(sup, lab, beta=1.0)
-            probs, _ = classify(query, plain_stats, MetricKind.SQUARED_MAHALANOBIS)
-            assert np.allclose(out.responsibilities.query, probs, atol=1e-12)
+            out = transductive(sup, lab, query, RefineConfig(min_steps=1, max_steps=1))
+            plain_stats = estimate_class_statistics(SupportLayout.build(sup, lab), beta=1.0)
+            probs, _ = predict(MAHALANOBIS, plain_stats, query)
+            assert np.allclose(out.query_probs, probs, atol=1e-12)
             assert out.iterations_run == 1
             assert not out.converged_early  # no previous refresh to compare
 
@@ -297,8 +327,8 @@ class TestRefine:
             sup, lab, query = small_task(rng, n_classes=2 + trial % 2, shots=2, m_query=5)
             oracle = brute_force_loop(sup, lab, query, beta=1.0, max_steps=4)
             for it in range(1, len(oracle) + 1):
-                out = refine(sup, lab, query, RefineConfig(min_steps=it, max_steps=it))
-                assert np.allclose(out.responsibilities.query, oracle[it - 1], atol=1e-10)
+                out = transductive(sup, lab, query, RefineConfig(min_steps=it, max_steps=it))
+                assert np.allclose(out.query_probs, oracle[it - 1], atol=1e-10)
 
     def test_break_condition_matches_brute_force(self):
         rng = Rng(13)
@@ -306,37 +336,44 @@ class TestRefine:
         for _ in range(25):
             sup, lab, query = small_task(rng, m_query=6)
             oracle = brute_force_loop(sup, lab, query, beta=1.0, max_steps=6, min_steps=2)
-            out = refine(sup, lab, query, cfg)
+            out = transductive(sup, lab, query, cfg)
             assert out.iterations_run == len(oracle)
-            assert np.allclose(out.responsibilities.query, oracle[-1], atol=1e-10)
+            assert np.allclose(out.query_probs, oracle[-1], atol=1e-10)
 
     def test_support_rows_never_change(self):
-        rng = Rng(17)
-        sup, lab, query = small_task(rng)
-        out = refine(sup, lab, query, RefineConfig(min_steps=3, max_steps=5))
-        expected = init_responsibilities(lab, 0, int(lab.max()) + 1).support
-        assert np.array_equal(out.responsibilities.support, expected)
+        # every support row counts 1 toward its own class at every step: an
+        # iteration's counts are the support class sizes plus the query mass
+        # of the refresh before it
+        sup, lab, query = small_task(Rng(17))
+        for it in range(2, 6):
+            before = transductive(sup, lab, query, RefineConfig(min_steps=it - 1, max_steps=it - 1))
+            out = transductive(sup, lab, query, RefineConfig(min_steps=it, max_steps=it))
+            support_counts = out.statistics.counts - before.query_probs.sum(axis=0)
+            assert np.allclose(support_counts, np.bincount(lab), atol=1e-12)
 
     def test_step_limits_respected(self):
         rng = Rng(19)
         sup, lab, query = small_task(rng)
         for min_s, max_s in [(1, 1), (2, 4), (3, 3), (2, 10)]:
-            out = refine(sup, lab, query, RefineConfig(min_steps=min_s, max_steps=max_s))
+            out = transductive(sup, lab, query, RefineConfig(min_steps=min_s, max_steps=max_s))
             assert min_s <= out.iterations_run <= max_s
 
     def test_soft_counts_conserve_mass(self):
         rng = Rng(23)
         sup, lab, query = small_task(rng, m_query=7)
-        out = refine(sup, lab, query, RefineConfig(min_steps=2, max_steps=4))
-        total = out.responsibilities.support.sum() + out.responsibilities.query.sum()
-        assert total == pytest.approx(len(sup) + len(query), abs=1e-9)
+        out = transductive(sup, lab, query, RefineConfig(min_steps=2, max_steps=4))
+        # every support row counts 1 toward its own class, every query row
+        # 1 in total: the final statistics came from a full refresh
+        assert out.statistics.counts.sum() == pytest.approx(len(sup) + len(query), abs=1e-9)
+        assert np.all(out.statistics.counts >= np.bincount(lab))
+        assert out.query_probs.sum() == pytest.approx(len(query), abs=1e-9)
 
     def test_deterministic(self):
         rng = Rng(29)
         sup, lab, query = small_task(rng)
-        a = refine(sup, lab, query)
-        b = refine(sup, lab, query)
-        assert np.array_equal(a.responsibilities.query, b.responsibilities.query)
+        a = transductive(sup, lab, query)
+        b = transductive(sup, lab, query)
+        assert np.array_equal(a.query_probs, b.query_probs)
         assert a.iterations_run == b.iterations_run
 
     def test_misassigned_points_flip_after_refinement(self):
@@ -365,12 +402,12 @@ class TestRefine:
         )
         truth = np.array([0, 0, 0, 1, 1, 1, 1, 1])
         cfg = RefineConfig(min_steps=1, max_steps=8)
-        base_stats = estimate_class_statistics(sup, lab, beta=1.0)
-        _, before = classify(query, base_stats, MetricKind.SQUARED_MAHALANOBIS)
-        out = refine(sup, lab, query, cfg)
-        after = out.responsibilities.query.argmax(axis=1)
+        base_stats = estimate_class_statistics(SupportLayout.build(sup, lab), beta=1.0)
+        _, before = predict(MAHALANOBIS, base_stats, query)
+        out = transductive(sup, lab, query, cfg)
+        after = out.query_probs.argmax(axis=1)
         oracle = brute_force_loop(sup, lab, query, beta=1.0, max_steps=8)
-        assert np.allclose(out.responsibilities.query, oracle[-1], atol=1e-10)
+        assert np.allclose(out.query_probs, oracle[-1], atol=1e-10)
         assert np.array_equal(before, [0, 0, 0, 0, 1, 0, 1, 0])
         assert np.array_equal(after, truth)
 

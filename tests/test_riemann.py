@@ -8,7 +8,6 @@ from mahabench.riemann import (
     energy_gap_check,
     make_two_centroid_field,
     metric_at,
-    path_arclength,
     path_energy,
     sample_plateau_point,
 )
@@ -188,24 +187,6 @@ class TestPathEnergy:
         for _ in range(100):
             x, y = 4.0 * rng.normal(2), 4.0 * rng.normal(2)
             assert path_energy(field, x, y, 64) >= 0.0
-
-
-class TestArclength:
-    def test_squared_arclength_bounded_by_energy(self):
-        # Jensen on the shared quadrature grid: (sum w sqrt(f))^2 <= sum w f
-        field = two_metric_field()
-        rng = Rng(13)
-        for _ in range(1000):
-            x, y = 4.0 * rng.normal(2), 4.0 * rng.normal(2)
-            arc = path_arclength(field, x, y, 64)
-            energy = path_energy(field, x, y, 64)
-            assert arc * arc <= energy * (1.0 + 1e-12)
-
-    def test_constant_field_arclength_squared_equals_energy(self):
-        field = constant_field(np.eye(2))
-        x, y = np.zeros(2), np.array([3.0, 4.0])
-        arc = path_arclength(field, x, y, 64)
-        assert arc * arc == pytest.approx(path_energy(field, x, y, 64), rel=1e-10)
 
 
 class TestEnergyGapCheck:

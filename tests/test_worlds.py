@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mahabench.errors import FormatError, InvalidConfig, NotEnoughClasses
-from mahabench.heads import MetricKind, classify, estimate_class_statistics
+from mahabench.heads import SupportLayout, estimate_class_statistics
+from mahabench.methods import HeadConfig, predict
 from mahabench.rng import Rng
 from mahabench.worlds import (
     EncodingTransform,
@@ -125,8 +126,8 @@ class TestSampleTask:
         correct = total = 0
         for seed in range(100):
             task = sample_task(world, cfg, enc, seed)
-            stats = estimate_class_statistics(task.support_x, task.support_y)
-            _, labels = classify(task.query_x, stats, MetricKind.SQUARED_MAHALANOBIS)
+            stats = estimate_class_statistics(SupportLayout.build(task.support_x, task.support_y))
+            _, labels = predict(HeadConfig(), stats, task.query_x)
             correct += int(np.sum(labels == task.query_y))
             total += len(task.query_y)
         assert correct / total >= 0.99
