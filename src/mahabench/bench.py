@@ -132,8 +132,13 @@ class BenchConfig:
         return cfg
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.resolved(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return config_hash(self.resolved())
+
+
+def config_hash(config: dict) -> str:
+    """The first 12 hex digits of the sha256 of a resolved configuration."""
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def _enum_safe_dict(items):

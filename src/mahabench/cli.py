@@ -18,6 +18,7 @@ mahabench.cli`` run the same command line as the ``mahabench`` script.
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 
@@ -192,7 +193,7 @@ def _bench_config(args, sampler=None) -> bench_mod.BenchConfig:
 
 def _cmd_bench(args) -> int:
     cfg = _bench_config(args)
-    echo = {"command": "bench", "schema": f"bench/{CSV_SCHEMA_VERSION}", **cfg.resolved()}
+    config = cfg.resolved()
     tasks_by_domain = None
     if args.tasks_file:
         tasks = read_tasks(args.tasks_file)
@@ -201,9 +202,18 @@ def _cmd_bench(args) -> int:
         tasks_by_domain = {}
         for task in tasks:
             tasks_by_domain.setdefault(task.domain_id, []).append(task)
+        with open(args.tasks_file, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        # the file, not the domain and sampler flags, says which tasks run
+        del config["domains"], config["sampler"]
+        config.update(n_tasks=len(tasks), tasks_sha256=digest)
+    echo = {"command": "bench", "schema": f"bench/{CSV_SCHEMA_VERSION}", **config}
+    if args.tasks_file:
         echo["tasks_file"] = args.tasks_file
     _echo(echo)
     report = bench_mod.run_benchmark(cfg, tasks_by_domain=tasks_by_domain)
+    # the report's metadata describes the run as the echo does
+    report.metadata.update(n_tasks=config["n_tasks"], config_hash=bench_mod.config_hash(config))
     if args.out:
         if args.out.endswith(".json"):
             payload = report.to_json_dict()

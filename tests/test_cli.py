@@ -107,6 +107,31 @@ class TestCliMain:
         assert cli_main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_tasks_file_run_is_described_by_the_file(self, tmp_path, capsys):
+        # same bench flags, two different files: the echo, the CSV header
+        # and the config hash follow the file, not the sampler flags
+        runs = {}
+        for name, gen_flags in (("a", ["--tasks", "40", "--mode", "metadataset"]),
+                                ("b", ["--tasks", "35", "--mode", "fixed", "--seed", "3"])):
+            tasks = tmp_path / f"{name}.jsonl"
+            assert cli_main(["gen-tasks", *gen_flags, "--out", str(tasks)]) == 0
+            capsys.readouterr()
+            argv = ["bench", "--tasks-file", str(tasks), "--method", "simple"]
+            assert cli_main([*argv, "--out", str(tmp_path / f"{name}.json")]) == 0
+            echo = json.loads(capsys.readouterr().out.splitlines()[0])
+            assert cli_main([*argv, "--out", str(tmp_path / f"{name}.csv")]) == 0
+            capsys.readouterr()
+            header, _, _ = read_csv(tmp_path / f"{name}.csv")
+            report = json.loads((tmp_path / f"{name}.json").read_text())
+            assert header == echo == report["config"]
+            assert "sampler" not in echo and "domains" not in echo
+            runs[name] = echo, report["metadata"]
+        (echo_a, meta_a), (echo_b, meta_b) = runs["a"], runs["b"]
+        assert echo_a["n_tasks"] == meta_a["n_tasks"] == 40
+        assert echo_b["n_tasks"] == meta_b["n_tasks"] == 35
+        assert echo_a["tasks_sha256"] != echo_b["tasks_sha256"]
+        assert meta_a["config_hash"] != meta_b["config_hash"]
+
     def test_riemann_runs(self, tmp_path):
         out = tmp_path / "riemann.csv"
         assert cli_main(["riemann", "--fields", "2", "--dims", "2", "--out", str(out)]) == 0
