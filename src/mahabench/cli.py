@@ -320,8 +320,9 @@ def _cmd_active(args) -> int:
         "seed": args.seed, "sessions": args.sessions, "budget": args.budget,
         "strategies": names, "method": args.method, "domain": domain.domain_id,
         "dims": args.dims, "classes": args.classes, "anisotropy": args.anisotropy,
-        "mean_radius": args.mean_radius, "pool_per_class": args.pool_per_class,
-        "test_per_class": args.test_per_class,
+        "mean_radius": args.mean_radius, "scale_spread": args.scale_spread,
+        "pool_per_class": args.pool_per_class, "test_per_class": args.test_per_class,
+        "beta": args.beta, "min_steps": args.min_steps, "max_steps": args.max_steps,
     }
     _echo(echo)
     world = domain.build(args.seed)
@@ -381,10 +382,13 @@ def _cmd_continual(args) -> int:
         "command": "continual", "schema": f"continual/{CSV_SCHEMA_VERSION}",
         "seed": args.seed, "streams": args.streams, "length": args.length,
         "classes_per_task": args.classes_per_task, "shot": args.shot,
-        "drift": args.drift, "method": args.method,
+        "query": args.query, "drift": args.drift, "method": args.method,
         "strategies": [s.value for s in strategies],
         "head_modes": [m.value for m in modes],
-        "dims": args.dims, "anisotropy": args.anisotropy,
+        "domain": domain.domain_id, "dims": args.dims, "classes": domain.class_count,
+        "anisotropy": args.anisotropy, "mean_radius": args.mean_radius,
+        "scale_spread": args.scale_spread,
+        "beta": args.beta, "min_steps": args.min_steps, "max_steps": args.max_steps,
     }
     _echo(echo)
     world = domain.build(args.seed)

@@ -132,6 +132,26 @@ class TestCliMain:
         assert echo_a["tasks_sha256"] != echo_b["tasks_sha256"]
         assert meta_a["config_hash"] != meta_b["config_hash"]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (argv, flag)
+        for argv, flags in (
+            (["active", "--sessions", "1", "--budget", "2", "--classes", "3",
+              "--pool-per-class", "2", "--test-per-class", "2", "--method", "transductive"],
+             [["--beta", "0.5"], ["--min-steps", "1"], ["--max-steps", "6"],
+              ["--scale-spread", "2"]]),
+            (["continual", "--streams", "1", "--length", "2", "--shot", "2"],
+             [["--beta", "0.5"], ["--min-steps", "1"], ["--max-steps", "6"],
+              ["--scale-spread", "2"], ["--classes", "20"], ["--mean-radius", "2"],
+              ["--domain-id", "other"], ["--query", "4"]]),
+        )
+        for flag in flags
+    ], ids=lambda v: " ".join(v))
+    def test_every_run_setting_is_in_the_header(self, tmp_path, argv, flag):
+        base, changed = tmp_path / "base.csv", tmp_path / "changed.csv"
+        assert cli_main([*argv, "--out", str(base)]) == 0
+        assert cli_main([*argv, *flag, "--out", str(changed)]) == 0
+        assert read_csv(base)[0] != read_csv(changed)[0]
+
     def test_riemann_runs(self, tmp_path):
         out = tmp_path / "riemann.csv"
         assert cli_main(["riemann", "--fields", "2", "--dims", "2", "--out", str(out)]) == 0

@@ -28,11 +28,11 @@ PINNED = {
         # classes close together, so that the curves do not sit at accuracy 1
         ["active", "--sessions", "2", "--budget", "6", "--classes", "5", "--mean-radius", "1.5",
          "--pool-per-class", "3", "--test-per-class", "4", "--method", "transductive"],
-        "e8dfdf978e5910c485904aec1946ad3c6c75da5c9ba3d62c0b81edc14f814db1",
+        "d4dd653690a26c2bd73834f4bb359ec5a076111617afa171c03cb59e143e3c33",
     ),
     "continual": (
         ["continual", "--streams", "2", "--length", "3", "--shot", "3", "--query", "3"],
-        "1c0515520ba0493f79442b3041751510fc529d9df28bb9be586e3e6327ad0910",
+        "4f2a350252de738959e321ea65b80a186ecb8d50636e9155b853d1ce05545362",
     ),
     "riemann": (
         ["riemann", "--fields", "6", "--dims", "3", "--points-per-field", "2"],
