@@ -157,8 +157,10 @@ def fit_error(head, support_x, support_y, query_x):
     return None
 
 
-@pytest.mark.parametrize("head", METHODS[:6], ids=lambda h: f"{'gmm' if h.gmm else h.metric.value}"
-                         f"{'-refining' if h.refine else ''}")
+@pytest.mark.parametrize(
+    "head", METHODS[:6],
+    ids=lambda h: ("gmm" if h.gmm else h.metric.value) + ("-refining" if h.refine else ""),
+)
 def test_bad_input_raises_a_typed_error_through_fit_statistics(head):
     task = toy_task(4, way=3, shot=2, query_per_class=2, dims=2)
     x, y, query = task.support_x, task.support_y, task.query_x
