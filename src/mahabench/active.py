@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
-from .methods import HeadConfig, fit_statistics, predict_labels
+from .methods import HeadConfig, fit_statistics, predict_labels, support_fits
 from .rng import Rng
 
 
@@ -102,7 +102,8 @@ def run_active_session(session: ActiveSession, head: HeadConfig, return_acquired
         labeled_y = np.concatenate(
             [session.seed_y, session.pool_y[acquired]]
         ).astype(np.int64)
-        fit = fit_statistics(head, labeled_x, labeled_y, session.pool_x[open_idx])
+        start = support_fits([head], labeled_x, labeled_y, session.pool_x[open_idx])[0]
+        fit = fit_statistics(head, start)
         test_pred = predict_labels(head, fit.statistics, session.test_x)
         curve[t] = float(np.mean(test_pred == session.test_y))
         if t == session.budget:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .methods import HeadConfig, evaluate_task, fit_statistics, parse_method, support_fits
+from .methods import evaluate_task, fit_statistics, parse_method, support_fits
 from .parallel import ordered_map
 from .refine import RefineConfig
 from .rng import derive_seed
@@ -112,7 +112,7 @@ class BenchConfig:
     beta: float = 1.0
 
     def resolved(self) -> dict:
-        cfg = {
+        return {
             "domains": [asdict(d) for d in self.domains],
             "methods": list(self.methods),
             "n_tasks": self.n_tasks,
@@ -126,10 +126,9 @@ class BenchConfig:
                 "fixed_way": self.sampler.fixed_way,
                 "fixed_shot": self.sampler.fixed_shot,
             },
-            "refine": asdict(self.refine, dict_factory=_enum_safe_dict),
+            "refine": asdict(self.refine),
             "beta": self.beta,
         }
-        return cfg
 
     def config_hash(self) -> str:
         return config_hash(self.resolved())
@@ -139,10 +138,6 @@ def config_hash(config: dict) -> str:
     """The first 12 hex digits of the sha256 of a resolved configuration."""
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _enum_safe_dict(items):
-    return {k: (v.value if hasattr(v, "value") else v) for k, v in items}
 
 
 @dataclass(frozen=True)
@@ -297,10 +292,9 @@ def recall_vs_shot(cfg: BenchConfig, tasks_by_domain: dict | None = None):
     def class_records(u: int) -> list:
         domain_id, idx = units[u]
         task = task_of(domain_id, idx)
-        x, y, query = task.support_x, task.support_y, task.query_x
-        starts = support_fits(heads.values(), x, y, query)
+        starts = support_fits(heads.values(), task.support_x, task.support_y, task.query_x)
         preds = {
-            method: fit_statistics(head, x, y, query, start=start).query_labels
+            method: fit_statistics(head, start).query_labels
             for (method, head), start in zip(heads.items(), starts)
         }
         records = []

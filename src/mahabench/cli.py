@@ -1,7 +1,14 @@
 """Command-line benchmark runner.
 
-Subcommands: bench, recall, active, continual, riemann, gen-tasks.  Every
-run prints its resolved configuration (including the seed) to stdout and
+Subcommands: bench, recall, active, continual, riemann, gen-tasks.  Each
+takes only the flags its run reads; any other flag exits 2.  The run flags
+(``--seed --out`` and the world: ``--dims --classes --anisotropy
+--mean-radius --scale-spread --domain-id``) go to every subcommand but
+riemann, which takes ``--seed --out --dims`` and its own; the head flags
+(``--method --min-steps --max-steps --beta``) to bench, recall, active and
+continual; ``--tasks`` to bench, gen-tasks and recall; the sampler flags
+(``--mode --way --shot --query``) to bench and gen-tasks.  Every run
+prints its resolved configuration (including the seed) to stdout and
 writes CSV or JSON to --out.  CSV files start with a ``#`` comment line
 echoing the configuration as JSON; identical seeds produce byte-identical
 outputs.  Exit codes: 0 success, 2 configuration/usage error, 1 runtime
@@ -21,6 +28,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,8 +57,9 @@ from .worlds import (
 CSV_SCHEMA_VERSION = "v1"
 
 
-def _common_flags(p: argparse.ArgumentParser, method: str = "simple,transductive") -> None:
+def _run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.add_argument("--dims", type=int, default=6)
     p.add_argument("--classes", type=int, default=12)
     p.add_argument("--anisotropy", type=float, default=8.0)
@@ -58,8 +67,9 @@ def _common_flags(p: argparse.ArgumentParser, method: str = "simple,transductive
     p.add_argument("--scale-spread", type=float, default=1.0,
                    help="ratio hi/lo of per-class covariance scales (1 = shared)")
     p.add_argument("--domain-id", default="world")
-    p.add_argument("--tasks", type=int, default=100)
-    p.add_argument("--out", default=None)
+
+
+def _head_flags(p: argparse.ArgumentParser, method: str) -> None:
     p.add_argument("--method", default=method,
                    help="comma list (one name for active and continual); "
                         "metric ablations as simple:<metric>")
@@ -69,6 +79,7 @@ def _common_flags(p: argparse.ArgumentParser, method: str = "simple,transductive
 
 
 def _sampler_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tasks", type=int, default=100)
     p.add_argument("--mode", choices=["metadataset", "fixed"], default="fixed")
     p.add_argument("--way", type=int, default=5)
     p.add_argument("--shot", type=int, default=5)
@@ -80,21 +91,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bench = sub.add_parser("bench", help="paired-method benchmark report")
-    _common_flags(p_bench)
+    _run_flags(p_bench)
+    _head_flags(p_bench, "simple,transductive")
     _sampler_flags(p_bench)
     p_bench.add_argument("--tasks-file", default=None,
                          help="evaluate tasks from a JSONL file instead of sampling")
 
     p_gen = sub.add_parser("gen-tasks", help="write sampled tasks to a JSONL file")
-    _common_flags(p_gen)
+    _run_flags(p_gen)
     _sampler_flags(p_gen)
 
     p_recall = sub.add_parser("recall", help="class recall bucketed by shot")
-    _common_flags(p_recall)
+    _run_flags(p_recall)
+    _head_flags(p_recall, "simple,transductive")
+    p_recall.add_argument("--tasks", type=int, default=100)
     p_recall.add_argument("--query", type=int, default=10)
 
     p_active = sub.add_parser("active", help="active-learning accuracy curves")
-    _common_flags(p_active, method="simple")
+    _run_flags(p_active)
+    _head_flags(p_active, "simple")
     p_active.add_argument("--sessions", type=int, default=50)
     p_active.add_argument("--budget", type=int, default=20)
     p_active.add_argument("--pool-per-class", type=int, default=10)
@@ -103,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma list of random,entropy,variation-ratios or all")
 
     p_cont = sub.add_parser("continual", help="continual-learning accuracy matrices")
-    _common_flags(p_cont, method="simple")
+    _run_flags(p_cont)
+    _head_flags(p_cont, "simple")
     p_cont.add_argument("--streams", type=int, default=20)
     p_cont.add_argument("--length", type=int, default=5)
     p_cont.add_argument("--classes-per-task", type=int, default=2)
@@ -116,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="single, multi, or both")
 
     p_riem = sub.add_parser("riemann", help="energy-gap approximation checks")
-    _common_flags(p_riem)
+    p_riem.add_argument("--seed", type=int, default=0)
+    p_riem.add_argument("--out", default=None)
+    p_riem.add_argument("--dims", type=int, default=6)
     p_riem.add_argument("--fields", type=int, default=100)
     p_riem.add_argument("--points-per-field", type=int, default=1)
     p_riem.add_argument("--separation", type=float, default=6.0)
@@ -138,6 +156,11 @@ def _write_csv(path, config: dict, header: list[str], rows) -> None:
 
 def _echo(config: dict) -> None:
     print(json.dumps(config, sort_keys=True))
+
+
+def _flag_values(args, *skip: str) -> dict:
+    """The command and each of its flags' values by name, bar --out and ``skip``."""
+    return {k: v for k, v in vars(args).items() if k not in ("out", *skip)}
 
 
 def _require_positive(args, *names: str) -> None:
@@ -174,25 +197,30 @@ def _sampler_from_args(args) -> SamplerConfig:
     )
 
 
-def _bench_config(args, sampler=None) -> bench_mod.BenchConfig:
+def _methods(args) -> tuple:
+    """The ``--method`` names, each checked to resolve, and their step limits."""
     methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
-    refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps,
-                              beta=args.beta)
+    refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps)
     for name in methods:
-        parse_method(name, refine_cfg, args.beta)  # fail fast on bad names
+        parse_method(name, refine_cfg, args.beta)
+    return methods, refine_cfg
+
+
+def _bench_config(args, sampler) -> bench_mod.BenchConfig:
+    methods, refine_cfg = _methods(args)
     return bench_mod.BenchConfig(
         domains=(_domain_from_args(args),),
         methods=methods,
         n_tasks=args.tasks,
         seed=args.seed,
-        sampler=sampler if sampler is not None else _sampler_from_args(args),
+        sampler=sampler,
         refine=refine_cfg,
         beta=args.beta,
     )
 
 
 def _cmd_bench(args) -> int:
-    cfg = _bench_config(args)
+    cfg = _bench_config(args, _sampler_from_args(args))
     config = cfg.resolved()
     tasks_by_domain = None
     if args.tasks_file:
@@ -244,11 +272,12 @@ def _cmd_bench(args) -> int:
 def _cmd_gen_tasks(args) -> int:
     if not args.out:
         raise InvalidConfig("gen-tasks requires --out")
-    cfg = _bench_config(args)
-    _echo({"command": "gen-tasks", **cfg.resolved(), "out": args.out})
-    tasks = []
-    for domain in cfg.domains:
-        tasks.extend(bench_mod.generate_tasks(cfg, domain))
+    cfg = bench_mod.BenchConfig((_domain_from_args(args),), (), args.tasks, args.seed,
+                                _sampler_from_args(args))
+    config = cfg.resolved()
+    del config["methods"], config["refine"], config["beta"]  # no head runs
+    _echo({"command": "gen-tasks", **config, "out": args.out})
+    tasks = bench_mod.generate_tasks(cfg, cfg.domains[0])
     write_tasks(args.out, tasks)
     print(f"wrote {len(tasks)} tasks to {args.out}")
     return 0
@@ -301,7 +330,7 @@ def _one_head(args):
     """The head of ``--method`` for commands that run a single method."""
     if "," in args.method:
         raise InvalidConfig(f"{args.command} runs one method, got {args.method!r}")
-    refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps, beta=args.beta)
+    _, refine_cfg = _methods(args)
     return parse_method(args.method, refine_cfg, args.beta)
 
 
@@ -316,13 +345,8 @@ def _cmd_active(args) -> int:
     head = _one_head(args)
     domain = _domain_from_args(args)
     echo = {
-        "command": "active", "schema": f"active/{CSV_SCHEMA_VERSION}",
-        "seed": args.seed, "sessions": args.sessions, "budget": args.budget,
-        "strategies": names, "method": args.method, "domain": domain.domain_id,
-        "dims": args.dims, "classes": args.classes, "anisotropy": args.anisotropy,
-        "mean_radius": args.mean_radius, "scale_spread": args.scale_spread,
-        "pool_per_class": args.pool_per_class, "test_per_class": args.test_per_class,
-        "beta": args.beta, "min_steps": args.min_steps, "max_steps": args.max_steps,
+        **_flag_values(args, "domain_id", "strategy"), "schema": f"active/{CSV_SCHEMA_VERSION}",
+        "strategies": names, "domain": domain.domain_id,
     }
     _echo(echo)
     world = domain.build(args.seed)
@@ -373,22 +397,13 @@ def _cmd_continual(args) -> int:
     needed = args.length * args.classes_per_task
     domain = _domain_from_args(args)
     if domain.class_count < needed:
-        domain = bench_mod.DomainSpec(
-            domain_id=domain.domain_id, dims=domain.dims, class_count=needed,
-            anisotropy=domain.anisotropy, mean_radius=domain.mean_radius,
-            scale_range=domain.scale_range,
-        )
+        domain = replace(domain, class_count=needed)
     echo = {
-        "command": "continual", "schema": f"continual/{CSV_SCHEMA_VERSION}",
-        "seed": args.seed, "streams": args.streams, "length": args.length,
-        "classes_per_task": args.classes_per_task, "shot": args.shot,
-        "query": args.query, "drift": args.drift, "method": args.method,
+        **_flag_values(args, "domain_id", "strategy", "head_mode"),
+        "schema": f"continual/{CSV_SCHEMA_VERSION}",
         "strategies": [s.value for s in strategies],
         "head_modes": [m.value for m in modes],
-        "domain": domain.domain_id, "dims": args.dims, "classes": domain.class_count,
-        "anisotropy": args.anisotropy, "mean_radius": args.mean_radius,
-        "scale_spread": args.scale_spread,
-        "beta": args.beta, "min_steps": args.min_steps, "max_steps": args.max_steps,
+        "domain": domain.domain_id, "classes": domain.class_count,
     }
     _echo(echo)
     world = domain.build(args.seed)
@@ -422,13 +437,7 @@ def _cmd_continual(args) -> int:
 
 def _cmd_riemann(args) -> int:
     _require_positive(args, "fields", "points_per_field")
-    echo = {
-        "command": "riemann", "schema": f"riemann/{CSV_SCHEMA_VERSION}",
-        "seed": args.seed, "fields": args.fields, "dims": args.dims,
-        "separation": args.separation, "support_scale": args.support_scale,
-        "flatness": args.flatness, "weak_scale": args.weak_scale,
-        "quadrature": args.quadrature, "points_per_field": args.points_per_field,
-    }
+    echo = {**_flag_values(args), "schema": f"riemann/{CSV_SCHEMA_VERSION}"}
     _echo(echo)
 
     def field_rows(fid: int) -> list:

@@ -17,7 +17,7 @@ import numpy as np
 from . import spd
 from .errors import DimensionMismatch, InvalidConfig, NotEnoughClasses
 from .heads import ClassStatistics
-from .methods import HeadConfig, fit_statistics, predict_labels
+from .methods import HeadConfig, fit_statistics, predict_labels, support_fits
 from .rng import Rng
 from .worlds import ClusterWorld, EncodingTransform, draw_class_examples
 
@@ -232,7 +232,8 @@ def run_continual_session(
         local_y = np.repeat(np.arange(len(group), dtype=np.int64), stream.shot)
         support_feat = working.apply(raw_support[t])
         query_feat = working.apply(raw_query[t])
-        stats = fit_statistics(head, support_feat, local_y, query_feat).statistics
+        start = support_fits([head], support_feat, local_y, query_feat)[0]
+        stats = fit_statistics(head, start).statistics
         for slot, cid in enumerate(group):
             new_rec = ClassRecord(
                 mean=stats.means[slot],

@@ -101,25 +101,20 @@ def support_fits(configs, support_x, support_y, query_x) -> list:
     return [fits[_single_pass(head)] for head in configs]
 
 
-def fit_statistics(
-    head: HeadConfig, support_x, support_y, query_x, *, start: Fit | None = None
-) -> Fit:
-    """Fit a head; transductive heads also use the query set.
+def fit_statistics(head: HeadConfig, start: Fit) -> Fit:
+    """Fit a head from its support-only fit ``start`` (``support_fits``),
+    which alone gives the support layout and the query set.
 
-    ``start`` is the head's support-only fit on the same support and query
-    sets (``support_fits``), shared by the heads a caller fits to one task;
-    without it, this call makes it.  It is the whole fit of a single-pass
-    head.  A refining head runs ``refine.run_refinement`` on its layout and
-    statistics; iteration 1 takes the start's query predictions, which are
-    the bits that iteration would compute.
+    ``start`` is the whole fit of a single-pass head.  A refining head runs
+    ``refine.run_refinement`` on the start's layout and statistics at the
+    head's step limits and beta; iteration 1 takes the start's query
+    predictions, which are the bits that iteration would compute.  A
+    ``start`` that is not this head's support-only fit raises ``ValueError``.
     """
-    if start is None:
-        start = support_fits([head], support_x, support_y, query_x)[0]
-    elif start.head != _single_pass(head):
+    if start.head != _single_pass(head):
         raise ValueError("start is not the support-only fit of this head")
     if head.refine is None:
         return start
-    cfg = replace(head.refine, beta=head.beta, metric=head.metric)
 
     def refresh_query(stats, x):
         # iteration 1 runs on the start statistics, which ``start`` scores
@@ -128,9 +123,10 @@ def fit_statistics(
             return start.query_probs, start.query_labels
         return predict(head, stats, x)
 
-    outcome = run_refinement(start.layout, start.statistics, query_x, cfg, refresh_query)
+    outcome = run_refinement(start.layout, start.statistics, start.query_x, head.refine,
+                             refresh_query, head.beta)
     predictions = (outcome.query_probs, outcome.labels)
-    return Fit(outcome.statistics, head, query_x, start.layout, predictions)
+    return Fit(outcome.statistics, head, start.query_x, start.layout, predictions)
 
 
 def _scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
@@ -166,18 +162,17 @@ def evaluate_task(configs, task) -> list[float]:
     support statistics are estimated once per distinct beta, and every
     refining head starts from them.
     """
-    x, y, query = task.support_x, task.support_y, task.query_x
+    starts = support_fits(configs, task.support_x, task.support_y, task.query_x)
     accuracies = []
-    for head, start in zip(configs, support_fits(configs, x, y, query)):
-        fit = fit_statistics(head, x, y, query, start=start)
+    for head, start in zip(configs, starts):
+        fit = fit_statistics(head, start)
         accuracies.append(float(np.mean(fit.query_labels == task.query_y)))
     return accuracies
 
 
-def parse_method(name: str, refine_defaults: RefineConfig | None = None, beta: float = 1.0) -> HeadConfig:
+def parse_method(name: str, refine_defaults: RefineConfig = RefineConfig(), beta: float = 1.0) -> HeadConfig:
     """Resolve a method name like ``simple``, ``transductive`` or
     ``simple:euclidean`` into a head configuration."""
-    refine_cfg = refine_defaults if refine_defaults is not None else RefineConfig()
     base, _, suffix = name.partition(":")
     metric = MetricKind.SQUARED_MAHALANOBIS
     if suffix:
@@ -188,9 +183,9 @@ def parse_method(name: str, refine_defaults: RefineConfig | None = None, beta: f
     if base == "simple":
         return HeadConfig(metric=metric, beta=beta)
     if base == "transductive":
-        return HeadConfig(metric=metric, beta=beta, refine=refine_cfg)
+        return HeadConfig(metric=metric, beta=beta, refine=refine_defaults)
     if base == "gmm":
         return HeadConfig(beta=beta, gmm=True)
     if base == "gmm-em":
-        return HeadConfig(beta=beta, gmm=True, refine=refine_cfg)
+        return HeadConfig(beta=beta, gmm=True, refine=refine_defaults)
     raise InvalidConfig(f"unknown method {name!r}")

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .heads import ClassStatistics, MetricKind, SupportLayout, class_statistics
+from .heads import ClassStatistics, SupportLayout, class_statistics
 
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Step limits and head settings for the refinement loop.
+    """Step limits for the refinement loop.
 
     Defaults follow the variable-way benchmark setting (min 2, max 4).
     ``min_steps = max_steps = 1`` reproduces the training-time behavior of
@@ -32,8 +32,6 @@ class RefineConfig:
 
     min_steps: int = 2
     max_steps: int = 4
-    beta: float = 1.0
-    metric: MetricKind = MetricKind.SQUARED_MAHALANOBIS
 
     def __post_init__(self):
         if self.min_steps < 1:
@@ -84,15 +82,16 @@ def run_refinement(
     query_x: np.ndarray,
     cfg: RefineConfig,
     predict,
+    beta: float,
 ) -> RefineOutcome:
     """The refinement loop; ``predict(stats, X) -> (probs, labels)``.
 
     The metric and the GMM heads differ only in ``predict``.  ``start`` is
-    the support-only estimate of ``layout`` at ``cfg.beta``: iteration 1
-    takes it as its statistics, which are the bits ``weighted_class_statistics``
-    would compute with all-zero query weights, and refreshes through
-    ``predict(start, X)``.  Every later iteration re-estimates from the
-    layout and the last refresh.
+    the support-only estimate of ``layout`` at the head's ``beta``, which
+    every later estimate uses too: iteration 1 takes it as its statistics,
+    the bits ``weighted_class_statistics`` would compute with all-zero
+    query weights, and refreshes through ``predict(start, X)``.  Every
+    later iteration re-estimates from the layout and the last refresh.
 
     Raises
     ------
@@ -116,7 +115,7 @@ def run_refinement(
     prev_assign = None
     for it in range(1, cfg.max_steps + 1):
         if it > 1:
-            stats = weighted_class_statistics(layout, query_x, probs, cfg.beta)
+            stats = weighted_class_statistics(layout, query_x, probs, beta)
         if m > 0:
             probs, assign = predict(stats, query_x)
         # no queries means nothing can change; otherwise compare argmax

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mahabench import bench, parallel
-from mahabench.cli import cli_main
+from mahabench.cli import build_parser, cli_main
 
 
 def read_csv(path):
@@ -28,6 +29,21 @@ SMALL_ACTIVE = ["active", "--sessions", "1", "--budget", "2", "--classes", "3",
                 "--pool-per-class", "2", "--test-per-class", "2", "--strategy", "entropy"]
 SMALL_CONTINUAL = ["continual", "--streams", "1", "--length", "2", "--shot", "3",
                    "--query", "2", "--strategy", "moving", "--head-mode", "single"]
+
+RUN_FLAGS = {"--seed", "--out", "--dims", "--classes", "--anisotropy", "--mean-radius",
+             "--scale-spread", "--domain-id"}
+HEAD_FLAGS = {"--method", "--min-steps", "--max-steps", "--beta"}
+SAMPLER_FLAGS = {"--mode", "--way", "--shot", "--query"}
+
+
+def parser_flags() -> dict:
+    """Each subcommand's flags, as ``build_parser`` defines them."""
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        command: [a.option_strings[-1] for a in p._actions if a.option_strings != ["-h", "--help"]]
+        for command, p in sub.choices.items()
+    }
 
 
 class TestCliMain:
@@ -61,9 +77,40 @@ class TestCliMain:
         assert "one method" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_metric_flag_is_gone(self, capsys):
-        assert cli_main(["bench", "--metric", "mahalanobis"]) == 2
-        assert "--metric" in capsys.readouterr().err
+    def test_each_subcommand_takes_the_flags_its_run_reads(self):
+        assert {command: set(flags) for command, flags in parser_flags().items()} == {
+            "bench": RUN_FLAGS | HEAD_FLAGS | SAMPLER_FLAGS | {"--tasks", "--tasks-file"},
+            "gen-tasks": RUN_FLAGS | SAMPLER_FLAGS | {"--tasks"},
+            "recall": RUN_FLAGS | HEAD_FLAGS | {"--tasks", "--query"},
+            "active": RUN_FLAGS | HEAD_FLAGS | {"--sessions", "--budget", "--pool-per-class",
+                                                "--test-per-class", "--strategy"},
+            "continual": RUN_FLAGS | HEAD_FLAGS | {"--streams", "--length", "--classes-per-task",
+                                                   "--shot", "--query", "--drift", "--strategy",
+                                                   "--head-mode"},
+            "riemann": {"--seed", "--out", "--dims", "--fields", "--points-per-field",
+                        "--separation", "--support-scale", "--flatness", "--weak-scale",
+                        "--quadrature"},
+        }
+        assert sum(len(flags) for flags in parser_flags().values()) == 92
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--metric", "mahalanobis"],
+        *(["gen-tasks", "--tasks", "1", flag, "1"]
+          for flag in ("--method", "--min-steps", "--max-steps", "--beta")),
+        ["active", "--sessions", "1", "--budget", "1", "--classes", "3", "--tasks", "-3"],
+        ["continual", "--streams", "1", "--tasks", "3"],
+        ["riemann", "--fields", "1", "--method", "bogus"],
+        ["riemann", "--fields", "1", "--beta", "-5"],
+        ["riemann", "--fields", "1", "--tasks", "-3"],
+        ["riemann", "--fields", "1", "--min-steps", "0"],
+        *(["riemann", "--fields", "1", flag, "1"]
+          for flag in ("--max-steps", "--classes", "--anisotropy", "--mean-radius",
+                       "--scale-spread", "--domain-id")),
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_metric_flag_is_gone(self, argv, capsys):
+        # a flag the subcommand's run does not read is a usage error
+        assert cli_main(argv) == 2
+        assert argv[-2] in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--method", "nope"],
@@ -132,32 +179,59 @@ class TestCliMain:
         assert echo_a["tasks_sha256"] != echo_b["tasks_sha256"]
         assert meta_a["config_hash"] != meta_b["config_hash"]
 
-    @pytest.mark.parametrize("argv, flag", [
-        (argv, flag)
-        for argv, flags in (
-            (["active", "--sessions", "1", "--budget", "2", "--classes", "3",
-              "--pool-per-class", "2", "--test-per-class", "2", "--method", "transductive"],
-             [["--beta", "0.5"], ["--min-steps", "1"], ["--max-steps", "6"],
-              ["--scale-spread", "2"]]),
-            (["continual", "--streams", "1", "--length", "2", "--shot", "2"],
-             [["--beta", "0.5"], ["--min-steps", "1"], ["--max-steps", "6"],
-              ["--scale-spread", "2"], ["--classes", "20"], ["--mean-radius", "2"],
-              ["--domain-id", "other"], ["--query", "4"]]),
-        )
-        for flag in flags
-    ], ids=lambda v: " ".join(v))
-    def test_every_run_setting_is_in_the_header(self, tmp_path, argv, flag):
-        base, changed = tmp_path / "base.csv", tmp_path / "changed.csv"
-        assert cli_main([*argv, "--out", str(base)]) == 0
-        assert cli_main([*argv, *flag, "--out", str(changed)]) == 0
-        assert read_csv(base)[0] != read_csv(changed)[0]
-
     def test_riemann_runs(self, tmp_path):
         out = tmp_path / "riemann.csv"
         assert cli_main(["riemann", "--fields", "2", "--dims", "2", "--out", str(out)]) == 0
         _, header, rows = read_csv(out)
         assert header == "field_seed,pair,delta_energy,half_gap,rel_error"
         assert len(rows) == 2
+
+
+# a tiny run per subcommand, and one value per flag that differs from the
+# flag's default in every subcommand and from the value in these runs
+HEADER_BASES = {
+    "bench": ["bench", "--tasks", "30", "--method", "simple"],
+    "gen-tasks": ["gen-tasks", "--tasks", "2"],
+    "recall": ["recall", "--tasks", "2", "--method", "simple"],
+    "active": SMALL_ACTIVE,
+    "continual": SMALL_CONTINUAL,
+    "riemann": ["riemann", "--fields", "1", "--dims", "2"],
+}
+ALTERNATIVES = {
+    "--seed": "3", "--dims": "3", "--classes": "6", "--anisotropy": "2",
+    "--mean-radius": "2", "--scale-spread": "2", "--domain-id": "other",
+    "--method": "transductive", "--min-steps": "1", "--max-steps": "6", "--beta": "0.5",
+    "--tasks": "31", "--mode": "metadataset", "--way": "3", "--shot": "4", "--query": "4",
+    "--sessions": "2", "--budget": "1", "--pool-per-class": "3", "--test-per-class": "3",
+    # the two subcommands name their strategies differently
+    "--strategy": {"active": "random", "continual": "first"},
+    "--streams": "2", "--length": "3", "--classes-per-task": "3", "--drift": "0.5",
+    "--head-mode": "multi",
+    "--fields": "2", "--points-per-field": "2", "--separation": "4", "--support-scale": "0.2",
+    "--flatness": "0.25", "--weak-scale": "100", "--quadrature": "32",
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command, flags in parser_flags().items()
+    for flag in flags
+    if flag not in ("--out", "--tasks-file")
+], ids=lambda v: v)
+def test_every_flag_is_in_the_header(tmp_path, monkeypatch, capsys, command, flag):
+    # a setting the run reads must show in the CSV's # line (gen-tasks: the
+    # stdout echo), so that two different runs never share a header
+    monkeypatch.setattr(parallel, "_worker_count", lambda count: 1)
+    value = ALTERNATIVES[flag]
+    if isinstance(value, dict):
+        value = value[command]
+    out = tmp_path / "out"
+    headers = []
+    for extra in ([], [flag, value]):
+        assert cli_main([*HEADER_BASES[command], *extra, "--out", str(out)]) == 0
+        echo = capsys.readouterr().out.splitlines()[0]
+        headers.append(echo if command == "gen-tasks" else out.read_text().splitlines()[0])
+    assert headers[0] != headers[1]
 
 
 class TestModuleEntryPoints:

@@ -26,10 +26,12 @@ from mahabench.heads import (
     estimate_class_statistics,
     softmax,
 )
-from mahabench.methods import HeadConfig, fit_statistics, predict
+from mahabench.methods import HeadConfig, predict
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 from mahabench.spd import cholesky, quad_form
+
+from fitting import fit_head
 
 
 TRANSDUCTIVE = HeadConfig(refine=RefineConfig())
@@ -355,7 +357,7 @@ class TestScratchArena:
             out = []
             for _ in range(40):
                 layout, queries, _ = soft_task(rng, k=5, m=60, d=8)
-                fit = fit_statistics(TRANSDUCTIVE, layout.features, layout.labels, queries)
+                fit = fit_head(TRANSDUCTIVE, layout.features, layout.labels, queries)
                 out.append(class_scores(queries, fit.statistics, MetricKind.SQUARED_MAHALANOBIS))
                 out.extend(stats_fields(fit.statistics))
             return out

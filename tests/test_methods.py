@@ -26,6 +26,8 @@ from mahabench.methods import (
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 
+from fitting import fit_head
+
 HEADS = [HeadConfig(metric=metric) for metric in MetricKind] + [HeadConfig(gmm=True)]
 
 
@@ -77,7 +79,7 @@ def test_shared_fits_give_the_bits_of_one_fit_per_head(seed):
     got = evaluate_task(METHODS, task)
     for head, accuracy in zip(METHODS, got):
         # each head on its own, its query set scored again after the fit
-        alone = fit_statistics(head, task.support_x, task.support_y, task.query_x)
+        alone = fit_head(head, task.support_x, task.support_y, task.query_x)
         labels = predict_labels(head, alone.statistics, task.query_x)
         assert accuracy == float(np.mean(labels == task.query_y))
         assert alone.query_labels.tobytes() == labels.tobytes()
@@ -121,7 +123,7 @@ def test_a_single_pass_fit_scores_nothing_until_read(monkeypatch):
     calls = []
     scorer = heads.class_scores
     monkeypatch.setattr(heads, "class_scores", lambda *a: calls.append(1) or scorer(*a))
-    fit = fit_statistics(HeadConfig(), task.support_x, task.support_y, task.query_x)
+    fit = fit_head(HeadConfig(), task.support_x, task.support_y, task.query_x)
     assert calls == []
     fit.query_probs, fit.query_labels, fit.query_labels
     assert calls == [1]
@@ -131,8 +133,7 @@ def test_a_start_fit_of_another_head_is_rejected():
     task = toy_task(3)
     start = support_fits([HeadConfig(beta=0.5)], task.support_x, task.support_y, task.query_x)[0]
     with pytest.raises(ValueError, match="support-only fit"):
-        fit_statistics(parse_method("transductive"), task.support_x, task.support_y,
-                       task.query_x, start=start)
+        fit_statistics(parse_method("transductive"), start)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -150,7 +151,7 @@ def test_a_task_builds_one_support_layout_for_every_head(monkeypatch, seed):
 def fit_error(head, support_x, support_y, query_x):
     """The typed error fitting ``head`` raises, or None."""
     try:
-        fit = fit_statistics(head, support_x, support_y, query_x)
+        fit = fit_head(head, support_x, support_y, query_x)
         fit.query_labels
     except (DimensionMismatch, EmptyClass, LabelOutOfRange, NonFiniteInput) as exc:
         return type(exc)

@@ -11,9 +11,11 @@ from mahabench.errors import (
     NonFiniteInput,
 )
 from mahabench.heads import SupportLayout, estimate_class_statistics
-from mahabench.methods import HeadConfig, fit_statistics, predict
+from mahabench.methods import HeadConfig, predict
 from mahabench.refine import RefineConfig, run_refinement, weighted_class_statistics
 from mahabench.rng import Rng
+
+from fitting import fit_head
 
 MAHALANOBIS = HeadConfig()
 TRANSDUCTIVE = HeadConfig(refine=RefineConfig())
@@ -28,8 +30,8 @@ def transductive(sup, lab, query, cfg=RefineConfig()):
     """The Mahalanobis head's refinement loop, started from its support-only
     estimate as ``fit_statistics`` starts it."""
     layout = SupportLayout.build(sup, lab)
-    start = estimate_class_statistics(layout, beta=cfg.beta)
-    return run_refinement(layout, start, query, cfg, mahalanobis_refresh)
+    start = estimate_class_statistics(layout, beta=1.0)
+    return run_refinement(layout, start, query, cfg, mahalanobis_refresh, 1.0)
 
 
 def brute_force_loop(support_x, support_y, query_x, beta, max_steps, min_steps=1):
@@ -117,7 +119,8 @@ class TestInitResponsibilities:
         seen = []
         cfg = RefineConfig(min_steps=1, max_steps=1)
         run_refinement(
-            layout, start, query, cfg, lambda s, x: seen.append(s) or mahalanobis_refresh(s, x)
+            layout, start, query, cfg,
+            lambda s, x: seen.append(s) or mahalanobis_refresh(s, x), 1.0,
         )
         zero = weighted_class_statistics(layout, query, np.zeros((2, 2)), 1.0)
         [first] = seen
@@ -234,8 +237,8 @@ class TestRefine:
         # min = max = 1 is one support-only estimation pass, bit for bit
         sup, lab, query = small_task(Rng(seed), n_classes, shots, m_query, dims)
         one_step = HeadConfig(refine=RefineConfig(min_steps=1, max_steps=1))
-        out = fit_statistics(one_step, sup, lab, query)
-        plain = fit_statistics(MAHALANOBIS, sup, lab, query)
+        out = fit_head(one_step, sup, lab, query)
+        plain = fit_head(MAHALANOBIS, sup, lab, query)
         for name in STAT_FIELDS:
             assert np.array_equal(getattr(out.statistics, name), getattr(plain.statistics, name))
         assert out.query_probs.tobytes() == plain.query_probs.tobytes()
@@ -257,12 +260,12 @@ class TestRefine:
         # gives with all-zero query weights, so it can stand in as iteration 1
         sup, lab, query = small_task(Rng(seed), n_classes, shots, max(m_query, 1), dims=3)
         query = query[:m_query]
-        cfg = RefineConfig(min_steps=min_steps, max_steps=min_steps + extra_steps, beta=0.5)
+        cfg = RefineConfig(min_steps=min_steps, max_steps=min_steps + extra_steps)
         layout = SupportLayout.build(sup, lab)
         start = estimate_class_statistics(layout, beta=0.5)
         zero = weighted_class_statistics(layout, query, np.zeros((m_query, n_classes)), 0.5)
-        got = run_refinement(layout, start, query, cfg, mahalanobis_refresh)
-        want = run_refinement(layout, zero, query, cfg, mahalanobis_refresh)
+        got = run_refinement(layout, start, query, cfg, mahalanobis_refresh, 0.5)
+        want = run_refinement(layout, zero, query, cfg, mahalanobis_refresh, 0.5)
         assert (got.iterations_run, got.converged_early) == (
             want.iterations_run, want.converged_early
         )
@@ -289,13 +292,13 @@ class TestRefine:
                 SupportLayout.build(*small_task(Rng(9), classes, dims=dims)[:2])
             )
             with pytest.raises(DimensionMismatch):
-                run_refinement(layout, other, query, RefineConfig(), mahalanobis_refresh)
+                run_refinement(layout, other, query, RefineConfig(), mahalanobis_refresh, 1.0)
 
     def test_wrong_query_width_raises_dimension_mismatch(self):
         sup, lab, _ = small_task(Rng(8), dims=2)
         for query in (np.ones((3, 3)), np.ones((2, 1)), np.ones(2)):
             with pytest.raises(DimensionMismatch):
-                fit_statistics(TRANSDUCTIVE, sup, lab, query)
+                fit_head(TRANSDUCTIVE, sup, lab, query)
 
     def test_negative_support_label_raises(self):
         # read as an index, -1 would silently become the last class
@@ -303,12 +306,12 @@ class TestRefine:
         lab = lab.copy()
         lab[0] = -1
         with pytest.raises(LabelOutOfRange):
-            fit_statistics(TRANSDUCTIVE, sup, lab, query)
+            fit_head(TRANSDUCTIVE, sup, lab, query)
 
     def test_empty_support_raises_empty_class(self):
         with pytest.raises(EmptyClass):
             empty = np.empty(0, dtype=np.int64)
-            fit_statistics(TRANSDUCTIVE, np.empty((0, 2)), empty, np.ones((3, 2)))
+            fit_head(TRANSDUCTIVE, np.empty((0, 2)), empty, np.ones((3, 2)))
 
     def test_single_step_equals_plain_classifier(self):
         rng = Rng(9)
