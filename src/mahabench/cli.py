@@ -27,6 +27,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -163,6 +164,12 @@ def _flag_values(args, *skip: str) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("out", *skip)}
 
 
+def _changed(args, *names: str) -> list[str]:
+    """The flags among ``names`` that ``args`` sets away from their defaults."""
+    defaults = vars(build_parser().parse_args([args.command]))
+    return [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) != defaults[n]]
+
+
 def _require_positive(args, *names: str) -> None:
     """Reject a run size below 1: it would aggregate nothing."""
     for name in names:
@@ -220,6 +227,14 @@ def _bench_config(args, sampler) -> bench_mod.BenchConfig:
 
 
 def _cmd_bench(args) -> int:
+    # a setting the run would not read is an error, not a silent no-op
+    if args.tasks_file and (unread := _changed(
+            args, "dims", "classes", "anisotropy", "mean_radius", "scale_spread",
+            "domain_id", "tasks", "mode", "way", "shot", "query")):
+        raise InvalidConfig(f"--tasks-file fixes the tasks, so {', '.join(unread)} cannot be set")
+    if args.mode == "metadataset" and (unread := _changed(args, "way", "shot")):
+        raise InvalidConfig(f"--mode metadataset draws way and shot, "
+                            f"so {', '.join(unread)} cannot be set")
     cfg = _bench_config(args, _sampler_from_args(args))
     config = cfg.resolved()
     tasks_by_domain = None
@@ -489,6 +504,9 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfig(f"--{name.replace('_', '-')} must be finite")
         return _COMMANDS[args.command](args)
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)

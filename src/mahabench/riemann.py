@@ -236,7 +236,13 @@ def make_two_centroid_field(
     first-order expansion is then genuinely higher-order.  Small support
     radii keep plateau test points close to the centroid, which the
     half-gap approximation also needs.
+
+    Raises ``InvalidConfig`` for ``dims < 1`` or ``weak_side_scale <= 0``.
     """
+    if dims < 1:
+        raise InvalidConfig("dims must be at least 1")
+    if not weak_side_scale > 0:
+        raise InvalidConfig("weak_side_scale must be positive")
     rng = Rng(seed)
     direction = rng.normal(dims)
     direction /= np.linalg.norm(direction)

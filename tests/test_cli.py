@@ -9,6 +9,7 @@ import pytest
 
 from mahabench import bench, parallel
 from mahabench.cli import build_parser, cli_main
+from perfbench.workloads import WORKLOADS, expected_rows
 
 
 def read_csv(path):
@@ -130,10 +131,42 @@ class TestCliMain:
         ["bench", "--tasks", "30", "--beta", "nan"],
         ["bench", "--tasks", "30", "--beta", "inf"],
         ["bench", "--tasks", "30", "--method", "transductive", "--beta", "nan"],
+        ["bench", "--tasks", "30", "--mean-radius", "nan"],
+        ["continual", "--drift", "nan"],
+        ["riemann", "--separation", "inf"],
+        ["riemann", "--dims", "0"],
+        ["riemann", "--weak-scale", "0"],
+        ["bench", "--tasks", "30", "--mode", "metadataset", "--way", "7"],
+        ["bench", "--tasks", "30", "--mode", "metadataset", "--shot", "9"],
     ])
     def test_config_errors_exit_two(self, argv, capsys):
         assert cli_main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--tasks", "30", "--mean-radius", "nan"],
+        ["bench", "--tasks", "30", "--beta", "inf"],
+        ["continual", "--drift", "nan"],
+        ["riemann", "--weak-scale", "nan"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_a_non_finite_flag_is_named(self, argv, capsys):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {argv[-2]} must be finite\n"
+
+    @pytest.mark.parametrize("flag", [
+        ["--dims", "9"], ["--classes", "9"], ["--anisotropy", "2"], ["--mean-radius", "2"],
+        ["--scale-spread", "2"], ["--domain-id", "other"], ["--tasks", "7"],
+        ["--mode", "metadataset"], ["--way", "3"], ["--shot", "3"], ["--query", "3"],
+    ], ids=lambda flag: flag[0])
+    def test_a_tasks_file_run_rejects_sampling_flags(self, tmp_path, capsys, flag):
+        # the file fixes the world and the tasks: these flags would be ignored
+        tasks, out = tmp_path / "tasks.jsonl", tmp_path / "out.csv"
+        assert cli_main(["gen-tasks", "--tasks", "1", "--out", str(tasks)]) == 0
+        capsys.readouterr()
+        assert cli_main(["bench", "--tasks-file", str(tasks), *flag, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and flag[0] in err
+        assert not out.exists()
 
     def test_empty_tasks_file_exits_two(self, tmp_path, capsys):
         tasks, out = tmp_path / "tasks.jsonl", tmp_path / "out.csv"
@@ -232,6 +265,21 @@ def test_every_flag_is_in_the_header(tmp_path, monkeypatch, capsys, command, fla
         echo = capsys.readouterr().out.splitlines()[0]
         headers.append(echo if command == "gen-tasks" else out.read_text().splitlines()[0])
     assert headers[0] != headers[1]
+
+
+# each benchmark workload's argv at a size that runs in well under a second
+WORKLOAD_SIZES = {"meta-wide": 30, "active-pool": 1, "continual-stream": 1, "riemann-fields": 10}
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_every_benchmark_workload_runs(tmp_path, capsys, name):
+    # the benchmark passes these flags; a flag it needs going away must fail
+    # here, not only in the benchmark run
+    out = tmp_path / "out.csv"
+    argv = WORKLOADS[name].cli_argv(0, str(out), WORKLOAD_SIZES[name])
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert len(read_csv(out)[2]) == expected_rows(argv)
 
 
 class TestModuleEntryPoints:

@@ -254,3 +254,13 @@ class TestEnergyGapCheck:
         field = two_metric_field()
         with pytest.raises(InvalidConfig):
             energy_gap_check(field, np.zeros(2), 1, 1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"dims": 0}, {"weak_side_scale": 0.0}, {"weak_side_scale": -1.0},
+    {"weak_side_scale": float("nan")},
+], ids=lambda kwargs: str(kwargs))
+def test_a_degenerate_two_centroid_field_is_a_config_error(kwargs):
+    # caught before any draw, not as a LAPACK failure further down
+    with pytest.raises(InvalidConfig):
+        make_two_centroid_field(0, **kwargs)
