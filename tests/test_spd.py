@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from mahabench.errors import DimensionMismatch, NotPositiveDefinite, NotRepairable
 from mahabench.rng import Rng
@@ -216,7 +216,8 @@ class TestFactorStack:
     def test_equals_ensure_pd_per_class(self, k, d, ranks, noise, seed):
         # full-rank, rank-deficient and slightly asymmetric or indefinite
         # covariances: every output is the per-class ensure_pd result, bit
-        # for bit, and each inverse is dtrtri of its factor
+        # for bit, each exact factor is scipy's public dpotrf of its matrix
+        # and each inverse is dtrtri of its factor
         rng = Rng(seed)
         covs = []
         for j in range(k):
@@ -237,6 +238,9 @@ class TestFactorStack:
             assert np.array_equal(repaired[j], cov)
             assert np.array_equal(factors[j], factor)
             assert jitter[j] == step
+            if step == 0.0:
+                public = dpotrf(cov, lower=1, clean=1)[0]
+                assert public.tobytes() == factors[j].tobytes()
             assert np.array_equal(inverses[j], dtrtri(factors[j], lower=1)[0])
 
     @settings(max_examples=60, deadline=None)
