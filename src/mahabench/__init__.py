@@ -29,7 +29,6 @@ from .bench import (
     run_benchmark,
 )
 from .continual import (
-    ClassRecord,
     ContinualState,
     EncodingStrategy,
     HeadMode,
@@ -53,7 +52,7 @@ from .errors import (
     StrategyHasNoScore,
     WorkerFailed,
 )
-from .gmm import ClassPrior, gmm_log_scores
+from .gmm import gmm_log_scores
 from .heads import (
     ClassStatistics,
     MetricKind,

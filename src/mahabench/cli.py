@@ -6,12 +6,13 @@ takes only the flags its run reads; any other flag exits 2.  The run flags
 --mean-radius --scale-spread --domain-id``) go to every subcommand but
 riemann, which takes ``--seed --out --dims`` and its own; the head flags
 (``--method --min-steps --max-steps --beta``) to bench, recall, active and
-continual; ``--tasks`` to bench, gen-tasks and recall; the sampler flags
-(``--mode --way --shot --query``) to bench and gen-tasks.  Every run
-prints its resolved configuration (including the seed) to stdout and
-writes CSV or JSON to --out.  CSV files start with a ``#`` comment line
-echoing the configuration as JSON; identical seeds produce byte-identical
-outputs.  Exit codes: 0 success, 2 configuration/usage error, 1 runtime
+continual, where the step limits may move from their defaults only when
+some method refines (``transductive``, ``gmm-em``); ``--tasks`` to bench,
+gen-tasks and recall; the sampler flags (``--mode --way --shot --query``)
+to bench and gen-tasks.  Every run prints its resolved configuration
+(including the seed) to stdout and writes CSV or JSON to --out.  CSV files
+start with a ``#`` comment line echoing the configuration as JSON;
+identical seeds produce byte-identical outputs.  Exit codes: 0 success, 2 configuration/usage error, 1 runtime
 error.
 
 bench and recall tasks, active sessions, continual streams and riemann
@@ -208,8 +209,12 @@ def _methods(args) -> tuple:
     """The ``--method`` names, each checked to resolve, and their step limits."""
     methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
     refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps)
-    for name in methods:
-        parse_method(name, refine_cfg, args.beta)
+    heads = [parse_method(name, refine_cfg, args.beta) for name in methods]
+    # only a refining head reads the step limits
+    if all(h.refine is None for h in heads) and (
+            unread := _changed(args, "min_steps", "max_steps")):
+        raise InvalidConfig(f"no method in --method refines, so {', '.join(unread)} "
+                            f"cannot be set")
     return methods, refine_cfg
 
 

@@ -7,15 +7,21 @@ recent task's (moving), the first task's (first), or a running average
 while saved class statistics keep the frame they were estimated in; a
 drifting working frame therefore invalidates old statistics, which is the
 forgetting mechanism under the moving strategy.
+
+A session's merged class memory is one ``heads.ClassStatistics`` with a
+row per world class.  A class's row holds its statistics as first fitted;
+when a later task shows the class again, ``merge_class_statistics``
+combines old and new rows, weighted by their support counts, for all of
+the task's seen classes at once.  Evaluations score copies of the rows
+they need, so the memory itself never leaves the session.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
-from . import spd
-from .errors import DimensionMismatch, InvalidConfig, NotEnoughClasses
+from .errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses
 from .heads import ClassStatistics
 from .methods import HeadConfig, fit_statistics, predict_labels, support_fits
 from .rng import Rng
@@ -34,56 +40,41 @@ class HeadMode(Enum):
 
 
 @dataclass
-class ClassRecord:
-    """Merged statistics of one class; the covariance is factored once.
-
-    Without a ``factor`` the covariance is repaired and factored on
-    creation, and the factor's inverse and the jitter it needed are kept
-    beside it, so evaluations reuse both instead of re-factoring or
-    re-inverting.  A record given a ``factor`` must be given its
-    ``inverse_factor`` too.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    count: float
-    factor: np.ndarray | None = None
-    inverse_factor: np.ndarray | None = None
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        if self.factor is None:
-            covs, factors, inverses, jitter = spd.factor_stack([self.covariance])
-            self.covariance, self.factor, self.inverse_factor = covs[0], factors[0], inverses[0]
-            self.jitter = float(jitter[0])
-        elif self.inverse_factor is None:
-            raise ValueError("a record with a factor needs its inverse factor")
-
-
-@dataclass
 class ContinualState:
-    """Mutable per-session state: merged class records and encoding memory."""
+    """Mutable per-session encoding memory."""
 
     strategy: EncodingStrategy
     tasks_seen: int = 0
-    classes: dict = field(default_factory=dict)  # global class id -> ClassRecord
     first_encoding: EncodingTransform | None = None
     average_encoding: EncodingTransform | None = None
 
 
-def merge_class_statistics(old: ClassRecord, new: ClassRecord) -> ClassRecord:
-    """Count-weighted convex combination of means and covariances."""
-    if old.mean.shape != new.mean.shape:
-        raise DimensionMismatch("merged means disagree on dimension")
-    if old.count <= 0 or new.count <= 0:
-        raise ValueError("merge needs positive counts on both sides")
-    total = old.count + new.count
-    w_new = new.count / total
-    w_old = old.count / total
-    return ClassRecord(
-        mean=w_new * new.mean + w_old * old.mean,
-        covariance=w_new * new.covariance + w_old * old.covariance,
-        count=total,
+def merge_class_statistics(old: ClassStatistics, new: ClassStatistics) -> ClassStatistics:
+    """Row-by-row count-weighted convex combination of two equal-size stacks.
+
+    Row k of the result merges row k of ``old`` and of ``new``: its mean
+    and covariance are the count-weighted averages and its count the sum.
+    The merged covariances are factored together in one ``from_moments``
+    call.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the stacks differ in class count or dimension.
+    EmptyClass
+        If a row's count is not positive on either side.
+    """
+    if old.means.shape != new.means.shape:
+        raise DimensionMismatch("merged stacks disagree on class count or dimension")
+    empty = (old.counts <= 0) | (new.counts <= 0)
+    if np.any(empty):
+        raise EmptyClass(int(np.argmax(empty)), "merge needs positive counts on both sides")
+    total = old.counts + new.counts
+    w_new, w_old = new.counts / total, old.counts / total
+    return ClassStatistics.from_moments(
+        w_new[:, None] * new.means + w_old[:, None] * old.means,
+        w_new[:, None, None] * new.covariances + w_old[:, None, None] * old.covariances,
+        total,
     )
 
 
@@ -150,30 +141,10 @@ def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> li
     return encodings
 
 
-def _stats_from_records(records: list[ClassRecord]) -> ClassStatistics:
-    """Stack the records' moments, cached factors and inverse factors."""
-    means, covs, counts, factors, inverses, jitter = zip(
-        *(
-            (r.mean, r.covariance, r.count, r.factor, r.inverse_factor, r.jitter)
-            for r in records
-        )
-    )
-    return ClassStatistics(
-        means=np.stack(means),
-        covariances=np.stack(covs),
-        counts=np.array(counts),
-        factors=np.stack(factors),
-        inverse_factors=np.stack(inverses),
-        jitter=np.array(jitter),
-    )
-
-
-def _cached_stack(stacks: dict, records: dict, ids: tuple) -> ClassStatistics:
-    """The stack of ``ids``' current records, built on its first request."""
-    stats = stacks.get(ids)
-    if stats is None:
-        stats = stacks[ids] = _stats_from_records([records[c] for c in ids])
-    return stats
+def _store(memory: ClassStatistics, rows, stats: ClassStatistics) -> None:
+    """Write ``stats``' rows into ``memory``'s ``rows``, in place."""
+    for f in fields(ClassStatistics):
+        getattr(memory, f.name)[rows] = getattr(stats, f.name)
 
 
 def run_continual_session(
@@ -189,18 +160,27 @@ def run_continual_session(
 
     Entry (i, j) for j <= i is accuracy on task j's query set after the
     head has seen tasks 0..i; entries above the diagonal are NaN.  Class
-    groups default to disjoint consecutive blocks of the world's classes.
+    groups default to disjoint consecutive blocks of the world's classes;
+    given groups, one per task, must each name distinct world class ids.
     Merging weights use the per-task support counts even when statistics
     come from transductive refinement, so class counts always total the
     support examples shown.
 
-    Stacked class statistics are cached per tuple of class ids for the
-    whole session.  After step t merges its classes, every cached stack
-    that holds one of them is dropped, and the evaluations rebuild a stack
-    only on its first request.  With the default disjoint groups, each
-    multi-head group is stacked once per session, and one single-head stack
-    per step serves every earlier task; overlapping groups stay correct
-    because invalidation is per class id.
+    The merged class memory is one ``ClassStatistics`` with a row per world
+    class, whose count stays 0 until the class is first seen.  Step t
+    stores its group's unseen classes as fitted and merges its seen ones in
+    one ``merge_class_statistics`` call, writing the rows in place.  The
+    evaluations score fresh copies of rows (``ClassStatistics.take``): the
+    group's classes for a multi-head evaluation, and for single-head, every
+    seen class, copied once per step.
+
+    Raises
+    ------
+    InvalidConfig
+        If ``class_groups`` does not hold one group per task, or a group
+        names a class twice or an id outside [0, world.class_count).
+    NotEnoughClasses
+        If the default groups need more classes than the world has.
     """
     t_count = stream.num_tasks
     if class_groups is None:
@@ -211,6 +191,13 @@ def run_continual_session(
             list(range(t * stream.classes_per_task, (t + 1) * stream.classes_per_task))
             for t in range(t_count)
         ]
+    if len(class_groups) != t_count:
+        raise InvalidConfig(f"{len(class_groups)} class groups for {t_count} tasks")
+    for group in class_groups:
+        if not group or len(set(group)) != len(group):
+            raise InvalidConfig(f"class group {group} must name distinct classes")
+        if min(group) < 0 or max(group) >= world.class_count:
+            raise InvalidConfig(f"class group {group} leaves [0, {world.class_count})")
 
     rng = Rng(seed)
     true_encodings = make_task_encodings(world.dims, t_count, stream.drift, rng)
@@ -224,43 +211,36 @@ def run_continual_session(
         raw_query.append(np.vstack(qry))
 
     state = ContinualState(strategy=strategy)
-    stacks: dict[tuple, ClassStatistics] = {}
+    # a row per world class; a count of 0 marks a class not seen yet
+    k, d = world.class_count, world.dims
+    memory = ClassStatistics(np.zeros((k, d)), np.zeros((k, d, d)), np.zeros(k),
+                             np.zeros((k, d, d)), np.zeros((k, d, d)), np.zeros(k))
     matrix = np.full((t_count, t_count), np.nan)
     for t in range(t_count):
-        group = class_groups[t]
+        rows = np.array(class_groups[t])
         working = update_encoding(state, true_encodings[t])
-        local_y = np.repeat(np.arange(len(group), dtype=np.int64), stream.shot)
+        local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)
         support_feat = working.apply(raw_support[t])
         query_feat = working.apply(raw_query[t])
         start = support_fits([head], support_feat, local_y, query_feat)[0]
-        stats = fit_statistics(head, start).statistics
-        for slot, cid in enumerate(group):
-            new_rec = ClassRecord(
-                mean=stats.means[slot],
-                covariance=stats.covariances[slot],
-                count=float(stream.shot),
-                factor=stats.factors[slot],
-                inverse_factor=stats.inverse_factors[slot],
-                jitter=float(stats.jitter[slot]),
-            )
-            if cid in state.classes:
-                state.classes[cid] = merge_class_statistics(state.classes[cid], new_rec)
-            else:
-                state.classes[cid] = new_rec
-        merged = set(group)
-        for ids in [ids for ids in stacks if not merged.isdisjoint(ids)]:
-            del stacks[ids]
+        new = replace(fit_statistics(head, start).statistics,
+                      counts=np.full(len(rows), float(stream.shot)))
+        seen = memory.counts[rows] > 0
+        if seen.any():
+            merged = merge_class_statistics(memory.take(rows[seen]), new.take(seen))
+            _store(memory, rows[seen], merged)
+        _store(memory, rows[~seen], new.take(~seen))
 
-        seen_ids = tuple(sorted(state.classes))
+        if head_mode is HeadMode.SINGLE_HEAD:
+            seen_ids = np.flatnonzero(memory.counts > 0)
+            single = memory.take(seen_ids)
         for j in range(t + 1):
             if head_mode is HeadMode.MULTI_HEAD:
-                ids = tuple(sorted(class_groups[j]))
+                ids = np.sort(class_groups[j])
+                stats_j = memory.take(ids)
             else:
-                ids = seen_ids
-            stats_j = _cached_stack(stacks, state.classes, ids)
-            truth = np.repeat(
-                [ids.index(c) for c in class_groups[j]], stream.query_per_class
-            )
+                ids, stats_j = seen_ids, single
+            truth = np.repeat(np.searchsorted(ids, class_groups[j]), stream.query_per_class)
             feats = working.apply(raw_query[j])
             pred = predict_labels(head, stats_j, feats)
             matrix[t, j] = float(np.mean(pred == truth))

@@ -30,7 +30,7 @@ every result (statistics, scores) is a fresh array.
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -90,8 +90,12 @@ class ClassStatistics:
     factor, so scoring needs no further factorization or inversion.
     ``jitter`` is the ridge each covariance needed on top of its estimate to
     factor (0 for every class unless beta is 0 or the inputs are
-    degenerate); ``covariances`` already include it.  Instances are
-    immutable and safe to share across threads.
+    degenerate); ``covariances`` already include it.  Instances are not
+    rebound and are safe to share across threads.  Their arrays are
+    written in one place only: ``continual.run_continual_session`` keeps
+    its merged class memory as one instance with a row per world class and
+    assigns rows of it in place; that instance never leaves the session,
+    which scores only the fresh copies ``take`` returns.
     """
 
     means: np.ndarray  # (K, d)
@@ -109,14 +113,20 @@ class ClassStatistics:
     def dims(self) -> int:
         return self.means.shape[1]
 
+    def take(self, rows) -> "ClassStatistics":
+        """The statistics of ``rows`` (an index array or a boolean mask),
+        in that order, as fresh arrays."""
+        rows = np.asarray(rows)
+        return ClassStatistics(*(getattr(self, f.name)[rows] for f in fields(self)))
+
     @classmethod
     def from_moments(cls, means, covariances, counts) -> "ClassStatistics":
         """Build statistics from raw moments, factoring the covariance stack.
 
         Covariances are symmetrized and factored in one ``spd.factor_stack``
-        pass; a matrix that fails exact Cholesky is repaired through the
-        default jitter schedule (only reachable when beta is 0 or the inputs
-        are degenerate).
+        pass; a matrix that fails exact Cholesky is repaired through
+        ``spd.ensure_pd``'s jitter schedule (only reachable when beta is 0
+        or the inputs are degenerate).
         """
         means = np.asarray(means, dtype=np.float64)
         counts = np.asarray(counts, dtype=np.float64)

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import gmm, heads
 from .errors import InvalidConfig
-from .gmm import ClassPrior
 from .heads import ClassStatistics, MetricKind, SupportLayout, estimate_class_statistics
 from .refine import RefineConfig, run_refinement
 
@@ -133,7 +132,7 @@ def _scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
     # scorers are looked up on their modules: a by-name import would add a
     # binding to the ones perfbench's traced run counts and pins
     if head.gmm:
-        return gmm.gmm_log_scores(x, stats, ClassPrior.uniform(stats.class_count))
+        return gmm.gmm_log_scores(x, stats)
     return heads.class_scores(x, stats, head.metric)
 
 

@@ -177,13 +177,13 @@ def logdet(factor: np.ndarray):
     return float(out) if factor.ndim == 2 else out
 
 
-def ensure_pd(m, jitter_schedule=DEFAULT_JITTER_SCHEDULE) -> tuple[np.ndarray, np.ndarray, float]:
+def ensure_pd(m) -> tuple[np.ndarray, np.ndarray, float]:
     """Repair a nearly-PSD matrix by adding the smallest scheduled jitter.
 
-    Tries ``m + j*I`` for each ``j`` in the schedule in order and returns the
-    first repaired (symmetrized) matrix, its lower factor and the jitter
-    ``j`` that worked.  The schedule must be non-decreasing and start at 0 so
-    exact-PD inputs come back unchanged, with jitter 0.
+    Tries ``m + j*I`` for each ``j`` in ``DEFAULT_JITTER_SCHEDULE`` in order
+    and returns the first repaired (symmetrized) matrix, its lower factor
+    and the jitter ``j`` that worked.  The schedule starts at 0, so exact-PD
+    inputs come back unchanged, with jitter 0.
 
     Raises
     ------
@@ -191,23 +191,18 @@ def ensure_pd(m, jitter_schedule=DEFAULT_JITTER_SCHEDULE) -> tuple[np.ndarray, n
         If ``m`` has a non-finite entry, or no scheduled jitter makes the
         factorization succeed.
     """
-    schedule = list(jitter_schedule)
-    if not schedule or schedule[0] != 0.0:
-        raise ValueError("jitter schedule must start at 0")
-    if any(b < a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("jitter schedule must be non-decreasing")
     sym = _symmetrized(m)
     # dpotrf reports success on NaN input, so a NaN factor would pass through
     if not np.all(np.isfinite(sym)):
         raise NotRepairable("matrix has non-finite entries")
     eye = np.eye(sym.shape[0])
-    for j in schedule:
+    for j in DEFAULT_JITTER_SCHEDULE:
         try:
             repaired = sym if j == 0.0 else sym + j * eye
             return repaired, cholesky(repaired), float(j)
         except NotPositiveDefinite:
             continue
-    raise NotRepairable(f"no jitter in {schedule} repaired the matrix")
+    raise NotRepairable(f"no jitter in {DEFAULT_JITTER_SCHEDULE} repaired the matrix")
 
 
 def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -217,9 +212,8 @@ def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     where needed, repaired) covariances, their lower Cholesky factors, the
     lower triangular inverses of those factors, all ``(K, d, d)``, and the
     ``(K,)`` jitter each matrix needed (0 for an exact factorization).  A
-    matrix whose exact ``dpotrf`` fails is handed to ``ensure_pd`` with the
-    default schedule; every output is bit-identical to ``ensure_pd`` on
-    each matrix in turn.
+    matrix whose exact ``dpotrf`` fails is handed to ``ensure_pd``; every
+    output is bit-identical to ``ensure_pd`` on each matrix in turn.
 
     Raises
     ------

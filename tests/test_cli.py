@@ -142,6 +142,12 @@ class TestCliMain:
         ["riemann", "--weak-scale", "0"],
         ["bench", "--tasks", "30", "--mode", "metadataset", "--way", "7"],
         ["bench", "--tasks", "30", "--mode", "metadataset", "--shot", "9"],
+        # no method refines, so the step limits would be ignored
+        [*SMALL_ACTIVE, "--min-steps", "5", "--max-steps", "9"],
+        [*SMALL_ACTIVE, "--min-steps", "1"],
+        [*SMALL_CONTINUAL, "--max-steps", "9"],
+        ["bench", "--tasks", "30", "--method", "simple,gmm", "--min-steps", "1"],
+        ["recall", "--tasks", "2", "--method", "simple:euclidean,gmm", "--max-steps", "6"],
     ])
     def test_config_errors_exit_two(self, argv, capsys):
         assert cli_main(argv) == 2
@@ -263,10 +269,13 @@ def test_every_flag_is_in_the_header(tmp_path, monkeypatch, capsys, command, fla
     value = ALTERNATIVES[flag]
     if isinstance(value, dict):
         value = value[command]
+    base = HEADER_BASES[command]
+    if flag in ("--min-steps", "--max-steps"):
+        base = [*base, "--method", "transductive"]  # only a refining head reads them
     out = tmp_path / "out"
     headers = []
     for extra in ([], [flag, value]):
-        assert cli_main([*HEADER_BASES[command], *extra, "--out", str(out)]) == 0
+        assert cli_main([*base, *extra, "--out", str(out)]) == 0
         echo = capsys.readouterr().out.splitlines()[0]
         headers.append(echo if command == "gen-tasks" else out.read_text().splitlines()[0])
     assert headers[0] != headers[1]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -7,9 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtri
 
 from mahabench import continual
-from mahabench.bench import DomainSpec
 from mahabench.continual import (
-    ClassRecord,
     ContinualState,
     EncodingStrategy,
     HeadMode,
@@ -19,92 +18,130 @@ from mahabench.continual import (
     run_continual_session,
     update_encoding,
 )
-from mahabench.errors import NotEnoughClasses
-from mahabench.heads import SupportLayout, estimate_class_statistics
+from mahabench.errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses
+from mahabench.heads import ClassStatistics, SupportLayout, estimate_class_statistics
 from mahabench.methods import HeadConfig, predict
 from mahabench.rng import Rng
-from mahabench.spd import cholesky
+from mahabench.spd import cholesky, ensure_pd
 from mahabench.worlds import EncodingTransform, make_cluster_world
 
 
-def record(mean, cov, count):
-    return ClassRecord(np.asarray(mean, float), np.asarray(cov, float), float(count))
+def stack(means, covs, counts):
+    """A K-row stack of class statistics from its moments."""
+    return ClassStatistics.from_moments(np.asarray(means, float), np.asarray(covs, float),
+                                        np.asarray(counts, float))
+
+
+def random_stack(rng, k, dims):
+    covs = []
+    for _ in range(k):
+        a = rng.normal((dims, dims))
+        covs.append(a @ a.T + np.eye(dims))
+    return stack(rng.normal((k, dims)), covs, [1 + rng.below(10) for _ in range(k)])
 
 
 class TestMergeClassStatistics:
     def test_equal_counts_average(self):
         merged = merge_class_statistics(
-            record([0.0, 0.0], np.eye(2), 2),
-            record([2.0, 2.0], 3.0 * np.eye(2), 2),
+            stack([[0.0, 0.0], [1.0, 0.0]], [np.eye(2), np.eye(2)], [2, 5]),
+            stack([[2.0, 2.0], [1.0, 4.0]], [3.0 * np.eye(2), 5.0 * np.eye(2)], [2, 5]),
         )
-        assert np.allclose(merged.mean, [1.0, 1.0])
-        assert np.allclose(merged.covariance, 2.0 * np.eye(2))
-        assert merged.count == 4.0
+        assert np.allclose(merged.means, [[1.0, 1.0], [1.0, 2.0]])
+        assert np.allclose(merged.covariances, [2.0 * np.eye(2), 3.0 * np.eye(2)])
+        assert np.array_equal(merged.counts, [4.0, 10.0])
 
     def test_three_to_one_weights(self):
         merged = merge_class_statistics(
-            record([0.0], np.eye(1), 1),
-            record([4.0], np.eye(1), 3),
+            stack([[0.0], [4.0]], [np.eye(1), np.eye(1)], [1, 3]),
+            stack([[4.0], [0.0]], [np.eye(1), np.eye(1)], [3, 1]),
         )
-        assert np.allclose(merged.mean, [3.0])  # 0.75 on the new task
-        assert merged.count == 4.0
+        assert np.allclose(merged.means, [[3.0], [3.0]])  # 0.75 on the heavier side
+        assert np.array_equal(merged.counts, [4.0, 4.0])
 
     def test_merging_identical_statistics_is_fixed_point(self):
-        rec = record([1.0, -1.0], 2.0 * np.eye(2), 5)
-        merged = merge_class_statistics(rec, record([1.0, -1.0], 2.0 * np.eye(2), 5))
-        assert np.allclose(merged.mean, rec.mean)
-        assert np.allclose(merged.covariance, rec.covariance)
-        assert merged.count == 10.0
+        old = random_stack(Rng(2), 3, 2)
+        merged = merge_class_statistics(old, old)
+        assert np.allclose(merged.means, old.means)
+        assert np.allclose(merged.covariances, old.covariances)
+        assert np.array_equal(merged.counts, 2.0 * old.counts)
 
     def test_merged_covariance_stays_spd(self):
         rng = Rng(3)
         for _ in range(100):
-            a = rng.normal((3, 3))
-            b = rng.normal((3, 3))
-            merged = merge_class_statistics(
-                record(rng.normal(3), a @ a.T + np.eye(3), 1 + rng.below(10)),
-                record(rng.normal(3), b @ b.T + np.eye(3), 1 + rng.below(10)),
-            )
-            cholesky(merged.covariance)  # zero jitter must succeed
+            merged = merge_class_statistics(random_stack(rng, 3, 3), random_stack(rng, 3, 3))
+            assert np.array_equal(merged.jitter, np.zeros(3))
+            for q in merged.covariances:
+                cholesky(q)  # zero jitter must succeed
 
-    def test_record_caches_the_factor_of_its_covariance(self):
-        rec = record([0.0, 0.0], [[4.0, 2.0], [2.0, 5.0]], 3)
-        assert np.array_equal(rec.factor, cholesky(rec.covariance))
-        merged = merge_class_statistics(rec, record([1.0, 1.0], np.eye(2), 1))
-        assert np.array_equal(merged.factor, cholesky(merged.covariance))
-        for r in (rec, merged):
-            assert np.array_equal(r.inverse_factor, dtrtri(r.factor, lower=1)[0])
-            assert r.jitter == 0.0
+    def test_each_row_merges_bit_for_bit_as_one_class(self):
+        # reference: one class at a time, with scalar weights, as a per-class
+        # merge computes it
+        rng = Rng(5)
+        old, new = random_stack(rng, 4, 3), random_stack(rng, 4, 3)
+        merged = merge_class_statistics(old, new)
+        for k in range(4):
+            total = float(old.counts[k]) + float(new.counts[k])
+            w_new, w_old = float(new.counts[k]) / total, float(old.counts[k]) / total
+            mean = w_new * new.means[k] + w_old * old.means[k]
+            cov, factor, _ = ensure_pd(w_new * new.covariances[k] + w_old * old.covariances[k])
+            assert merged.counts[k] == total
+            assert np.array_equal(merged.means[k], mean)
+            assert np.array_equal(merged.covariances[k], cov)
+            assert np.array_equal(merged.factors[k], factor)
 
-    def test_record_keeps_the_jitter_its_repair_needed(self):
-        rec = record([0.0, 0.0], np.ones((2, 2)), 3)  # rank one
-        assert rec.jitter == 1e-10
-        assert np.array_equal(rec.covariance, np.ones((2, 2)) + 1e-10 * np.eye(2))
-        with pytest.raises(ValueError):
-            ClassRecord(rec.mean, rec.covariance, 3.0, factor=rec.factor)
+    def test_merge_caches_the_factors_of_its_covariances(self):
+        merged = merge_class_statistics(
+            stack([[0.0, 0.0], [1.0, 2.0]], [[[4.0, 2.0], [2.0, 5.0]], np.eye(2)], [3, 1]),
+            stack([[1.0, 1.0], [0.0, 0.0]], [np.eye(2), [[2.0, -1.0], [-1.0, 3.0]]], [1, 2]),
+        )
+        for cov, factor, inverse in zip(merged.covariances, merged.factors,
+                                        merged.inverse_factors):
+            assert np.array_equal(factor, cholesky(cov))
+            assert np.array_equal(inverse, dtrtri(factor, lower=1)[0])
+
+    def test_merge_repairs_a_rank_one_covariance(self):
+        # the merge reads only the moments: rank-one inputs, never factored
+        unfactored = np.zeros((2, 2, 2))
+        flat = ClassStatistics(np.zeros((2, 2)), np.stack([np.ones((2, 2)), np.eye(2)]),
+                               np.array([3.0, 3.0]), unfactored, unfactored, np.zeros(2))
+        merged = merge_class_statistics(flat, flat)
+        assert np.array_equal(merged.jitter, [1e-10, 0.0])
+        assert np.array_equal(merged.covariances[0], np.ones((2, 2)) + 1e-10 * np.eye(2))
+
+    def test_merge_rejects_unequal_stacks_and_empty_rows(self):
+        rng = Rng(4)
+        with pytest.raises(DimensionMismatch):
+            merge_class_statistics(random_stack(rng, 2, 2), random_stack(rng, 3, 2))
+        with pytest.raises(DimensionMismatch):
+            merge_class_statistics(random_stack(rng, 2, 2), random_stack(rng, 2, 3))
+        old = random_stack(rng, 2, 2)
+        empty = ClassStatistics(old.means, old.covariances, np.array([1.0, 0.0]),
+                                old.factors, old.inverse_factors, old.jitter)
+        with pytest.raises(EmptyClass) as raised:
+            merge_class_statistics(old, empty)
+        assert raised.value.class_index == 1
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n_records=st.integers(2, 4),
+        n_stacks=st.integers(2, 4),
+        k=st.integers(1, 3),
         dims=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_merge_order_does_not_matter(self, n_records, dims, seed):
+    def test_merge_order_does_not_matter(self, n_stacks, k, dims, seed):
         rng = Rng(seed)
-        records = []
-        for _ in range(n_records):
-            a = rng.normal((dims, dims))
-            records.append(record(rng.normal(dims), a @ a.T + np.eye(dims), 1 + rng.below(10)))
+        stacks = [random_stack(rng, k, dims) for _ in range(n_stacks)]
         results = []
-        for order in itertools.permutations(records):
+        for order in itertools.permutations(stacks):
             merged = order[0]
-            for rec in order[1:]:
-                merged = merge_class_statistics(merged, rec)
+            for other in order[1:]:
+                merged = merge_class_statistics(merged, other)
             results.append(merged)
         for other in results[1:]:
-            assert other.count == results[0].count
-            assert np.allclose(other.mean, results[0].mean, rtol=1e-10, atol=1e-12)
-            assert np.allclose(other.covariance, results[0].covariance, rtol=1e-10, atol=1e-12)
+            assert np.array_equal(other.counts, results[0].counts)
+            assert np.allclose(other.means, results[0].means, rtol=1e-10, atol=1e-12)
+            assert np.allclose(other.covariances, results[0].covariances,
+                               rtol=1e-10, atol=1e-12)
 
 
 class TestUpdateEncoding:
@@ -252,9 +289,6 @@ class TestRunContinualSession:
         world = small_world()
         stream = StreamConfig(num_tasks=3, classes_per_task=2, shot=7, drift=0.5)
         groups = [[0, 1], [2, 3], [0, 1]]  # classes 0/1 appear twice
-        from mahabench.continual import ContinualState  # state is internal; replay
-
-        # run with explicit groups and verify via merged counts re-derivation
         matrix = run_continual_session(
             world, stream, EncodingStrategy.FIRST, HeadMode.MULTI_HEAD,
             seed=1, class_groups=groups,
@@ -264,38 +298,54 @@ class TestRunContinualSession:
         # row-0 entry reflects merged statistics (smoke: still in range)
         assert np.all(matrix[np.tril_indices(3)] >= 0.0)
 
+    # sha256 of the seed 0-2 matrices for revisited classes, as the stack of
+    # per-class records with its per-tuple stack cache computed them
+    OVERLAP_PINS = {
+        HeadMode.MULTI_HEAD: "387a9f0e9a7796ec386bc54c7503fc0bee89ace2d0c07f5dab07e40eab1c75b4",
+        HeadMode.SINGLE_HEAD: "1281f534153e9b5d8ac69b9b456d63d5300e723ecf228589ecdc4bf1d2750c18",
+    }
+
     @pytest.mark.parametrize("mode", list(HeadMode))
-    def test_cached_stacks_match_restacking_every_evaluation(self, mode, monkeypatch):
-        # later tasks revisit earlier classes, so their merges must drop the
-        # stacks that earlier tasks' evaluations cached
+    def test_merged_matrices_are_pinned(self, mode):
+        # later tasks revisit earlier classes, so every step from the second
+        # on merges into rows that earlier evaluations scored
         world = small_world()
         stream = StreamConfig(num_tasks=5, classes_per_task=2, shot=2, drift=0.3)
         groups = [[0, 1], [1, 2], [0, 2], [3, 0], [1, 3]]
-        cached = [
-            run_continual_session(world, stream, EncodingStrategy.FIRST, mode, seed=seed,
-                                  class_groups=groups)
-            for seed in range(3)
-        ]
-        monkeypatch.setattr(
-            continual, "_cached_stack",
-            lambda stacks, records, ids: continual._stats_from_records([records[c] for c in ids]),
-        )
-        for seed, matrix in enumerate(cached):
-            restacked = run_continual_session(
-                world, stream, EncodingStrategy.FIRST, mode, seed=seed, class_groups=groups
-            )
-            assert np.array_equal(matrix, restacked, equal_nan=True)
+        digest = hashlib.sha256()
+        for seed in range(3):
+            matrix = run_continual_session(world, stream, EncodingStrategy.FIRST, mode,
+                                           seed=seed, class_groups=groups)
+            digest.update(matrix.tobytes())
+        assert digest.hexdigest() == self.OVERLAP_PINS[mode]
+
+    @pytest.mark.parametrize("groups", [
+        [[0, -1], [2, 3]],  # a negative id would index from the end
+        [[0, 10], [2, 3]],  # the world has classes 0..9
+        [[0, 0], [2, 3]],  # a class twice in one task
+        [[0, 1], []],
+        [[0, 1]],  # one group per task
+        [[0, 1], [2, 3], [4, 5]],
+    ], ids=str)
+    def test_bad_class_groups_are_config_errors(self, groups):
+        stream = StreamConfig(num_tasks=2, classes_per_task=2, shot=2)
+        with pytest.raises(InvalidConfig):
+            run_continual_session(small_world(), stream, EncodingStrategy.FIRST,
+                                  HeadMode.SINGLE_HEAD, class_groups=groups)
 
     @pytest.mark.parametrize("mode", list(HeadMode))
     def test_disjoint_groups_stack_once_per_task(self, mode, monkeypatch):
-        calls = []
-        stack = continual._stats_from_records
-        monkeypatch.setattr(
-            continual, "_stats_from_records", lambda records: calls.append(1) or stack(records)
-        )
+        # no class is revisited, so nothing merges and each task's class
+        # stack is factored once, by its fit, however often it is scored
+        factored, merges = [], []
+        from_moments = ClassStatistics.from_moments
+        monkeypatch.setattr(ClassStatistics, "from_moments", classmethod(
+            lambda cls, *args: factored.append(1) or from_moments(*args)))
+        monkeypatch.setattr(continual, "merge_class_statistics",
+                            lambda old, new: merges.append(1))
         stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=3)
         run_continual_session(small_world(), stream, EncodingStrategy.MOVING, mode, seed=0)
-        assert len(calls) == 4
+        assert (len(factored), len(merges)) == (4, 0)
 
     def test_not_enough_classes(self):
         world = small_world(classes=4)

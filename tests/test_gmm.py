@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahabench.errors import EmptyClass, LabelOutOfRange, NonFiniteInput
-from mahabench.gmm import ClassPrior, gmm_log_scores
+from mahabench.gmm import gmm_log_scores
 from mahabench.heads import (
     ClassStatistics,
     MetricKind,
@@ -38,27 +38,13 @@ def random_stats(rng, k=3, d=3):
     return ClassStatistics.from_moments(means, covs, np.ones(k))
 
 
-class TestClassPrior:
-    def test_uniform(self):
-        assert np.allclose(ClassPrior.uniform(4).probs, 0.25)
-
-    def test_zero_entry_rejected(self):
-        with pytest.raises(ValueError):
-            ClassPrior(np.array([1.0, 0.0]))
-
-    def test_sum_check(self):
-        with pytest.raises(ValueError):
-            ClassPrior(np.array([0.6, 0.6]))
-
-
 class TestGmmLogScores:
     def test_uniform_prior_equal_covariances_match_mahalanobis_argmax(self):
         rng = Rng(3)
         means = rng.normal((3, 2))
         stats = stats_with(means, [np.eye(2)] * 3)
-        prior = ClassPrior.uniform(3)
         queries = rng.normal((50, 2))
-        gmm_arg = gmm_log_scores(queries, stats, prior).argmax(axis=1)
+        gmm_arg = gmm_log_scores(queries, stats).argmax(axis=1)
         _, maha_arg = predict(HeadConfig(), stats, queries)
         assert np.array_equal(gmm_arg, maha_arg)
 
@@ -75,7 +61,7 @@ class TestGmmLogScores:
         stats = stats_with(spread * rng.normal((k, d)), [a @ a.T + 0.1 * np.eye(d)] * k)
         queries = spread * rng.normal((20, d))
         maha = -class_scores(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
-        gmm = gmm_log_scores(queries, stats, ClassPrior.uniform(k))
+        gmm = gmm_log_scores(queries, stats)
         # classes nearest-first by Mahalanobis distance are best-first by GMM
         order = np.argsort(maha, axis=1, kind="stable")
         assert np.all(np.diff(np.take_along_axis(gmm, order, axis=1), axis=1) <= 0)
@@ -87,28 +73,20 @@ class TestGmmLogScores:
     def test_log_determinant_term_prefers_tight_class(self):
         # equal means, Q2 = 4I in 2-D: scores differ by -0.5 * log|4I|
         stats = stats_with([[0.0, 0.0], [0.0, 0.0]], [np.eye(2), 4.0 * np.eye(2)])
-        scores = gmm_log_scores(np.zeros(2), stats, ClassPrior.uniform(2))
+        scores = gmm_log_scores(np.zeros(2), stats)
         assert scores[0] - scores[1] == pytest.approx(0.5 * 2.0 * np.log(4.0))
         assert scores.argmax() == 0
-
-    def test_prior_gap_decides_equal_geometry(self):
-        stats = stats_with([[0.0, 0.0], [0.0, 0.0]], [np.eye(2), np.eye(2)])
-        prior = ClassPrior(np.array([0.999, 0.001]))
-        scores = gmm_log_scores(np.zeros(2), stats, prior)
-        assert scores[0] - scores[1] == pytest.approx(np.log(0.999 / 0.001), abs=1e-9)
-        assert scores[0] - scores[1] == pytest.approx(6.907, abs=1e-3)
 
     def test_against_direct_formula(self):
         rng = Rng(5)
         stats = random_stats(rng)
-        prior = ClassPrior(np.array([0.5, 0.3, 0.2]))
         q = rng.normal(3)
-        scores = gmm_log_scores(q, stats, prior)
+        scores = gmm_log_scores(q, stats)
         for k in range(3):
             cov = stats.covariances[k]
             diff = q - stats.means[k]
             expected = (
-                np.log(prior.probs[k])
+                np.log(1.0 / 3.0)
                 - 0.5 * diff @ np.linalg.inv(cov) @ diff
                 - 0.5 * np.log(np.linalg.det(cov))
             )
@@ -152,7 +130,7 @@ class TestGmmClassify:
         stats = random_stats(rng)
         q = rng.normal(3)
         probs, _ = predict(GMM, stats, q)
-        scores = gmm_log_scores(q, stats, ClassPrior.uniform(3))
+        scores = gmm_log_scores(q, stats)
         shifted = np.exp(scores + 50.0 - (scores + 50.0).max())
         assert np.allclose(probs, shifted / shifted.sum(), atol=1e-12)
 

@@ -321,6 +321,19 @@ class TestInvariants:
             for q in stats.covariances:
                 cholesky(q)  # raises NotPositiveDefinite on failure
 
+    def test_take_copies_the_named_rows_in_order(self):
+        rng = Rng(41)
+        feats, labels = random_task(rng, n_classes=4)
+        stats = estimate_class_statistics(SupportLayout.build(feats, labels))
+        before = [a.copy() for a in stats_fields(stats)]
+        for rows in ([2, 0], np.array([False, True, False, True])):
+            taken = stats.take(rows)
+            for part, whole in zip(stats_fields(taken), before):
+                assert np.array_equal(part, whole[rows])
+                part[...] = 0.0  # fresh arrays: the source is untouched
+            for field, kept in zip(stats_fields(stats), before):
+                assert np.array_equal(field, kept)
+
 
 def soft_task(rng, k, m, d, per_class=2):
     """A support layout with ``per_class`` rows per class and soft query weights."""

@@ -6,7 +6,7 @@ import pytest
 
 from mahabench import heads, methods
 from mahabench.errors import DimensionMismatch, EmptyClass, LabelOutOfRange, NonFiniteInput
-from mahabench.gmm import ClassPrior, gmm_log_scores
+from mahabench.gmm import gmm_log_scores
 from mahabench.heads import (
     MetricKind,
     SupportLayout,
@@ -40,7 +40,7 @@ def test_predictions_are_the_bits_of_the_head_classifier(head):
     stats = estimate_class_statistics(SupportLayout.build(support, np.repeat(np.arange(3), 6)))
     queries = np.vstack([3.0 * rng.normal((40, 4)), stats.means])
     if head.gmm:
-        scores = gmm_log_scores(queries, stats, ClassPrior.uniform(3))
+        scores = gmm_log_scores(queries, stats)
     else:
         scores = class_scores(queries, stats, head.metric)
     probs, labels = predict(head, stats, queries)

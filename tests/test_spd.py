@@ -153,26 +153,26 @@ class TestLogdet:
 
 class TestEnsurePd:
     def test_pd_input_unchanged(self):
-        repaired, f, jitter = ensure_pd(np.eye(2), [0.0, 1e-8])
+        repaired, f, jitter = ensure_pd(np.eye(2))
         assert np.array_equal(repaired, np.eye(2))
         assert np.array_equal(f, np.eye(2))
         assert jitter == 0.0
 
     def test_zero_matrix_takes_first_working_jitter(self):
-        repaired, f, jitter = ensure_pd(np.zeros((2, 2)), [0.0, 1e-6, 1e-3])
-        assert np.allclose(repaired, 1e-6 * np.eye(2))
-        assert np.allclose(f, 1e-3 * np.eye(2))
-        assert jitter == 1e-6
+        repaired, f, jitter = ensure_pd(np.zeros((2, 2)))
+        assert jitter == DEFAULT_JITTER_SCHEDULE[1] == 1e-10
+        assert np.array_equal(repaired, 1e-10 * np.eye(2))
+        assert np.allclose(f, 1e-5 * np.eye(2))
 
     def test_rank_one_matrix_repaired(self):
-        # eigenvalues {0, 2}: the zero pivot triggers repair at 1e-6
-        repaired, _, jitter = ensure_pd(np.ones((2, 2)), [0.0, 1e-6])
-        assert jitter == 1e-6
-        assert np.allclose(repaired, np.ones((2, 2)) + 1e-6 * np.eye(2))
+        # eigenvalues {0, 2}: the zero pivot triggers repair at 1e-10
+        repaired, _, jitter = ensure_pd(np.ones((2, 2)))
+        assert jitter == 1e-10
+        assert np.array_equal(repaired, np.ones((2, 2)) + 1e-10 * np.eye(2))
 
     def test_not_repairable(self):
         with pytest.raises(NotRepairable):
-            ensure_pd(np.array([[-5.0, 0.0], [0.0, -5.0]]), [0.0, 1e-6])
+            ensure_pd(np.array([[-5.0, 0.0], [0.0, -5.0]]))
         with pytest.raises(NotRepairable):
             factor_stack([np.eye(2), -5.0 * np.eye(2)])
 
@@ -184,12 +184,6 @@ class TestEnsurePd:
                 ensure_pd(np.array([[1.0, bad], [bad, 1.0]]))
             with pytest.raises(NotRepairable):
                 factor_stack([np.eye(2), np.array([[1.0, bad], [bad, 1.0]])])
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            ensure_pd(np.eye(2), [1e-8, 0.0])
-        with pytest.raises(ValueError):
-            ensure_pd(np.eye(2), [0.0, 1e-4, 1e-6])
 
     def test_reconstruction_property(self):
         # cholesky(ensure_pd(S + S^T S + I)) reconstructs within 1e-10

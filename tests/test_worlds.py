@@ -6,7 +6,6 @@ import pytest
 from mahabench.errors import FormatError, InvalidConfig, NotEnoughClasses
 from mahabench.heads import SupportLayout, estimate_class_statistics
 from mahabench.methods import HeadConfig, predict
-from mahabench.rng import Rng
 from mahabench.worlds import (
     EncodingTransform,
     SamplerConfig,
