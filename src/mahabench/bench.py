@@ -6,8 +6,6 @@ paired.  Accuracy is per-task query accuracy averaged over tasks; intervals
 are 95% normal intervals ``1.96 * std / sqrt(n)`` over task accuracies.
 """
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -110,34 +108,6 @@ class BenchConfig:
     sampler: SamplerConfig = SamplerConfig()
     refine: RefineConfig = RefineConfig()
     beta: float = 1.0
-
-    def resolved(self) -> dict:
-        return {
-            "domains": [asdict(d) for d in self.domains],
-            "methods": list(self.methods),
-            "n_tasks": self.n_tasks,
-            "seed": self.seed,
-            "sampler": {
-                "mode": self.sampler.mode.value,
-                "way_range": list(self.sampler.way_range),
-                "shot_range": list(self.sampler.shot_range),
-                "support_cap": self.sampler.support_cap,
-                "query_per_class": self.sampler.query_per_class,
-                "fixed_way": self.sampler.fixed_way,
-                "fixed_shot": self.sampler.fixed_shot,
-            },
-            "refine": asdict(self.refine),
-            "beta": self.beta,
-        }
-
-    def config_hash(self) -> str:
-        return config_hash(self.resolved())
-
-
-def config_hash(config: dict) -> str:
-    """The first 12 hex digits of the sha256 of a resolved configuration."""
-    blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -250,11 +220,7 @@ def run_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> Benc
         rows=tuple(rows),
         summary=summary,
         ranks=average_ranks(per_domain_means),
-        metadata={
-            "seed": cfg.seed,
-            "n_tasks": cfg.n_tasks,
-            "config_hash": cfg.config_hash(),
-        },
+        metadata={"seed": cfg.seed, "n_tasks": cfg.n_tasks},
     )
     return report
 

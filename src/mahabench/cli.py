@@ -9,11 +9,19 @@ riemann, which takes ``--seed --out --dims`` and its own; the head flags
 continual, where the step limits may move from their defaults only when
 some method refines (``transductive``, ``gmm-em``); ``--tasks`` to bench,
 gen-tasks and recall; the sampler flags (``--mode --way --shot --query``)
-to bench and gen-tasks.  Every run prints its resolved configuration
-(including the seed) to stdout and writes CSV or JSON to --out.  CSV files
-start with a ``#`` comment line echoing the configuration as JSON;
-identical seeds produce byte-identical outputs.  Exit codes: 0 success, 2 configuration/usage error, 1 runtime
-error.
+to bench and gen-tasks.  Exit codes: 0 success, 2 configuration/usage error,
+1 runtime error.
+
+Every run prints its configuration to stdout as one JSON line before it
+runs, and a CSV written to --out starts with the same line after ``# ``
+(bench's JSON report holds it as ``config``).  The line holds the command,
+the value of every flag the run reads, ``schema``, the facts the run derives
+from its flags (active and continual ``strategies``, continual
+``head_modes`` and its effective ``classes``, a tasks file's ``n_tasks`` and
+``tasks_sha256``), and ``config_hash``: the first 12 hex digits of the
+sha256 of the sorted JSON of all the rest.  It holds no paths (``--out``,
+``--tasks-file``), and no flag the run leaves unread: such a flag set away
+from its default exits 2.  Identical seeds produce byte-identical outputs.
 
 bench and recall tasks, active sessions, continual streams and riemann
 fields run in forked worker processes, one per CPU of the process's
@@ -156,19 +164,28 @@ def _write_csv(path, config: dict, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def _echo(config: dict) -> None:
+def _echo(args, *unread: str, **facts) -> dict:
+    """Print the run's configuration as one JSON line and return it.
+
+    It holds ``args``' values bar the paths and the flags named in
+    ``unread``, the command's schema, the ``facts`` the run derives from its
+    flags, and ``config_hash`` over all of these.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "tasks_file", *unread)}
+    config.update(schema=f"{args.command}/{CSV_SCHEMA_VERSION}", **facts)
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    config["config_hash"] = hashlib.sha256(blob).hexdigest()[:12]
     print(json.dumps(config, sort_keys=True))
+    return config
 
 
-def _flag_values(args, *skip: str) -> dict:
-    """The command and each of its flags' values by name, bar --out and ``skip``."""
-    return {k: v for k, v in vars(args).items() if k not in ("out", *skip)}
-
-
-def _changed(args, *names: str) -> list[str]:
-    """The flags among ``names`` that ``args`` sets away from their defaults."""
-    defaults = vars(build_parser().parse_args([args.command]))
-    return [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) != defaults[n]]
+def _unread(args, defaults, why: str, *names: str) -> tuple:
+    """``names``, flags the run leaves unread; setting one away from its default
+    (its value in ``defaults``) is a config error that says ``why``."""
+    if changed := [f"--{n.replace('_', '-')}" for n in names
+                   if getattr(args, n) != getattr(defaults, n)]:
+        raise InvalidConfig(f"{why}, so {', '.join(changed)} cannot be set")
+    return names
 
 
 def _require_positive(args, *names: str) -> None:
@@ -176,6 +193,20 @@ def _require_positive(args, *names: str) -> None:
     for name in names:
         if getattr(args, name) < 1:
             raise InvalidConfig(f"--{name.replace('_', '-')} must be at least 1")
+
+
+def _choices(enum, text: str, everything: str) -> list:
+    """The members of ``enum`` whose values the comma list ``text`` names, or
+    all of them if ``text`` is ``everything``; naming none is a config error."""
+    if text == everything:
+        return list(enum)
+    try:
+        members = [enum(s.strip()) for s in text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from None
+    if not members:
+        raise InvalidConfig(f"{text!r} names no {enum.__name__}")
+    return members
 
 
 def _domain_from_args(args) -> bench_mod.DomainSpec:
@@ -193,33 +224,35 @@ def _domain_from_args(args) -> bench_mod.DomainSpec:
     )
 
 
-def _sampler_from_args(args) -> SamplerConfig:
+def _sampler_from_args(args, defaults) -> tuple:
+    """The sampler of the ``--mode`` flags, and the flags it leaves unread."""
     if args.mode == "metadataset":
+        unread = _unread(args, defaults, "--mode metadataset draws way and shot", "way", "shot")
         return SamplerConfig(mode=SamplerMode.META_DATASET_LIKE,
-                             query_per_class=args.query)
+                             query_per_class=args.query), unread
     return SamplerConfig(
         mode=SamplerMode.FIXED_WAY_SHOT,
         fixed_way=args.way,
         fixed_shot=args.shot,
         query_per_class=args.query,
-    )
+    ), ()
 
 
-def _methods(args) -> tuple:
-    """The ``--method`` names, each checked to resolve, and their step limits."""
+def _methods(args, defaults) -> tuple:
+    """The ``--method`` names, each checked to resolve, their step limits, and
+    the step-limit flags if no method reads them."""
     methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
     refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps)
     heads = [parse_method(name, refine_cfg, args.beta) for name in methods]
     # only a refining head reads the step limits
-    if all(h.refine is None for h in heads) and (
-            unread := _changed(args, "min_steps", "max_steps")):
-        raise InvalidConfig(f"no method in --method refines, so {', '.join(unread)} "
-                            f"cannot be set")
-    return methods, refine_cfg
+    unread = () if any(h.refine is not None for h in heads) else _unread(
+        args, defaults, "no method in --method refines", "min_steps", "max_steps")
+    return methods, refine_cfg, unread
 
 
-def _bench_config(args, sampler) -> bench_mod.BenchConfig:
-    methods, refine_cfg = _methods(args)
+def _bench_config(args, defaults, sampler) -> tuple:
+    """The run's ``BenchConfig``, and the head flags it leaves unread."""
+    methods, refine_cfg, unread = _methods(args, defaults)
     return bench_mod.BenchConfig(
         domains=(_domain_from_args(args),),
         methods=methods,
@@ -228,21 +261,18 @@ def _bench_config(args, sampler) -> bench_mod.BenchConfig:
         sampler=sampler,
         refine=refine_cfg,
         beta=args.beta,
-    )
+    ), unread
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, defaults) -> int:
     # a setting the run would not read is an error, not a silent no-op
-    if args.tasks_file and (unread := _changed(
-            args, "seed", "dims", "classes", "anisotropy", "mean_radius", "scale_spread",
-            "domain_id", "tasks", "mode", "way", "shot", "query")):
-        raise InvalidConfig(f"--tasks-file fixes the tasks, so {', '.join(unread)} cannot be set")
-    if args.mode == "metadataset" and (unread := _changed(args, "way", "shot")):
-        raise InvalidConfig(f"--mode metadataset draws way and shot, "
-                            f"so {', '.join(unread)} cannot be set")
-    cfg = _bench_config(args, _sampler_from_args(args))
-    config = cfg.resolved()
-    tasks_by_domain = None
+    file_unread = _unread(
+        args, defaults, "--tasks-file fixes the tasks", "seed", "dims", "classes",
+        "anisotropy", "mean_radius", "scale_spread", "domain_id", "tasks", "mode", "way",
+        "shot", "query") if args.tasks_file else ()
+    sampler, sampler_unread = _sampler_from_args(args, defaults)
+    cfg, head_unread = _bench_config(args, defaults, sampler)
+    facts, tasks_by_domain = {}, None
     if args.tasks_file:
         tasks = read_tasks(args.tasks_file)
         if not tasks:
@@ -251,17 +281,11 @@ def _cmd_bench(args) -> int:
         for task in tasks:
             tasks_by_domain.setdefault(task.domain_id, []).append(task)
         with open(args.tasks_file, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        # the file, not the domain and sampler flags, says which tasks run
-        del config["domains"], config["sampler"]
-        config.update(n_tasks=len(tasks), tasks_sha256=digest)
-    echo = {"command": "bench", "schema": f"bench/{CSV_SCHEMA_VERSION}", **config}
-    if args.tasks_file:
-        echo["tasks_file"] = args.tasks_file
-    _echo(echo)
+            facts = {"n_tasks": len(tasks), "tasks_sha256": hashlib.sha256(fh.read()).hexdigest()}
+        cfg = replace(cfg, n_tasks=len(tasks))
+    echo = _echo(args, *file_unread, *sampler_unread, *head_unread, **facts)
     report = bench_mod.run_benchmark(cfg, tasks_by_domain=tasks_by_domain)
-    # the report's metadata describes the run as the echo does
-    report.metadata.update(n_tasks=config["n_tasks"], config_hash=bench_mod.config_hash(config))
+    report.metadata["config_hash"] = echo["config_hash"]
     if args.out:
         if args.out.endswith(".json"):
             payload = report.to_json_dict()
@@ -289,26 +313,24 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_gen_tasks(args) -> int:
+def _cmd_gen_tasks(args, defaults) -> int:
     if not args.out:
         raise InvalidConfig("gen-tasks requires --out")
-    cfg = bench_mod.BenchConfig((_domain_from_args(args),), (), args.tasks, args.seed,
-                                _sampler_from_args(args))
-    config = cfg.resolved()
-    del config["methods"], config["refine"], config["beta"]  # no head runs
-    _echo({"command": "gen-tasks", **config, "out": args.out})
+    _require_positive(args, "tasks")
+    sampler, unread = _sampler_from_args(args, defaults)
+    cfg = bench_mod.BenchConfig((_domain_from_args(args),), (), args.tasks, args.seed, sampler)
+    _echo(args, *unread)
     tasks = bench_mod.generate_tasks(cfg, cfg.domains[0])
     write_tasks(args.out, tasks)
     print(f"wrote {len(tasks)} tasks to {args.out}")
     return 0
 
 
-def _cmd_recall(args) -> int:
+def _cmd_recall(args, defaults) -> int:
     _require_positive(args, "tasks")
     sampler = SamplerConfig(mode=SamplerMode.META_DATASET_LIKE, query_per_class=args.query)
-    cfg = _bench_config(args, sampler=sampler)
-    echo = {"command": "recall", "schema": f"recall/{CSV_SCHEMA_VERSION}", **cfg.resolved()}
-    _echo(echo)
+    cfg, unread = _bench_config(args, defaults, sampler)
+    echo = _echo(args, *unread)
     curves, _records = bench_mod.recall_vs_shot(cfg)
     rows = []
     for method in cfg.methods:
@@ -319,13 +341,6 @@ def _cmd_recall(args) -> int:
     for method, label, recall, classes in rows:
         print(f"{method} shot {label}: recall {float(recall):.4f} ({classes} classes)")
     return 0
-
-
-_STRATEGY_NAMES = {
-    "random": AcquisitionStrategy.RANDOM,
-    "entropy": AcquisitionStrategy.PREDICTIVE_ENTROPY,
-    "variation-ratios": AcquisitionStrategy.VARIATION_RATIOS,
-}
 
 
 def build_active_session(world, strategy, pool_per_class, test_per_class, budget, seed):
@@ -346,43 +361,34 @@ def build_active_session(world, strategy, pool_per_class, test_per_class, budget
     )
 
 
-def _one_head(args):
-    """The head of ``--method`` for commands that run a single method."""
+def _one_head(args, defaults) -> tuple:
+    """The head of ``--method`` for commands that run a single method, and the
+    head flags it leaves unread."""
     if "," in args.method:
         raise InvalidConfig(f"{args.command} runs one method, got {args.method!r}")
-    _, refine_cfg = _methods(args)
-    return parse_method(args.method, refine_cfg, args.beta)
+    _, refine_cfg, unread = _methods(args, defaults)
+    return parse_method(args.method, refine_cfg, args.beta), unread
 
 
-def _cmd_active(args) -> int:
+def _cmd_active(args, defaults) -> int:
     _require_positive(args, "sessions", "test_per_class")
-    names = list(_STRATEGY_NAMES) if args.strategy == "all" else [
-        s.strip() for s in args.strategy.split(",") if s.strip()
-    ]
-    for name in names:
-        if name not in _STRATEGY_NAMES:
-            raise InvalidConfig(f"unknown strategy {name!r}")
-    head = _one_head(args)
-    domain = _domain_from_args(args)
-    echo = {
-        **_flag_values(args, "domain_id", "strategy"), "schema": f"active/{CSV_SCHEMA_VERSION}",
-        "strategies": names, "domain": domain.domain_id,
-    }
-    _echo(echo)
-    world = domain.build(args.seed)
-    units = [(sid, name) for sid in range(args.sessions) for name in names]
+    strategies = _choices(AcquisitionStrategy, args.strategy, "all")
+    head, unread = _one_head(args, defaults)
+    echo = _echo(args, *unread, strategies=[s.value for s in strategies])
+    world = _domain_from_args(args).build(args.seed)
+    units = [(sid, strategy) for sid in range(args.sessions) for strategy in strategies]
 
     def curve(u: int):
-        sid, name = units[u]
+        sid, strategy = units[u]
         session = build_active_session(
-            world, _STRATEGY_NAMES[name], args.pool_per_class,
+            world, strategy, args.pool_per_class,
             args.test_per_class, args.budget, derive_seed(args.seed, "active", sid),
         )
         return run_active_session(session, head)
 
     rows = [
-        (sid, name, step, repr(float(acc)))
-        for (sid, name), accs in zip(units, ordered_map(curve, len(units)))
+        (sid, strategy.value, step, repr(float(acc)))
+        for (sid, strategy), accs in zip(units, ordered_map(curve, len(units)))
         for step, acc in enumerate(accs)
     ]
     if args.out:
@@ -391,22 +397,18 @@ def _cmd_active(args) -> int:
     for sid, name, step, acc in rows:
         if step == args.budget:
             finals.setdefault(name, []).append(float(acc))
-    for name in names:
-        mean, half = bench_mod.mean_ci(finals[name])
-        print(f"{name}: final acc {mean:.4f} +/- {half:.4f} over {args.sessions} sessions")
+    for strategy in strategies:
+        mean, half = bench_mod.mean_ci(finals[strategy.value])
+        print(f"{strategy.value}: final acc {mean:.4f} +/- {half:.4f} "
+              f"over {args.sessions} sessions")
     return 0
 
 
-def _cmd_continual(args) -> int:
+def _cmd_continual(args, defaults) -> int:
     _require_positive(args, "streams")
-    try:
-        strategies = list(EncodingStrategy) if args.strategy == "all" else [
-            EncodingStrategy(s.strip()) for s in args.strategy.split(",") if s.strip()
-        ]
-        modes = list(HeadMode) if args.head_mode == "both" else [HeadMode(args.head_mode)]
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from None
-    head = _one_head(args)
+    strategies = _choices(EncodingStrategy, args.strategy, "all")
+    modes = _choices(HeadMode, args.head_mode, "both")
+    head, unread = _one_head(args, defaults)
     stream = StreamConfig(
         num_tasks=args.length,
         classes_per_task=args.classes_per_task,
@@ -418,14 +420,8 @@ def _cmd_continual(args) -> int:
     domain = _domain_from_args(args)
     if domain.class_count < needed:
         domain = replace(domain, class_count=needed)
-    echo = {
-        **_flag_values(args, "domain_id", "strategy", "head_mode"),
-        "schema": f"continual/{CSV_SCHEMA_VERSION}",
-        "strategies": [s.value for s in strategies],
-        "head_modes": [m.value for m in modes],
-        "domain": domain.domain_id, "classes": domain.class_count,
-    }
-    _echo(echo)
+    echo = _echo(args, *unread, strategies=[s.value for s in strategies],
+                 head_modes=[m.value for m in modes], classes=domain.class_count)
     world = domain.build(args.seed)
     units = [(sid, strategy, mode) for sid in range(args.streams)
              for strategy in strategies for mode in modes]
@@ -468,10 +464,9 @@ def _median(values) -> float:
     return float(np.mean(ordered[(n - 1) // 2:n // 2 + 1]))
 
 
-def _cmd_riemann(args) -> int:
+def _cmd_riemann(args, defaults) -> int:
     _require_positive(args, "fields", "points_per_field")
-    echo = {**_flag_values(args), "schema": f"riemann/{CSV_SCHEMA_VERSION}"}
-    _echo(echo)
+    echo = _echo(args)
 
     def field_rows(fid: int) -> list:
         field_seed = derive_seed(args.seed, "riemann", fid)
@@ -525,7 +520,8 @@ def cli_main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidConfig(f"--{name.replace('_', '-')} must be finite")
-        return _COMMANDS[args.command](args)
+        defaults = parser.parse_args([args.command])  # the subcommand's flag defaults
+        return _COMMANDS[args.command](args, defaults)
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

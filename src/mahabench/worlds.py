@@ -115,8 +115,8 @@ class SamplerConfig:
         if self.query_per_class <= 0:
             raise InvalidConfig("query_per_class must be positive")
         if self.mode is SamplerMode.FIXED_WAY_SHOT:
-            if not self.fixed_way or not self.fixed_shot:
-                raise InvalidConfig("fixed mode needs fixed_way and fixed_shot")
+            if (self.fixed_way or 0) < 1 or (self.fixed_shot or 0) < 1:
+                raise InvalidConfig("fixed mode needs fixed_way and fixed_shot of at least 1")
 
 
 def make_cluster_world(

@@ -85,7 +85,6 @@ class TestRunBenchmark:
         b = run_benchmark(cfg)
         assert a.rows == b.rows
         assert a.summary == b.summary
-        assert a.metadata["config_hash"] == b.metadata["config_hash"]
 
     def test_summary_matches_row_recount(self):
         cfg = small_config(methods=("simple", "transductive"))

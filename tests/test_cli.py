@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahabench import bench, parallel
+from mahabench import bench, cli, parallel
 from mahabench.cli import _median, build_parser, cli_main
+from mahabench.worlds import write_tasks
 from perfbench.workloads import WORKLOADS, expected_rows
 
 
@@ -148,8 +150,16 @@ class TestCliMain:
         [*SMALL_CONTINUAL, "--max-steps", "9"],
         ["bench", "--tasks", "30", "--method", "simple,gmm", "--min-steps", "1"],
         ["recall", "--tasks", "2", "--method", "simple:euclidean,gmm", "--max-steps", "6"],
+        ["bench", "--tasks", "30", "--way", "-1"],
+        ["bench", "--tasks", "30", "--shot", "-2"],
+        ["gen-tasks", "--tasks", "2", "--way", "-1", "--out", "tasks.jsonl"],
+        ["gen-tasks", "--tasks", "0", "--out", "tasks.jsonl"],
+        ["gen-tasks", "--tasks", "-5", "--out", "tasks.jsonl"],
+        [*SMALL_ACTIVE, "--strategy", ","],
+        [*SMALL_CONTINUAL, "--strategy", ","],
     ])
-    def test_config_errors_exit_two(self, argv, capsys):
+    def test_config_errors_exit_two(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a run that wrongly passed would write
         assert cli_main(argv) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -181,7 +191,7 @@ class TestCliMain:
 
     def test_empty_tasks_file_exits_two(self, tmp_path, capsys):
         tasks, out = tmp_path / "tasks.jsonl", tmp_path / "out.csv"
-        assert cli_main(["gen-tasks", "--tasks", "0", "--out", str(tasks)]) == 0
+        write_tasks(tasks, [])  # gen-tasks rejects --tasks 0
         assert cli_main(["bench", "--tasks-file", str(tasks), "--out", str(out)]) == 2
         assert "holds no tasks" in capsys.readouterr().err
         assert not out.exists()
@@ -279,6 +289,62 @@ def test_every_flag_is_in_the_header(tmp_path, monkeypatch, capsys, command, fla
         echo = capsys.readouterr().out.splitlines()[0]
         headers.append(echo if command == "gen-tasks" else out.read_text().splitlines()[0])
     assert headers[0] != headers[1]
+    hashes = [json.loads(header.removeprefix("# "))["config_hash"] for header in headers]
+    assert hashes[0] != hashes[1]
+
+
+def config_hash(echo: dict) -> str:
+    """The sha256 prefix of an echo without its ``config_hash``."""
+    rest = {k: v for k, v in echo.items() if k != "config_hash"}
+    return hashlib.sha256(json.dumps(rest, sort_keys=True).encode("utf-8")).hexdigest()[:12]
+
+
+WORLD = {"seed", "dims", "classes", "anisotropy", "mean_radius", "scale_spread", "domain_id"}
+STEP_LIMITS = {"min_steps", "max_steps"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    # --tasks-file: the file fixes the world, the seed and the tasks
+    (["bench", "--tasks-file", "tasks.jsonl", "--method", "simple"],
+     WORLD | STEP_LIMITS | {"tasks", "mode", "way", "shot", "query", "tasks_file"}),
+    (["bench", "--tasks", "30", "--mode", "metadataset", "--method", "transductive"],
+     {"way", "shot", "tasks_file"}),
+    (["gen-tasks", "--tasks", "2", "--mode", "metadataset"], {"way", "shot"}),
+    (["recall", "--tasks", "2", "--method", "simple"], STEP_LIMITS),
+    (SMALL_ACTIVE, STEP_LIMITS | {"domain"}),
+    (SMALL_CONTINUAL, STEP_LIMITS | {"domain"}),
+    (["riemann", "--fields", "1", "--dims", "2"], set()),
+], ids=["bench-tasks-file", "bench-metadataset", "gen-tasks", "recall", "active",
+        "continual", "riemann"])
+def test_every_output_carries_the_one_echo(tmp_path, monkeypatch, capsys, argv, absent):
+    # the stdout echo, the CSV # line and bench's JSON config are one dict,
+    # hashed over itself, without paths or flags the run leaves unread
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(parallel, "_worker_count", lambda count: 1)
+    assert cli_main(["gen-tasks", "--tasks", "2", "--out", "tasks.jsonl"]) == 0
+    capsys.readouterr()
+    outs = ["tasks.jsonl"] if argv[0] == "gen-tasks" else ["out.csv"]
+    outs += ["out.json"] if argv[0] == "bench" else []
+    for out in outs:
+        assert cli_main([*argv, "--out", out]) == 0
+        echo = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert echo["command"] == argv[0] and echo["config_hash"] == config_hash(echo)
+        assert not (absent | {"out"}) & set(echo)
+        if out == "out.csv":
+            assert read_csv(tmp_path / out)[0] == echo
+        elif out == "out.json":
+            report = json.loads((tmp_path / out).read_text())
+            assert report["config"] == echo
+            assert report["metadata"]["config_hash"] == echo["config_hash"]
+
+
+def test_a_call_builds_the_parser_once(monkeypatch):
+    # the unread-flag check reads its defaults from the parser cli_main built
+    calls = []
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
+    monkeypatch.setattr(parallel, "_worker_count", lambda count: 1)
+    assert cli_main([*SMALL_CONTINUAL, "--method", "simple"]) == 0
+    assert len(calls) == 1
 
 
 # each benchmark workload's argv at a size that runs in well under a second

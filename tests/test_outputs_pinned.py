@@ -22,25 +22,25 @@ PINNED = {
     "bench": (
         ["bench", "--mode", "metadataset", "--dims", "8", "--classes", "10",
          "--method", "simple,transductive,gmm-em", "--tasks", "30"],
-        "cf3762a20798969a891850f1fdf8cf714051c855f6d8542e91141373d64d3b2d",
+        "0239740690f0a9c5e30c2c2c19480114e2670b1a25b6f65941a9173e0e90ec18",
     ),
     "recall": (
         ["recall", "--tasks", "8", "--method", "simple,transductive,gmm-em"],
-        "b917e63a97921b439ba223b4f290400771705e26fcaf313859734f884786b10c",
+        "6d023f3e9afc1d163f15da31e5729e105cdf05e0449ac58f3051fefe175a1f83",
     ),
     "active": (
         # classes close together, so that the curves do not sit at accuracy 1
         ["active", "--sessions", "2", "--budget", "6", "--classes", "5", "--mean-radius", "1.5",
          "--pool-per-class", "3", "--test-per-class", "4", "--method", "transductive"],
-        "d4dd653690a26c2bd73834f4bb359ec5a076111617afa171c03cb59e143e3c33",
+        "374c99ce62a84a5bed81a11114fce31a058dca3f3841c5ea54dd8ae104d87455",
     ),
     "continual": (
         ["continual", "--streams", "2", "--length", "3", "--shot", "3", "--query", "3"],
-        "4f2a350252de738959e321ea65b80a186ecb8d50636e9155b853d1ce05545362",
+        "63f7848297fb6e49a564b69a2a2167b0b13eda7f6be6b603b876b25bebb1eece",
     ),
     "riemann": (
         ["riemann", "--fields", "6", "--dims", "3", "--points-per-field", "2"],
-        "a0e767d378474996346e6faffd6085aa8dd5c2d11d12a398ab80c8e40a6c70ca",
+        "0107d4aeeee01f021b003cc997ad23d3d8263b07beebd450fa2f318479745f88",
     ),
 }
 
