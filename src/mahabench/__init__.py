@@ -57,7 +57,6 @@ from .heads import (
     ClassStatistics,
     MetricKind,
     SupportLayout,
-    bregman_divergence,
     class_scores,
     estimate_class_statistics,
 )
@@ -67,7 +66,6 @@ from .riemann import (
     MetricField,
     PartitionOfUnity,
     energy_gap_check,
-    metric_at,
     path_energy,
 )
 from .rng import Rng, derive_seed
@@ -87,7 +85,6 @@ from .worlds import (
     make_cluster_world,
     read_tasks,
     sample_task,
-    tasks_equal,
     write_tasks,
 )
 

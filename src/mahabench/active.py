@@ -38,8 +38,13 @@ class ActiveSession:
     seed: int = 0  # drives random selection only
 
     def __post_init__(self):
-        if self.budget < 0 or self.budget > self.pool_x.shape[0]:
-            raise InvalidConfig("budget must lie in [0, pool size]")
+        check_budget(self.budget, self.pool_x.shape[0])
+
+
+def check_budget(budget: int, pool_size: int) -> None:
+    """Raise ``InvalidConfig`` unless ``budget`` labels fit in the pool."""
+    if budget < 0 or budget > pool_size:
+        raise InvalidConfig("budget must lie in [0, pool size]")
 
 
 def acquisition_scores(pool_probs: np.ndarray, strategy: AcquisitionStrategy) -> np.ndarray:

@@ -20,6 +20,7 @@ from .worlds import (
     EncodingTransform,
     EpisodicTask,
     SamplerConfig,
+    check_world_shape,
     make_cluster_world,
     sample_task,
 )
@@ -85,6 +86,9 @@ class DomainSpec:
     scale_range: tuple[float, float] = (1.0, 1.0)
     center_norm: float = 0.0
 
+    def __post_init__(self):
+        check_world_shape(self.dims, self.class_count, self.anisotropy, self.scale_range)
+
     def build(self, run_seed: int) -> ClusterWorld:
         world_seed = derive_seed(run_seed, "world", self.domain_id)
         return make_cluster_world(
@@ -108,6 +112,11 @@ class BenchConfig:
     sampler: SamplerConfig = SamplerConfig()
     refine: RefineConfig = RefineConfig()
     beta: float = 1.0
+
+    def __post_init__(self):
+        need = self.sampler.min_way
+        if short := [d.class_count for d in self.domains if d.class_count < need]:
+            raise InvalidConfig(f"world has {short[0]} classes, need {need}")
 
 
 @dataclass(frozen=True)
@@ -175,17 +184,22 @@ def _resolve_heads(cfg: BenchConfig) -> dict:
     }
 
 
+def check_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> None:
+    """Raise ``InvalidConfig`` for a run that ``run_benchmark`` would refuse."""
+    if cfg.n_tasks < 30 and tasks_by_domain is None:
+        raise InvalidConfig("n_tasks must be at least 30 for CI sanity")
+    if not cfg.methods:
+        raise InvalidConfig("no methods configured")
+
+
 def run_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> BenchmarkReport:
     """Evaluate every method on every domain's shared task sequence.
 
     ``tasks_by_domain`` lets callers supply pre-generated or file-loaded
     tasks keyed by domain id; by default tasks are sampled from the
-    configured domains.
+    configured domains.  ``check_benchmark`` says which runs it refuses.
     """
-    if cfg.n_tasks < 30 and tasks_by_domain is None:
-        raise InvalidConfig("n_tasks must be at least 30 for CI sanity")
-    if not cfg.methods:
-        raise InvalidConfig("no methods configured")
+    check_benchmark(cfg, tasks_by_domain)
     heads = _resolve_heads(cfg)
     configs = [heads[method] for method in cfg.methods]
     units, task_of = _task_units(cfg, tasks_by_domain)

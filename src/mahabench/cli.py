@@ -21,7 +21,8 @@ from its flags (active and continual ``strategies``, continual
 ``tasks_sha256``), and ``config_hash``: the first 12 hex digits of the
 sha256 of the sorted JSON of all the rest.  It holds no paths (``--out``,
 ``--tasks-file``), and no flag the run leaves unread: such a flag set away
-from its default exits 2.  Identical seeds produce byte-identical outputs.
+from its default exits 2.  Checks on flag values run before the echo, bar
+riemann's partition radii.  Identical seeds produce byte-identical outputs.
 
 bench and recall tasks, active sessions, continual streams and riemann
 fields run in forked worker processes, one per CPU of the process's
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import riemann as riemann_mod
-from .active import AcquisitionStrategy, ActiveSession, run_active_session
+from .active import AcquisitionStrategy, ActiveSession, check_budget, run_active_session
 from .continual import (
     EncodingStrategy,
     HeadMode,
@@ -139,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.add_argument("--strategy", default="all",
                         help="comma list of moving,first,averaging or all")
     p_cont.add_argument("--head-mode", default="both",
-                        help="single, multi, or both")
+                        help="single, multi, or both: the matrices to write (a stream "
+                             "computes both modes from one scoring)")
 
     p_riem = sub.add_parser("riemann", help="energy-gap approximation checks")
     p_riem.add_argument("--seed", type=int, default=0)
@@ -160,8 +162,7 @@ def _write_csv(path, config: dict, header: list[str], rows) -> None:
         fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _echo(args, *unread: str, **facts) -> dict:
@@ -209,7 +210,7 @@ def _choices(enum, text: str, everything: str) -> list:
     return members
 
 
-def _domain_from_args(args) -> bench_mod.DomainSpec:
+def _domain_from_args(args, min_classes: int = 0) -> bench_mod.DomainSpec:
     spread = args.scale_spread
     if spread < 1.0:
         raise InvalidConfig("--scale-spread must be >= 1")
@@ -217,7 +218,7 @@ def _domain_from_args(args) -> bench_mod.DomainSpec:
     return bench_mod.DomainSpec(
         domain_id=args.domain_id,
         dims=args.dims,
-        class_count=args.classes,
+        class_count=max(args.classes, min_classes),
         anisotropy=args.anisotropy,
         mean_radius=args.mean_radius,
         scale_range=(lo, lo * spread),
@@ -283,6 +284,7 @@ def _cmd_bench(args, defaults) -> int:
         with open(args.tasks_file, "rb") as fh:
             facts = {"n_tasks": len(tasks), "tasks_sha256": hashlib.sha256(fh.read()).hexdigest()}
         cfg = replace(cfg, n_tasks=len(tasks))
+    bench_mod.check_benchmark(cfg, tasks_by_domain)
     echo = _echo(args, *file_unread, *sampler_unread, *head_unread, **facts)
     report = bench_mod.run_benchmark(cfg, tasks_by_domain=tasks_by_domain)
     report.metadata["config_hash"] = echo["config_hash"]
@@ -294,20 +296,13 @@ def _cmd_bench(args, defaults) -> int:
                 json.dump(payload, fh, sort_keys=True, indent=1)
                 fh.write("\n")
         else:
-            _write_csv(
-                args.out,
-                echo,
-                ["domain_id", "method", "task_index", "task_seed", "accuracy"],
-                [
-                    (r.domain_id, r.method, r.task_index, r.task_seed, repr(r.accuracy))
-                    for r in report.rows
-                ],
-            )
+            rows = [(r.domain_id, r.method, r.task_index, r.task_seed, repr(r.accuracy))
+                    for r in report.rows]
+            _write_csv(args.out, echo,
+                       ["domain_id", "method", "task_index", "task_seed", "accuracy"], rows)
     for (domain, method), stats in sorted(report.summary.items()):
-        print(
-            f"{domain} {method}: acc {stats['mean']:.4f} "
-            f"+/- {stats['ci95']:.4f} over {stats['n_tasks']} tasks"
-        )
+        print(f"{domain} {method}: acc {stats['mean']:.4f} "
+              f"+/- {stats['ci95']:.4f} over {stats['n_tasks']} tasks")
     for method, rank in sorted(report.ranks.items()):
         print(f"rank {method}: {rank:.2f}")
     return 0
@@ -374,8 +369,9 @@ def _cmd_active(args, defaults) -> int:
     _require_positive(args, "sessions", "test_per_class")
     strategies = _choices(AcquisitionStrategy, args.strategy, "all")
     head, unread = _one_head(args, defaults)
-    echo = _echo(args, *unread, strategies=[s.value for s in strategies])
     world = _domain_from_args(args).build(args.seed)
+    check_budget(args.budget, world.class_count * args.pool_per_class)
+    echo = _echo(args, *unread, strategies=[s.value for s in strategies])
     units = [(sid, strategy) for sid in range(args.sessions) for strategy in strategies]
 
     def curve(u: int):
@@ -416,37 +412,31 @@ def _cmd_continual(args, defaults) -> int:
         query_per_class=args.query,
         drift=args.drift,
     )
-    needed = args.length * args.classes_per_task
-    domain = _domain_from_args(args)
-    if domain.class_count < needed:
-        domain = replace(domain, class_count=needed)
+    domain = _domain_from_args(args, min_classes=args.length * args.classes_per_task)
     echo = _echo(args, *unread, strategies=[s.value for s in strategies],
                  head_modes=[m.value for m in modes], classes=domain.class_count)
     world = domain.build(args.seed)
-    units = [(sid, strategy, mode) for sid in range(args.streams)
-             for strategy in strategies for mode in modes]
 
-    def matrix(u: int):
-        sid, strategy, mode = units[u]
-        return run_continual_session(world, stream, strategy, mode, head,
+    def matrices(sid: int):
+        return run_continual_session(world, stream, strategies, head,
                                      seed=derive_seed(args.seed, "continual", sid))
 
     rows = [
         (sid, strategy.value, mode.value, step, task, repr(float(accs[step, task])))
-        for (sid, strategy, mode), accs in zip(units, ordered_map(matrix, len(units)))
+        for sid, session in enumerate(ordered_map(matrices, args.streams))
+        for strategy in strategies
+        for mode in modes
+        for accs in (session[strategy, mode],)
         for step in range(args.length)
         for task in range(step + 1)
     ]
     if args.out:
-        _write_csv(
-            args.out, echo,
-            ["session_id", "strategy", "head_mode", "step", "task", "accuracy"],
-            rows,
-        )
+        _write_csv(args.out, echo,
+                   ["session_id", "strategy", "head_mode", "step", "task", "accuracy"], rows)
     for strategy in strategies:
         for mode in modes:
-            vals = [float(r[5]) for r in rows if r[1] == strategy.value and r[2] == mode.value]
-            mean, half = bench_mod.mean_ci(vals)
+            key = (strategy.value, mode.value)
+            mean, half = bench_mod.mean_ci([float(r[5]) for r in rows if r[1:3] == key])
             print(f"{strategy.value}/{mode.value}: mean acc {mean:.4f} +/- {half:.4f}")
     return 0
 
@@ -466,6 +456,8 @@ def _median(values) -> float:
 
 def _cmd_riemann(args, defaults) -> int:
     _require_positive(args, "fields", "points_per_field")
+    riemann_mod.check_settings(dims=args.dims, weak_side_scale=args.weak_scale,
+                               quadrature_points=args.quadrature)
     echo = _echo(args)
 
     def field_rows(fid: int) -> list:
@@ -488,11 +480,8 @@ def _cmd_riemann(args, defaults) -> int:
 
     rows = [row for rows in ordered_map(field_rows, args.fields) for row in rows]
     if args.out:
-        _write_csv(
-            args.out, echo,
-            ["field_seed", "pair", "delta_energy", "half_gap", "rel_error"],
-            rows,
-        )
+        _write_csv(args.out, echo,
+                   ["field_seed", "pair", "delta_energy", "half_gap", "rel_error"], rows)
     rels = [float(r[4]) for r in rows]
     frac = float(np.mean(np.array(rels) < 0.05))
     print(f"median rel error {_median(rels):.4f}; {frac:.1%} below 5%")

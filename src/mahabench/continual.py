@@ -8,12 +8,13 @@ while saved class statistics keep the frame they were estimated in; a
 drifting working frame therefore invalidates old statistics, which is the
 forgetting mechanism under the moving strategy.
 
-A session's merged class memory is one ``heads.ClassStatistics`` with a
-row per world class.  A class's row holds its statistics as first fitted;
-when a later task shows the class again, ``merge_class_statistics``
-combines old and new rows, weighted by their support counts, for all of
-the task's seen classes at once.  Evaluations score copies of the rows
-they need, so the memory itself never leaves the session.
+A session draws one stream and runs every strategy on it.  Each strategy
+keeps its merged class memory as one ``heads.ClassStatistics`` with a row
+per world class: a class's row holds its statistics as first fitted, and
+``merge_class_statistics`` combines old and new rows, weighted by their
+support counts, when a later task shows the class again.  Each step scores
+all queries seen so far once; both head modes are argmaxes of that one
+scoring.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses
 from .heads import ClassStatistics
-from .methods import HeadConfig, fit_statistics, predict_labels, support_fits
+from .methods import HeadConfig, fit_statistics, scores, support_fits
 from .rng import Rng
 from .worlds import ClusterWorld, EncodingTransform, draw_class_examples
 
@@ -150,13 +151,14 @@ def _store(memory: ClassStatistics, rows, stats: ClassStatistics) -> None:
 def run_continual_session(
     world: ClusterWorld,
     stream: StreamConfig,
-    strategy: EncodingStrategy,
-    head_mode: HeadMode,
+    strategies,
     head: HeadConfig = HeadConfig(),
     seed: int = 0,
     class_groups: list | None = None,
-) -> np.ndarray:
-    """Lower-triangular accuracy matrix of one continual stream.
+) -> dict:
+    """Lower-triangular accuracy matrices of one continual stream, keyed by
+    ``(strategy, head_mode)`` for every strategy in ``strategies`` and both
+    ``HeadMode``s.
 
     Entry (i, j) for j <= i is accuracy on task j's query set after the
     head has seen tasks 0..i; entries above the diagonal are NaN.  Class
@@ -166,13 +168,15 @@ def run_continual_session(
     come from transductive refinement, so class counts always total the
     support examples shown.
 
-    The merged class memory is one ``ClassStatistics`` with a row per world
-    class, whose count stays 0 until the class is first seen.  Step t
-    stores its group's unseen classes as fitted and merges its seen ones in
-    one ``merge_class_statistics`` call, writing the rows in place.  The
-    evaluations score fresh copies of rows (``ClassStatistics.take``): the
-    group's classes for a multi-head evaluation, and for single-head, every
-    seen class, copied once per step.
+    The stream (task encodings, support and query rows) is drawn once for
+    every strategy.  Each strategy keeps a merged class memory: one
+    ``ClassStatistics`` with a row per world class, whose count stays 0
+    until the class is first seen.  Step t fits its group once, merges it
+    into the memory in place, and scores the stacked queries of tasks 0..t
+    once against a copy of every seen class.  Single-head labels are the
+    argmax over all columns, multi-head labels for task j the argmax over
+    group j's columns; both break ties toward the lowest class id.  A GMM
+    head's log(1/K) prior counts every seen class in both modes.
 
     Raises
     ------
@@ -202,46 +206,50 @@ def run_continual_session(
     rng = Rng(seed)
     true_encodings = make_task_encodings(world.dims, t_count, stream.drift, rng)
 
-    # latent draws are fixed up front; frames are applied per evaluation step
+    # latent draws are fixed up front; frames are applied per step
     raw_support, raw_query = [], []
     for group in class_groups:
-        sup = draw_class_examples(world, group, [stream.shot] * len(group), rng)
-        qry = draw_class_examples(world, group, [stream.query_per_class] * len(group), rng)
-        raw_support.append(np.vstack(sup))
-        raw_query.append(np.vstack(qry))
-
-    state = ContinualState(strategy=strategy)
-    # a row per world class; a count of 0 marks a class not seen yet
+        for raw, count in ((raw_support, stream.shot), (raw_query, stream.query_per_class)):
+            raw.append(np.vstack(draw_class_examples(world, group, [count] * len(group), rng)))
+    # task j's queries are rows starts[j]:ends[j]; in_group[i, c]: c is in row i's group
     k, d = world.class_count, world.dims
-    memory = ClassStatistics(np.zeros((k, d)), np.zeros((k, d, d)), np.zeros(k),
-                             np.zeros((k, d, d)), np.zeros((k, d, d)), np.zeros(k))
-    matrix = np.full((t_count, t_count), np.nan)
-    for t in range(t_count):
-        rows = np.array(class_groups[t])
-        working = update_encoding(state, true_encodings[t])
-        local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)
-        support_feat = working.apply(raw_support[t])
-        query_feat = working.apply(raw_query[t])
-        start = support_fits([head], support_feat, local_y, query_feat)[0]
-        new = replace(fit_statistics(head, start).statistics,
-                      counts=np.full(len(rows), float(stream.shot)))
-        seen = memory.counts[rows] > 0
-        if seen.any():
-            merged = merge_class_statistics(memory.take(rows[seen]), new.take(seen))
-            _store(memory, rows[seen], merged)
-        _store(memory, rows[~seen], new.take(~seen))
+    queries = np.vstack(raw_query)
+    truth = np.repeat(np.concatenate(class_groups), stream.query_per_class)
+    sizes = np.array([len(q) for q in raw_query])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    in_group = np.repeat([np.isin(np.arange(k), group) for group in class_groups], sizes, axis=0)
 
-        if head_mode is HeadMode.SINGLE_HEAD:
+    matrices = {}
+    for strategy in strategies:
+        state = ContinualState(strategy=strategy)
+        # a row per world class; a count of 0 marks a class not seen yet
+        memory = ClassStatistics(np.zeros((k, d)), np.zeros((k, d, d)), np.zeros(k),
+                                 np.zeros((k, d, d)), np.zeros((k, d, d)), np.zeros(k))
+        single = matrices[strategy, HeadMode.SINGLE_HEAD] = np.full((t_count, t_count), np.nan)
+        multi = matrices[strategy, HeadMode.MULTI_HEAD] = np.full((t_count, t_count), np.nan)
+        for t in range(t_count):
+            rows = np.array(class_groups[t])
+            working = update_encoding(state, true_encodings[t])
+            feats = working.apply(queries[:ends[t]])
+            local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)
+            start = support_fits([head], working.apply(raw_support[t]), local_y,
+                                 feats[starts[t]:])[0]
+            new = replace(fit_statistics(head, start).statistics,
+                          counts=np.full(len(rows), float(stream.shot)))
+            seen = memory.counts[rows] > 0
+            if seen.any():
+                merged = merge_class_statistics(memory.take(rows[seen]), new.take(seen))
+                _store(memory, rows[seen], merged)
+            _store(memory, rows[~seen], new.take(~seen))
+
             seen_ids = np.flatnonzero(memory.counts > 0)
-            single = memory.take(seen_ids)
-        for j in range(t + 1):
-            if head_mode is HeadMode.MULTI_HEAD:
-                ids = np.sort(class_groups[j])
-                stats_j = memory.take(ids)
-            else:
-                ids, stats_j = seen_ids, single
-            truth = np.repeat(np.searchsorted(ids, class_groups[j]), stream.query_per_class)
-            feats = working.apply(raw_query[j])
-            pred = predict_labels(head, stats_j, feats)
-            matrix[t, j] = float(np.mean(pred == truth))
-    return matrix
+            values = scores(head, memory.take(seen_ids), feats)
+            # multi-head: -inf outside each row's group (exact unless all of it is -inf)
+            own = np.where(in_group[:ends[t], seen_ids], values, -np.inf)
+            for matrix, labels in ((single, np.argmax(values, axis=1)),
+                                   (multi, np.argmax(own, axis=1))):
+                hits = np.add.reduceat(seen_ids[labels] == truth[:ends[t]], starts[:t + 1],
+                                       dtype=np.intp)
+                matrix[t, :t + 1] = hits / sizes[:t + 1]
+    return matrices

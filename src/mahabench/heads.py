@@ -93,9 +93,10 @@ class ClassStatistics:
     degenerate); ``covariances`` already include it.  Instances are not
     rebound and are safe to share across threads.  Their arrays are
     written in one place only: ``continual.run_continual_session`` keeps
-    its merged class memory as one instance with a row per world class and
-    assigns rows of it in place; that instance never leaves the session,
-    which scores only the fresh copies ``take`` returns.
+    one merged class memory per strategy, an instance with a row per world
+    class, and assigns rows of it in place; that instance never leaves the
+    session, whose every step scores one fresh copy of its seen rows
+    (``take``) for both head modes.
     """
 
     means: np.ndarray  # (K, d)
@@ -274,6 +275,12 @@ def class_statistics(
     return ClassStatistics.from_moments(means, covs, counts)
 
 
+def check_beta(beta: float) -> None:
+    """Raise ``InvalidConfig`` unless the ridge ``beta`` is finite and >= 0."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise InvalidConfig("beta must be finite and nonnegative")
+
+
 def estimate_class_statistics(layout: SupportLayout, beta: float = 1.0) -> ClassStatistics:
     """Closed-form class statistics from a labelled support set alone.
 
@@ -289,8 +296,7 @@ def estimate_class_statistics(layout: SupportLayout, beta: float = 1.0) -> Class
     InvalidConfig
         If ``beta`` is negative, NaN or infinite.
     """
-    if not (math.isfinite(beta) and beta >= 0):
-        raise InvalidConfig("beta must be finite and nonnegative")
+    check_beta(beta)
     d = layout.features.shape[1]
     return class_statistics(layout, np.empty((0, d)), np.empty((0, layout.class_count)), beta)
 
@@ -354,21 +360,3 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
-
-def bregman_divergence(z: np.ndarray, z_ref: np.ndarray, q) -> float:
-    """Bregman divergence generated by F(v) = v^T Q^-1 v.
-
-    Evaluated from the three-term definition
-    ``F(z) - F(z_ref) - grad F(z_ref) . (z - z_ref)``; for this quadratic
-    generator the value coincides with the squared Mahalanobis distance
-    between ``z`` and ``z_ref``.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    z_ref = np.asarray(z_ref, dtype=np.float64)
-    if z.shape != z_ref.shape:
-        raise DimensionMismatch("z and z_ref must have the same shape")
-    factor = spd.cholesky(q)
-    f_z = spd.quad_form(factor, z)
-    f_ref = spd.quad_form(factor, z_ref)
-    grad_ref = 2.0 * spd.solve_spd(factor, z_ref)
-    return float(f_z - f_ref - grad_ref @ (z - z_ref))

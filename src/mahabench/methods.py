@@ -11,7 +11,8 @@ estimates its support-only statistics once per distinct beta.
 single-pass head's fit is the start itself, and a refining head hands the
 start's layout and statistics to ``refine.run_refinement``.  A fit
 (``Fit``) carries the class statistics and the query predictions they
-give; ``predict`` and ``predict_labels`` score any batch under a head.
+give; ``scores``, ``predict`` and ``predict_labels`` score any batch under
+a head.
 """
 
 from dataclasses import dataclass, replace
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import gmm, heads
 from .errors import InvalidConfig
-from .heads import ClassStatistics, MetricKind, SupportLayout, estimate_class_statistics
+from .heads import (ClassStatistics, MetricKind, SupportLayout, check_beta,
+                    estimate_class_statistics)
 from .refine import RefineConfig, run_refinement
 
 
@@ -33,6 +35,9 @@ class HeadConfig:
     beta: float = 1.0
     refine: RefineConfig | None = None  # None = single estimation pass
     gmm: bool = False  # GMM scoring with a uniform prior
+
+    def __post_init__(self):
+        check_beta(self.beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +133,8 @@ def fit_statistics(head: HeadConfig, start: Fit) -> Fit:
     return Fit(outcome.statistics, head, start.query_x, start.layout, predictions)
 
 
-def _scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
+def scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
+    """The head's class scores for a batch or a vector; higher is more likely."""
     # scorers are looked up on their modules: a by-name import would add a
     # binding to the ones perfbench's traced run counts and pins
     if head.gmm:
@@ -143,14 +149,14 @@ def predict(head: HeadConfig, stats: ClassStatistics, x) -> tuple:
     ``(m,)`` argmax labels; for one vector, ``(K,)`` probabilities and one
     label.  Ties break toward the lowest class index.
     """
-    scores = _scores(head, stats, x)
-    return heads.softmax(scores), np.argmax(scores, axis=-1)
+    values = scores(head, stats, x)
+    return heads.softmax(values), np.argmax(values, axis=-1)
 
 
 def predict_labels(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
     """Argmax labels for an ``(m, d)`` batch; ties break toward the lowest
     class index.  The labels of ``predict``, without the softmax."""
-    return np.argmax(_scores(head, stats, x), axis=1)
+    return np.argmax(scores(head, stats, x), axis=1)
 
 
 def evaluate_task(configs, task) -> list[float]:

@@ -114,13 +114,6 @@ class MetricField:
         return cls(centroids=centroids, precisions=precisions, partition=part)
 
 
-def metric_at(field: MetricField, x: np.ndarray) -> np.ndarray:
-    """The symmetrized metric tensor at one point: sum_k w_k(x - mu_k) P_k."""
-    w = field.partition.weights(np.asarray(x, dtype=np.float64), field.centroids)[0]
-    g = np.einsum("k,kde->de", w, field.precisions)
-    return (g + g.T) / 2.0
-
-
 def _crossings(part: PartitionOfUnity, a: float, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Parameters t in (0, 1) at which a line whose squared distance to
     centroid k is a t^2 + 2 b_k t + c_k crosses a plateau or support sphere."""
@@ -128,6 +121,18 @@ def _crossings(part: PartitionOfUnity, a: float, b: np.ndarray, c: np.ndarray) -
     disc = b * b - a * (c - radii * radii)
     t = (_ROOT_SIGNS * np.sqrt(np.maximum(disc, 0.0)) - b) / a  # (2, 2, K)
     return t[(disc > 0.0) & (t > 0.0) & (t < 1.0)]
+
+
+def check_settings(*, dims: int = 1, weak_side_scale: float = 1.0,
+                   quadrature_points: int = 2) -> None:
+    """Raise ``InvalidConfig`` for ``dims < 1``, ``weak_side_scale <= 0`` or
+    fewer than 2 quadrature points; callers pass the settings they take."""
+    if dims < 1:
+        raise InvalidConfig("dims must be at least 1")
+    if not weak_side_scale > 0:
+        raise InvalidConfig("weak_side_scale must be positive")
+    if quadrature_points < 2:
+        raise InvalidConfig("need at least 2 quadrature points")
 
 
 def _quadrature_grid(
@@ -138,8 +143,7 @@ def _quadrature_grid(
     [0, 1] is cut at ``breaks``; each piece gets 8-point panels in
     proportion to its length, and at least one.
     """
-    if quadrature_points < 2:
-        raise InvalidConfig("need at least 2 quadrature points")
+    check_settings(quadrature_points=quadrature_points)
     edges = np.sort(np.concatenate([[0.0], breaks, [1.0]]))
     lengths = np.diff(edges)
     total = max(1, quadrature_points // _GL_ORDER)
@@ -239,10 +243,7 @@ def make_two_centroid_field(
 
     Raises ``InvalidConfig`` for ``dims < 1`` or ``weak_side_scale <= 0``.
     """
-    if dims < 1:
-        raise InvalidConfig("dims must be at least 1")
-    if not weak_side_scale > 0:
-        raise InvalidConfig("weak_side_scale must be positive")
+    check_settings(dims=dims, weak_side_scale=weak_side_scale)
     rng = Rng(seed)
     direction = rng.normal(dims)
     direction /= np.linalg.norm(direction)

@@ -118,6 +118,21 @@ class SamplerConfig:
             if (self.fixed_way or 0) < 1 or (self.fixed_shot or 0) < 1:
                 raise InvalidConfig("fixed mode needs fixed_way and fixed_shot of at least 1")
 
+    @property
+    def min_way(self) -> int:
+        """The fewest classes a task draws, so the fewest a world must have."""
+        return self.fixed_way if self.mode is SamplerMode.FIXED_WAY_SHOT else self.way_range[0]
+
+
+def check_world_shape(dims: int, class_count: int, anisotropy: float, scale_range) -> None:
+    """Raise ``InvalidConfig`` unless ``make_cluster_world`` takes this shape."""
+    if dims < 2 or class_count < 2:
+        raise InvalidConfig("need dims >= 2 and class_count >= 2")
+    if anisotropy < 1.0:
+        raise InvalidConfig("anisotropy must be >= 1")
+    if scale_range[0] > scale_range[1] or scale_range[0] <= 0:
+        raise InvalidConfig("scale_range must be ordered and positive")
+
 
 def make_cluster_world(
     dims: int,
@@ -140,13 +155,7 @@ def make_cluster_world(
     log-uniformly from ``scale_range``) and interior ones are log-uniform
     in between, so every condition number equals the anisotropy bound.
     """
-    if dims < 2 or class_count < 2:
-        raise InvalidConfig("need dims >= 2 and class_count >= 2")
-    if anisotropy < 1.0:
-        raise InvalidConfig("anisotropy must be >= 1")
-    if scale_range[0] > scale_range[1] or scale_range[0] <= 0:
-        raise InvalidConfig("scale_range must be ordered and positive")
-
+    check_world_shape(dims, class_count, anisotropy, scale_range)
     rng = Rng(rng_seed)
     directions = rng.normal((class_count, dims))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -219,12 +228,10 @@ def sample_task(
     per-class shots, then per task-class support rows followed by query
     rows.  Features are latent Gaussian draws mapped through ``encoding``.
     """
+    if world.class_count < cfg.min_way:
+        raise NotEnoughClasses(f"world has {world.class_count} classes, need {cfg.min_way}")
     rng = Rng(rng_seed)
     if cfg.mode is SamplerMode.META_DATASET_LIKE:
-        if world.class_count < cfg.way_range[0]:
-            raise NotEnoughClasses(
-                f"world has {world.class_count} classes, need {cfg.way_range[0]}"
-            )
         way = int(rng.integers(cfg.way_range[0], cfg.way_range[1], 1)[0])
         way = min(way, world.class_count)
         chosen = rng.permutation(world.class_count)[:way]
@@ -232,8 +239,6 @@ def sample_task(
         shots = _rescale_shots(shots, cfg.support_cap)
     else:
         way = int(cfg.fixed_way)
-        if world.class_count < way:
-            raise NotEnoughClasses(f"world has {world.class_count} classes, need {way}")
         chosen = rng.permutation(world.class_count)[:way]
         shots = np.full(way, int(cfg.fixed_shot), dtype=np.int64)
 
@@ -378,16 +383,3 @@ def read_tasks(path) -> list:
         raise FormatError(1, f"header count {header['count']} != {len(tasks)} records")
     return tasks
 
-
-def tasks_equal(a: EpisodicTask, b: EpisodicTask) -> bool:
-    """Field-wise equality including exact float bit patterns."""
-    return (
-        a.domain_id == b.domain_id
-        and a.seed == b.seed
-        and a.way == b.way
-        and a.dims == b.dims
-        and np.array_equal(a.support_x, b.support_x)
-        and np.array_equal(a.support_y, b.support_y)
-        and np.array_equal(a.query_x, b.query_x)
-        and np.array_equal(a.query_y, b.query_y)
-    )

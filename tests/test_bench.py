@@ -12,7 +12,9 @@ from mahabench.bench import (
     shot_bucket,
 )
 from mahabench.errors import InvalidConfig
-from mahabench.worlds import SamplerConfig, SamplerMode, tasks_equal
+from mahabench.worlds import SamplerConfig, SamplerMode
+
+from episodes import tasks_equal
 
 FIXED_55 = SamplerConfig(
     mode=SamplerMode.FIXED_WAY_SHOT, fixed_way=5, fixed_shot=5, query_per_class=10

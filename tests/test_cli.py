@@ -157,11 +157,18 @@ class TestCliMain:
         ["gen-tasks", "--tasks", "-5", "--out", "tasks.jsonl"],
         [*SMALL_ACTIVE, "--strategy", ","],
         [*SMALL_CONTINUAL, "--strategy", ","],
+        # checks the library makes, run before the echo
+        ["bench", "--tasks", "30", "--way", "50", "--classes", "12"],
+        ["active", "--sessions", "1", "--budget", "-1", "--classes", "3"],
+        ["bench", "--tasks", "30", "--dims", "0"],
+        ["riemann", "--fields", "1", "--quadrature", "1"],
     ])
     def test_config_errors_exit_two(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where a run that wrongly passed would write
         assert cli_main(argv) == 2
-        assert "config error" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "config error" in err
+        assert out == ""  # a rejected run prints no configuration
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--tasks", "30", "--mean-radius", "nan"],
@@ -412,6 +419,27 @@ class TestModuleEntryPoints:
         codes, imported = json.loads(done.stdout.splitlines()[-1])
         assert codes == [0] * len(argvs)
         assert [m for m in imported if not m.startswith("multiprocessing.")] == []
+
+
+@pytest.mark.parametrize("flags, keep", [
+    (["--head-mode", "single"], lambda row: row[2] == "single"),
+    (["--head-mode", "multi"], lambda row: row[2] == "multi"),
+    (["--strategy", "first"], lambda row: row[1] == "first"),
+], ids=["single", "multi", "first"])
+def test_a_continual_selection_writes_the_full_runs_rows(tmp_path, capsys, flags, keep):
+    # every stream computes all strategies and both head modes; the flags
+    # only choose which of its rows are written
+    argv = ["continual", "--streams", "2", "--length", "3", "--shot", "3", "--query", "3",
+            "--seed", "4"]
+    full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+    assert cli_main([*argv, "--out", str(full)]) == 0
+    assert cli_main([*argv, *flags, "--out", str(part)]) == 0
+    capsys.readouterr()
+    _, header, full_rows = read_csv(full)
+    _, part_header, part_rows = read_csv(part)
+    assert part_header == header
+    expected = [line for line in full_rows if keep(line.split(","))]
+    assert part_rows == expected and len(expected) < len(full_rows)
 
 
 class TestParallelUnits:

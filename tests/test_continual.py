@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from mahabench.continual import (
 )
 from mahabench.errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses
 from mahabench.heads import ClassStatistics, SupportLayout, estimate_class_statistics
-from mahabench.methods import HeadConfig, predict
+from mahabench.methods import HeadConfig, fit_statistics, predict, predict_labels, support_fits
 from mahabench.rng import Rng
 from mahabench.spd import cholesky, ensure_pd
-from mahabench.worlds import EncodingTransform, make_cluster_world
+from mahabench.worlds import EncodingTransform, draw_class_examples, make_cluster_world
 
 
 def stack(means, covs, counts):
@@ -221,13 +222,54 @@ def small_world(seed=7, classes=10):
     )
 
 
+def stack_rows(rows):
+    """One stack of the given one-class stacks, in order."""
+    return ClassStatistics(*(np.concatenate([getattr(r, f.name) for r in rows])
+                             for f in fields(ClassStatistics)))
+
+
+def reference_matrix(world, stream, strategy, mode, head, seed, groups):
+    """One (strategy, mode) accuracy matrix, evaluated cell by cell.
+
+    Each cell (t, j) scores task j's queries on their own: multi-head
+    against the statistics of group j's classes in sorted id order (a GMM
+    prior over that group alone), single-head against every class seen by
+    step t.  Merged statistics are kept one class at a time.
+    """
+    rng = Rng(seed)
+    encodings = make_task_encodings(world.dims, len(groups), stream.drift, rng)
+    support, query = [], []
+    for group in groups:
+        for store, count in ((support, stream.shot), (query, stream.query_per_class)):
+            store.append(np.vstack(draw_class_examples(world, group, [count] * len(group), rng)))
+    state = ContinualState(strategy=strategy)
+    memory = {}  # class id -> one-row ClassStatistics
+    matrix = np.full((len(groups), len(groups)), np.nan)
+    for t, group in enumerate(groups):
+        working = update_encoding(state, encodings[t])
+        local_y = np.repeat(np.arange(len(group)), stream.shot)
+        start = support_fits([head], working.apply(support[t]), local_y,
+                             working.apply(query[t]))[0]
+        fit = replace(fit_statistics(head, start).statistics,
+                      counts=np.full(len(group), float(stream.shot)))
+        for row, cid in enumerate(group):
+            new = fit.take([row])
+            memory[cid] = merge_class_statistics(memory[cid], new) if cid in memory else new
+        for j in range(t + 1):
+            ids = sorted(groups[j]) if mode is HeadMode.MULTI_HEAD else sorted(memory)
+            labels = predict_labels(head, stack_rows([memory[c] for c in ids]),
+                                    working.apply(query[j]))
+            truth = np.repeat(groups[j], stream.query_per_class)
+            matrix[t, j] = np.mean(np.array(ids)[labels] == truth)
+    return matrix
+
+
 class TestRunContinualSession:
     def test_single_task_matrix_matches_plain_accuracy(self):
         world = small_world()
         stream = StreamConfig(num_tasks=1, classes_per_task=3, shot=8, drift=0.0)
-        matrix = run_continual_session(
-            world, stream, EncodingStrategy.MOVING, HeadMode.MULTI_HEAD, seed=5
-        )
+        matrix = run_continual_session(world, stream, [EncodingStrategy.MOVING], seed=5)[
+            EncodingStrategy.MOVING, HeadMode.MULTI_HEAD]
         assert matrix.shape == (1, 1)
         assert 0.0 <= matrix[0, 0] <= 1.0
         # replay by hand: same latent draws, identity frame, plain head
@@ -249,9 +291,8 @@ class TestRunContinualSession:
         # statistics never change, so its accuracy row is constant
         world = small_world()
         stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=6, drift=0.0)
-        matrix = run_continual_session(
-            world, stream, EncodingStrategy.FIRST, HeadMode.MULTI_HEAD, seed=3
-        )
+        matrix = run_continual_session(world, stream, [EncodingStrategy.FIRST], seed=3)[
+            EncodingStrategy.FIRST, HeadMode.MULTI_HEAD]
         for j in range(4):
             col = matrix[j:, j]
             assert np.allclose(col, col[0])
@@ -264,14 +305,11 @@ class TestRunContinualSession:
         stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=6, drift=1.0)
         first_final, moving_final = [], []
         for seed in range(8):
-            m_first = run_continual_session(
-                world, stream, EncodingStrategy.FIRST, HeadMode.SINGLE_HEAD, seed=seed
+            session = run_continual_session(
+                world, stream, [EncodingStrategy.FIRST, EncodingStrategy.MOVING], seed=seed
             )
-            m_moving = run_continual_session(
-                world, stream, EncodingStrategy.MOVING, HeadMode.SINGLE_HEAD, seed=seed
-            )
-            first_final.append(m_first[3, 0])
-            moving_final.append(m_moving[3, 0])
+            first_final.append(session[EncodingStrategy.FIRST, HeadMode.SINGLE_HEAD][3, 0])
+            moving_final.append(session[EncodingStrategy.MOVING, HeadMode.SINGLE_HEAD][3, 0])
         assert np.mean(first_final) > np.mean(moving_final) + 0.2
 
     def test_moving_encoding_forgets_under_drift(self):
@@ -279,9 +317,8 @@ class TestRunContinualSession:
         stream = StreamConfig(num_tasks=5, classes_per_task=2, shot=10, drift=1.0)
         drops = []
         for seed in range(10):
-            matrix = run_continual_session(
-                world, stream, EncodingStrategy.MOVING, HeadMode.SINGLE_HEAD, seed=seed
-            )
+            matrix = run_continual_session(world, stream, [EncodingStrategy.MOVING], seed=seed)[
+                EncodingStrategy.MOVING, HeadMode.SINGLE_HEAD]
             drops.append(matrix[0, 0] - matrix[4, 0])
         assert np.mean(drops) > 0.2
 
@@ -290,9 +327,8 @@ class TestRunContinualSession:
         stream = StreamConfig(num_tasks=3, classes_per_task=2, shot=7, drift=0.5)
         groups = [[0, 1], [2, 3], [0, 1]]  # classes 0/1 appear twice
         matrix = run_continual_session(
-            world, stream, EncodingStrategy.FIRST, HeadMode.MULTI_HEAD,
-            seed=1, class_groups=groups,
-        )
+            world, stream, [EncodingStrategy.FIRST], seed=1, class_groups=groups,
+        )[EncodingStrategy.FIRST, HeadMode.MULTI_HEAD]
         assert matrix.shape == (3, 3)
         # overlapping groups merge: task 3 re-estimates classes 0/1, so its
         # row-0 entry reflects merged statistics (smoke: still in range)
@@ -314,10 +350,37 @@ class TestRunContinualSession:
         groups = [[0, 1], [1, 2], [0, 2], [3, 0], [1, 3]]
         digest = hashlib.sha256()
         for seed in range(3):
-            matrix = run_continual_session(world, stream, EncodingStrategy.FIRST, mode,
-                                           seed=seed, class_groups=groups)
+            matrix = run_continual_session(world, stream, [EncodingStrategy.FIRST],
+                                           seed=seed, class_groups=groups)[
+                EncodingStrategy.FIRST, mode]
             digest.update(matrix.tobytes())
         assert digest.hexdigest() == self.OVERLAP_PINS[mode]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        groups=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+                        min_size=1, max_size=4),
+        shot=st.integers(1, 3),
+        query=st.integers(1, 3),
+        drift=st.sampled_from([0.0, 0.5, 1.5]),
+        gmm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_matrix_matches_the_cell_by_cell_reference(self, groups, shot, query, drift,
+                                                             gmm, seed):
+        # groups revisit classes at random, so merges, unseen classes and
+        # classes shared between groups all occur
+        world = make_cluster_world(3, 6, 4.0, rng_seed=1, mean_radius=1.5,
+                                   scale_range=(0.5, 2.0))
+        stream = StreamConfig(num_tasks=len(groups), classes_per_task=1, shot=shot,
+                              query_per_class=query, drift=drift)
+        head = HeadConfig(gmm=gmm)
+        session = run_continual_session(world, stream, list(EncodingStrategy), head,
+                                        seed=seed, class_groups=groups)
+        assert set(session) == set(itertools.product(EncodingStrategy, HeadMode))
+        for (strategy, mode), matrix in session.items():
+            expected = reference_matrix(world, stream, strategy, mode, head, seed, groups)
+            assert np.array_equal(matrix, expected, equal_nan=True), (strategy, mode)
 
     @pytest.mark.parametrize("groups", [
         [[0, -1], [2, 3]],  # a negative id would index from the end
@@ -330,8 +393,8 @@ class TestRunContinualSession:
     def test_bad_class_groups_are_config_errors(self, groups):
         stream = StreamConfig(num_tasks=2, classes_per_task=2, shot=2)
         with pytest.raises(InvalidConfig):
-            run_continual_session(small_world(), stream, EncodingStrategy.FIRST,
-                                  HeadMode.SINGLE_HEAD, class_groups=groups)
+            run_continual_session(small_world(), stream, [EncodingStrategy.FIRST],
+                                  class_groups=groups)
 
     @pytest.mark.parametrize("mode", list(HeadMode))
     def test_disjoint_groups_stack_once_per_task(self, mode, monkeypatch):
@@ -344,30 +407,25 @@ class TestRunContinualSession:
         monkeypatch.setattr(continual, "merge_class_statistics",
                             lambda old, new: merges.append(1))
         stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=3)
-        run_continual_session(small_world(), stream, EncodingStrategy.MOVING, mode, seed=0)
+        session = run_continual_session(small_world(), stream, [EncodingStrategy.MOVING], seed=0)
         assert (len(factored), len(merges)) == (4, 0)
+        assert session[EncodingStrategy.MOVING, mode].shape == (4, 4)
 
     def test_not_enough_classes(self):
         world = small_world(classes=4)
         stream = StreamConfig(num_tasks=3, classes_per_task=2, shot=5)
         with pytest.raises(NotEnoughClasses):
-            run_continual_session(
-                world, stream, EncodingStrategy.FIRST, HeadMode.MULTI_HEAD, seed=0
-            )
+            run_continual_session(world, stream, [EncodingStrategy.FIRST], seed=0)
 
     def test_multi_head_at_least_single_head_on_average(self):
         world = small_world()
         stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=8, drift=0.5)
         multi, single = [], []
         for seed in range(8):
-            m = run_continual_session(
-                world, stream, EncodingStrategy.AVERAGING, HeadMode.MULTI_HEAD, seed=seed
-            )
-            s = run_continual_session(
-                world, stream, EncodingStrategy.AVERAGING, HeadMode.SINGLE_HEAD, seed=seed
-            )
-            multi.append(np.nanmean(m))
-            single.append(np.nanmean(s))
+            session = run_continual_session(world, stream, [EncodingStrategy.AVERAGING],
+                                            seed=seed)
+            multi.append(np.nanmean(session[EncodingStrategy.AVERAGING, HeadMode.MULTI_HEAD]))
+            single.append(np.nanmean(session[EncodingStrategy.AVERAGING, HeadMode.SINGLE_HEAD]))
         assert np.mean(multi) >= np.mean(single)
 
     def test_transductive_head_runs(self):
@@ -377,8 +435,7 @@ class TestRunContinualSession:
         stream = StreamConfig(num_tasks=2, classes_per_task=2, shot=4, drift=0.3)
         head = HeadConfig(refine=RefineConfig(min_steps=2, max_steps=4))
         matrix = run_continual_session(
-            world, stream, EncodingStrategy.AVERAGING, HeadMode.SINGLE_HEAD,
-            head, seed=2,
-        )
+            world, stream, [EncodingStrategy.AVERAGING], head, seed=2,
+        )[EncodingStrategy.AVERAGING, HeadMode.SINGLE_HEAD]
         assert matrix.shape == (2, 2)
         assert not np.isnan(matrix[1, 1])

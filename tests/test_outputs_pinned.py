@@ -38,6 +38,12 @@ PINNED = {
         ["continual", "--streams", "2", "--length", "3", "--shot", "3", "--query", "3"],
         "63f7848297fb6e49a564b69a2a2167b0b13eda7f6be6b603b876b25bebb1eece",
     ),
+    "continual-gmm": (
+        # multi-head GMM scores carry a log(1/K) prior over every seen class;
+        # a prior over the task's group alone gives these same bytes
+        ["continual", "--streams", "4", "--length", "5", "--method", "gmm-em"],
+        "a23367f8136230744b88e5708e843d256419d9190159c86e9de3ce289653df8c",
+    ),
     "riemann": (
         ["riemann", "--fields", "6", "--dims", "3", "--points-per-field", "2"],
         "0107d4aeeee01f021b003cc997ad23d3d8263b07beebd450fa2f318479745f88",

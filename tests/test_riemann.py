@@ -7,11 +7,17 @@ from mahabench.riemann import (
     PartitionOfUnity,
     energy_gap_check,
     make_two_centroid_field,
-    metric_at,
     path_energy,
     sample_plateau_point,
 )
 from mahabench.rng import Rng, derive_seed
+
+
+def metric_at(field: MetricField, x: np.ndarray) -> np.ndarray:
+    """The symmetrized metric tensor at one point: sum_k w_k(x - mu_k) P_k."""
+    w = field.partition.weights(np.asarray(x, dtype=np.float64), field.centroids)[0]
+    g = np.einsum("k,kde->de", w, field.precisions)
+    return (g + g.T) / 2.0
 
 
 def constant_field(q, centroids=None):

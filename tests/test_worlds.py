@@ -13,9 +13,10 @@ from mahabench.worlds import (
     make_cluster_world,
     read_tasks,
     sample_task,
-    tasks_equal,
     write_tasks,
 )
+
+from episodes import tasks_equal
 
 FIXED = SamplerConfig(mode=SamplerMode.FIXED_WAY_SHOT, fixed_way=5, fixed_shot=1)
 
