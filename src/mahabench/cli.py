@@ -21,11 +21,11 @@ from its flags (active and continual ``strategies``, continual
 ``tasks_sha256``), and ``config_hash``: the first 12 hex digits of the
 sha256 of the sorted JSON of all the rest.  It holds no paths (``--out``,
 ``--tasks-file``), and no flag the run leaves unread: such a flag set away
-from its default exits 2.  Checks on flag values run before the echo, bar
-riemann's partition radii.  Identical seeds produce byte-identical outputs.
+from its default exits 2.  Checks on flag values run before the echo.
+Identical seeds produce byte-identical outputs.
 
-bench and recall tasks, active sessions, continual streams and riemann
-fields run in forked worker processes, one per CPU of the process's
+bench and recall tasks, active sessions, continual streams and blocks of
+riemann fields run in forked worker processes, one per CPU of the process's
 affinity mask; the rows come out in the same order and the same bytes as a
 serial run.  ``taskset -c 0 mahabench ...`` runs serially, which is also
 how to take a per-layer trace.  Without ``fork`` (or ``sched_getaffinity``)
@@ -456,29 +456,27 @@ def _median(values) -> float:
 
 def _cmd_riemann(args, defaults) -> int:
     _require_positive(args, "fields", "points_per_field")
-    riemann_mod.check_settings(dims=args.dims, weak_side_scale=args.weak_scale,
-                               quadrature_points=args.quadrature)
+    settings = {"dims": args.dims, "separation": args.separation, "flatness": args.flatness,
+                "support_scale": args.support_scale, "weak_side_scale": args.weak_scale}
+    riemann_mod.check_settings(quadrature_points=args.quadrature, **settings)
     echo = _echo(args)
+    size = riemann_mod.block_size(args.dims, args.quadrature, args.points_per_field)
 
-    def field_rows(fid: int) -> list:
-        field_seed = derive_seed(args.seed, "riemann", fid)
-        field = riemann_mod.make_two_centroid_field(
-            field_seed, dims=args.dims, separation=args.separation,
-            support_scale=args.support_scale, flatness=args.flatness,
-            weak_side_scale=args.weak_scale,
-        )
-        rng = Rng(derive_seed(field_seed, "points"))
-        rows = []
+    def block_rows(block: int) -> list:
+        seeds = [derive_seed(args.seed, "riemann", fid)
+                 for fid in range(block * size, min(args.fields, (block + 1) * size))]
+        field = riemann_mod.make_two_centroid_field(np.array(seeds, dtype=np.uint64), **settings)
+        rng = Rng(np.array([derive_seed(s, "points") for s in seeds], dtype=np.uint64))
+        checks = []  # per point, the check's three columns as lists of reprs
         for _p in range(args.points_per_field):
             x = riemann_mod.sample_plateau_point(field, 0, rng)
             check = riemann_mod.energy_gap_check(field, x, 0, 1, args.quadrature)
-            rows.append(
-                (field_seed, "0-1", repr(check.delta_energy),
-                 repr(check.half_maha_gap), repr(check.relative_error))
-            )
-        return rows
+            checks.append([list(map(repr, column.tolist())) for column in check])
+        return [(seed, "0-1", *(c[f] for c in point)) for f, seed in enumerate(seeds)
+                for point in checks]
 
-    rows = [row for rows in ordered_map(field_rows, args.fields) for row in rows]
+    blocks = ordered_map(block_rows, -(-args.fields // size))
+    rows = [row for rows in blocks for row in rows]
     if args.out:
         _write_csv(args.out, echo,
                    ["field_seed", "pair", "delta_energy", "half_gap", "rel_error"], rows)

@@ -18,9 +18,11 @@ which is why this uses ``concurrent.futures`` and not
 Indices go to the workers in contiguous blocks, about four per worker
 (``count // (4 * workers)`` units each), and every block comes back as one
 list.  One index per round trip would cost about as much inter-process
-traffic as a millisecond-sized unit (a ``riemann`` field) takes to
-compute; several blocks per worker, rather than one, keep a worker that
-drew slow units (large meta-dataset tasks) from holding up the others.
+traffic as a millisecond-sized unit takes to compute (``riemann`` makes
+its units blocks of fields, a few milliseconds of array work each, for
+the same reason); several blocks per worker, rather than one, keep a
+worker that drew slow units (large meta-dataset tasks) from holding up the
+others.
 Blocks are returned in order and a block stops at its first exception, so
 the first failing index still wins.
 

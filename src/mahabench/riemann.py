@@ -7,9 +7,26 @@ Straight-line path energies under that field are integrated with piecewise
 Gauss-Legendre quadrature, split where the path crosses a plateau or support
 sphere, and the relative class scores are compared against the first-order
 energy-gap approximation (1/2)(maha_i - maha_j).
+
+Fields come in blocks: F fields have centroids (F, K, d), precisions
+(F, K, d, d) and radii (F, K), one point each, (F, d), and results (F,).
+A field without the leading axis (an int seed, or arrays built by hand) is
+a block of one on the same code path, with float results.  Draws, norms,
+QR, covariance products, radii, checks, crossings, distances and weights
+are array expressions over the block; its paths' ragged quadrature grids
+are one node array, path p owning nodes offsets[p]:offsets[p + 1].
+
+Each covariance's Cholesky factor and solve, and per path the einsum
+q_k = delta^T P_k delta, the (n, K) @ (K,) weight mix, the weights @
+values sum and the Mahalanobis terms, stay one BLAS or LAPACK call each:
+their summation order follows the shape they are handed, so a stacked call
+would move a result's last bits with its block.  Python's float ``**`` in
+``sample_plateau_point`` stays too; numpy's vectorized power rounds
+differently.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +38,7 @@ from .rng import Rng
 _GL_ORDER = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _ROOT_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+_BLOCK_BUDGET = 1 << 15  # quadrature nodes and matrix entries per block of fields
 
 
 @dataclass(frozen=True)
@@ -41,8 +59,8 @@ class PartitionOfUnity:
     split does not find, so quadrature there converges only algebraically.
     """
 
-    support_radius: np.ndarray  # (K,)
-    plateau_radius: np.ndarray  # (K,)
+    support_radius: np.ndarray  # (K,), or (F, K) for a block
+    plateau_radius: np.ndarray  # (K,), or (F, K) for a block
 
     def __post_init__(self):
         sup = np.asarray(self.support_radius, dtype=np.float64)
@@ -60,144 +78,223 @@ class PartitionOfUnity:
         dist = np.linalg.norm(pts[:, None, :] - centroids[None, :, :], axis=2)
         return self.weights_at(dist)
 
-    def weights_at(self, dist: np.ndarray) -> np.ndarray:
-        """(m, K) partition weights from the (m, K) distances to each centroid."""
-        s = (dist - self.plateau_radius) / (self.support_radius - self.plateau_radius)
-        s = np.clip(s, 0.0, 1.0)
+    def weights_at(self, dist: np.ndarray, rows_per_field=1) -> np.ndarray:
+        """(m, K) partition weights from the (m, K) distances to each centroid;
+        in a block, the rows of ``dist`` run field by field, rows_per_field[f]
+        of them for field f."""
+        # the arithmetic runs on (K, m) columns, each step one long loop over
+        # m; sums over K run in index order, as numpy's do below 8 terms
+        k = dist.shape[1]
+        cols = np.ascontiguousarray(dist.T)
+        flat = np.repeat(self.plateau_radius.reshape(-1, k).T, rows_per_field, axis=1)
+        width = np.repeat((self.support_radius - self.plateau_radius).reshape(-1, k).T,
+                          rows_per_field, axis=1)
+        s = np.clip((cols - flat) / width, 0.0, 1.0)
         raw = 1.0 - s * s * (3.0 - 2.0 * s)
-        total = raw.sum(axis=1, keepdims=True)
-        shifted = -(dist - dist.min(axis=1, keepdims=True))
-        e = np.exp(shifted)
-        soft = e / e.sum(axis=1, keepdims=True)
-        return raw / np.maximum(total, 1.0) + np.maximum(1.0 - total, 0.0) * soft
+        total = reduce(np.add, raw)
+        e = np.exp(-(cols - reduce(np.minimum, cols)))
+        soft = e / reduce(np.add, e)
+        weights = raw / np.maximum(total, 1.0) + np.maximum(1.0 - total, 0.0) * soft
+        return np.ascontiguousarray(weights.T)
+
+
+def _pair_distances(centroids: np.ndarray) -> np.ndarray:
+    """(..., K, K) distances between each field's centroids."""
+    diff = centroids[..., :, None, :] - centroids[..., None, :, :]
+    return np.linalg.norm(diff, axis=-1)
 
 
 @dataclass(frozen=True)
 class MetricField:
     """Interpolated field of per-class precisions over class centroids."""
 
-    centroids: np.ndarray  # (K, d)
-    precisions: np.ndarray  # (K, d, d), SPD
+    centroids: np.ndarray  # (K, d), or (F, K, d) for a block
+    precisions: np.ndarray  # (K, d, d), or (F, K, d, d); SPD
     partition: PartitionOfUnity
 
     def __post_init__(self):
         # the plateau constraint w_k(mu_k) = 1 requires every other bump to
         # vanish at each centroid
-        dist = np.linalg.norm(
-            self.centroids[:, None, :] - self.centroids[None, :, :], axis=2
-        )
-        covers = dist < self.partition.support_radius[:, None]  # bump i covers mu_j
-        np.fill_diagonal(covers, False)
-        if np.any(covers):
+        dist = _pair_distances(self.centroids)
+        covers = dist < self.partition.support_radius[..., :, None]  # bump i covers mu_j
+        if np.any(covers & ~np.eye(dist.shape[-1], dtype=bool)):
             raise InvalidConfig("support radii overlap a foreign centroid; shrink them")
 
     @classmethod
-    def from_covariances(
-        cls, centroids, covariances, support_scale=0.45, flatness=0.5
-    ) -> "MetricField":
+    def from_covariances(cls, centroids, covariances, support_scale=0.45,
+                         flatness=0.5) -> "MetricField":
         """Field from class covariances; radii scale with the smallest
         centroid separation and ``flatness`` sets plateau/support."""
         centroids = np.asarray(centroids, dtype=np.float64)
-        k = centroids.shape[0]
-        d = centroids.shape[1]
-        precisions = np.empty((k, d, d))
+        covariances = np.asarray(covariances, dtype=np.float64)
+        k, d = centroids.shape[-2:]
+        precisions = np.empty(covariances.shape)
         eye = np.eye(d)
-        for i, cov in enumerate(covariances):
-            precisions[i] = spd.solve_spd(spd.cholesky(cov), eye)
+        for i in np.ndindex(covariances.shape[:-2]):
+            precisions[i] = spd.solve_spd(spd.cholesky(covariances[i]), eye)
         if k == 1:
-            radius = np.array([1.0])
+            radius = np.ones(centroids.shape[:-1])
         else:
-            dist = np.linalg.norm(centroids[:, None, :] - centroids[None, :, :], axis=2)
-            np.fill_diagonal(dist, np.inf)
-            radius = np.full(k, support_scale * dist.min())
+            dist = _pair_distances(centroids)
+            dist[..., np.arange(k), np.arange(k)] = np.inf
+            nearest = dist.min(axis=(-2, -1))[..., None]
+            radius = np.repeat(support_scale * nearest, k, axis=-1)
         part = PartitionOfUnity(radius, flatness * radius)
         return cls(centroids=centroids, precisions=precisions, partition=part)
 
 
-def _crossings(part: PartitionOfUnity, a: float, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Parameters t in (0, 1) at which a line whose squared distance to
-    centroid k is a t^2 + 2 b_k t + c_k crosses a plateau or support sphere."""
-    radii = np.stack([part.plateau_radius, part.support_radius])  # (2, K)
-    disc = b * b - a * (c - radii * radii)
-    t = (_ROOT_SIGNS * np.sqrt(np.maximum(disc, 0.0)) - b) / a  # (2, 2, K)
-    return t[(disc > 0.0) & (t > 0.0) & (t < 1.0)]
-
-
 def check_settings(*, dims: int = 1, weak_side_scale: float = 1.0,
-                   quadrature_points: int = 2) -> None:
-    """Raise ``InvalidConfig`` for ``dims < 1``, ``weak_side_scale <= 0`` or
-    fewer than 2 quadrature points; callers pass the settings they take."""
+                   quadrature_points: int = 2, separation: float = 1.0,
+                   support_scale: float = 0.5, flatness: float = 0.5) -> None:
+    """Raise ``InvalidConfig`` for a setting no field or grid can take;
+    callers pass the settings they take.  A two-centroid field's support
+    radius is ``support_scale`` times the centroid distance |``separation``|
+    and its plateau ``flatness`` times that, so its checks pass when
+    0 <= flatness < 1, 0 < support_scale <= 1 and separation != 0, and
+    exactly so while the scales stay within 2^±64 and the radii normal.
+    """
     if dims < 1:
         raise InvalidConfig("dims must be at least 1")
     if not weak_side_scale > 0:
         raise InvalidConfig("weak_side_scale must be positive")
     if quadrature_points < 2:
         raise InvalidConfig("need at least 2 quadrature points")
+    if not 2.0**-64 <= abs(separation) <= 2.0**64:
+        raise InvalidConfig("|separation| must be in [2^-64, 2^64]")
+    if not 2.0**-64 <= support_scale <= 1.0:
+        raise InvalidConfig("support_scale must be in [2^-64, 1]")
+    if not 0.0 <= flatness < 1.0:
+        raise InvalidConfig("flatness must be in [0, 1)")
 
 
-def _quadrature_grid(
-    quadrature_points: int, breaks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Piecewise Gauss-Legendre nodes and weights on [0, 1].
+def block_size(dims: int, quadrature_points: int, points_per_field: int) -> int:
+    """Two-centroid fields per block, for about ``_BLOCK_BUDGET`` entries of
+    work whatever the settings: two ``dims^2`` covariances per field, and per
+    point two paths of at most ``quadrature_points + 80`` nodes (8 per panel,
+    quadrature_points / 8 panels plus one per piece, at most 9 pieces)."""
+    nodes = 2 * points_per_field * (quadrature_points + 80)
+    return max(1, _BLOCK_BUDGET // (nodes + 2 * dims * dims))
 
-    [0, 1] is cut at ``breaks``; each piece gets 8-point panels in
-    proportion to its length, and at least one.
-    """
+
+def _aligned(rows: np.ndarray) -> np.ndarray:
+    """``rows`` copied to start on 16-byte boundaries, as fresh vectors do:
+    the order of older (SSE) BLAS kernels' sums depends on it."""
+    d = rows.shape[-1]
+    out = np.empty((*rows.shape[:-1], d + d % 2))[..., :d]
+    out[...] = rows
+    return out
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, one (1, d) @ (d, 1) product per row: the
+    ``ddot`` that ``np.linalg.norm`` takes of a single vector."""
+    rows = _aligned(rows)
+    return np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
+
+
+def _crossings(plateau, support, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """The t in (0, 1) where path p, at squared distance a_p t^2 + 2 b_pk t +
+    c_pk from centroid k, crosses a plateau or support sphere: (P, 4K) rows
+    of ``counts[p]`` crossings padded with 1.0, and ``counts``."""
+    radii = np.stack([plateau, support], axis=1)  # (P, 2, K)
+    disc = b[:, None] * b[:, None] - a[:, None, None] * (c[:, None] - radii * radii)
+    root = np.sqrt(np.maximum(disc, 0.0))[:, None]
+    t = (_ROOT_SIGNS * root - b[:, None, None]) / a[:, None, None, None]  # (P, 2, 2, K)
+    hit = ((disc[:, None] > 0.0) & (t > 0.0) & (t < 1.0)).reshape(len(a), -1)
+    return np.where(hit, t.reshape(hit.shape), 1.0), hit.sum(axis=1)
+
+
+def _quadrature_grid(quadrature_points: int, breaks: np.ndarray, counts: np.ndarray):
+    """Piecewise Gauss-Legendre nodes and weights on [0, 1] for each path,
+    one array each, and each path's node ``offsets``.  Path p's [0, 1] is cut
+    at the first ``counts[p]`` entries of ``breaks[p]``; each piece gets
+    8-point panels in proportion to its length, and at least one."""
     check_settings(quadrature_points=quadrature_points)
-    edges = np.sort(np.concatenate([[0.0], breaks, [1.0]]))
-    lengths = np.diff(edges)
+    zeros = np.zeros((len(breaks), 1))
+    edges = np.sort(np.concatenate([zeros, breaks, zeros + 1.0], axis=1), axis=1)
+    pieces = np.arange(edges.shape[1] - 1) <= counts[:, None]  # counts[p] + 1 per path
+    lengths = np.diff(edges, axis=1)[pieces]
     total = max(1, quadrature_points // _GL_ORDER)
     panels = np.maximum(1, np.rint(lengths * total).astype(np.int64))
     h = np.repeat(lengths / panels, panels)
     # panel j of a piece starts at its left edge plus j panel widths
     first = np.repeat(np.cumsum(panels) - panels, panels)
-    starts = np.repeat(edges[:-1], panels) + (np.arange(h.size) - first) * h
+    starts = np.repeat(edges[:, :-1][pieces], panels) + (np.arange(h.size) - first) * h
     half = h[:, None] / 2.0
     nodes = (starts[:, None] + (_GL_NODES + 1.0) * half).ravel()
     weights = (_GL_WEIGHTS * half).ravel()
-    return nodes, weights
+    ends_at = np.cumsum(panels)[np.cumsum(counts + 1) - 1]  # each path's last panel
+    return nodes, weights, np.concatenate([[0], _GL_ORDER * ends_at])
 
 
-def _energy_density(
-    field: MetricField, x: np.ndarray, delta: np.ndarray, quadrature_points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature weights, and delta^T g(x + t*delta) delta at the nodes.
+def _moving_path_energies(field, rows, x, delta, quadrature_points) -> np.ndarray:
+    """Energies of the paths x_p + t delta_p, t in [0, 1], delta_p != 0, under
+    the fields ``rows`` of the block ``field``.
 
-    Along the line the squared distance to centroid k is the quadratic
-    a t^2 + 2 b_k t + c_k.  The grid is split where it crosses a plateau or
-    support radius, so no panel straddles a kink of the bumps, and the
-    integrand is sum_k w_k(t) q_k with q_k = delta^T P_k delta.
+    Along path p the squared distance to centroid k is the quadratic
+    a_p t^2 + 2 b_pk t + c_pk.  The grid is split where it crosses a plateau
+    or support radius, so no panel straddles a kink of the bumps, and the
+    integrand is sum_k w_k(t) q_k with q_k = delta_p^T P_k delta_p.
     """
-    offset = x - field.centroids  # (K, d)
-    a = delta @ delta
-    b = offset @ delta
-    c = np.einsum("kd,kd->k", offset, offset)
+    k, d = field.centroids.shape[-2:]
+    offset = x[:, None, :] - field.centroids.reshape(-1, k, d)[rows]
+    delta = _aligned(delta)
+    a = (delta[:, None, :] @ delta[:, :, None])[:, 0, 0]  # one ddot per path
+    b = (offset @ delta[:, :, None])[..., 0]  # one gemv per path
+    c = np.einsum("pkd,pkd->pk", offset, offset)
     part = field.partition
-    nodes, weights = _quadrature_grid(quadrature_points, _crossings(part, a, b, c))
-    t = nodes[:, None]
-    dist = np.sqrt(np.maximum((a * t + 2.0 * b) * t + c, 0.0))
-    q = np.einsum("kde,d,e->k", field.precisions, delta, delta)
-    return weights, part.weights_at(dist) @ q
+    plateau = part.plateau_radius.reshape(-1, k)[rows]
+    support = part.support_radius.reshape(-1, k)[rows]
+    nodes, weights, offsets = _quadrature_grid(
+        quadrature_points, *_crossings(plateau, support, a, b, c))
+    counts = np.diff(offsets)
+    a = np.repeat(a, counts)
+    b, c = (np.repeat(v.T, counts, axis=1) for v in (b, c))  # (K, nodes)
+    dist = np.sqrt(np.maximum((a * nodes + 2.0 * b) * nodes + c, 0.0))
+    per_field = np.zeros(part.plateau_radius.size // k, dtype=np.int64)
+    per_field[rows] = counts  # a field whose path does not move has no nodes
+    mixed = part.weights_at(dist.T, per_field)
+    precisions = field.precisions.reshape(-1, k, d, d)
+    energies = np.empty(len(rows))
+    for p, f in enumerate(rows):
+        q = np.einsum("kde,d,e->k", precisions[f], delta[p], delta[p])
+        lo, hi = offsets[p], offsets[p + 1]
+        energies[p] = weights[lo:hi] @ (mixed[lo:hi] @ q)
+    return energies
 
 
-def path_energy(
-    field: MetricField, x: np.ndarray, y: np.ndarray, quadrature_points: int = 64
-) -> float:
-    """Energy of the straight-line path from x to y under the field:
-    the integral over [0, 1] of (y-x)^T g((1-t)x + ty) (y-x)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def _result(values: np.ndarray, lead: tuple):
+    """A block's per-field results in the block's shape; a float without one."""
+    return float(values[0]) if lead == () else values.reshape(lead)
+
+
+def path_energy(field: MetricField, x: np.ndarray, y: np.ndarray, quadrature_points: int = 64):
+    """Energy of the straight-line path from x to y under the field: the
+    integral over [0, 1] of (y-x)^T g((1-t)x + ty) (y-x).  In a block, x and
+    y are (F, d) and the result is (F,), one path per field."""
+    lead, d = field.centroids.shape[:-2], field.centroids.shape[-1]
+    x, y = (np.broadcast_to(np.asarray(v, dtype=np.float64), (*lead, d)).reshape(-1, d)
+            for v in (x, y))
     delta = y - x
-    if not np.any(delta):
-        return 0.0
-    weights, vals = _energy_density(field, x, delta, quadrature_points)
-    return float(weights @ vals)
+    energies = np.zeros(len(delta))
+    moving = np.flatnonzero(delta.any(axis=1))
+    if moving.size:
+        energies[moving] = _moving_path_energies(
+            field, moving, x[moving], delta[moving], quadrature_points)
+    return _result(energies, lead)
 
 
 class GapCheck(NamedTuple):
-    delta_energy: float
+    delta_energy: float  # each (F,) for a block
     half_maha_gap: float
     relative_error: float
+
+
+def _mahalanobis(x: np.ndarray, centroids: np.ndarray, precisions: np.ndarray) -> np.ndarray:
+    """(x_f - mu_f)^T P_f (x_f - mu_f) for each field f, one product per field."""
+    d = x.shape[-1]
+    diff = _aligned((x - centroids).reshape(-1, d))
+    return np.array([v @ p @ v for v, p in zip(diff, precisions.reshape(-1, d, d))])
 
 
 def energy_gap_check(
@@ -207,32 +304,27 @@ def energy_gap_check(
 
     Returns the straight-line energy difference
     ``E(x, mu_i) - E(x, mu_j)``, the half Mahalanobis gap
-    ``(maha_i - maha_j) / 2``, and ``|gap - half| / |gap|``.
+    ``(maha_i - maha_j) / 2``, and ``|gap - half| / |gap|``; in a block,
+    x is (F, d) and each is (F,).
     """
     if i == j:
         raise InvalidConfig("need two distinct centroids")
-    x = np.asarray(x, dtype=np.float64)
-    e_i = path_energy(field, x, field.centroids[i], quadrature_points)
-    e_j = path_energy(field, x, field.centroids[j], quadrature_points)
+    x, cents, precs = np.asarray(x, dtype=np.float64), field.centroids, field.precisions
+    e_i = np.reshape(path_energy(field, x, cents[..., i, :], quadrature_points), -1)
+    e_j = np.reshape(path_energy(field, x, cents[..., j, :], quadrature_points), -1)
     delta_e = e_i - e_j
-    maha = [
-        float((x - field.centroids[k]) @ field.precisions[k] @ (x - field.centroids[k]))
-        for k in (i, j)
-    ]
+    maha = [_mahalanobis(x, cents[..., k, :], precs[..., k, :, :]) for k in (i, j)]
     half_gap = 0.5 * (maha[0] - maha[1])
-    rel = abs(delta_e - half_gap) / abs(delta_e) if delta_e != 0 else np.inf
-    return GapCheck(delta_energy=delta_e, half_maha_gap=half_gap, relative_error=rel)
+    rel = np.full(delta_e.shape, np.inf)
+    np.divide(np.abs(delta_e - half_gap), np.abs(delta_e), out=rel, where=delta_e != 0)
+    return GapCheck(*(_result(v, cents.shape[:-2]) for v in (delta_e, half_gap, rel)))
 
 
-def make_two_centroid_field(
-    seed: int,
-    dims: int = 2,
-    separation: float = 6.0,
-    support_scale: float = 0.1,
-    flatness: float = 0.5,
-    weak_side_scale: float = 150.0,
-) -> MetricField:
-    """Seeded two-centroid field for the approximation checks.
+def make_two_centroid_field(seed, dims: int = 2, separation: float = 6.0,
+                            support_scale: float = 0.1, flatness: float = 0.5,
+                            weak_side_scale: float = 150.0) -> MetricField:
+    """Seeded two-centroid field for the approximation checks; an array of
+    seeds gives a block with one field per seed.
 
     Centroid 0 (where test points are placed) gets a covariance inflated by
     ``weak_side_scale``, so the metric near the test point contributes
@@ -246,28 +338,27 @@ def make_two_centroid_field(
     check_settings(dims=dims, weak_side_scale=weak_side_scale)
     rng = Rng(seed)
     direction = rng.normal(dims)
-    direction /= np.linalg.norm(direction)
-    centroids = np.stack([np.zeros(dims), separation * direction])
+    direction /= _norms(direction)[..., None]
+    centroids = np.stack([np.zeros_like(direction), separation * direction], axis=-2)
 
     # per centroid, a Gaussian for the eigenbasis, then eigenvalues in [1, 2)
-    gauss = np.empty((2, dims, dims))
-    eigs = np.empty((2, dims))
-    for k in range(2):
-        gauss[k] = rng.normal((dims, dims))
-        eigs[k] = np.exp(rng.uniform(dims) * np.log(2.0))
+    draws = [(rng.normal((dims, dims)), rng.uniform(dims)) for _k in range(2)]
+    gauss = np.stack([g for g, _u in draws], axis=-3)
+    eigs = np.exp(np.stack([u for _g, u in draws], axis=-2) * np.log(2.0))
     q, r = np.linalg.qr(gauss)
-    q *= np.where(np.diagonal(r, axis1=1, axis2=2) >= 0, 1.0, -1.0)[:, None, :]
-    covs = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
-    covs[0] *= weak_side_scale
-    return MetricField.from_covariances(
-        centroids, covs, support_scale=support_scale, flatness=flatness
-    )
+    q *= np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0, 1.0, -1.0)[..., None, :]
+    covs = (q * eigs[..., None, :]) @ np.swapaxes(q, -1, -2)
+    covs[..., 0, :, :] *= weak_side_scale
+    return MetricField.from_covariances(centroids, covs, support_scale, flatness)
 
 
 def sample_plateau_point(field: MetricField, k: int, rng: Rng) -> np.ndarray:
-    """A point uniformly inside the plateau ball of centroid k."""
-    d = field.centroids.shape[1]
+    """A point uniformly inside the plateau ball of centroid k; in a block,
+    one per field, from an ``Rng`` with one seed per field."""
+    d = field.centroids.shape[-1]
     direction = rng.normal(d)
-    direction /= np.linalg.norm(direction)
-    radius = field.partition.plateau_radius[k] * float(rng.uniform(1)[0]) ** (1.0 / d)
-    return field.centroids[k] + radius * direction
+    direction /= _norms(direction)[..., None]
+    u = rng.uniform(1)[..., 0]
+    scale = np.reshape([float(v) ** (1.0 / d) for v in np.ravel(u)], u.shape)
+    radius = field.partition.plateau_radius[..., k] * scale
+    return field.centroids[..., k, :] + radius[..., None] * direction

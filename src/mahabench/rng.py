@@ -70,15 +70,21 @@ def derive_seed(seed: int, *tags: int | str) -> int:
 
 
 class Rng:
-    """Counter-mode splitmix64 stream.
+    """Counter-mode splitmix64 stream, or a stack of them.
 
     Instances are cheap; the whole state is (seed, counter).  All drawing
     methods consume a documented number of raw 64-bit outputs, so a given
     call sequence is reproducible by construction.
+
+    ``Rng(seeds)`` with an array of seeds in [0, 2**64) runs one stream per
+    seed on a shared counter: every draw gains the seeds' leading axes, and
+    its row i is the bits the same draw gives from ``Rng(seeds[i])``.
+    ``below`` and ``permutation`` take a single seed.
     """
 
-    def __init__(self, seed: int):
-        self._seed = seed & MASK64
+    def __init__(self, seed):
+        seeds = np.asarray(seed if np.ndim(seed) else int(seed) & MASK64, dtype=np.uint64)
+        self._seeds = seeds[..., None]  # one stream per row of a draw
         self._counter = 0
 
     def raw(self, n: int) -> np.ndarray:
@@ -88,8 +94,7 @@ class Rng:
         # uint64 array arithmetic wraps modulo 2**64 without a warning
         z = np.arange(start, start + n, dtype=np.uint64)
         z *= _U64(GOLDEN)
-        z += _U64(self._seed)
-        return _mix64_array(z)
+        return _mix64_array(z + self._seeds)
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1), 53-bit resolution."""
@@ -103,12 +108,12 @@ class Rng:
         # the first `pairs` raw outputs give u1 in (0, 1], so log() is
         # finite, and the next `pairs` give u2 in [0, 1)
         bits = (self.raw(2 * pairs) >> _U64(11)).astype(np.float64)
-        u1 = (bits[:pairs] + 1.0) * _INV_2_53
-        u2 = bits[pairs:] * _INV_2_53
+        u1 = (bits[..., :pairs] + 1.0) * _INV_2_53
+        u2 = bits[..., pairs:] * _INV_2_53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
-        return z.reshape(shape)
+        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :count]
+        return z.reshape(self._seeds.shape[:-1] + shape)
 
     def below(self, bound: int) -> int:
         """One integer uniform on {0, ..., bound-1}."""

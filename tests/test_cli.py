@@ -162,6 +162,12 @@ class TestCliMain:
         ["active", "--sessions", "1", "--budget", "-1", "--classes", "3"],
         ["bench", "--tasks", "30", "--dims", "0"],
         ["riemann", "--fields", "1", "--quadrature", "1"],
+        # settings the field's partition checks would reject, checked from the flags
+        ["riemann", "--fields", "1", "--flatness", "5"],
+        ["riemann", "--fields", "1", "--flatness", "-0.5"],
+        ["riemann", "--fields", "1", "--support-scale", "0"],
+        ["riemann", "--fields", "1", "--support-scale", "2"],
+        ["riemann", "--fields", "1", "--separation", "0"],
     ])
     def test_config_errors_exit_two(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where a run that wrongly passed would write
@@ -239,6 +245,13 @@ class TestCliMain:
         assert echo_b["n_tasks"] == meta_b["n_tasks"] == 35
         assert echo_a["tasks_sha256"] != echo_b["tasks_sha256"]
         assert meta_a["config_hash"] != meta_b["config_hash"]
+
+    @pytest.mark.parametrize("flag", [
+        ["--support-scale", "1"], ["--flatness", "0"], ["--separation", "-6"],
+    ], ids=lambda flag: flag[0])
+    def test_riemann_takes_the_edge_settings(self, flag, capsys):
+        assert cli_main(["riemann", "--fields", "3", "--dims", "2", *flag]) == 0
+        assert "config error" not in capsys.readouterr().err
 
     def test_riemann_runs(self, tmp_path):
         out = tmp_path / "riemann.csv"

@@ -48,6 +48,13 @@ PINNED = {
         ["riemann", "--fields", "6", "--dims", "3", "--points-per-field", "2"],
         "0107d4aeeee01f021b003cc997ad23d3d8263b07beebd450fa2f318479745f88",
     ),
+    "riemann-blocks": (
+        # computed in two blocks, of 61 and 9 fields; the hash was taken when
+        # riemann computed one field at a time
+        ["riemann", "--fields", "70", "--dims", "5", "--points-per-field", "2",
+         "--quadrature", "40"],
+        "dff14d835d3c31c755637621dc4d423002b2d5a9c946ae073cc7bd073c5c2d84",
+    ),
 }
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mahabench.errors import InvalidConfig
 from mahabench.riemann import (
     MetricField,
     PartitionOfUnity,
+    check_settings,
     energy_gap_check,
     make_two_centroid_field,
     path_energy,
@@ -270,3 +273,55 @@ def test_a_degenerate_two_centroid_field_is_a_config_error(kwargs):
     # caught before any draw, not as a LAPACK failure further down
     with pytest.raises(InvalidConfig):
         make_two_centroid_field(0, **kwargs)
+
+
+# settings on and next to the edges of the checks, inside them, near them,
+# and anywhere among finite floats
+EDGES = [0.0, -0.0, 0.5, 1.0, -1.0, 6.0, -6.0, 2.0**-64, 2.0**64]
+SETTING = st.one_of(
+    st.sampled_from(EDGES + [np.nextafter(v, t) for v in EDGES for t in (-np.inf, np.inf)]),
+    st.floats(0.0, 1.0), st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), dims=st.integers(1, 6), separation=SETTING,
+       support_scale=SETTING, flatness=SETTING)
+def test_the_flag_check_rejects_exactly_what_the_field_checks_reject(
+        seed, dims, separation, support_scale, flatness):
+    flags = {"separation": separation, "support_scale": support_scale, "flatness": flatness}
+    try:
+        check_settings(**flags)
+        flagged = False
+    except InvalidConfig:
+        flagged = True
+    # beyond 2^±64 a rejected setting's radii may under- or overflow, and
+    # there only acceptance must imply a field
+    exact = all(v == 0 or 2.0**-64 <= abs(v) <= 2.0**64 for v in flags.values())
+    if flagged and not exact:
+        return
+    try:
+        make_two_centroid_field(seed, dims=dims, **flags)
+        built = True
+    except InvalidConfig:
+        built = False
+    assert built != flagged
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), dims=st.integers(1, 6), points=st.integers(1, 3),
+       quadrature=st.integers(16, 64), fields=st.integers(1, 6))
+def test_a_fields_rows_do_not_depend_on_its_block(seed, dims, points, quadrature, fields):
+    seeds = [derive_seed(seed, "field", f) for f in range(fields)]
+
+    def checks(field_seeds, point_seeds) -> np.ndarray:
+        field = make_two_centroid_field(field_seeds, dims=dims)
+        rng = Rng(point_seeds)
+        return np.array([energy_gap_check(field, sample_plateau_point(field, 0, rng), 0, 1,
+                                          quadrature) for _ in range(points)])
+
+    point_seeds = [derive_seed(s, "points") for s in seeds]
+    block = checks(np.array(seeds, dtype=np.uint64), np.array(point_seeds, dtype=np.uint64))
+    assert block.shape == (points, 3, fields)
+    for f, (field_seed, point_seed) in enumerate(zip(seeds, point_seeds)):
+        assert block[:, :, f].tobytes() == checks(field_seed, point_seed).tobytes()

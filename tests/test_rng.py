@@ -56,3 +56,19 @@ def test_normal_consumes_two_raw_outputs_per_pair(count):
     rng = Rng(9)
     rng.normal(count)
     assert rng._counter == 2 * ((count + 1) // 2)
+
+
+@pytest.mark.parametrize("streams", [1, 2, 5])
+def test_row_i_of_a_seed_array_draw_is_the_draw_of_seed_i(streams):
+    # seeds across the whole uint64 range, and draws of odd and even sizes
+    # in sequence, so that each row must also keep its own stream's counter
+    seeds = [2**64 - 1, 0, 12345, 2**63, 987654321987654321][:streams]
+    block = Rng(np.array(seeds, dtype=np.uint64))
+    alone = [Rng(seed) for seed in seeds]
+    for draw, size in [("normal", 3), ("uniform", 4), ("normal", (2, 3)), ("uniform", 1),
+                       ("normal", 1), ("normal", 4), ("uniform", 7)]:
+        rows = getattr(block, draw)(size)
+        assert rows.shape == (streams, *np.atleast_1d(size))
+        for row, rng in zip(rows, alone):
+            assert row.tobytes() == getattr(rng, draw)(size).tobytes(), (draw, size)
+    assert block._counter == alone[0]._counter

@@ -44,15 +44,28 @@ def _one_cpu():
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def test_a_serial_traced_bench_child_calls_the_fit_path(tmp_path):
+def _traced_child_layers(tmp_path, argv) -> dict:
+    """The per-layer metrics of one traced benchmark child run on one CPU."""
     result, spans = tmp_path / "result.json", tmp_path / "spans.json"
-    argv = [sys.executable, "-m", "perfbench.child", "traced", str(ROOT / "src"),
-            str(result), str(spans), "--", *BENCH_ARGV]
-    out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300,
+    command = [sys.executable, "-m", "perfbench.child", "traced", str(ROOT / "src"),
+               str(result), str(spans), "--", *argv]
+    out = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=300,
                          preexec_fn=_one_cpu)
     assert out.returncode == 0, out.stderr
     record = json.loads(result.read_text())
     assert record["exit_code"] == 0
-    layers = record["layers"]
+    return record["layers"]
+
+
+def test_a_serial_traced_bench_child_calls_the_fit_path(tmp_path):
+    layers = _traced_child_layers(tmp_path, BENCH_ARGV)
     for name in ("refine.run_refinement", "refine.weighted_class_statistics", "methods.predict"):
         assert layers[f"{name}.calls"] > 0, name
+
+
+def test_a_serial_traced_riemann_child_calls_each_riemann_layer(tmp_path):
+    # the fields run a block at a time, but every block still goes through
+    # the three traced functions
+    layers = _traced_child_layers(tmp_path, ["riemann", "--fields", "40", "--dims", "3"])
+    for name in ("make_two_centroid_field", "energy_gap_check", "path_energy"):
+        assert layers[f"riemann.{name}.calls"] > 0, name
