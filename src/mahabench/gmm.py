@@ -18,9 +18,9 @@ from . import spd
 from .heads import ClassStatistics, _mahalanobis_sq, _query_rows
 
 
-def gmm_log_scores(query: np.ndarray, stats: ClassStatistics) -> np.ndarray:
+def gmm_log_scores(query, stats: ClassStatistics) -> np.ndarray:
     """Unnormalized log posterior per class, under a uniform prior, for one
-    query or an (m, d) batch."""
+    query, an (m, d) batch or a ``heads.QuerySet``."""
     rows, single = _query_rows(query, stats.dims)
     k_count = stats.class_count
     scores = (

@@ -10,28 +10,40 @@ weights, and per class
 
 where ``n_k`` is the (soft) count and ``S`` and ``S_k`` are the
 count-normalized scatter matrices of the whole weighted set and of class k.
-The support set enters through a ``SupportLayout``, which checks it and
-groups it by class once.  ``estimate_class_statistics`` runs the estimator
-on the layout alone; the transductive refinement
-(``refine.weighted_class_statistics``) adds the query rows and reuses the
-same layout in every iteration.  Heads are fitted and queried through
-``methods``, the one path: ``support_fits`` -> ``fit_statistics`` ->
-``refine.run_refinement``, then ``predict`` or ``predict_labels``.  Scores
-deliberately carry no 1/2 coefficient; the GMM head owns that variant.
+Heads are fitted and queried through ``methods``, the one path:
+``support_fits`` -> ``fit_statistics`` -> ``refine.run_refinement``, then
+``predict`` or ``predict_labels``.  Scores deliberately carry no 1/2
+coefficient; the GMM head owns that variant.
 
-The estimator's ``(K, width, d)`` support block and ``(K, m, d)`` query
-blocks, and the Mahalanobis scorer's ``(K, m, d)`` differences and their
-images, are carved out of one grow-only float64 buffer per thread
-(``_scratch``) instead of being allocated afresh on every refinement step
-and scoring call.  A scratch view never leaves the function that took it
-and is dead before that function makes another call that takes scratch;
-every result (statistics, scores) is a fresh array.
+The estimator works from moments, taken once per support set and once per
+query set.  All rows are shifted by the support mean ``c``.  A
+``SupportLayout`` checks a support set once and keeps each class's count,
+sum and packed raw second moments of its shifted rows; a ``QuerySet``
+checks a query set once and keeps its shifted rows and their packed outer
+products, ``(m, d(d+1)/2)``.  A fit builds one of each per task, and every
+refining head and every iteration reuses them.  Each estimate is then
+weighted sums of those moments (two GEMMs with the query weights), each
+scatter is ``R / n - mu mu^T`` about ``c``, and the blend runs on packed
+upper triangles and is unpacked once to ``(K, d, d)``.
+
+Mahalanobis scoring maps the queries of every class in one GEMM
+(``spd.inverse_quad_form``).  Its ``(m, K * d)`` images, and the
+estimator's packed ``(K, d(d+1)/2)`` blend blocks and the ``(K, d, d)``
+covariances it unpacks them to, are carved out of one grow-only float64
+buffer per thread (``_scratch``) instead of being allocated afresh on every
+update and scoring call.  Blocks that size, allocated and freed on every
+update, are handed back to the OS by the C allocator and page-faulted in
+again on the next one.  Neither side builds a ``(K, m, d)`` or
+``(K, max n_k, d)`` block per call.  A scratch view never leaves the
+function that took it and is dead before that function makes another call
+that takes scratch; every result (statistics, scores) is a fresh array.
 """
 
 import math
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -70,6 +82,33 @@ def _scratch(*shapes) -> tuple:
         views.append(buffer[start : start + size].reshape(shape))
         start += size
     return tuple(views)
+
+
+@cache
+def _packing(d: int) -> tuple:
+    """How a symmetric ``(d, d)`` matrix is packed: the row and column
+    indices of its upper triangle, row-major (the order of the packed
+    ``d(d+1)/2`` entries), their flat indices in the full matrix, and for
+    each of the ``d * d`` entries of the full matrix, row-major, the packed
+    entry that holds it."""
+    rows, cols = np.triu_indices(d)
+    position = np.empty((d, d), dtype=np.intp)
+    position[rows, cols] = position[cols, rows] = np.arange(rows.size)
+    indices = rows, cols, rows * d + cols, position.ravel()
+    for index in indices:  # shared by every caller
+        index.flags.writeable = False
+    return indices
+
+
+def _packed_products(x: np.ndarray) -> np.ndarray:
+    """``(n, d(d+1)/2)``: row i is the packed upper triangle of ``x_i x_i^T``."""
+    n, d = x.shape
+    out = np.empty((n, d * (d + 1) // 2))
+    start = 0
+    for i in range(d if n else 0):  # row i of the triangle, without an (n, d, d) block
+        np.multiply(x[:, i : i + 1], x[:, i:], out=out[:, start : start + d - i])
+        start += d - i
+    return out
 
 
 class MetricKind(Enum):
@@ -151,25 +190,30 @@ def _require_finite(x: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class SupportLayout:
-    """A labelled support set grouped by class, built once per support set.
+    """A labelled support set and its per-class moments, built once per
+    support set.
 
-    Class k's rows, in input order, fill ``slot`` positions ``0..n_k - 1``
-    of a zero-padded ``(K, width, d)`` block.  The per-class and total
-    feature sums are taken once here, so a fit that reuses the layout
-    (every refinement iteration of one task) repeats none of this work.
+    Rows are shifted by the support mean ``center``; ``class_sums`` and
+    ``class_moments`` are each class's sum of shifted rows and the packed
+    upper triangle of its sum of their outer products.  A fit that reuses
+    the layout (every refinement iteration of one task) repeats none of
+    this work.
     """
 
     features: np.ndarray  # (n, d), finite
     labels: np.ndarray  # (n,)
     class_sizes: np.ndarray  # (K,), n_k
-    slot: np.ndarray  # (n,), position of each row inside its class
-    width: int  # max n_k, the padded block's second dimension
-    class_sums: np.ndarray  # (K, d), sum of each class's rows
-    feature_sum: np.ndarray  # (d,), sum of all rows
+    center: np.ndarray  # (d,), mean of all rows
+    class_sums: np.ndarray  # (K, d), sum of each class's shifted rows
+    class_moments: np.ndarray  # (K, d(d+1)/2), packed sum of their outer products
 
     @property
     def class_count(self) -> int:
         return self.class_sizes.shape[0]
+
+    @property
+    def dims(self) -> int:
+        return self.features.shape[1]
 
     @classmethod
     def build(
@@ -206,27 +250,79 @@ class SupportLayout:
         _require_finite(support_x, "support features")
         n, d = support_x.shape
         n_k = np.bincount(support_y, minlength=k_count)
+        center = support_x.sum(axis=0) / n
+        # class k's shifted rows fill the first n_k rows of a zero-padded
+        # (K, max n_k, d) block, whose Gram matrices are the class moments
         order = np.argsort(support_y, kind="stable")
         slot = np.empty(n, dtype=np.intp)
         slot[order] = np.arange(n) - np.repeat(np.cumsum(n_k) - n_k, n_k)
-        width = int(n_k.max())
-        # the zero padding adds nothing to the class sums
-        block = np.zeros((k_count, width, d))
-        block[support_y, slot] = support_x
+        block = np.zeros((k_count, int(n_k.max()), d))
+        block[support_y, slot] = support_x - center
+        gram = (block.transpose(0, 2, 1) @ block).reshape(k_count, d * d)
         return cls(
             features=support_x,
             labels=support_y,
             class_sizes=n_k,
-            slot=slot,
-            width=width,
+            center=center,
             class_sums=block.sum(axis=1),
-            feature_sum=support_x.sum(axis=0),
+            class_moments=np.take(gram, _packing(d)[2], axis=1),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class QuerySet:
+    """An ``(m, d)`` batch of query rows, checked once, and their moments.
+
+    A fit builds one per task (``methods.support_fits``), and every
+    estimate and every scoring of the task takes it.  The estimator takes
+    the rows' moments about the support mean from it (``moments_about``);
+    they are computed once and kept for the last center asked for.
+    """
+
+    rows: np.ndarray  # (m, d), finite
+    _moments: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def dims(self) -> int:
+        return self.rows.shape[1]
+
+    @classmethod
+    def build(cls, query, dims: int) -> "QuerySet":
+        """``query`` as a query set of width ``dims``; a ``QuerySet`` of that
+        width comes back as it is.
+
+        Raises
+        ------
+        DimensionMismatch
+            If the rows are not ``(m, dims)`` (any empty array counts as 0 rows).
+        NonFiniteInput
+            If a query row has a NaN or infinite entry.
+        """
+        if isinstance(query, QuerySet):
+            if query.dims != dims:
+                raise DimensionMismatch(f"query width {query.dims} does not match dim {dims}")
+            return query
+        rows = np.asarray(query, dtype=np.float64)
+        if rows.size == 0 and rows.shape[:1] == (0,):
+            rows = rows.reshape(0, dims)
+        if rows.ndim != 2 or rows.shape[1] != dims:
+            raise DimensionMismatch(f"query shape {rows.shape} does not match dim {dims}")
+        _require_finite(rows, "query features")
+        return cls(rows)
+
+    def moments_about(self, center: np.ndarray) -> tuple:
+        """``(shifted, products)``: the rows minus ``center`` and the packed
+        outer products of those, ``(m, d(d+1)/2)``."""
+        kept = self._moments.get("last")  # one entry, read and written whole
+        if kept is None or kept[0] is not center:
+            shifted = self.rows - center
+            kept = self._moments["last"] = (center, shifted, _packed_products(shifted))
+        return kept[1], kept[2]
 
 
 def class_statistics(
     layout: SupportLayout,
-    query_x: np.ndarray,
+    query_x,
     query_weights: np.ndarray,
     beta: float,
 ) -> ClassStatistics:
@@ -234,45 +330,53 @@ def class_statistics(
 
     Support row i counts with weight 1 toward class ``layout.labels[i]``
     only; query row j counts toward class k with weight
-    ``query_weights[j, k]``.  Counts, means and scatters are weighted sums,
-    and ``S`` is normalized by the total count.  Query rows with zero weight
-    add exact zeros, so an all-zero query block gives bit-identical
-    statistics to an empty one.
+    ``query_weights[j, k]``.  ``query_x`` is an ``(m, d)`` array or a
+    ``QuerySet``, whose moments about the support mean are taken once.
+    Counts, means and second moments are weighted sums, and ``S`` is
+    normalized by the total count.  Query rows with zero weight add exact
+    zeros, so an all-zero query block gives bit-identical statistics to an
+    empty one.
 
     Raises
     ------
+    DimensionMismatch
+        If the query rows are not ``(m, d)``.
     EmptyClass
         If some class's count is below ``SOFT_COUNT_FLOOR``.
     NonFiniteInput
         If a query row has a NaN or infinite entry.
     """
-    _require_finite(query_x, "query features")
-    support_x, support_y = layout.features, layout.labels
-    d = support_x.shape[1]
-    k_count = layout.class_count
+    d = layout.dims
+    shifted, products = QuerySet.build(query_x, d).moments_about(layout.center)
     counts = layout.class_sizes + query_weights.sum(axis=0)
     if np.any(counts < SOFT_COUNT_FLOOR):
         raise EmptyClass(int(np.argmax(counts < SOFT_COUNT_FLOOR)))
-    means = (layout.class_sums + query_weights.T @ query_x) / counts[:, None]
+    k_count = layout.class_count
+    rows, cols, _, position = _packing(d)
+    packed, outer, covs = _scratch((k_count, rows.size), (k_count, rows.size), (k_count, d * d))
+    weights_t = query_weights.T
+    sums = weights_t @ shifted
+    sums += layout.class_sums
+    np.matmul(weights_t, products, out=packed)
+    packed += layout.class_moments  # second moments about the support mean
 
+    # scatters about the means are R / n - mu mu^T, blended in packed form
     total = counts.sum()
-    row_mass = query_weights.sum(axis=1)
-    task_mean = (layout.feature_sum + row_mass @ query_x) / total
-    cs = support_x - task_mean
-    cq = query_x - task_mean
-    task_scatter = (cs.T @ cs + (cq * row_mass[:, None]).T @ cq) / total
+    task_mean = sums.sum(axis=0) / total
+    task_scatter = packed.sum(axis=0) / total - task_mean[rows] * task_mean[cols]
+    class_means = sums / counts[:, None]
+    packed /= counts[:, None]
+    np.multiply(np.take(class_means, rows, axis=1), np.take(class_means, cols, axis=1), out=outer)
+    packed -= outer
+    lam = (counts / (counts + 1.0))[:, None]
+    packed *= lam
+    np.multiply(1.0 - lam, task_scatter, out=outer)
+    packed += outer
 
-    m = query_x.shape[0]
-    block, dq, weighted = _scratch((k_count, layout.width, d), (k_count, m, d), (k_count, m, d))
-    block.fill(0.0)
-    block[support_y, layout.slot] = support_x - means[support_y]
-    np.subtract(query_x[None, :, :], means[:, None, :], out=dq)
-    np.multiply(dq, query_weights.T[:, :, None], out=weighted)
-    class_scatter = block.transpose(0, 2, 1) @ block + weighted.transpose(0, 2, 1) @ dq
-    class_scatter /= counts[:, None, None]
-    lam = (counts / (counts + 1.0))[:, None, None]
-    covs = lam * class_scatter + (1.0 - lam) * task_scatter + beta * np.eye(d)
-    return ClassStatistics.from_moments(means, covs, counts)
+    np.take(packed, position, axis=1, out=covs)  # unpacked once
+    covs[:, :: d + 1] += beta
+    covs = covs.reshape(k_count, d, d)
+    return ClassStatistics.from_moments(layout.center + class_means, covs, counts)
 
 
 def check_beta(beta: float) -> None:
@@ -297,31 +401,26 @@ def estimate_class_statistics(layout: SupportLayout, beta: float = 1.0) -> Class
         If ``beta`` is negative, NaN or infinite.
     """
     check_beta(beta)
-    d = layout.features.shape[1]
-    return class_statistics(layout, np.empty((0, d)), np.empty((0, layout.class_count)), beta)
+    no_queries = QuerySet(np.empty((0, layout.dims)))
+    return class_statistics(layout, no_queries, np.empty((0, layout.class_count)), beta)
 
 
-def _query_rows(query: np.ndarray, dims: int) -> tuple[np.ndarray, bool]:
-    """(m, d) finite query rows and whether a single vector was given."""
-    q = np.asarray(query, dtype=np.float64)
-    single = q.ndim == 1
-    rows = q[None, :] if single else q
-    if rows.ndim != 2 or rows.shape[1] != dims:
-        raise DimensionMismatch(f"query shape {q.shape} does not match stats dim {dims}")
-    _require_finite(rows, "queries")
-    return rows, single
+def _query_rows(query, dims: int) -> tuple:
+    """``(rows, single)``: one vector, an ``(m, d)`` batch or a ``QuerySet``
+    as checked ``(m, d)`` rows, and whether a single vector was given."""
+    single = not isinstance(query, QuerySet) and np.ndim(query) == 1
+    return QuerySet.build(np.asarray(query)[None, :] if single else query, dims).rows, single
 
 
-def _mahalanobis_sq(queries: np.ndarray, stats: ClassStatistics) -> np.ndarray:
+def _mahalanobis_sq(rows: np.ndarray, stats: ClassStatistics) -> np.ndarray:
     """(m, K) squared Mahalanobis distances through the cached inverse factors."""
-    shape = (stats.class_count, queries.shape[0], stats.dims)
-    diffs, images = _scratch(shape, shape)
-    np.subtract(queries[None, :, :], stats.means[:, None, :], out=diffs)
-    return spd.inverse_quad_form(stats.inverse_factors, diffs, out=images)
+    (images,) = _scratch((rows.shape[0], stats.class_count * stats.dims))
+    return spd.inverse_quad_form(stats.inverse_factors, rows, stats.means, out=images)
 
 
-def class_scores(query: np.ndarray, stats: ClassStatistics, metric: MetricKind) -> np.ndarray:
-    """Per-class scores for one query vector or an (m, d) batch.
+def class_scores(query, stats: ClassStatistics, metric: MetricKind) -> np.ndarray:
+    """Per-class scores for one query vector, an (m, d) batch or a
+    ``QuerySet``.
 
     Higher means more likely.  Distance metrics are negated; cosine
     similarity and the dot product are used directly as scores (the
@@ -359,4 +458,3 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     shifted = s - s.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-

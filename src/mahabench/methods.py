@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gmm, heads
 from .errors import InvalidConfig
-from .heads import (ClassStatistics, MetricKind, SupportLayout, check_beta,
+from .heads import (ClassStatistics, MetricKind, QuerySet, SupportLayout, check_beta,
                     estimate_class_statistics)
 from .refine import RefineConfig, run_refinement
 
@@ -44,18 +44,19 @@ class HeadConfig:
 class Fit:
     """A head fitted to one (support, query) pair.
 
-    ``layout`` is the support set grouped by class, shared by every fit to
-    the same support set.  ``query_probs`` and ``query_labels`` are the
-    head's class probabilities and argmax labels (ties toward the lowest
-    class index) for the query set.  A refining head fills them from its
-    last refresh, which scored the query set under the final statistics.
-    A single-pass head scores the query set the first time either is read,
-    so a caller that reads neither (continual) scores nothing.
+    ``layout`` is the support set grouped by class and ``queries`` the
+    checked query set, both shared by every fit to the same task.
+    ``query_probs`` and ``query_labels`` are the head's class probabilities
+    and argmax labels (ties toward the lowest class index) for the query
+    set.  A refining head fills them from its last refresh, which scored
+    the query set under the final statistics.  A single-pass head scores
+    the query set the first time either is read, so a caller that reads
+    neither (continual) scores nothing.
     """
 
     statistics: ClassStatistics
     head: HeadConfig
-    query_x: np.ndarray
+    queries: QuerySet
     layout: SupportLayout
     refresh: tuple | None = None  # a refining head's last (probs, labels)
 
@@ -63,7 +64,7 @@ class Fit:
     def _predictions(self) -> tuple:
         if self.refresh is not None:
             return self.refresh
-        return predict(self.head, self.statistics, self.query_x)
+        return predict(self.head, self.statistics, self.queries)
 
     @property
     def query_probs(self) -> np.ndarray:
@@ -82,18 +83,19 @@ def support_fits(configs, support_x, support_y, query_x) -> list:
     """The support-only fit of every head, in order: the ``start`` that
     ``fit_statistics`` takes.
 
-    The support set is checked and grouped into one layout, statistics are
-    estimated once per distinct beta, and heads whose single-pass forms are
-    equal share one ``Fit``, so its query predictions are computed at most
-    once.
+    The support set is checked and grouped into one layout and the query
+    set is checked once (``heads.QuerySet``), statistics are estimated once
+    per distinct beta, and heads whose single-pass forms are equal share
+    one ``Fit``, so its query predictions are computed at most once.
 
     Raises
     ------
     DimensionMismatch, EmptyClass, LabelOutOfRange, NonFiniteInput
-        For a bad support set, as ``SupportLayout.build`` and
-        ``estimate_class_statistics`` raise them.
+        For a bad support or query set, as ``SupportLayout.build``,
+        ``heads.QuerySet.build`` and ``estimate_class_statistics`` raise them.
     """
     layout = SupportLayout.build(support_x, support_y)
+    queries = QuerySet.build(query_x, layout.dims)
     statistics = {}
     fits = {}
     for head in configs:
@@ -101,7 +103,7 @@ def support_fits(configs, support_x, support_y, query_x) -> list:
         if base not in fits:
             if head.beta not in statistics:
                 statistics[head.beta] = estimate_class_statistics(layout, beta=head.beta)
-            fits[base] = Fit(statistics[head.beta], base, query_x, layout)
+            fits[base] = Fit(statistics[head.beta], base, queries, layout)
     return [fits[_single_pass(head)] for head in configs]
 
 
@@ -127,10 +129,10 @@ def fit_statistics(head: HeadConfig, start: Fit) -> Fit:
             return start.query_probs, start.query_labels
         return predict(head, stats, x)
 
-    outcome = run_refinement(start.layout, start.statistics, start.query_x, head.refine,
+    outcome = run_refinement(start.layout, start.statistics, start.queries, head.refine,
                              refresh_query, head.beta)
     predictions = (outcome.query_probs, outcome.labels)
-    return Fit(outcome.statistics, head, start.query_x, start.layout, predictions)
+    return Fit(outcome.statistics, head, start.queries, start.layout, predictions)
 
 
 def scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:

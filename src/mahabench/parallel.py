@@ -32,6 +32,18 @@ worker, the units run in a plain in-process loop.  Run under
 ``taskset -c 0`` to trace per-layer spans, because a tracer in this process
 does not see the workers' calls.
 
+numpy's BLAS runs on one thread in the caller and in every worker: the
+package's ``__init__`` loads numpy and scipy's LAPACK with
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` defaulted to 1, unless the
+caller set them, and a forked worker inherits the loaded BLAS's setting.
+Each worker already has a CPU of its own.  A GEMM above OpenBLAS's
+threading cut-off (about 2.6e5 for M*N*K, which the one-GEMM scoring of a
+20-class task passes) would otherwise start a BLAS thread per CPU inside
+every worker, and the pools would oversubscribe the cores.  On a 2-vCPU
+Xeon, ``bench --mode metadataset --dims 32 --classes 20 --tasks 60
+--query 30`` took 3.6 to 8.4 s that way, against 1.4 s on one BLAS thread,
+for the same bytes.
+
 The pool imports stay at module level, not inside ``ordered_map``.  They
 pull in ``logging``, ``subprocess``, ``socket`` and more, about 25 ms,
 which belongs in the import every CLI call pays once and not in the timed

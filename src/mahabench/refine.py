@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .heads import ClassStatistics, SupportLayout, class_statistics
+from .heads import ClassStatistics, QuerySet, SupportLayout, class_statistics
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,14 @@ class RefineOutcome:
 
 
 def weighted_class_statistics(
-    layout: SupportLayout, query_x: np.ndarray, query_weights: np.ndarray, beta: float = 1.0
+    layout: SupportLayout, query_x, query_weights: np.ndarray, beta: float = 1.0
 ) -> ClassStatistics:
     """Means and regularized covariances with soft-weighted query rows.
 
     ``heads.class_statistics``: query row j counts toward class k with
     weight ``query_weights[j, k]``, so all-zero weights give exactly the
-    support-only estimate.
+    support-only estimate.  ``query_x`` is an ``(m, d)`` array or a
+    ``heads.QuerySet``.
 
     Raises
     ------
@@ -71,43 +72,45 @@ def weighted_class_statistics(
         If the weights are not one row per query and one column per class
         of the layout.
     """
-    if query_weights.shape != (query_x.shape[0], layout.class_count):
+    queries = QuerySet.build(query_x, layout.dims)
+    if query_weights.shape != (queries.rows.shape[0], layout.class_count):
         raise DimensionMismatch("query weights disagree with the queries or the classes")
-    return class_statistics(layout, query_x, query_weights, beta)
+    return class_statistics(layout, queries, query_weights, beta)
 
 
 def run_refinement(
     layout: SupportLayout,
     start: ClassStatistics,
-    query_x: np.ndarray,
+    query_x,
     cfg: RefineConfig,
     predict,
     beta: float,
 ) -> RefineOutcome:
-    """The refinement loop; ``predict(stats, X) -> (probs, labels)``.
+    """The refinement loop; ``predict(stats, queries) -> (probs, labels)``.
 
     The metric and the GMM heads differ only in ``predict``.  ``start`` is
     the support-only estimate of ``layout`` at the head's ``beta``, which
     every later estimate uses too: iteration 1 takes it as its statistics,
     the bits ``weighted_class_statistics`` would compute with all-zero
-    query weights, and refreshes through ``predict(start, X)``.  Every
+    query weights, and refreshes through ``predict(start, queries)``.  Every
     later iteration re-estimates from the layout and the last refresh.
+
+    ``query_x`` is an ``(m, d)`` array or a ``heads.QuerySet``.  It is
+    checked here, once, and every estimate and every ``predict`` call
+    takes the one ``QuerySet``, so its moments are taken once.
 
     Raises
     ------
     DimensionMismatch
         If the query rows, or ``start``, disagree with the layout on dims
         or classes.
+    NonFiniteInput
+        If a query row has a NaN or infinite entry.
     """
-    d = layout.features.shape[1]
-    query_x = np.asarray(query_x, dtype=np.float64)
-    if query_x.size == 0:
-        query_x = query_x.reshape(0, d)
-    if query_x.ndim != 2 or query_x.shape[1] != d:
-        raise DimensionMismatch(f"query shape {query_x.shape} does not match support dim {d}")
-    if (start.class_count, start.dims) != (layout.class_count, d):
+    queries = QuerySet.build(query_x, layout.dims)
+    if (start.class_count, start.dims) != (layout.class_count, layout.dims):
         raise DimensionMismatch("start statistics and support layout disagree")
-    m = query_x.shape[0]
+    m = queries.rows.shape[0]
 
     stats = start
     probs = np.zeros((m, layout.class_count))
@@ -115,9 +118,10 @@ def run_refinement(
     prev_assign = None
     for it in range(1, cfg.max_steps + 1):
         if it > 1:
-            stats = weighted_class_statistics(layout, query_x, probs, beta)
+            del stats  # so that its memory can hold the next estimate
+            stats = weighted_class_statistics(layout, queries, probs, beta)
         if m > 0:
-            probs, assign = predict(stats, query_x)
+            probs, assign = predict(stats, queries)
         # no queries means nothing can change; otherwise compare argmax
         # labels against the previous refresh
         converged = m == 0 or (prev_assign is not None and np.array_equal(assign, prev_assign))

@@ -9,10 +9,10 @@ boundary only.
 
 ``factor_stack`` factors a ``(K, d, d)`` stack of covariances in one pass:
 one symmetrization and one finiteness check over the whole stack, then one
-LAPACK ``dpotrf`` per matrix.  Only a matrix whose exact factorization
-fails goes through ``ensure_pd``'s jitter schedule, and the jitter each
-matrix needed comes back as a ``(K,)`` array, so no repair is silent.  The
-result is bit-identical to calling ``ensure_pd`` on each matrix.
+``np.linalg.cholesky`` call over the stack.  Only a matrix whose exact
+factorization fails goes through ``ensure_pd``'s jitter schedule, and the
+jitter each matrix needed comes back as a ``(K,)`` array, so no repair is
+silent.
 
 Quadratic forms are evaluated as ||L^-1 v||^2 through the LAPACK triangular
 inverse of the factor (``dtrtri``), never through an inverse of L L^T.  This
@@ -20,26 +20,30 @@ is acceptable because the conditioning that matters is that of L, the square
 root of the conditioning of L L^T, and triangular inversion is as accurate
 as a triangular solve for the well-conditioned, ridge-regularized factors
 the heads produce.  The result stays an exact sum of squares, hence
-nonnegative, and one inverse per class turns the scoring of every
-(query, class) pair into a single batched matmul.  ``factor_stack`` takes
-each inverse in the same loop as its factor, so a caller that keeps them
-(``heads.ClassStatistics.inverse_factors``) scores through
-``inverse_quad_form(inverses, diffs, out=None)`` without inverting again;
-``quad_form`` inverts its factors and delegates to the same kernel.  That
-kernel takes class-major ``(K, m, d)`` differences, so a caller can build
-them in a block of its own and pass a second block as ``out`` for the
-images, which keeps the scoring hot path free of large allocations.
+nonnegative.  ``factor_stack`` takes each inverse after its factor, so a
+caller that keeps them (``heads.ClassStatistics.inverse_factors``) scores
+through ``inverse_quad_form(inverses, rows, centers, out=None)`` without
+inverting again; ``quad_form`` inverts its factors and delegates to the
+same kernel.  The kernel maps every row under every class's inverse in one
+GEMM, after shifting rows and centers by the mean of the centers, and
+writes those images to ``out`` when given, so a caller can keep the
+scoring hot path free of large allocations.
 
-The three LAPACK routines (``dpotrf``, ``dpotrs``, ``dtrtri``) come from
-scipy's compiled ``scipy/linalg/_flapack`` extension, loaded by file.  They
-are the same wrappers ``scipy.linalg.lapack`` re-exports, linked to the same
-scipy-openblas, so every result is bit-identical; but neither
-``scipy/__init__`` nor ``scipy/linalg/__init__`` runs.  The latter costs
-about 0.3 s, over half of every CLI call's start-up, because its
+Which LAPACK runs where.  numpy's own LAPACK (its bundled scipy-openblas64)
+runs ``factor_stack``'s stacked ``np.linalg.cholesky``, the factorization
+of every head's covariances; the rounding of its ``dpotrf`` can differ
+from scipy's in the last bit, which is why an exact factor is pinned to
+``np.linalg.cholesky``.  scipy's compiled ``scipy/linalg/_flapack``
+extension, linked to scipy's own scipy-openblas, runs the rest: ``dpotrf``
+in ``cholesky`` (and so every ``ensure_pd`` repair, and every riemann
+covariance), ``dtrtri`` for every inverse factor and ``dpotrs`` in
+``solve_spd``.  numpy has no ``dtrtri`` and no ``dpotrs`` of its own.
+``_flapack`` is loaded by file: the wrappers are the ones
+``scipy.linalg.lapack`` re-exports, so every result is bit-identical, but
+neither ``scipy/__init__`` nor ``scipy/linalg/__init__`` runs.  The latter
+costs about 0.3 s, over half of every CLI call's start-up, because its
 ``array_api_compat`` shim imports ``numpy.f2py``, ``numpy.testing``,
-``numpy.ma`` and ``numpy.random``.  numpy's own LAPACK is no substitute:
-it has no ``dtrtri`` and links a different OpenBLAS build, so rows would
-move.
+``numpy.ma`` and ``numpy.random``.
 """
 
 import importlib.machinery
@@ -121,50 +125,65 @@ def solve_spd(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x
 
 
-def quad_form(factor: np.ndarray, diffs: np.ndarray):
-    """Quadratic forms diff^T (L L^T)^-1 diff, one per row of ``diffs``.
+def quad_form(factor: np.ndarray, rows: np.ndarray, centers: np.ndarray):
+    """Quadratic forms (x - c)^T (L L^T)^-1 (x - c) for rows x and centers c.
 
-    With one ``(d, d)`` factor, ``diffs`` is a single vector (a float is
-    returned) or an ``(m, d)`` stack of rows (an ``(m,)`` array).  With a
-    ``(K, d, d)`` stack of factors, ``diffs`` is ``(K, d)`` or ``(m, K, d)``
-    and row i, class k is scored against factor k, giving ``(K,)`` or
-    ``(m, K)``.
+    With one ``(d, d)`` factor, ``rows`` is a single vector (a float is
+    returned) or an ``(m, d)`` stack (an ``(m,)`` array), and ``centers`` is
+    one ``(d,)`` center.  With a ``(K, d, d)`` stack of factors, every row is
+    scored against every class: ``centers`` is ``(K, d)`` and the result is
+    ``(K,)`` for a vector or ``(m, K)`` for a stack, row i and class k
+    scored under factor k.  The factors are inverted here and scored by
+    ``inverse_quad_form``, the kernel the Mahalanobis head scores with.
     """
     factor = np.asarray(factor, dtype=np.float64)
-    diffs = np.asarray(diffs, dtype=np.float64)
-    single = diffs.ndim == factor.ndim - 1
-    rows = diffs[None] if single else diffs
+    x = np.asarray(rows, dtype=np.float64)
+    c = np.asarray(centers, dtype=np.float64)
     if (
         factor.ndim not in (2, 3)
-        or rows.ndim != factor.ndim
-        or rows.shape[1:] != factor.shape[:-1]
+        or x.ndim not in (1, 2)
+        or x.shape[-1] != factor.shape[-1]
+        or c.shape != factor.shape[:-1]
     ):
         raise DimensionMismatch(
-            f"diffs of shape {diffs.shape} do not match factors of shape {factor.shape}"
+            f"rows of shape {x.shape} and centers of shape {c.shape} do not match"
+            f" factors of shape {factor.shape}"
         )
     stack = factor if factor.ndim == 3 else factor[None]
     inverses = np.stack([dtrtri(f, lower=1)[0] for f in stack])
-    if factor.ndim == 3:
-        q = inverse_quad_form(inverses, rows.transpose(1, 0, 2))
-        return q[0] if single else q
-    q = inverse_quad_form(inverses, rows[None])[:, 0]
-    return float(q[0]) if single else q
+    q = inverse_quad_form(inverses, x.reshape(-1, x.shape[-1]), c.reshape(stack.shape[:2]))
+    if factor.ndim == 2:
+        q = q[:, 0]
+    if x.ndim == 2:
+        return q
+    return q[0] if factor.ndim == 3 else float(q[0])
 
 
 def inverse_quad_form(
-    inverses: np.ndarray, diffs: np.ndarray, out: np.ndarray | None = None
+    inverses: np.ndarray, rows: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """(m, K) forms ||L_k^-1 diffs[k, i]||^2 from a (K, d, d) stack of L_k^-1.
+    """(m, K) forms ||L_k^-1 (rows[i] - centers[k])||^2 from a (K, d, d) stack of L_k^-1.
 
-    ``diffs`` is class-major, ``(K, m, d)``: row i of class k is mapped by
-    inverse k.  The inverses are the lower triangular ones ``factor_stack``
-    returns.  The ``(K, m, d)`` images are written to ``out`` when given
+    The inverses are the lower triangular ones ``factor_stack`` returns.
+    Rows and centers are first shifted by the mean of the centers, ``s``.
+    One ``(m, d) @ (d, K * d)`` GEMM then maps every row under every
+    inverse, ``L_k^-1 (rows[i] - s)``, and ``L_k^-1 (centers[k] - s)`` is
+    subtracted from each image, so each form is still an exact sum of
+    squares.  The ``(m, K * d)`` images are written to ``out`` when given
     (a scratch block the caller owns), else to a new array; the returned
     forms are always a new array.
     """
-    # (K, m, d) @ (K, d, d): y[k, i] = L_k^-1 diffs[k, i]
-    y = np.matmul(diffs, inverses.transpose(0, 2, 1), out=out)
-    return np.einsum("kmd,kmd->mk", y, y)
+    k, d = centers.shape
+    # BLAS rounding follows the memory layout, so the forms of a stack do
+    # not depend on how it is laid out
+    inverses = np.ascontiguousarray(inverses)
+    shift = centers.sum(axis=0) / max(k, 1)
+    # column block k of the right-hand side is L_k^-T
+    right = inverses.transpose(2, 0, 1).reshape(d, k * d)
+    images = np.matmul(rows - shift, right, out=out)
+    images = images.reshape(rows.shape[0], k, d)
+    images -= np.matmul(inverses, (centers - shift)[:, :, None])[:, :, 0]
+    return np.einsum("mkd,mkd->mk", images, images)
 
 
 def logdet(factor: np.ndarray):
@@ -211,9 +230,12 @@ def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(repaired, factors, inverses, jitter)``: the symmetrized (and,
     where needed, repaired) covariances, their lower Cholesky factors, the
     lower triangular inverses of those factors, all ``(K, d, d)``, and the
-    ``(K,)`` jitter each matrix needed (0 for an exact factorization).  A
-    matrix whose exact ``dpotrf`` fails is handed to ``ensure_pd``; every
-    output is bit-identical to ``ensure_pd`` on each matrix in turn.
+    ``(K,)`` jitter each matrix needed (0 for an exact factorization).  The
+    stack is factored by one ``np.linalg.cholesky`` call; when that raises,
+    each matrix is factored on its own, and one whose exact factorization
+    fails is handed to ``ensure_pd``.  So an exact factor has the bits of
+    ``np.linalg.cholesky`` on its matrix, and a repaired matrix, factor and
+    jitter are ``ensure_pd``'s.  Each inverse is one ``dtrtri`` call.
 
     Raises
     ------
@@ -225,17 +247,23 @@ def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     a = np.asarray(covs, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
         raise DimensionMismatch(f"expected a (K, d, d) stack, got shape {a.shape}")
-    sym = (a + a.transpose(0, 2, 1)) / 2.0
-    # dpotrf reports success on NaN input, so a NaN factor would pass through
+    sym = a + a.transpose(0, 2, 1)
+    sym /= 2.0
+    # LAPACK's Cholesky reports success on NaN input, so a NaN factor would
+    # pass through
     if not np.all(np.isfinite(sym)):
         raise NotRepairable("matrix has non-finite entries")
-    factors = np.empty_like(sym)
-    inverses = np.empty_like(sym)
     jitter = np.zeros(sym.shape[0])
-    for k, m in enumerate(sym):
-        factor, info = dpotrf(m, lower=1, clean=1, overwrite_a=0)
-        if info != 0:
-            sym[k], factor, jitter[k] = ensure_pd(m)
-        factors[k] = factor
+    try:
+        factors = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        factors = np.empty_like(sym)
+        for k, m in enumerate(sym):
+            try:
+                factors[k] = np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                sym[k], factors[k], jitter[k] = ensure_pd(m)
+    inverses = np.empty_like(sym)
+    for k, factor in enumerate(factors):
         inverses[k] = dtrtri(factor, lower=1)[0]
     return sym, factors, inverses, jitter

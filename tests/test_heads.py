@@ -19,6 +19,7 @@ from mahabench.errors import (
 from mahabench.heads import (
     ClassStatistics,
     MetricKind,
+    QuerySet,
     SupportLayout,
     class_scores,
     class_statistics,
@@ -129,8 +130,8 @@ class TestEstimateClassStatistics:
         stats = estimate_class_statistics(SupportLayout.build(feats, labels))
         assert stats.factors.shape == stats.inverse_factors.shape == (3, 4, 4)
         assert np.array_equal(stats.jitter, np.zeros(3))
+        assert stats.factors.tobytes() == np.linalg.cholesky(stats.covariances).tobytes()
         for k in range(3):
-            assert np.array_equal(stats.factors[k], cholesky(stats.covariances[k]))
             assert np.array_equal(stats.inverse_factors[k], dtrtri(stats.factors[k], lower=1)[0])
 
     @settings(max_examples=60, deadline=None)
@@ -165,6 +166,76 @@ class TestEstimateClassStatistics:
             assert np.allclose(stats.covariances[k], expected, rtol=1e-12)
 
 
+def centered_class_statistics(support_x, support_y, k_count, query_x, weights, beta):
+    """Means and covariances (before any jitter) from the centered formulas:
+    every scatter accumulates differences from its own mean, so no raw
+    moment cancels against a mean product."""
+    counts = np.bincount(support_y, minlength=k_count) + weights.sum(axis=0)
+    class_sums = np.stack([support_x[support_y == k].sum(axis=0) for k in range(k_count)])
+    means = (class_sums + weights.T @ query_x) / counts[:, None]
+    total = counts.sum()
+    row_mass = weights.sum(axis=1)
+    task_mean = (support_x.sum(axis=0) + row_mass @ query_x) / total
+    cs, cq = support_x - task_mean, query_x - task_mean
+    task_scatter = (cs.T @ cs + (cq * row_mass[:, None]).T @ cq) / total
+    covs = []
+    for k in range(k_count):
+        ds = support_x[support_y == k] - means[k]
+        dq = query_x - means[k]
+        scatter = (ds.T @ ds + (dq * weights[:, k, None]).T @ dq) / counts[k]
+        lam = counts[k] / (counts[k] + 1.0)
+        covs.append(lam * scatter + (1.0 - lam) * task_scatter + beta * np.eye(len(task_mean)))
+    return means, np.stack(covs), counts
+
+
+class TestMomentsAgainstCenteredReference:
+    @settings(max_examples=160, deadline=None)
+    @given(
+        k_count=st.integers(1, 5),
+        shots=st.lists(st.integers(1, 5), min_size=5, max_size=5),
+        m=st.integers(0, 8),
+        d=st.integers(1, 6),
+        beta=st.sampled_from([0.0, 0.5, 1.0]),
+        offset=st.sampled_from([3.0, 1e4, 1e5, 1e6]),
+        translation=st.sampled_from([0.0, 1e6]),
+        zero_columns=st.lists(st.booleans(), min_size=5, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raw_moments_match_the_centered_formulas(
+        self, k_count, shots, m, d, beta, offset, translation, zero_columns, seed
+    ):
+        # raw moments about the support mean, scatters as R / n - mu mu^T:
+        # the centered estimate, each covariance entry to 1e-12 of the
+        # geometric mean of its two diagonal entries, with unit-spread
+        # classes up to 1e6 apart, the whole task up to 1e6 from the
+        # origin, empty query sets, classes no query row
+        # weighs, and beta = 0 (where a singular estimate takes jitter on
+        # top).  A class scatter alone rounds by about eps |mu|^2, more than
+        # a tight class far from the support mean spreads; but the blend's
+        # (1 - lam) S term holds that class's offset from the task mean, so
+        # the covariance keeps the centered formulas' precision.
+        rng = Rng(seed)
+        labels = np.repeat(np.arange(k_count), shots[:k_count])
+        centers = translation + offset * rng.normal((k_count, d))
+        support = centers[labels] + rng.normal((len(labels), d))
+        query_labels = np.array([rng.below(k_count) for _ in range(m)], dtype=np.int64)
+        queries = centers[query_labels] + rng.normal((m, d)) if m else np.empty((0, d))
+        weights = softmax(rng.normal((m, k_count)))
+        weights[:, np.array(zero_columns[:k_count])] = 0.0
+        stats = class_statistics(SupportLayout.build(support, labels, k_count), queries,
+                                 weights, beta)
+        means, covs, counts = centered_class_statistics(support, labels, k_count, queries,
+                                                        weights, beta)
+        scale = max(1.0, float(np.abs(np.vstack([support, queries])).max()))
+        assert np.allclose(stats.counts, counts, rtol=1e-12, atol=0)
+        assert np.allclose(stats.means, means, rtol=1e-12, atol=1e-12 * scale)
+        estimate = stats.covariances - stats.jitter[:, None, None] * np.eye(d)
+        spread = np.sqrt(np.einsum("kii->ki", covs))
+        bound = 1e-12 * spread[:, :, None] * spread[:, None, :]
+        assert np.all(np.abs(estimate - covs) <= bound)
+        assert beta == 0.0 or not np.any(stats.jitter)
+
+
 class TestClassScores:
     def test_identity_covariance_reduces_to_euclidean(self):
         stats = stats_with_covariances(
@@ -195,8 +266,7 @@ class TestClassScores:
         stats = estimate_class_statistics(SupportLayout.build(feats, labels))
         queries = rng.normal((6, 4))
         maha = class_scores(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
-        diffs = queries[:, None, :] - stats.means[None, :, :]
-        assert np.array_equal(maha, -quad_form(stats.factors, diffs))
+        assert np.array_equal(maha, -quad_form(stats.factors, queries, stats.means))
 
     def test_all_metric_kinds_against_direct_formulas(self):
         rng = Rng(13)
@@ -395,14 +465,19 @@ class TestScratchArena:
             assert all(np.array_equal(a, b) for a, b in zip(results[seed], expected))
 
     def test_kernels_peak_below_one_query_block(self):
+        # a fit takes its query set's moments once; an estimator update and
+        # a scoring then allocate far less than a (K, m, d) block, and so
+        # does taking the moments
         k, m, d = 20, 800, 32
-        layout, queries, weights = soft_task(Rng(52), k, m, d)
-        stats = class_statistics(layout, queries, weights, 1.0)  # sizes the arena
-        heads._mahalanobis_sq(queries, stats)
+        layout, rows, weights = soft_task(Rng(52), k, m, d)
+        queries = QuerySet.build(rows, d)
+        stats = class_statistics(layout, queries, weights, 1.0)  # takes the moments
+        heads._mahalanobis_sq(rows, stats)  # sizes the arena
         block = k * m * d * 8
         for call in (
             lambda: class_statistics(layout, queries, weights, 1.0),
-            lambda: heads._mahalanobis_sq(queries, stats),
+            lambda: heads._mahalanobis_sq(rows, stats),
+            lambda: QuerySet.build(rows, d).moments_about(layout.center),
         ):
             tracemalloc.start()
             try:
@@ -422,7 +497,9 @@ def bregman_divergence(z, z_ref, q) -> float:
         raise DimensionMismatch("z and z_ref must have the same shape")
     factor = cholesky(q)
     grad_ref = 2.0 * solve_spd(factor, z_ref)
-    return float(quad_form(factor, z) - quad_form(factor, z_ref) - grad_ref @ (z - z_ref))
+    origin = np.zeros_like(z)
+    return float(quad_form(factor, z, origin) - quad_form(factor, z_ref, origin)
+                 - grad_ref @ (z - z_ref))
 
 
 class TestBregmanDivergence:

@@ -24,6 +24,14 @@ PINNED = {
          "--method", "simple,transductive,gmm-em", "--tasks", "30"],
         "0239740690f0a9c5e30c2c2c19480114e2670b1a25b6f65941a9173e0e90ec18",
     ),
+    "bench-wide": (
+        # d = 32, up to 20 classes and 30 queries a class: the estimator's
+        # moments and the one-GEMM scoring at full size; the hash was taken
+        # when every estimate was computed from centered differences
+        ["bench", "--mode", "metadataset", "--dims", "32", "--classes", "20",
+         "--query", "30", "--tasks", "30"],
+        "9e3d6dfa0e43fce8ac810a58b21920fe986beb0c79129854357b1fec640eff32",
+    ),
     "recall": (
         ["recall", "--tasks", "8", "--method", "simple,transductive,gmm-em"],
         "6d023f3e9afc1d163f15da31e5729e105cdf05e0449ac58f3051fefe175a1f83",

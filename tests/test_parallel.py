@@ -1,7 +1,11 @@
+import json
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +151,50 @@ class TestOrderedMap:
 
     def test_no_units(self):
         assert ordered_map(lambda i: i, 0) == []
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+# run in a fresh interpreter: the thread count numpy's and scipy's bundled
+# OpenBLAS libraries report after importing the package, and the BLAS
+# thread variables left in its environment
+PROBE = """
+import ctypes, glob, importlib.util, json, os, sys
+import mahabench
+threads = []
+for package in ("numpy", "scipy"):
+    root = importlib.util.find_spec(package).submodule_search_locations[0]
+    for path in sorted(glob.glob(os.path.join(root + ".libs", "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        threads += [getattr(lib, name)() for name in (
+            "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_", "openblas_get_num_threads") if hasattr(lib, name)][:1]
+print(json.dumps({"threads": threads, "env": [os.environ.get(v) for v in sys.argv[1:]]}))
+"""
+
+
+def after_import(**preset) -> dict:
+    """What a fresh interpreter reports after importing the package, with
+    only ``preset`` of the BLAS thread variables set beforehand."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env.update(preset)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", PROBE, *BLAS_THREADS], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(out.stdout)
+
+
+def test_importing_the_package_runs_blas_on_one_thread():
+    # every worker is a process of its own, so a BLAS thread pool in each
+    # would oversubscribe the CPUs; the caller's environment is left as it
+    # was, so the host program's own children do not inherit the default
+    report = after_import()
+    if not report["threads"]:
+        pytest.skip("no bundled OpenBLAS to ask")
+    assert report["threads"] == [1] * len(report["threads"])
+    assert report["env"] == [None, None]
+
+
+def test_a_blas_thread_count_the_caller_set_is_kept():
+    assert after_import(OPENBLAS_NUM_THREADS="3")["env"] == ["3", None]
+    assert after_import(OMP_NUM_THREADS="2")["env"] == [None, "2"]

@@ -209,9 +209,11 @@ class TestFactorStack:
     )
     def test_equals_ensure_pd_per_class(self, k, d, ranks, noise, seed):
         # full-rank, rank-deficient and slightly asymmetric or indefinite
-        # covariances: every output is the per-class ensure_pd result, bit
-        # for bit, each exact factor is scipy's public dpotrf of its matrix
-        # and each inverse is dtrtri of its factor
+        # covariances: an exact factor is np.linalg.cholesky's, of the whole
+        # stack when that succeeds, bit for bit; a matrix numpy cannot factor
+        # gets the per-class ensure_pd result, bit for bit, whose factor is
+        # scipy's public dpotrf of the repaired matrix; each inverse is
+        # dtrtri of its factor
         rng = Rng(seed)
         covs = []
         for j in range(k):
@@ -219,23 +221,31 @@ class TestFactorStack:
             ridge = np.eye(d) if ranks[j] > d else 0.0
             covs.append(a @ a.T + ridge + noise * rng.normal((d, d)))
         covs = np.stack(covs)
-        try:
-            expected = [ensure_pd(c) for c in covs]
-        except NotRepairable:
-            with pytest.raises(NotRepairable):
-                factor_stack(covs)
-            return
+        sym = (covs + covs.transpose(0, 2, 1)) / 2.0
+        expected, repairs = [], 0
+        for cov in sym:
+            try:
+                expected.append((cov, np.linalg.cholesky(cov), 0.0))
+            except np.linalg.LinAlgError:
+                repairs += 1
+                try:
+                    expected.append(ensure_pd(cov))
+                except NotRepairable:
+                    with pytest.raises(NotRepairable):
+                        factor_stack(covs)
+                    return
+                public = dpotrf(expected[-1][0], lower=1, clean=1)[0]
+                assert public.tobytes() == expected[-1][1].tobytes()
         repaired, factors, inverses, jitter = factor_stack(covs)
         assert repaired.shape == factors.shape == inverses.shape == (k, d, d)
         assert jitter.shape == (k,)
         for j, (cov, factor, step) in enumerate(expected):
-            assert np.array_equal(repaired[j], cov)
-            assert np.array_equal(factors[j], factor)
+            assert repaired[j].tobytes() == cov.tobytes()
+            assert factors[j].tobytes() == factor.tobytes()
             assert jitter[j] == step
-            if step == 0.0:
-                public = dpotrf(cov, lower=1, clean=1)[0]
-                assert public.tobytes() == factors[j].tobytes()
-            assert np.array_equal(inverses[j], dtrtri(factors[j], lower=1)[0])
+            assert inverses[j].tobytes() == dtrtri(factors[j], lower=1)[0].tobytes()
+        if not repairs:
+            assert np.linalg.cholesky(sym).tobytes() == factors.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -277,7 +287,7 @@ class TestFactorStack:
         assert np.all(jitter[others] == 0.0)
         for j in others:
             assert np.array_equal(repaired[j], covs[j])
-            assert np.array_equal(factors[j], cholesky(covs[j]))
+            assert factors[j].tobytes() == np.linalg.cholesky(repaired[j]).tobytes()
 
 
 class TestQuadForm:
@@ -290,18 +300,20 @@ class TestQuadForm:
             f = cholesky(m)
             diffs = rng.normal((4, d))
             expected = np.einsum("md,md->m", diffs @ np.linalg.inv(m), diffs)
-            assert np.allclose(quad_form(f, diffs), expected, rtol=1e-9)
+            assert np.allclose(quad_form(f, diffs, np.zeros(d)), expected, rtol=1e-9)
 
     def test_single_vector_returns_scalar(self):
         f = cholesky(np.eye(2))
-        assert quad_form(f, np.array([3.0, 4.0])) == pytest.approx(25.0)
+        assert quad_form(f, np.array([4.0, 6.0]), np.array([1.0, 2.0])) == pytest.approx(25.0)
 
     def test_dimension_mismatch(self):
         f = cholesky(np.eye(3))
         with pytest.raises(DimensionMismatch):
-            quad_form(f, np.ones((4, 2)))
+            quad_form(f, np.ones((4, 2)), np.zeros(3))
         with pytest.raises(DimensionMismatch):
-            quad_form(np.stack([f, f]), np.ones((4, 3, 3)))
+            quad_form(np.stack([f, f]), np.ones((4, 3, 3)), np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            quad_form(np.stack([f, f]), np.ones((4, 3)), np.ones((3, 3)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -311,16 +323,34 @@ class TestQuadForm:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_stacked_equals_per_factor(self, k, d, m, seed):
+        # every row against every center at once, or one class at a time
         rng = Rng(seed)
         factors = []
         for _ in range(k):
             a = rng.normal((d, d))
             factors.append(cholesky(a @ a.T + np.eye(d)))
         stack = np.stack(factors)
-        diffs = rng.normal((m, k, d))
-        stacked = quad_form(stack, diffs)
+        rows, centers = rng.normal((m, d)), rng.normal((k, d))
+        stacked = quad_form(stack, rows, centers)
         assert stacked.shape == (m, k)
+        # the stacked kernel maps x - s and c_j - s, s the mean of the
+        # centers, and subtracts the images; each image entry is a length-d
+        # dot product, so it rounds by at most about d * eps times
+        # e = |L_j^-1| (|x - s| + |c_j - s|) (absolute values entrywise), and
+        # form (i, j) by at most 2 * sqrt(q) * slack + slack^2 beyond the
+        # sum's own rounding, slack = 2 (d + 2) eps ||e||.  The one-class
+        # forms round by less, as |x - c_j| <= |x - s| + |c_j - s|.
+        shift = centers.mean(axis=0)
+        spread = np.abs(rows - shift)[:, None, :] + np.abs(centers - shift)[None, :, :]
+        e = np.einsum("jde,ije->ijd", np.abs(np.linalg.inv(stack)), spread)
+        slack = 2 * (d + 2) * np.finfo(float).eps * np.linalg.norm(e, axis=2)
+
+        def assert_close(got, want, slack):
+            bound = 1e-12 * want + slack * (2 * np.sqrt(want) + slack)
+            assert np.all(np.abs(got - want) <= bound)
+
         for j, f in enumerate(factors):
-            assert np.allclose(stacked[:, j], quad_form(f, diffs[:, j]), rtol=1e-12, atol=0)
-        assert np.allclose(quad_form(stack, diffs[0]), stacked[0], rtol=1e-12, atol=0)
+            assert_close(stacked[:, j], quad_form(f, rows, centers[j]), slack[:, j])
+            assert_close(stacked[:, j], quad_form(f, rows - centers[j], np.zeros(d)), slack[:, j])
+        assert_close(quad_form(stack, rows[0], centers), stacked[0], slack[0])
         assert np.array_equal(logdet(stack), [logdet(f) for f in factors])
