@@ -5,6 +5,16 @@ head's class probabilities.  Variation ratios are reported as
 ``1 - max_k p_k`` so that every scored strategy acquires its argmax; this
 is the same ordering as ranking by lowest maximum probability.  Statistics
 are refit from scratch after every acquisition.
+
+A session (``ActiveSession``) is drawn once and run under every strategy.
+``run_active_session`` steps a block of sessions, under every strategy, in
+lockstep: at step t each of the block's fits, one per (session, strategy),
+has the same class count, ``K + t`` labelled rows and ``pool - t`` open
+pool rows, so one stacked fit (``methods.support_fits`` ->
+``methods.fit_statistics``) and one stacked ``methods.predict_labels``
+serve them all.  Only the acquisition itself (``select_next``) runs once
+per fit.  Every fit has the bits it would have on its own, so a curve does
+not depend on which block, or how large a block, its session ran in.
 """
 
 from dataclasses import dataclass
@@ -34,7 +44,6 @@ class ActiveSession:
     test_x: np.ndarray
     test_y: np.ndarray
     budget: int
-    strategy: AcquisitionStrategy
     seed: int = 0  # drives random selection only
 
     def __post_init__(self):
@@ -85,39 +94,66 @@ def select_next(
     return int(open_idx[np.argmax(scores)])
 
 
-def run_active_session(session: ActiveSession, head: HeadConfig, return_acquired: bool = False):
-    """Accuracy curve of length budget + 1.
+def run_active_session(sessions, strategies, head: HeadConfig, return_acquired: bool = False):
+    """Accuracy curves of a block of sessions under every strategy.
 
-    ``curve[t]`` is test accuracy after ``t`` acquisitions; statistics are
-    refit from scratch at every step.  Transductive heads treat the
-    unacquired pool as the refinement query set, so pool probabilities fall
-    out of the refinement itself; either way they are the fit's query
-    probabilities.  With ``return_acquired`` the acquired
-    pool indices are returned alongside the curve.
+    Returns a ``(sessions, strategies, budget + 1)`` array: ``curves[s, a, t]``
+    is session s's test accuracy under strategy a after ``t`` acquisitions.
+    Statistics are refit from scratch at every step.  Transductive heads
+    treat the unacquired pool as the refinement query set, so pool
+    probabilities fall out of the refinement itself; either way they are
+    the fit's query probabilities.  Every (session, strategy) pair draws
+    its random selections from its own ``Rng(session.seed)``.  With
+    ``return_acquired`` the ``(sessions, strategies, budget)`` acquired
+    pool indices, in acquisition order, are returned alongside the curves.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the sessions differ in pool, seed-set or test-set shape.
+    InvalidConfig
+        If there is no session or no strategy, or the budgets differ.
     """
-    rng = Rng(session.seed)
-    acquired: list[int] = []  # in acquisition order, which the refit sees
-    pool_size = session.pool_x.shape[0]
-    taken = np.zeros(pool_size, dtype=bool)
-    curve = np.empty(session.budget + 1)
+    sessions, strategies = list(sessions), list(strategies)
+    if not sessions or not strategies:
+        raise InvalidConfig("a block needs at least one session and one strategy")
+    first = sessions[0]
+    arrays = ("pool_x", "pool_y", "seed_x", "seed_y", "test_x", "test_y")
+    for other in sessions[1:]:
+        if other.budget != first.budget:
+            raise InvalidConfig("the sessions of a block must share their budget")
+        if any(getattr(other, name).shape != getattr(first, name).shape for name in arrays):
+            raise DimensionMismatch("the sessions of a block must share their shapes")
 
-    for t in range(session.budget + 1):
-        open_idx = np.flatnonzero(~taken)
-        labeled_x = np.vstack([session.seed_x, session.pool_x[acquired]])
-        labeled_y = np.concatenate(
-            [session.seed_y, session.pool_y[acquired]]
-        ).astype(np.int64)
-        start = support_fits([head], labeled_x, labeled_y, session.pool_x[open_idx])[0]
+    # fit f is session owner[f] under strategy f % len(strategies)
+    owner = np.repeat(np.arange(len(sessions)), len(strategies))
+    pool_x, pool_y, seed_x, seed_y, test_x, test_y = (
+        np.stack([getattr(sessions[s], name) for s in owner]) for name in arrays)
+    rngs = [Rng(sessions[s].seed) for s in owner]
+    fits, pool_size, budget = owner.size, first.pool_x.shape[0], first.budget
+    by_fit = np.arange(fits)[:, None]
+    taken = np.zeros((fits, pool_size), dtype=bool)
+    acquired = np.empty((fits, budget), dtype=np.intp)  # in acquisition order, which the refit sees
+    curves = np.empty((fits, budget + 1))
+
+    for t in range(budget + 1):
+        open_idx = np.nonzero(~taken)[1].reshape(fits, pool_size - t)  # ascending per fit
+        labeled_x = np.concatenate([seed_x, pool_x[by_fit, acquired[:, :t]]], axis=1)
+        labeled_y = np.concatenate([seed_y, pool_y[by_fit, acquired[:, :t]]], axis=1)
+        start = support_fits([head], labeled_x, labeled_y, pool_x[by_fit, open_idx])[0]
         fit = fit_statistics(head, start)
-        test_pred = predict_labels(head, fit.statistics, session.test_x)
-        curve[t] = float(np.mean(test_pred == session.test_y))
-        if t == session.budget:
+        test_pred = predict_labels(head, fit.statistics, test_x)
+        curves[:, t] = np.mean(test_pred == test_y, axis=-1)
+        if t == budget:
             break
-        full_probs = np.zeros((pool_size, fit.statistics.class_count))
-        full_probs[open_idx] = fit.query_probs
-        choice = select_next(full_probs, session.strategy, taken, rng)
-        acquired.append(choice)
-        taken[choice] = True
+        full_probs = np.zeros((fits, pool_size, fit.statistics.class_count))
+        full_probs[by_fit, open_idx] = fit.query_probs
+        for f in range(fits):
+            choice = select_next(full_probs[f], strategies[f % len(strategies)], taken[f],
+                                 rngs[f])
+            acquired[f, t] = choice
+            taken[f, choice] = True
+    shape = (len(sessions), len(strategies))
     if return_acquired:
-        return curve, acquired
-    return curve
+        return curves.reshape(*shape, budget + 1), acquired.reshape(*shape, budget)
+    return curves.reshape(*shape, budget + 1)

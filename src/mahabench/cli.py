@@ -24,10 +24,11 @@ sha256 of the sorted JSON of all the rest.  It holds no paths (``--out``,
 from its default exits 2.  Checks on flag values run before the echo.
 Identical seeds produce byte-identical outputs.
 
-bench and recall tasks, active sessions, continual streams and blocks of
-riemann fields run in forked worker processes, one per CPU of the process's
-affinity mask; the rows come out in the same order and the same bytes as a
-serial run.  ``taskset -c 0 mahabench ...`` runs serially, which is also
+bench and recall tasks, blocks of active sessions, continual streams and
+blocks of riemann fields run in forked worker processes, one per CPU of the
+process's affinity mask; the rows come out in the same order and the same
+bytes as a serial run.  A comma list that names a method, strategy or head
+mode twice exits 2.  ``taskset -c 0 mahabench ...`` runs serially, which is also
 how to take a per-layer trace.  Without ``fork`` (or ``sched_getaffinity``)
 every run is serial.  ``python -m mahabench`` and ``python -m
 mahabench.cli`` run the same command line as the ``mahabench`` script.
@@ -66,6 +67,10 @@ from .worlds import (
 )
 
 CSV_SCHEMA_VERSION = "v1"
+
+# sessions per unit of an active run, stepped in lockstep under every
+# strategy; a curve's bits do not depend on it
+ACTIVE_BLOCK = 5
 
 
 def _run_flags(p: argparse.ArgumentParser) -> None:
@@ -126,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_active.add_argument("--pool-per-class", type=int, default=10)
     p_active.add_argument("--test-per-class", type=int, default=10)
     p_active.add_argument("--strategy", default="all",
-                          help="comma list of random,entropy,variation-ratios or all")
+                          help="comma list of random,entropy,variation-ratios or all; every "
+                               "named strategy runs on the same sessions in one pass")
 
     p_cont = sub.add_parser("continual", help="continual-learning accuracy matrices")
     _run_flags(p_cont)
@@ -196,9 +202,20 @@ def _require_positive(args, *names: str) -> None:
             raise InvalidConfig(f"--{name.replace('_', '-')} must be at least 1")
 
 
-def _choices(enum, text: str, everything: str) -> list:
+def _distinct(names, flag: str) -> None:
+    """Reject a comma list that names something twice: that name's rows
+    would be written once per mention."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise InvalidConfig(f"{flag} names {name!r} more than once")
+        seen.add(name)
+
+
+def _choices(enum, text: str, everything: str, flag: str) -> list:
     """The members of ``enum`` whose values the comma list ``text`` names, or
-    all of them if ``text`` is ``everything``; naming none is a config error."""
+    all of them if ``text`` is ``everything``; naming none, or one twice, is
+    a config error."""
     if text == everything:
         return list(enum)
     try:
@@ -207,6 +224,7 @@ def _choices(enum, text: str, everything: str) -> list:
         raise InvalidConfig(str(exc)) from None
     if not members:
         raise InvalidConfig(f"{text!r} names no {enum.__name__}")
+    _distinct([m.value for m in members], flag)
     return members
 
 
@@ -243,6 +261,7 @@ def _methods(args, defaults) -> tuple:
     """The ``--method`` names, each checked to resolve, their step limits, and
     the step-limit flags if no method reads them."""
     methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
+    _distinct(methods, "--method")
     refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps)
     heads = [parse_method(name, refine_cfg, args.beta) for name in methods]
     # only a refining head reads the step limits
@@ -338,7 +357,7 @@ def _cmd_recall(args, defaults) -> int:
     return 0
 
 
-def build_active_session(world, strategy, pool_per_class, test_per_class, budget, seed):
+def build_active_session(world, pool_per_class, test_per_class, budget, seed):
     """Deterministic session over all world classes: one seed-support
     example per class, then a pool and a held-out test set."""
     rng = Rng(seed)
@@ -351,8 +370,7 @@ def build_active_session(world, strategy, pool_per_class, test_per_class, budget
     test_y = np.repeat(seed_y, test_per_class)
     return ActiveSession(
         pool_x=pool_x, pool_y=pool_y, seed_x=seed_x, seed_y=seed_y,
-        test_x=test_x, test_y=test_y, budget=budget,
-        strategy=strategy, seed=derive_seed(seed, "selection"),
+        test_x=test_x, test_y=test_y, budget=budget, seed=derive_seed(seed, "selection"),
     )
 
 
@@ -367,24 +385,24 @@ def _one_head(args, defaults) -> tuple:
 
 def _cmd_active(args, defaults) -> int:
     _require_positive(args, "sessions", "test_per_class")
-    strategies = _choices(AcquisitionStrategy, args.strategy, "all")
+    strategies = _choices(AcquisitionStrategy, args.strategy, "all", "--strategy")
     head, unread = _one_head(args, defaults)
     world = _domain_from_args(args).build(args.seed)
     check_budget(args.budget, world.class_count * args.pool_per_class)
     echo = _echo(args, *unread, strategies=[s.value for s in strategies])
-    units = [(sid, strategy) for sid in range(args.sessions) for strategy in strategies]
 
-    def curve(u: int):
-        sid, strategy = units[u]
-        session = build_active_session(
-            world, strategy, args.pool_per_class,
-            args.test_per_class, args.budget, derive_seed(args.seed, "active", sid),
-        )
-        return run_active_session(session, head)
+    def block_curves(block: int):
+        sids = range(block * ACTIVE_BLOCK, min(args.sessions, (block + 1) * ACTIVE_BLOCK))
+        sessions = [build_active_session(world, args.pool_per_class, args.test_per_class,
+                                         args.budget, derive_seed(args.seed, "active", sid))
+                    for sid in sids]
+        return run_active_session(sessions, strategies, head)
 
+    blocks = ordered_map(block_curves, -(-args.sessions // ACTIVE_BLOCK))
     rows = [
         (sid, strategy.value, step, repr(float(acc)))
-        for (sid, strategy), accs in zip(units, ordered_map(curve, len(units)))
+        for sid, session in enumerate(c for curves in blocks for c in curves)
+        for strategy, accs in zip(strategies, session)
         for step, acc in enumerate(accs)
     ]
     if args.out:
@@ -402,8 +420,8 @@ def _cmd_active(args, defaults) -> int:
 
 def _cmd_continual(args, defaults) -> int:
     _require_positive(args, "streams")
-    strategies = _choices(EncodingStrategy, args.strategy, "all")
-    modes = _choices(HeadMode, args.head_mode, "both")
+    strategies = _choices(EncodingStrategy, args.strategy, "all", "--strategy")
+    modes = _choices(HeadMode, args.head_mode, "both", "--head-mode")
     head, unread = _one_head(args, defaults)
     stream = StreamConfig(
         num_tasks=args.length,

@@ -20,12 +20,13 @@ from .heads import ClassStatistics, _mahalanobis_sq, _query_rows
 
 def gmm_log_scores(query, stats: ClassStatistics) -> np.ndarray:
     """Unnormalized log posterior per class, under a uniform prior, for one
-    query, an (m, d) batch or a ``heads.QuerySet``."""
-    rows, single = _query_rows(query, stats.dims)
+    query, an (m, d) batch or a ``heads.QuerySet``; ``(B, m, K)`` scores of
+    ``(B, m, d)`` rows under a stack of statistics."""
+    rows, single = _query_rows(query, stats)
     k_count = stats.class_count
     scores = (
         np.log(np.full(k_count, 1.0 / k_count))[None, :]
         - 0.5 * _mahalanobis_sq(rows, stats)
-        - 0.5 * spd.logdet(stats.factors)[None, :]
+        - 0.5 * spd.logdet(stats.factors)[..., None, :]
     )
     return scores[0] if single else scores

@@ -37,6 +37,21 @@ again on the next one.  Neither side builds a ``(K, m, d)`` or
 ``(K, max n_k, d)`` block per call.  A scratch view never leaves the
 function that took it and is dead before that function makes another call
 that takes scratch; every result (statistics, scores) is a fresh array.
+
+The batch axis.  ``SupportLayout``, ``QuerySet``, ``class_statistics``,
+``ClassStatistics``, ``class_scores`` (every metric) and ``softmax`` also
+take a leading batch axis: B fits with the same class count, support size
+and query count, estimated, factored and scored in one call each
+(``active`` steps a block of sessions this way).  Slice b of every result
+has the bits of the unbatched call on slice b.  Each support set's padded
+class Gram is still built on its own and only then stacked, because a
+common padding would change the GEMM's inner dimension; after that, every
+stacked ``np.matmul`` makes one BLAS call per slice with that slice's
+shape, elementwise operations and last-axis reductions act per element or
+per row, and the reductions over the class axis add the classes in the
+same order either way (``tests/test_batch_axis.py`` checks all of this bit
+for bit).  Without the axis, every call is the unbatched call it always
+was: the same numpy work on the same shapes.
 """
 
 import math
@@ -101,14 +116,26 @@ def _packing(d: int) -> tuple:
 
 
 def _packed_products(x: np.ndarray) -> np.ndarray:
-    """``(n, d(d+1)/2)``: row i is the packed upper triangle of ``x_i x_i^T``."""
-    n, d = x.shape
-    out = np.empty((n, d * (d + 1) // 2))
+    """``(..., n, d(d+1)/2)``: row i is the packed upper triangle of ``x_i x_i^T``."""
+    *lead, n, d = x.shape
+    out = np.empty((*lead, n, d * (d + 1) // 2))
     start = 0
     for i in range(d if n else 0):  # row i of the triangle, without an (n, d, d) block
-        np.multiply(x[:, i : i + 1], x[:, i:], out=out[:, start : start + d - i])
+        np.multiply(x[..., i : i + 1], x[..., i:], out=out[..., start : start + d - i])
         start += d - i
     return out
+
+
+def _joined(cls, parts, join=np.stack):
+    """An instance of the dataclass ``cls`` whose every array joins those of
+    ``parts``: stacked on a new leading batch axis, or with
+    ``np.concatenate`` along the existing one."""
+    return cls(*(join([getattr(part, f.name) for part in parts]) for f in fields(cls) if f.init))
+
+
+def _taken(instance, index):
+    """``instance`` with every array indexed by ``index`` on its leading axis."""
+    return type(instance)(*(getattr(instance, f.name)[index] for f in fields(instance) if f.init))
 
 
 class MetricKind(Enum):
@@ -136,6 +163,9 @@ class ClassStatistics:
     class, and assigns rows of it in place; that instance never leaves the
     session, whose every step scores one fresh copy of its seen rows
     (``take``) for both head modes.
+
+    With a leading batch axis, the statistics of B fits of the same shape:
+    ``(B, K, d)`` means, ``(B, K)`` counts and so on.
     """
 
     means: np.ndarray  # (K, d)
@@ -147,17 +177,21 @@ class ClassStatistics:
 
     @property
     def class_count(self) -> int:
-        return self.means.shape[0]
+        return self.means.shape[-2]
 
     @property
     def dims(self) -> int:
-        return self.means.shape[1]
+        return self.means.shape[-1]
 
     def take(self, rows) -> "ClassStatistics":
         """The statistics of ``rows`` (an index array or a boolean mask),
-        in that order, as fresh arrays."""
-        rows = np.asarray(rows)
-        return ClassStatistics(*(getattr(self, f.name)[rows] for f in fields(self)))
+        in that order, as fresh arrays: classes, or with a batch axis, fits."""
+        return _taken(self, np.asarray(rows))
+
+    @classmethod
+    def concatenate(cls, parts) -> "ClassStatistics":
+        """The fits of several batched stacks, in order, as one stack."""
+        return _joined(cls, parts, np.concatenate)
 
     @classmethod
     def from_moments(cls, means, covariances, counts) -> "ClassStatistics":
@@ -171,7 +205,7 @@ class ClassStatistics:
         means = np.asarray(means, dtype=np.float64)
         counts = np.asarray(counts, dtype=np.float64)
         if np.any(counts <= 0):
-            raise EmptyClass(int(np.argmax(counts <= 0)))
+            raise EmptyClass(int(np.argmax(counts <= 0)) % counts.shape[-1])
         covariances, factors, inverses, jitter = spd.factor_stack(covariances)
         return cls(
             means=means,
@@ -197,7 +231,9 @@ class SupportLayout:
     ``class_moments`` are each class's sum of shifted rows and the packed
     upper triangle of its sum of their outer products.  A fit that reuses
     the layout (every refinement iteration of one task) repeats none of
-    this work.
+    this work.  With a leading batch axis, the layouts of B support sets of
+    the same size and class count: ``(B, n, d)`` features, ``(B, K)`` class
+    sizes and so on.
     """
 
     features: np.ndarray  # (n, d), finite
@@ -209,11 +245,20 @@ class SupportLayout:
 
     @property
     def class_count(self) -> int:
-        return self.class_sizes.shape[0]
+        return self.class_sizes.shape[-1]
 
     @property
     def dims(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[-1]
+
+    @property
+    def batch_shape(self) -> tuple:
+        """``(B,)`` for a stack of B layouts, ``()`` for one."""
+        return self.class_sizes.shape[:-1]
+
+    def take(self, index) -> "SupportLayout":
+        """The layouts of a stack picked by ``index`` (an index array or a mask)."""
+        return _taken(self, index)
 
     @classmethod
     def build(
@@ -224,11 +269,16 @@ class SupportLayout:
         This is where a labelled support set enters the package, so every
         check on it runs here, once per support set.  ``K`` is
         ``num_classes``, or the largest label plus one when omitted.
+        ``(B, n, d)`` features with ``(B, n)`` labels give a stack of B
+        layouts with a common K: each support set is checked and grouped on
+        its own, with the padding its own classes need, and the results are
+        stacked.
 
         Raises
         ------
         DimensionMismatch
-            If ``features`` is not 2-D or ``labels`` disagrees with it on n.
+            If ``features`` is not 2-D or 3-D, ``labels`` disagrees with it
+            on the batch or on n, or a stack holds no support set.
         EmptyClass
             If the support set is empty.
         LabelOutOfRange
@@ -238,13 +288,17 @@ class SupportLayout:
         """
         support_x = np.asarray(features, dtype=np.float64)
         support_y = np.asarray(labels, dtype=np.int64)
-        if support_x.ndim != 2:
-            raise DimensionMismatch("features must be a 2-D array")
-        if support_y.shape[0] != support_x.shape[0]:
+        if support_x.ndim not in (2, 3):
+            raise DimensionMismatch("features must be a 2-D array or a stack of them")
+        if support_y.shape != support_x.shape[:-1]:
             raise DimensionMismatch("labels and features disagree on n")
-        if support_x.shape[0] == 0:
+        if support_x.shape[-2] == 0:
             raise EmptyClass(0, "support set is empty")
         k_count = int(num_classes) if num_classes is not None else int(support_y.max()) + 1
+        if support_x.ndim == 3:
+            if support_x.shape[0] == 0:
+                raise DimensionMismatch("a stack of support sets must hold at least one")
+            return _joined(cls, [cls.build(x, y, k_count) for x, y in zip(support_x, support_y)])
         if np.any(support_y < 0) or np.any(support_y >= k_count):
             raise LabelOutOfRange(f"support label outside [0, {k_count})")
         _require_finite(support_x, "support features")
@@ -276,7 +330,9 @@ class QuerySet:
     A fit builds one per task (``methods.support_fits``), and every
     estimate and every scoring of the task takes it.  The estimator takes
     the rows' moments about the support mean from it (``moments_about``);
-    they are computed once and kept for the last center asked for.
+    they are computed once and kept for the last center asked for.  With a
+    leading batch axis, ``(B, m, d)`` rows: the query sets of B fits, and
+    a ``(B, d)`` center.
     """
 
     rows: np.ndarray  # (m, d), finite
@@ -284,7 +340,11 @@ class QuerySet:
 
     @property
     def dims(self) -> int:
-        return self.rows.shape[1]
+        return self.rows.shape[-1]
+
+    def take(self, index) -> "QuerySet":
+        """The query sets of a stack picked by ``index`` (an index array or a mask)."""
+        return _taken(self, index)
 
     @classmethod
     def build(cls, query, dims: int) -> "QuerySet":
@@ -294,7 +354,8 @@ class QuerySet:
         Raises
         ------
         DimensionMismatch
-            If the rows are not ``(m, dims)`` (any empty array counts as 0 rows).
+            If the rows are not ``(m, dims)`` or ``(B, m, dims)`` (any empty
+            array counts as 0 rows).
         NonFiniteInput
             If a query row has a NaN or infinite entry.
         """
@@ -305,7 +366,7 @@ class QuerySet:
         rows = np.asarray(query, dtype=np.float64)
         if rows.size == 0 and rows.shape[:1] == (0,):
             rows = rows.reshape(0, dims)
-        if rows.ndim != 2 or rows.shape[1] != dims:
+        if rows.ndim not in (2, 3) or rows.shape[-1] != dims:
             raise DimensionMismatch(f"query shape {rows.shape} does not match dim {dims}")
         _require_finite(rows, "query features")
         return cls(rows)
@@ -315,7 +376,7 @@ class QuerySet:
         outer products of those, ``(m, d(d+1)/2)``."""
         kept = self._moments.get("last")  # one entry, read and written whole
         if kept is None or kept[0] is not center:
-            shifted = self.rows - center
+            shifted = self.rows - center[..., None, :]
             kept = self._moments["last"] = (center, shifted, _packed_products(shifted))
         return kept[1], kept[2]
 
@@ -335,7 +396,8 @@ def class_statistics(
     Counts, means and second moments are weighted sums, and ``S`` is
     normalized by the total count.  Query rows with zero weight add exact
     zeros, so an all-zero query block gives bit-identical statistics to an
-    empty one.
+    empty one.  A stack of layouts takes ``(B, m, d)`` queries and
+    ``(B, m, K)`` weights and gives a stack of statistics.
 
     Raises
     ------
@@ -348,35 +410,37 @@ def class_statistics(
     """
     d = layout.dims
     shifted, products = QuerySet.build(query_x, d).moments_about(layout.center)
-    counts = layout.class_sizes + query_weights.sum(axis=0)
-    if np.any(counts < SOFT_COUNT_FLOOR):
-        raise EmptyClass(int(np.argmax(counts < SOFT_COUNT_FLOOR)))
+    counts = layout.class_sizes + query_weights.sum(axis=-2)
     k_count = layout.class_count
+    if np.any(counts < SOFT_COUNT_FLOOR):
+        raise EmptyClass(int(np.argmax(counts < SOFT_COUNT_FLOOR)) % k_count)
     rows, cols, _, position = _packing(d)
-    packed, outer, covs = _scratch((k_count, rows.size), (k_count, rows.size), (k_count, d * d))
-    weights_t = query_weights.T
+    lead = (*layout.batch_shape, k_count)
+    packed, outer, covs = _scratch((*lead, rows.size), (*lead, rows.size), (*lead, d * d))
+    weights_t = query_weights.swapaxes(-1, -2)
     sums = weights_t @ shifted
     sums += layout.class_sums
     np.matmul(weights_t, products, out=packed)
     packed += layout.class_moments  # second moments about the support mean
 
     # scatters about the means are R / n - mu mu^T, blended in packed form
-    total = counts.sum()
-    task_mean = sums.sum(axis=0) / total
-    task_scatter = packed.sum(axis=0) / total - task_mean[rows] * task_mean[cols]
-    class_means = sums / counts[:, None]
-    packed /= counts[:, None]
-    np.multiply(np.take(class_means, rows, axis=1), np.take(class_means, cols, axis=1), out=outer)
+    total = counts.sum(axis=-1, keepdims=True)
+    task_mean = sums.sum(axis=-2) / total
+    task_scatter = packed.sum(axis=-2) / total - task_mean[..., rows] * task_mean[..., cols]
+    class_means = sums / counts[..., None]
+    packed /= counts[..., None]
+    np.multiply(np.take(class_means, rows, axis=-1), np.take(class_means, cols, axis=-1),
+                out=outer)
     packed -= outer
-    lam = (counts / (counts + 1.0))[:, None]
+    lam = (counts / (counts + 1.0))[..., None]
     packed *= lam
-    np.multiply(1.0 - lam, task_scatter, out=outer)
+    np.multiply(1.0 - lam, task_scatter[..., None, :], out=outer)
     packed += outer
 
-    np.take(packed, position, axis=1, out=covs)  # unpacked once
-    covs[:, :: d + 1] += beta
-    covs = covs.reshape(k_count, d, d)
-    return ClassStatistics.from_moments(layout.center + class_means, covs, counts)
+    np.take(packed, position, axis=-1, out=covs)  # unpacked once
+    covs[..., :: d + 1] += beta
+    covs = covs.reshape(*lead, d, d)
+    return ClassStatistics.from_moments(layout.center[..., None, :] + class_means, covs, counts)
 
 
 def check_beta(beta: float) -> None:
@@ -401,52 +465,65 @@ def estimate_class_statistics(layout: SupportLayout, beta: float = 1.0) -> Class
         If ``beta`` is negative, NaN or infinite.
     """
     check_beta(beta)
-    no_queries = QuerySet(np.empty((0, layout.dims)))
-    return class_statistics(layout, no_queries, np.empty((0, layout.class_count)), beta)
+    batch = layout.batch_shape
+    no_queries = QuerySet(np.empty((*batch, 0, layout.dims)))
+    return class_statistics(layout, no_queries, np.empty((*batch, 0, layout.class_count)), beta)
 
 
-def _query_rows(query, dims: int) -> tuple:
+def _query_rows(query, stats: ClassStatistics) -> tuple:
     """``(rows, single)``: one vector, an ``(m, d)`` batch or a ``QuerySet``
-    as checked ``(m, d)`` rows, and whether a single vector was given."""
+    as checked rows for ``stats``, and whether a single vector was given.
+    A stack of statistics takes ``(B, m, d)`` rows.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the rows do not match the statistics' width or batch.
+    """
     single = not isinstance(query, QuerySet) and np.ndim(query) == 1
-    return QuerySet.build(np.asarray(query)[None, :] if single else query, dims).rows, single
+    rows = QuerySet.build(np.asarray(query)[None, :] if single else query, stats.dims).rows
+    if rows.shape[:-2] != stats.counts.shape[:-1]:
+        raise DimensionMismatch(f"query rows {rows.shape} do not match statistics "
+                                f"{stats.means.shape}")
+    return rows, single
 
 
 def _mahalanobis_sq(rows: np.ndarray, stats: ClassStatistics) -> np.ndarray:
-    """(m, K) squared Mahalanobis distances through the cached inverse factors."""
-    (images,) = _scratch((rows.shape[0], stats.class_count * stats.dims))
+    """(..., m, K) squared Mahalanobis distances through the cached inverse factors."""
+    (images,) = _scratch((*rows.shape[:-1], stats.class_count * stats.dims))
     return spd.inverse_quad_form(stats.inverse_factors, rows, stats.means, out=images)
 
 
 def class_scores(query, stats: ClassStatistics, metric: MetricKind) -> np.ndarray:
     """Per-class scores for one query vector, an (m, d) batch or a
-    ``QuerySet``.
+    ``QuerySet``; ``(B, m, K)`` scores of ``(B, m, d)`` rows under a stack
+    of statistics.
 
     Higher means more likely.  Distance metrics are negated; cosine
     similarity and the dot product are used directly as scores (the
     "negative dot product" of the distance framing is the negated
     similarity, so the raw dot product already ranks correctly).
     """
-    rows, single = _query_rows(query, stats.dims)
+    rows, single = _query_rows(query, stats)
     if metric is MetricKind.SQUARED_MAHALANOBIS:
         scores = -_mahalanobis_sq(rows, stats)
     elif metric is MetricKind.ROOT_RIEMANNIAN:
         scores = -np.sqrt(_mahalanobis_sq(rows, stats))
     elif metric is MetricKind.SQUARED_EUCLIDEAN:
-        diffs = rows[:, None, :] - stats.means[None, :, :]
-        scores = -np.einsum("mkd,mkd->mk", diffs, diffs)
+        diffs = rows[..., :, None, :] - stats.means[..., None, :, :]
+        scores = -np.einsum("...mkd,...mkd->...mk", diffs, diffs)
     elif metric is MetricKind.ABSOLUTE_L1:
-        diffs = rows[:, None, :] - stats.means[None, :, :]
-        scores = -np.abs(diffs).sum(axis=2)
+        diffs = rows[..., :, None, :] - stats.means[..., None, :, :]
+        scores = -np.abs(diffs).sum(axis=-1)
     elif metric is MetricKind.COSINE_SIMILARITY:
-        qn = np.linalg.norm(rows, axis=1)
-        mn = np.linalg.norm(stats.means, axis=1)
-        denom = qn[:, None] * mn[None, :]
-        dots = rows @ stats.means.T
+        qn = np.linalg.norm(rows, axis=-1)
+        mn = np.linalg.norm(stats.means, axis=-1)
+        denom = qn[..., :, None] * mn[..., None, :]
+        dots = rows @ stats.means.swapaxes(-1, -2)
         # zero-norm query or mean: score 0 for that pair, avoiding NaN
         scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
     elif metric is MetricKind.NEGATIVE_DOT_PRODUCT:
-        scores = rows @ stats.means.T
+        scores = rows @ stats.means.swapaxes(-1, -2)
     else:
         raise ValueError(f"unknown metric {metric}")
     return scores[0] if single else scores

@@ -13,6 +13,12 @@ start's layout and statistics to ``refine.run_refinement``.  A fit
 (``Fit``) carries the class statistics and the query predictions they
 give; ``scores``, ``predict`` and ``predict_labels`` score any batch under
 a head.
+
+Every step also takes a stack of B tasks of the same shape: ``(B, n, d)``
+support rows with ``(B, n)`` labels and ``(B, m, d)`` query rows give one
+stacked fit, whose statistics and predictions carry a leading batch axis
+and, slice by slice, the bits of each task fitted on its own (see
+``heads``).
 """
 
 from dataclasses import dataclass, replace
@@ -156,9 +162,10 @@ def predict(head: HeadConfig, stats: ClassStatistics, x) -> tuple:
 
 
 def predict_labels(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
-    """Argmax labels for an ``(m, d)`` batch; ties break toward the lowest
-    class index.  The labels of ``predict``, without the softmax."""
-    return np.argmax(scores(head, stats, x), axis=1)
+    """Argmax labels for an ``(m, d)`` batch, or ``(B, m)`` labels of
+    ``(B, m, d)`` rows under a stack of statistics; ties break toward the
+    lowest class index.  The labels of ``predict``, without the softmax."""
+    return np.argmax(scores(head, stats, x), axis=-1)
 
 
 def evaluate_task(configs, task) -> list[float]:

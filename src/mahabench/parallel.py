@@ -3,7 +3,10 @@
 ``ordered_map(fn, count)`` returns ``[fn(0), ..., fn(count - 1)]``.  Each
 unit must depend only on its index and on state that exists before the
 call (a world, a task list, a head), which is how the benchmark, active and
-continual loops seed their tasks, sessions and streams.  The result is then
+continual loops seed their tasks, sessions and streams.  An active unit is
+a block of whole sessions (``cli.ACTIVE_BLOCK`` of them), stepped in
+lockstep under every strategy; a session's curves do not depend on the
+block it ran in.  The result is then
 the same list, in the same order, whether the units run in this process or
 in workers.
 

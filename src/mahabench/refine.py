@@ -11,6 +11,13 @@ maximum step counts.
 support layout and the support-only statistics of its start fit
 (``methods.support_fits``), which are iteration 1's statistics, and the
 head's ``predict``, which is the loop's only way to score.
+
+A stack of B fits of the same shape (a batched ``heads.SupportLayout``,
+``(B, m, d)`` queries) runs through the one loop together, and each fit
+stops at its own iteration by the same rule.  Once some fits have stopped,
+later iterations estimate and score only the fits still running, and the
+outcome puts every fit's last statistics and refresh back in batch order.
+Each fit's results have the bits of its unbatched refinement.
 """
 
 from dataclasses import dataclass
@@ -46,7 +53,11 @@ class RefineOutcome:
 
     ``query_probs`` and ``labels`` are the query probabilities and argmax
     labels under ``statistics``: the last refresh scored the query set
-    after the last statistics update.
+    after the last statistics update.  For a stack of fits they are
+    stacked too, each fit's from its own last iteration; ``iterations_run``
+    is then the iterations the loop ran (the most any fit took), and
+    ``converged_early`` whether every fit's labels had stopped changing
+    when it stopped.
     """
 
     statistics: ClassStatistics
@@ -64,16 +75,19 @@ def weighted_class_statistics(
     ``heads.class_statistics``: query row j counts toward class k with
     weight ``query_weights[j, k]``, so all-zero weights give exactly the
     support-only estimate.  ``query_x`` is an ``(m, d)`` array or a
-    ``heads.QuerySet``.
+    ``heads.QuerySet``; a stack of layouts takes ``(B, m, d)`` queries and
+    ``(B, m, K)`` weights.
 
     Raises
     ------
     DimensionMismatch
         If the weights are not one row per query and one column per class
-        of the layout.
+        of the layout, or the queries are not one set per layout.
     """
     queries = QuerySet.build(query_x, layout.dims)
-    if query_weights.shape != (queries.rows.shape[0], layout.class_count):
+    m = queries.rows.shape[-2]
+    if queries.rows.shape[:-2] != layout.batch_shape or (
+            query_weights.shape != (*layout.batch_shape, m, layout.class_count)):
         raise DimensionMismatch("query weights disagree with the queries or the classes")
     return class_statistics(layout, queries, query_weights, beta)
 
@@ -99,39 +113,64 @@ def run_refinement(
     checked here, once, and every estimate and every ``predict`` call
     takes the one ``QuerySet``, so its moments are taken once.
 
+    A batched ``layout`` and ``start`` take ``(B, m, d)`` queries and refine
+    the B fits together: ``predict`` then scores a stack of the fits still
+    running, and a fit stops at the first iteration at which it would stop
+    on its own.
+
     Raises
     ------
     DimensionMismatch
-        If the query rows, or ``start``, disagree with the layout on dims
-        or classes.
+        If the query rows, or ``start``, disagree with the layout on dims,
+        classes or batch.
     NonFiniteInput
         If a query row has a NaN or infinite entry.
     """
     queries = QuerySet.build(query_x, layout.dims)
-    if (start.class_count, start.dims) != (layout.class_count, layout.dims):
+    if start.counts.shape != layout.class_sizes.shape or start.dims != layout.dims:
         raise DimensionMismatch("start statistics and support layout disagree")
-    m = queries.rows.shape[0]
+    if queries.rows.shape[:-2] != layout.batch_shape:
+        raise DimensionMismatch("query sets and support layouts disagree on the batch")
+    m = queries.rows.shape[-2]
 
     stats = start
-    probs = np.zeros((m, layout.class_count))
-    assign = np.empty(0, dtype=np.int64)
+    probs = np.zeros((*layout.batch_shape, m, layout.class_count))
+    assign = np.empty((*layout.batch_shape, 0), dtype=np.int64)
     prev_assign = None
+    # a stack's fits that stopped before the rest: (batch positions,
+    # statistics, probabilities, labels), and the positions still running
+    stopped, positions = [], None
     for it in range(1, cfg.max_steps + 1):
         if it > 1:
             del stats  # so that its memory can hold the next estimate
             stats = weighted_class_statistics(layout, queries, probs, beta)
         if m > 0:
             probs, assign = predict(stats, queries)
-        # no queries means nothing can change; otherwise compare argmax
-        # labels against the previous refresh
-        converged = m == 0 or (prev_assign is not None and np.array_equal(assign, prev_assign))
-        if converged and it >= cfg.min_steps:
+        # no queries means nothing can change; otherwise compare each fit's
+        # argmax labels against its previous refresh
+        converged = m == 0 or (prev_assign is not None and (assign == prev_assign).all(axis=-1))
+        if it >= cfg.min_steps and np.all(converged):
             break
+        if cfg.min_steps <= it < cfg.max_steps and np.any(converged):
+            # only a stack gets here: its converged fits stop, the rest run on
+            if positions is None:
+                positions = np.arange(converged.size)
+            stopped.append((positions[converged], stats.take(converged), probs[converged],
+                            assign[converged]))
+            running = ~converged
+            positions, probs, assign = positions[running], probs[running], assign[running]
+            layout, queries = layout.take(running), queries.take(running)
         prev_assign = assign
+    if stopped:
+        stopped.append((positions, stats, probs, assign))
+        positions, stats, probs, assign = zip(*stopped)
+        order = np.argsort(np.concatenate(positions))
+        stats = ClassStatistics.concatenate(stats).take(order)
+        probs, assign = np.concatenate(probs)[order], np.concatenate(assign)[order]
     return RefineOutcome(
         statistics=stats,
         query_probs=probs,
         iterations_run=it,
-        converged_early=converged,
+        converged_early=bool(np.all(converged)),
         labels=assign,
     )

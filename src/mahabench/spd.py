@@ -29,6 +29,17 @@ GEMM, after shifting rows and centers by the mean of the centers, and
 writes those images to ``out`` when given, so a caller can keep the
 scoring hot path free of large allocations.
 
+A batch axis.  ``factor_stack`` and ``inverse_quad_form`` also take a
+leading batch axis, B independent fits of the same shape: ``(B, K, d, d)``
+covariances or inverses, ``(B, m, d)`` rows and ``(B, K, d)`` centers.
+Slice b of every result has the bits of the call on slice b alone.  That
+holds because a stacked ``np.matmul`` makes one BLAS call per slice, with
+that slice's shape, the stacked ``np.linalg.cholesky`` one ``dpotrf`` per
+matrix, and every elementwise operation and last-axis reduction acts per
+element or per row; the one reduction over another axis (the mean of the
+centers) adds in the same order either way.  Without the axis, a call is
+the unbatched call it always was.
+
 Which LAPACK runs where.  numpy's own LAPACK (its bundled scipy-openblas64)
 runs ``factor_stack``'s stacked ``np.linalg.cholesky``, the factorization
 of every head's covariances; the rounding of its ``dpotrf`` can differ
@@ -172,18 +183,23 @@ def inverse_quad_form(
     squares.  The ``(m, K * d)`` images are written to ``out`` when given
     (a scratch block the caller owns), else to a new array; the returned
     forms are always a new array.
+
+    With a leading batch axis (``(B, K, d, d)`` inverses, ``(B, m, d)`` rows,
+    ``(B, K, d)`` centers, a ``(B, m, K * d)`` ``out``) the forms are
+    ``(B, m, K)``, and slice b has the bits of the call on slice b alone:
+    the stacked GEMM makes one BLAS call per slice.
     """
-    k, d = centers.shape
+    *batch, k, d = centers.shape
     # BLAS rounding follows the memory layout, so the forms of a stack do
     # not depend on how it is laid out
     inverses = np.ascontiguousarray(inverses)
-    shift = centers.sum(axis=0) / max(k, 1)
+    shift = centers.sum(axis=-2, keepdims=True) / max(k, 1)
     # column block k of the right-hand side is L_k^-T
-    right = inverses.transpose(2, 0, 1).reshape(d, k * d)
+    right = inverses.transpose(*range(len(batch)), -1, -3, -2).reshape(*batch, d, k * d)
     images = np.matmul(rows - shift, right, out=out)
-    images = images.reshape(rows.shape[0], k, d)
-    images -= np.matmul(inverses, (centers - shift)[:, :, None])[:, :, 0]
-    return np.einsum("mkd,mkd->mk", images, images)
+    images = images.reshape(*rows.shape[:-1], k, d)
+    images -= np.matmul(inverses, (centers - shift)[..., None])[..., None, :, :, 0]
+    return np.einsum("...kd,...kd->...k", images, images)
 
 
 def logdet(factor: np.ndarray):
@@ -225,17 +241,19 @@ def ensure_pd(m) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Factor a ``(K, d, d)`` stack of covariances in one pass.
+    """Factor a ``(K, d, d)`` or ``(B, K, d, d)`` stack of covariances in one pass.
 
     Returns ``(repaired, factors, inverses, jitter)``: the symmetrized (and,
     where needed, repaired) covariances, their lower Cholesky factors, the
-    lower triangular inverses of those factors, all ``(K, d, d)``, and the
-    ``(K,)`` jitter each matrix needed (0 for an exact factorization).  The
-    stack is factored by one ``np.linalg.cholesky`` call; when that raises,
+    lower triangular inverses of those factors, all shaped like ``covs``,
+    and the ``(K,)`` or ``(B, K)`` jitter each matrix needed (0 for an
+    exact factorization).  The stack is factored by one
+    ``np.linalg.cholesky`` call, over all B * K matrices; when that raises,
     each matrix is factored on its own, and one whose exact factorization
     fails is handed to ``ensure_pd``.  So an exact factor has the bits of
     ``np.linalg.cholesky`` on its matrix, and a repaired matrix, factor and
-    jitter are ``ensure_pd``'s.  Each inverse is one ``dtrtri`` call.
+    jitter are ``ensure_pd``'s, whatever the other matrices of the stack
+    are.  Each inverse is one ``dtrtri`` call.
 
     Raises
     ------
@@ -245,25 +263,30 @@ def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         If an entry is non-finite, or no scheduled jitter repairs a matrix.
     """
     a = np.asarray(covs, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
-        raise DimensionMismatch(f"expected a (K, d, d) stack, got shape {a.shape}")
-    sym = a + a.transpose(0, 2, 1)
+    if a.ndim not in (3, 4) or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimensionMismatch(f"expected a (K, d, d) or (B, K, d, d) stack, got shape {a.shape}")
+    d = a.shape[-1]
+    sym = a + a.swapaxes(-1, -2)
     sym /= 2.0
     # LAPACK's Cholesky reports success on NaN input, so a NaN factor would
     # pass through
     if not np.all(np.isfinite(sym)):
         raise NotRepairable("matrix has non-finite entries")
-    jitter = np.zeros(sym.shape[0])
+    jitter = np.zeros(sym.shape[:-2])
     try:
         factors = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         factors = np.empty_like(sym)
-        for k, m in enumerate(sym):
+        # flat views of the stacks, one matrix per entry
+        flat_sym, flat_factors = sym.reshape(-1, d, d), factors.reshape(-1, d, d)
+        flat_jitter = jitter.reshape(-1)
+        for k, m in enumerate(flat_sym):
             try:
-                factors[k] = np.linalg.cholesky(m)
+                flat_factors[k] = np.linalg.cholesky(m)
             except np.linalg.LinAlgError:
-                sym[k], factors[k], jitter[k] = ensure_pd(m)
+                flat_sym[k], flat_factors[k], flat_jitter[k] = ensure_pd(m)
     inverses = np.empty_like(sym)
-    for k, factor in enumerate(factors):
-        inverses[k] = dtrtri(factor, lower=1)[0]
+    flat_inverses = inverses.reshape(-1, d, d)
+    for k, factor in enumerate(factors.reshape(-1, d, d)):
+        flat_inverses[k] = dtrtri(factor, lower=1)[0]
     return sym, factors, inverses, jitter

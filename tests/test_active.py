@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mahabench import cli
 from mahabench.active import (
     AcquisitionStrategy,
     ActiveSession,
@@ -8,9 +13,13 @@ from mahabench.active import (
     run_active_session,
     select_next,
 )
+from mahabench.bench import DomainSpec
+from mahabench.cli import build_active_session
 from mahabench.errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
 from mahabench.heads import MetricKind, SupportLayout, estimate_class_statistics
-from mahabench.methods import HeadConfig, predict
+from mahabench.methods import (HeadConfig, fit_statistics, predict, predict_labels,
+                               support_fits)
+from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 
 ENTROPY = AcquisitionStrategy.PREDICTIVE_ENTROPY
@@ -71,7 +80,7 @@ class TestSelectNext:
             select_next(np.full((3, 2), 0.5), ENTROPY, [False, False], Rng(0))
 
 
-def toy_session(strategy, budget=3, seed=0):
+def toy_session(budget=3, seed=0):
     # two tight, well-separated clusters; pool equals the test set
     rng = Rng(9)
     c0, c1 = np.array([0.0, 0.0]), np.array([8.0, 0.0])
@@ -85,41 +94,65 @@ def toy_session(strategy, budget=3, seed=0):
         test_x=pool_x.copy(),
         test_y=pool_y.copy(),
         budget=budget,
-        strategy=strategy,
         seed=seed,
     )
 
 
+def reference_session(session, strategy, head):
+    """One (session, strategy) pair run on its own, one unbatched fit per
+    step: the loop ``run_active_session`` ran before it stepped a block of
+    sessions and strategies in lockstep.  Returns the curve and the
+    acquired indices."""
+    rng = Rng(session.seed)
+    acquired = []
+    pool_size = session.pool_x.shape[0]
+    taken = np.zeros(pool_size, dtype=bool)
+    curve = np.empty(session.budget + 1)
+    for t in range(session.budget + 1):
+        open_idx = np.flatnonzero(~taken)
+        labeled_x = np.vstack([session.seed_x, session.pool_x[acquired]])
+        labeled_y = np.concatenate([session.seed_y, session.pool_y[acquired]]).astype(np.int64)
+        start = support_fits([head], labeled_x, labeled_y, session.pool_x[open_idx])[0]
+        fit = fit_statistics(head, start)
+        test_pred = predict_labels(head, fit.statistics, session.test_x)
+        curve[t] = float(np.mean(test_pred == session.test_y))
+        if t == session.budget:
+            break
+        full_probs = np.zeros((pool_size, fit.statistics.class_count))
+        full_probs[open_idx] = fit.query_probs
+        choice = select_next(full_probs, strategy, taken, rng)
+        acquired.append(choice)
+        taken[choice] = True
+    return curve, acquired
+
+
 class TestRunActiveSession:
     def test_budget_zero_single_point_curve(self):
-        session = toy_session(ENTROPY, budget=0)
-        curve = run_active_session(session, HeadConfig())
-        assert curve.shape == (1,)
+        curves = run_active_session([toy_session(budget=0)], [ENTROPY], HeadConfig())
+        assert curves.shape == (1, 1, 1)
 
     def test_perfectly_separable_curve_stays_at_ceiling(self):
-        session = toy_session(ENTROPY, budget=5)
-        curve = run_active_session(session, HeadConfig())
-        assert np.allclose(curve, 1.0)
+        curves = run_active_session([toy_session(budget=5)], [ENTROPY], HeadConfig())
+        assert np.allclose(curves, 1.0)
 
     def test_curve_length_and_range(self):
-        for strategy in AcquisitionStrategy:
-            session = toy_session(strategy, budget=4)
-            curve = run_active_session(session, HeadConfig())
-            assert curve.shape == (5,)
-            assert np.all((curve >= 0.0) & (curve <= 1.0))
+        sessions = [toy_session(budget=4, seed=s) for s in range(2)]
+        curves = run_active_session(sessions, list(AcquisitionStrategy), HeadConfig())
+        assert curves.shape == (2, 3, 5)
+        assert np.all((curves >= 0.0) & (curves <= 1.0))
 
     def test_acquired_set_grows_without_repeats(self):
-        session = toy_session(RANDOM, budget=6, seed=3)
-        _, acquired = run_active_session(session, HeadConfig(), return_acquired=True)
-        assert len(acquired) == 6
-        assert len(set(acquired)) == 6
+        _, acquired = run_active_session([toy_session(budget=6, seed=3)], [RANDOM],
+                                         HeadConfig(), return_acquired=True)
+        assert acquired.shape == (1, 1, 6)
+        assert len(set(acquired[0, 0].tolist())) == 6
 
     def test_session_trace_matches_brute_force(self):
         # independent replay of the simple-head session: refit, classify,
         # score by entropy, acquire the argmax among unacquired
-        session = toy_session(ENTROPY, budget=5)
+        session = toy_session(budget=5)
         head = HeadConfig(metric=MetricKind.SQUARED_MAHALANOBIS)
-        curve, acquired = run_active_session(session, head, return_acquired=True)
+        curves, acquired = run_active_session([session], [ENTROPY], head, return_acquired=True)
 
         taken = []
         expected_curve = []
@@ -140,8 +173,8 @@ class TestRunActiveSession:
                 if ent > best_score:
                     best, best_score = i, ent
             taken.append(best)
-        assert np.allclose(curve, expected_curve)
-        assert acquired == taken
+        assert np.allclose(curves[0, 0], expected_curve)
+        assert acquired[0, 0].tolist() == taken
 
     def test_entropy_and_variation_agree_on_two_classes(self):
         # both scores are monotone in the max probability when K = 2
@@ -154,4 +187,63 @@ class TestRunActiveSession:
 
     def test_budget_validation(self):
         with pytest.raises(InvalidConfig):
-            toy_session(RANDOM, budget=11)
+            toy_session(budget=11)
+
+    def test_a_block_must_share_its_shapes_and_budget(self):
+        other = toy_session(budget=3)
+        short = replace(other, pool_x=other.pool_x[:8], pool_y=other.pool_y[:8])
+        with pytest.raises(DimensionMismatch):
+            run_active_session([other, short], [ENTROPY], HeadConfig())
+        with pytest.raises(InvalidConfig):
+            run_active_session([other, toy_session(budget=2)], [ENTROPY], HeadConfig())
+        with pytest.raises(InvalidConfig):
+            run_active_session([other], [], HeadConfig())
+
+
+HEADS = {
+    "simple": HeadConfig(),
+    "transductive": HeadConfig(refine=RefineConfig()),
+    "gmm-em": HeadConfig(gmm=True, refine=RefineConfig()),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    head=st.sampled_from(sorted(HEADS)),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    order=st.permutations(list(AcquisitionStrategy)),
+    strategy_count=st.integers(1, 3),
+    world_seed=st.integers(0, 50),
+    budget_frac=st.floats(0.0, 1.0),
+)
+def test_lockstep_block_matches_each_session_run_alone(head, seeds, order, strategy_count,
+                                                       world_seed, budget_frac):
+    # a block of sessions under several strategies gives, for each pair, the
+    # curve and the acquisitions of that pair run on its own, bit for bit
+    world = DomainSpec("world", dims=3, class_count=4, mean_radius=1.5).build(world_seed)
+    pool_size = 4 * 3
+    budget = round(budget_frac * pool_size)  # 0 up to the whole pool
+    sessions = [build_active_session(world, 3, 2, budget, seed) for seed in seeds]
+    strategies = order[:strategy_count]
+    curves, acquired = run_active_session(sessions, strategies, HEADS[head],
+                                          return_acquired=True)
+    for s, session in enumerate(sessions):
+        for a, strategy in enumerate(strategies):
+            curve, picks = reference_session(session, strategy, HEADS[head])
+            assert curves[s, a].tobytes() == curve.tobytes()
+            assert acquired[s, a].tolist() == picks
+
+
+ACTIVE_ARGV = ["active", "--sessions", "5", "--budget", "6", "--classes", "5",
+               "--mean-radius", "1.5", "--pool-per-class", "3", "--test-per-class", "4",
+               "--method", "transductive", "--strategy", "variation-ratios,random,entropy"]
+
+
+def test_active_bytes_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
+    digests = set()
+    for size in (1, 2, 3, 5, 7):
+        monkeypatch.setattr(cli, "ACTIVE_BLOCK", size)
+        out = tmp_path / f"block-{size}.csv"
+        assert cli.cli_main([*ACTIVE_ARGV, "--out", str(out)]) == 0
+        digests.add((out.read_bytes(), capsys.readouterr().out))
+    assert len(digests) == 1

@@ -168,6 +168,12 @@ class TestCliMain:
         ["riemann", "--fields", "1", "--support-scale", "0"],
         ["riemann", "--fields", "1", "--support-scale", "2"],
         ["riemann", "--fields", "1", "--separation", "0"],
+        # a name repeated in a comma list would write its rows once per mention
+        ["active", "--strategy", "entropy,entropy"],
+        ["continual", "--strategy", "first,first", "--head-mode", "single,single"],
+        ["continual", "--head-mode", "single,single"],
+        ["bench", "--method", "simple,simple"],
+        ["recall", "--tasks", "2", "--method", "transductive,simple,transductive"],
     ])
     def test_config_errors_exit_two(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where a run that wrongly passed would write

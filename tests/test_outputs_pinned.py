@@ -42,6 +42,24 @@ PINNED = {
          "--pool-per-class", "3", "--test-per-class", "4", "--method", "transductive"],
         "374c99ce62a84a5bed81a11114fce31a058dca3f3841c5ea54dd8ae104d87455",
     ),
+    # the small active argv under heads and strategies the workload does not
+    # run; hashes taken when each (session, strategy) pair ran on its own
+    "active-gmm-em": (
+        ["active", "--sessions", "2", "--budget", "6", "--classes", "5", "--mean-radius", "1.5",
+         "--pool-per-class", "3", "--test-per-class", "4", "--method", "gmm-em"],
+        "4ae86731edf306593ac80c4d4607c41581408df44b73c0d7f1ab16727d813e0b",
+    ),
+    "active-euclidean": (
+        ["active", "--sessions", "2", "--budget", "6", "--classes", "5", "--mean-radius", "1.5",
+         "--pool-per-class", "3", "--test-per-class", "4", "--method", "simple:euclidean"],
+        "f101937ecf13a340489bb4dffcb0b4d1994cd03f8d373f52c6476354b4419d62",
+    ),
+    "active-two-strategies": (
+        ["active", "--sessions", "2", "--budget", "6", "--classes", "5", "--mean-radius", "1.5",
+         "--pool-per-class", "3", "--test-per-class", "4", "--method", "transductive",
+         "--strategy", "random,entropy"],
+        "556b95f755e03f125ffea9ff245b2203cf9be5e4263e1f60a7197f37b7301493",
+    ),
     "continual": (
         ["continual", "--streams", "2", "--length", "3", "--shot", "3", "--query", "3"],
         "63f7848297fb6e49a564b69a2a2167b0b13eda7f6be6b603b876b25bebb1eece",

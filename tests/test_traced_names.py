@@ -21,6 +21,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 BENCH_ARGV = ["bench", "--mode", "metadataset", "--dims", "8", "--classes", "10",
               "--method", "simple,transductive,gmm-em", "--tasks", "30"]
+# 3 sessions, all 3 strategies, 4 acquisitions each
+ACTIVE_ARGV = ["active", "--sessions", "3", "--budget", "4", "--classes", "4",
+               "--pool-per-class", "3", "--test-per-class", "2", "--method", "transductive"]
 
 
 @pytest.mark.parametrize("name", layertrace.TRACED)
@@ -69,3 +72,12 @@ def test_a_serial_traced_riemann_child_calls_each_riemann_layer(tmp_path):
     layers = _traced_child_layers(tmp_path, ["riemann", "--fields", "40", "--dims", "3"])
     for name in ("make_two_centroid_field", "energy_gap_check", "path_energy"):
         assert layers[f"riemann.{name}.calls"] > 0, name
+
+
+def test_a_serial_traced_active_child_refines_and_acquires_once_per_fit(tmp_path):
+    # sessions run in lockstep blocks, but the refinement is still seen and
+    # every (session, strategy) pair still makes one acquisition per step
+    layers = _traced_child_layers(tmp_path, ACTIVE_ARGV)
+    assert layers["refine.run_refinement.calls"] > 0
+    assert layers["active.run_active_session.calls"] > 0
+    assert layers["active.select_next.calls"] == 3 * 3 * 4
