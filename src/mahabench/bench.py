@@ -11,9 +11,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .methods import evaluate_task, fit_statistics, parse_method, support_fits
+from .methods import evaluate_task, fit_statistics, support_fits
 from .parallel import ordered_map
-from .refine import RefineConfig
 from .rng import derive_seed
 from .worlds import (
     ClusterWorld,
@@ -106,12 +105,10 @@ class DomainSpec:
 @dataclass(frozen=True)
 class BenchConfig:
     domains: tuple
-    methods: tuple
+    methods: tuple  # (name, HeadConfig) pairs, in report order (methods.parse_method)
     n_tasks: int
     seed: int
     sampler: SamplerConfig = SamplerConfig()
-    refine: RefineConfig = RefineConfig()
-    beta: float = 1.0
 
     def __post_init__(self):
         need = self.sampler.min_way
@@ -177,13 +174,6 @@ def _task_units(cfg: BenchConfig, tasks_by_domain: dict | None):
     return units, lambda d, i: tasks_by_domain[d][i]
 
 
-def _resolve_heads(cfg: BenchConfig) -> dict:
-    return {
-        name: parse_method(name, refine_defaults=cfg.refine, beta=cfg.beta)
-        for name in cfg.methods
-    }
-
-
 def check_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> None:
     """Raise ``InvalidConfig`` for a run that ``run_benchmark`` would refuse."""
     if cfg.n_tasks < 30 and tasks_by_domain is None:
@@ -200,8 +190,7 @@ def run_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> Benc
     configured domains.  ``check_benchmark`` says which runs it refuses.
     """
     check_benchmark(cfg, tasks_by_domain)
-    heads = _resolve_heads(cfg)
-    configs = [heads[method] for method in cfg.methods]
+    configs = [head for _, head in cfg.methods]
     units, task_of = _task_units(cfg, tasks_by_domain)
 
     def evaluate(u: int):
@@ -216,7 +205,7 @@ def run_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> Benc
     for domain_id in dict.fromkeys(d for d, _ in units):
         done = [(idx, res) for (d, idx), res in zip(units, results) if d == domain_id]
         per_domain_means[domain_id] = {}
-        for m, method in enumerate(cfg.methods):
+        for m, (method, _) in enumerate(cfg.methods):
             method_rows = [
                 TaskRow(domain_id=domain_id, method=method, task_index=idx,
                         task_seed=task_seed, accuracy=accs[m])
@@ -266,7 +255,7 @@ def recall_vs_shot(cfg: BenchConfig, tasks_by_domain: dict | None = None):
     methods' recalls for paired comparisons.  Buckets with no classes are
     omitted.
     """
-    heads = _resolve_heads(cfg)
+    heads = dict(cfg.methods)
     units, task_of = _task_units(cfg, tasks_by_domain)
 
     def class_records(u: int) -> list:

@@ -82,9 +82,9 @@ def merge_class_statistics(old: ClassStatistics, new: ClassStatistics) -> ClassS
 def update_encoding(state: ContinualState, new_encoding: EncodingTransform) -> EncodingTransform:
     """Advance the state by one task and return the working encoding.
 
-    Averaging combines the affine parameters and the encoding vector
-    elementwise with weights (1/t, (t-1)/t); the averaged transform must
-    stay invertible (checked at construction).
+    Averaging combines the affine parameters elementwise with weights
+    (1/t, (t-1)/t); the averaged transform must stay invertible (checked at
+    construction).
     """
     state.tasks_seen += 1
     t = state.tasks_seen
@@ -102,8 +102,6 @@ def update_encoding(state: ContinualState, new_encoding: EncodingTransform) -> E
         state.average_encoding = EncodingTransform(
             linear=w_new * new_encoding.linear + w_old * prev.linear,
             offset=w_new * new_encoding.offset + w_old * prev.offset,
-            encoding_vector=w_new * new_encoding.encoding_vector
-            + w_old * prev.encoding_vector,
         )
     return state.average_encoding
 
@@ -137,8 +135,8 @@ def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> li
         else:
             raise InvalidConfig("could not draw an invertible task encoding")
         offset = drift * rng.normal(dims)
-        code = drift * rng.normal(dims)
-        encodings.append(EncodingTransform(linear, offset, code))
+        rng.normal(dims)  # a draw kept so that every stream's later draws stay put
+        encodings.append(EncodingTransform(linear, offset))
     return encodings
 
 

@@ -27,16 +27,11 @@ scatter is ``R / n - mu mu^T`` about ``c``, and the blend runs on packed
 upper triangles and is unpacked once to ``(K, d, d)``.
 
 Mahalanobis scoring maps the queries of every class in one GEMM
-(``spd.inverse_quad_form``).  Its ``(m, K * d)`` images, and the
-estimator's packed ``(K, d(d+1)/2)`` blend blocks and the ``(K, d, d)``
-covariances it unpacks them to, are carved out of one grow-only float64
-buffer per thread (``_scratch``) instead of being allocated afresh on every
-update and scoring call.  Blocks that size, allocated and freed on every
-update, are handed back to the OS by the C allocator and page-faulted in
-again on the next one.  Neither side builds a ``(K, m, d)`` or
-``(K, max n_k, d)`` block per call.  A scratch view never leaves the
-function that took it and is dead before that function makes another call
-that takes scratch; every result (statistics, scores) is a fresh array.
+(``spd.inverse_quad_form``).  Neither the estimator nor the scoring builds
+a ``(K, m, d)`` or ``(K, max n_k, d)`` block per call; their largest
+temporaries are the estimator's packed ``(K, d(d+1)/2)`` blend blocks and
+the scoring's ``(m, K * d)`` images.  Every result is a fresh array, and
+the module keeps no mutable state on the fit path.
 
 The batch axis.  ``SupportLayout``, ``QuerySet``, ``class_statistics``,
 ``ClassStatistics``, ``class_scores`` (every metric) and ``softmax`` also
@@ -55,7 +50,6 @@ was: the same numpy work on the same shapes.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
@@ -74,29 +68,6 @@ from .errors import (
 # soft counts below this are treated as an empty class rather than silently
 # regularized; only adversarial synthetic data can get here
 SOFT_COUNT_FLOOR = 1e-12
-
-
-_arena = threading.local()
-
-
-def _scratch(*shapes) -> tuple:
-    """One float64 view per shape, carved out of this thread's scratch buffer.
-
-    The views do not overlap one another, but they alias memory that the
-    next ``_scratch`` call on this thread hands out again: their contents
-    are garbage on entry, and they must not outlive the caller.  The
-    buffer grows to the largest request seen and is never shrunk.
-    """
-    sizes = [math.prod(shape) for shape in shapes]
-    buffer = getattr(_arena, "buffer", None)
-    if buffer is None or buffer.size < sum(sizes):
-        buffer = _arena.buffer = np.empty(sum(sizes))
-    views = []
-    start = 0
-    for shape, size in zip(shapes, sizes):
-        views.append(buffer[start : start + size].reshape(shape))
-        start += size
-    return tuple(views)
 
 
 @cache
@@ -415,12 +386,10 @@ def class_statistics(
     if np.any(counts < SOFT_COUNT_FLOOR):
         raise EmptyClass(int(np.argmax(counts < SOFT_COUNT_FLOOR)) % k_count)
     rows, cols, _, position = _packing(d)
-    lead = (*layout.batch_shape, k_count)
-    packed, outer, covs = _scratch((*lead, rows.size), (*lead, rows.size), (*lead, d * d))
     weights_t = query_weights.swapaxes(-1, -2)
     sums = weights_t @ shifted
     sums += layout.class_sums
-    np.matmul(weights_t, products, out=packed)
+    packed = weights_t @ products
     packed += layout.class_moments  # second moments about the support mean
 
     # scatters about the means are R / n - mu mu^T, blended in packed form
@@ -429,17 +398,14 @@ def class_statistics(
     task_scatter = packed.sum(axis=-2) / total - task_mean[..., rows] * task_mean[..., cols]
     class_means = sums / counts[..., None]
     packed /= counts[..., None]
-    np.multiply(np.take(class_means, rows, axis=-1), np.take(class_means, cols, axis=-1),
-                out=outer)
-    packed -= outer
+    packed -= np.take(class_means, rows, axis=-1) * np.take(class_means, cols, axis=-1)
     lam = (counts / (counts + 1.0))[..., None]
     packed *= lam
-    np.multiply(1.0 - lam, task_scatter[..., None, :], out=outer)
-    packed += outer
+    packed += (1.0 - lam) * task_scatter[..., None, :]
 
-    np.take(packed, position, axis=-1, out=covs)  # unpacked once
+    covs = np.take(packed, position, axis=-1)  # unpacked once
     covs[..., :: d + 1] += beta
-    covs = covs.reshape(*lead, d, d)
+    covs = covs.reshape(*layout.batch_shape, k_count, d, d)
     return ClassStatistics.from_moments(layout.center[..., None, :] + class_means, covs, counts)
 
 
@@ -490,8 +456,7 @@ def _query_rows(query, stats: ClassStatistics) -> tuple:
 
 def _mahalanobis_sq(rows: np.ndarray, stats: ClassStatistics) -> np.ndarray:
     """(..., m, K) squared Mahalanobis distances through the cached inverse factors."""
-    (images,) = _scratch((*rows.shape[:-1], stats.class_count * stats.dims))
-    return spd.inverse_quad_form(stats.inverse_factors, rows, stats.means, out=images)
+    return spd.inverse_quad_form(stats.inverse_factors, rows, stats.means)
 
 
 def class_scores(query, stats: ClassStatistics, metric: MetricKind) -> np.ndarray:

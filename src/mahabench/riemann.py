@@ -72,12 +72,6 @@ class PartitionOfUnity:
         object.__setattr__(self, "support_radius", sup)
         object.__setattr__(self, "plateau_radius", flat)
 
-    def weights(self, points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        """(m, K) partition weights at each point."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        dist = np.linalg.norm(pts[:, None, :] - centroids[None, :, :], axis=2)
-        return self.weights_at(dist)
-
     def weights_at(self, dist: np.ndarray, rows_per_field=1) -> np.ndarray:
         """(m, K) partition weights from the (m, K) distances to each centroid;
         in a block, the rows of ``dist`` run field by field, rows_per_field[f]

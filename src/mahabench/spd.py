@@ -22,12 +22,10 @@ as a triangular solve for the well-conditioned, ridge-regularized factors
 the heads produce.  The result stays an exact sum of squares, hence
 nonnegative.  ``factor_stack`` takes each inverse after its factor, so a
 caller that keeps them (``heads.ClassStatistics.inverse_factors``) scores
-through ``inverse_quad_form(inverses, rows, centers, out=None)`` without
-inverting again; ``quad_form`` inverts its factors and delegates to the
-same kernel.  The kernel maps every row under every class's inverse in one
-GEMM, after shifting rows and centers by the mean of the centers, and
-writes those images to ``out`` when given, so a caller can keep the
-scoring hot path free of large allocations.
+through ``inverse_quad_form(inverses, rows, centers)`` without inverting
+again; ``quad_form`` inverts its factors and delegates to the same kernel.
+The kernel maps every row under every class's inverse in one GEMM, after
+shifting rows and centers by the mean of the centers.
 
 A batch axis.  ``factor_stack`` and ``inverse_quad_form`` also take a
 leading batch axis, B independent fits of the same shape: ``(B, K, d, d)``
@@ -170,9 +168,7 @@ def quad_form(factor: np.ndarray, rows: np.ndarray, centers: np.ndarray):
     return q[0] if factor.ndim == 3 else float(q[0])
 
 
-def inverse_quad_form(
-    inverses: np.ndarray, rows: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def inverse_quad_form(inverses: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(m, K) forms ||L_k^-1 (rows[i] - centers[k])||^2 from a (K, d, d) stack of L_k^-1.
 
     The inverses are the lower triangular ones ``factor_stack`` returns.
@@ -180,14 +176,12 @@ def inverse_quad_form(
     One ``(m, d) @ (d, K * d)`` GEMM then maps every row under every
     inverse, ``L_k^-1 (rows[i] - s)``, and ``L_k^-1 (centers[k] - s)`` is
     subtracted from each image, so each form is still an exact sum of
-    squares.  The ``(m, K * d)`` images are written to ``out`` when given
-    (a scratch block the caller owns), else to a new array; the returned
-    forms are always a new array.
+    squares.
 
     With a leading batch axis (``(B, K, d, d)`` inverses, ``(B, m, d)`` rows,
-    ``(B, K, d)`` centers, a ``(B, m, K * d)`` ``out``) the forms are
-    ``(B, m, K)``, and slice b has the bits of the call on slice b alone:
-    the stacked GEMM makes one BLAS call per slice.
+    ``(B, K, d)`` centers) the forms are ``(B, m, K)``, and slice b has the
+    bits of the call on slice b alone: the stacked GEMM makes one BLAS call
+    per slice.
     """
     *batch, k, d = centers.shape
     # BLAS rounding follows the memory layout, so the forms of a stack do
@@ -196,8 +190,7 @@ def inverse_quad_form(
     shift = centers.sum(axis=-2, keepdims=True) / max(k, 1)
     # column block k of the right-hand side is L_k^-T
     right = inverses.transpose(*range(len(batch)), -1, -3, -2).reshape(*batch, d, k * d)
-    images = np.matmul(rows - shift, right, out=out)
-    images = images.reshape(*rows.shape[:-1], k, d)
+    images = ((rows - shift) @ right).reshape(*rows.shape[:-1], k, d)
     images -= np.matmul(inverses, (centers - shift)[..., None])[..., None, :, :, 0]
     return np.einsum("...kd,...kd->...k", images, images)
 

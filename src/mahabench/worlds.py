@@ -43,25 +43,22 @@ class ClusterWorld:
 
 @dataclass(frozen=True)
 class EncodingTransform:
-    """Affine feature transform plus the task-encoding vector it realizes."""
+    """Affine feature transform: a task's encoding of the world's features."""
 
     linear: np.ndarray  # (d, d), invertible
     offset: np.ndarray  # (d,)
-    encoding_vector: np.ndarray
 
     def __post_init__(self):
         lin = np.asarray(self.linear, dtype=np.float64)
         off = np.asarray(self.offset, dtype=np.float64)
-        vec = np.asarray(self.encoding_vector, dtype=np.float64)
         if abs(np.linalg.det(lin)) <= 1e-9:
             raise InvalidConfig("encoding transform is numerically singular")
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "encoding_vector", vec)
 
     @classmethod
     def identity(cls, dims: int) -> "EncodingTransform":
-        return cls(np.eye(dims), np.zeros(dims), np.zeros(dims))
+        return cls(np.eye(dims), np.zeros(dims))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.linear.T + self.offset

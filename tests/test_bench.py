@@ -12,6 +12,7 @@ from mahabench.bench import (
     shot_bucket,
 )
 from mahabench.errors import InvalidConfig
+from mahabench.methods import parse_method
 from mahabench.worlds import SamplerConfig, SamplerMode
 
 from episodes import tasks_equal
@@ -21,6 +22,11 @@ FIXED_55 = SamplerConfig(
 )
 
 
+def named_heads(*names):
+    """``BenchConfig.methods`` for the method ``names``."""
+    return tuple((name, parse_method(name)) for name in names)
+
+
 def small_config(methods=("simple",), n_tasks=30, seed=1, **domain_kw):
     domain_kw.setdefault("dims", 4)
     domain_kw.setdefault("class_count", 8)
@@ -28,7 +34,7 @@ def small_config(methods=("simple",), n_tasks=30, seed=1, **domain_kw):
     domain_kw.setdefault("mean_radius", 2.0)
     return BenchConfig(
         domains=(DomainSpec(domain_id="t", **domain_kw),),
-        methods=methods,
+        methods=named_heads(*methods),
         n_tasks=n_tasks,
         seed=seed,
         sampler=FIXED_55,
@@ -120,7 +126,7 @@ class TestRunBenchmark:
                         mean_radius=1.5,
                     ),
                 ),
-                methods=("simple", "simple:euclidean"),
+                methods=named_heads("simple", "simple:euclidean"),
                 n_tasks=1000,
                 seed=7,
                 sampler=SamplerConfig(
@@ -133,7 +139,7 @@ class TestRunBenchmark:
             report = run_benchmark(cfg)
             acc = {
                 m: np.array([r.accuracy for r in report.rows if r.method == m])
-                for m in cfg.methods
+                for m, _ in cfg.methods
             }
             return report, mean_ci(acc["simple"] - acc["simple:euclidean"])
 
@@ -164,7 +170,7 @@ class TestRecallVsShot:
                     mean_radius=15.0,
                 ),
             ),
-            methods=("simple",),
+            methods=named_heads("simple"),
             n_tasks=40,
             seed=3,
             sampler=FIXED_55,

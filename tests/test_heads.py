@@ -424,8 +424,7 @@ class TestScratchArena:
         scores = class_scores(queries, stats, MetricKind.SQUARED_MAHALANOBIS)
         results = [*stats_fields(stats), scores]
         kept = [r.copy() for r in results]
-        for _ in range(2):  # the arena as the results saw it, then after it grew
-            assert not any(np.shares_memory(r, heads._arena.buffer) for r in results)
+        for _ in range(2):
             other_layout, other_queries, other_weights = soft_task(rng, k=5, m=60, d=6)
             other = class_statistics(other_layout, other_queries, other_weights, 1.0)
             class_scores(other_queries, other, MetricKind.ROOT_RIEMANNIAN)
@@ -465,19 +464,19 @@ class TestScratchArena:
             assert all(np.array_equal(a, b) for a, b in zip(results[seed], expected))
 
     def test_kernels_peak_below_one_query_block(self):
-        # a fit takes its query set's moments once; an estimator update and
-        # a scoring then allocate far less than a (K, m, d) block, and so
-        # does taking the moments
+        # a fit takes its query set's moments once; an estimator update
+        # then allocates far less than a (K, m, d) block, and so does taking
+        # the moments; a scoring allocates its one (m, K * d) GEMM image,
+        # as large as that block, but no second one
         k, m, d = 20, 800, 32
         layout, rows, weights = soft_task(Rng(52), k, m, d)
         queries = QuerySet.build(rows, d)
         stats = class_statistics(layout, queries, weights, 1.0)  # takes the moments
-        heads._mahalanobis_sq(rows, stats)  # sizes the arena
         block = k * m * d * 8
-        for call in (
-            lambda: class_statistics(layout, queries, weights, 1.0),
-            lambda: heads._mahalanobis_sq(rows, stats),
-            lambda: QuerySet.build(rows, d).moments_about(layout.center),
+        for call, bound in (
+            (lambda: class_statistics(layout, queries, weights, 1.0), block),
+            (lambda: heads._mahalanobis_sq(rows, stats), 1.5 * block),
+            (lambda: QuerySet.build(rows, d).moments_about(layout.center), block),
         ):
             tracemalloc.start()
             try:
@@ -485,7 +484,7 @@ class TestScratchArena:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < block
+            assert peak < bound
 
 
 def bregman_divergence(z, z_ref, q) -> float:

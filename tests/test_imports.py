@@ -1,9 +1,11 @@
 """No module of the package (bar its ``__init__``) or of the tests imports a
-name it never reads.
+name it never reads, and every top-level function and class of the package
+is referenced by some package module bar ``__init__``.
 
-A change that deletes code tends to leave its imports behind, and no linter
-is part of the toolchain, so this check reads each file's syntax tree with
-the standard library alone.
+A change that deletes code tends to leave its imports behind, and API that
+only tests call tends to outlive its callers; no linter is part of the
+toolchain, so these checks read each file's syntax tree with the standard
+library alone.
 """
 
 import ast
@@ -11,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from perfbench import layertrace
+
 ROOT = Path(__file__).resolve().parents[1]
-FILES = [
-    *sorted(p for p in (ROOT / "src" / "mahabench").glob("*.py") if p.name != "__init__.py"),
-    *sorted((ROOT / "tests").glob("*.py")),
-]
+PACKAGE = sorted(p for p in (ROOT / "src" / "mahabench").glob("*.py") if p.name != "__init__.py")
+FILES = [*PACKAGE, *sorted((ROOT / "tests").glob("*.py"))]
 
 
 def imported_names(tree: ast.AST) -> dict:
@@ -59,3 +61,45 @@ def test_every_import_is_read(path):
 def test_the_check_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom a import b, c\nx: 'c' = np.zeros(1)\n"
     assert unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+def definitions(tree: ast.Module) -> dict:
+    """Each top-level function and class the module defines, with its line."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def referenced_names(tree: ast.AST) -> set:
+    """Every name the module reads, as a name, an attribute or an import."""
+    names = read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced(sources: dict, exempt=()) -> list:
+    """``(module, line, name)`` for each top-level definition in ``sources``
+    (module name -> source) that no module references, bar the
+    ``module.name`` entries of ``exempt``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set().union(*map(referenced_names, trees.values()))
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for name, line in definitions(tree).items()
+                  if name not in used and f"{module}.{name}" not in exempt)
+
+
+def test_every_definition_is_referenced():
+    # a traced layer is read by the benchmark's tracer, outside the package
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced(sources, layertrace.TRACED) == []
+
+
+def test_the_check_finds_an_unreferenced_definition():
+    sources = {
+        "a": "import b\ndef used(): pass\ndef dead(): pass\nclass Kept: pass\nb.helper()\n",
+        "b": "from a import Kept\ndef helper(): used()\ndef traced(): pass\n",
+    }
+    assert unreferenced(sources, ("b.traced",)) == [("a", 3, "dead")]

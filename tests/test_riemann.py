@@ -16,9 +16,16 @@ from mahabench.riemann import (
 from mahabench.rng import Rng, derive_seed
 
 
+def weights(field: MetricField, points) -> np.ndarray:
+    """(m, K) partition weights of the field at each point (or at one point)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    dist = np.linalg.norm(pts[:, None, :] - field.centroids[None, :, :], axis=2)
+    return field.partition.weights_at(dist)
+
+
 def metric_at(field: MetricField, x: np.ndarray) -> np.ndarray:
     """The symmetrized metric tensor at one point: sum_k w_k(x - mu_k) P_k."""
-    w = field.partition.weights(np.asarray(x, dtype=np.float64), field.centroids)[0]
+    w = weights(field, x)[0]
     g = np.einsum("k,kde->de", w, field.precisions)
     return (g + g.T) / 2.0
 
@@ -53,7 +60,7 @@ class TestPartitionOfUnity:
         field = two_metric_field()
         rng = Rng(1)
         points = 8.0 * rng.normal((200, 2))
-        w = field.partition.weights(points, field.centroids)
+        w = weights(field, points)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w >= 0.0)
 
@@ -62,7 +69,7 @@ class TestPartitionOfUnity:
         rng = Rng(2)
         for _ in range(20):
             x = sample_plateau_point(field, 0, rng)
-            w = field.partition.weights(x, field.centroids)[0]
+            w = weights(field, x)[0]
             assert w[0] == 1.0 and w[1] == 0.0
 
     def test_validation(self):
@@ -156,7 +163,7 @@ class TestPathEnergy:
         delta = y - x
         lam = np.linspace(0.0, 1.0, 1_000_001)
         pts = x[None, :] + lam[:, None] * delta[None, :]
-        w = field.partition.weights(pts, field.centroids)
+        w = weights(field, pts)
         g = np.einsum("mk,kde->mde", w, field.precisions)
         vals = np.einsum("mde,d,e->m", g, delta, delta)
         reference = np.trapezoid(vals, lam)

@@ -104,16 +104,14 @@ class TestSampleTask:
     def test_encoding_applied_to_features(self):
         world = make_cluster_world(2, 6, 2.0, rng_seed=7)
         identity = EncodingTransform.identity(2)
-        affine = EncodingTransform(
-            np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, -1.0]), np.zeros(2)
-        )
+        affine = EncodingTransform(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, -1.0]))
         raw = sample_task(world, FIXED, identity, 11)
         mapped = sample_task(world, FIXED, affine, 11)
         assert np.allclose(mapped.support_x, raw.support_x @ affine.linear.T + affine.offset)
 
     def test_singular_encoding_rejected(self):
         with pytest.raises(InvalidConfig):
-            EncodingTransform(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+            EncodingTransform(np.zeros((2, 2)), np.zeros(2))
 
     def test_far_separated_spherical_world_is_nearly_solved(self):
         # sanity oracle: trivially separable clusters give the plain
