@@ -68,30 +68,36 @@ def acquisition_scores(pool_probs: np.ndarray, strategy: AcquisitionStrategy) ->
 
 
 def select_next(
-    pool_probs: np.ndarray,
+    open_probs: np.ndarray,
+    open_idx: np.ndarray,
     strategy: AcquisitionStrategy,
-    acquired: np.ndarray,
     rng: Rng,
 ) -> int:
     """Index of the next pool example to label.
 
-    ``acquired`` is a boolean mask over the pool, true where an example was
-    already acquired.  Scored strategies take the argmax acquisition score
-    over unacquired examples, ties toward the lowest index; random
-    selection draws uniformly from the unacquired set using the session
-    generator.
+    ``open_idx`` holds the pool indices of the unacquired examples, in
+    ascending order, and ``open_probs`` their class probabilities, a row
+    each.  Scored strategies take the argmax acquisition score, ties toward
+    the lowest index; random selection draws uniformly from ``open_idx``
+    using the session generator.
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``open_probs`` does not hold one row per index of ``open_idx``.
+    PoolExhausted
+        If no example is left unacquired.
     """
-    probs = np.atleast_2d(np.asarray(pool_probs, dtype=np.float64))
-    acquired = np.asarray(acquired, dtype=bool)
-    if acquired.shape != probs.shape[:1]:
-        raise DimensionMismatch(f"mask of shape {acquired.shape} for a pool of {probs.shape[0]}")
-    open_idx = np.flatnonzero(~acquired)
+    probs = np.atleast_2d(np.asarray(open_probs, dtype=np.float64))
+    open_idx = np.asarray(open_idx, dtype=np.intp)
+    if open_idx.shape != probs.shape[:1]:
+        raise DimensionMismatch(f"{open_idx.shape[0]} open indices for {probs.shape[0]} "
+                                f"probability rows")
     if open_idx.size == 0:
         raise PoolExhausted("no unacquired pool examples left")
     if strategy is AcquisitionStrategy.RANDOM:
         return int(open_idx[rng.below(open_idx.size)])
-    scores = acquisition_scores(probs[open_idx], strategy)
-    return int(open_idx[np.argmax(scores)])
+    return int(open_idx[np.argmax(acquisition_scores(probs, strategy))])
 
 
 def run_active_session(sessions, strategies, head: HeadConfig, return_acquired: bool = False):
@@ -146,10 +152,8 @@ def run_active_session(sessions, strategies, head: HeadConfig, return_acquired: 
         curves[:, t] = np.mean(test_pred == test_y, axis=-1)
         if t == budget:
             break
-        full_probs = np.zeros((fits, pool_size, fit.statistics.class_count))
-        full_probs[by_fit, open_idx] = fit.query_probs
         for f in range(fits):
-            choice = select_next(full_probs[f], strategies[f % len(strategies)], taken[f],
+            choice = select_next(fit.query_probs[f], open_idx[f], strategies[f % len(strategies)],
                                  rngs[f])
             acquired[f, t] = choice
             taken[f, choice] = True

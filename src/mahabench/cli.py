@@ -24,12 +24,13 @@ sha256 of the sorted JSON of all the rest.  It holds no paths (``--out``,
 from its default exits 2.  Checks on flag values run before the echo.
 Identical seeds produce byte-identical outputs.
 
-bench and recall tasks, blocks of active sessions, continual streams and
-blocks of riemann fields run in forked worker processes, one per CPU of the
-process's affinity mask; the rows come out in the same order and the same
-bytes as a serial run.  A comma list that names a method, strategy or head
-mode twice exits 2.  ``taskset -c 0 mahabench ...`` runs serially, which is also
-how to take a per-layer trace.  Without ``fork`` (or ``sched_getaffinity``)
+bench and recall tasks, blocks of active sessions, blocks of continual
+streams (``LOCKSTEP_BLOCK`` sessions or streams each) and blocks of riemann
+fields run in forked worker processes, one per CPU of the process's
+affinity mask; the rows come out in the same order and the same bytes as a
+serial run, whatever the block size.  A comma list that names a method,
+strategy or head mode twice exits 2.  ``taskset -c 0 mahabench ...`` runs
+serially, which is also how to take a per-layer trace.  Without ``fork`` (or ``sched_getaffinity``)
 every run is serial.  ``python -m mahabench`` and ``python -m
 mahabench.cli`` run the same command line as the ``mahabench`` script.
 
@@ -81,9 +82,11 @@ from .worlds import (
 
 CSV_SCHEMA_VERSION = "v1"
 
-# sessions per unit of an active run, stepped in lockstep under every
-# strategy; a curve's bits do not depend on it
-ACTIVE_BLOCK = 5
+# sessions of an active run, or streams of a continual run, per unit, stepped
+# in lockstep under every strategy; no output bit depends on it.  Blocks of 5
+# and 10 streams ran equally fast on two CPUs; one block of all 20 would
+# leave a worker idle.
+LOCKSTEP_BLOCK = 5
 
 # mallopt's parameter numbers in glibc's <malloc.h>
 M_TRIM_THRESHOLD = -1
@@ -418,13 +421,13 @@ def _cmd_active(args, defaults) -> int:
     echo = _echo(args, *unread, strategies=[s.value for s in strategies])
 
     def block_curves(block: int):
-        sids = range(block * ACTIVE_BLOCK, min(args.sessions, (block + 1) * ACTIVE_BLOCK))
+        sids = range(block * LOCKSTEP_BLOCK, min(args.sessions, (block + 1) * LOCKSTEP_BLOCK))
         sessions = [build_active_session(world, args.pool_per_class, args.test_per_class,
                                          args.budget, derive_seed(args.seed, "active", sid))
                     for sid in sids]
         return run_active_session(sessions, strategies, head)
 
-    blocks = ordered_map(block_curves, -(-args.sessions // ACTIVE_BLOCK))
+    blocks = ordered_map(block_curves, -(-args.sessions // LOCKSTEP_BLOCK))
     rows = [
         (sid, strategy.value, step, repr(float(acc)))
         for sid, session in enumerate(c for curves in blocks for c in curves)
@@ -461,13 +464,16 @@ def _cmd_continual(args, defaults) -> int:
                  head_modes=[m.value for m in modes], classes=domain.class_count)
     world = domain.build(args.seed)
 
-    def matrices(sid: int):
-        return run_continual_session(world, stream, strategies, head,
-                                     seed=derive_seed(args.seed, "continual", sid))
+    def block_matrices(block: int):
+        sids = range(block * LOCKSTEP_BLOCK, min(args.streams, (block + 1) * LOCKSTEP_BLOCK))
+        seeds = [derive_seed(args.seed, "continual", sid) for sid in sids]
+        return run_continual_session(world, stream, seeds, strategies, head)
 
+    blocks = ordered_map(block_matrices, -(-args.streams // LOCKSTEP_BLOCK))
+    sessions = [session for block in blocks for session in block]
     rows = [
         (sid, strategy.value, mode.value, step, task, repr(float(accs[step, task])))
-        for sid, session in enumerate(ordered_map(matrices, args.streams))
+        for sid, session in enumerate(sessions)
         for strategy in strategies
         for mode in modes
         for accs in (session[strategy, mode],)
@@ -477,10 +483,13 @@ def _cmd_continual(args, defaults) -> int:
     if args.out:
         _write_csv(args.out, echo,
                    ["session_id", "strategy", "head_mode", "step", "task", "accuracy"], rows)
+    # the rows' values in the rows' order: (step, task) row-major, and repr
+    # round-trips a float
+    lower = np.tril_indices(args.length)
     for strategy in strategies:
         for mode in modes:
-            key = (strategy.value, mode.value)
-            mean, half = bench_mod.mean_ci([float(r[5]) for r in rows if r[1:3] == key])
+            values = np.concatenate([session[strategy, mode][lower] for session in sessions])
+            mean, half = bench_mod.mean_ci(values)
             print(f"{strategy.value}/{mode.value}: mean acc {mean:.4f} +/- {half:.4f}")
     return 0
 

@@ -8,13 +8,20 @@ while saved class statistics keep the frame they were estimated in; a
 drifting working frame therefore invalidates old statistics, which is the
 forgetting mechanism under the moving strategy.
 
-A session draws one stream and runs every strategy on it.  Each strategy
-keeps its merged class memory as one ``heads.ClassStatistics`` with a row
-per world class: a class's row holds its statistics as first fitted, and
+``run_continual_session`` steps a block of streams, under every strategy,
+in lockstep.  Each stream is drawn once, from its own seed, and run under
+every strategy; each (stream, strategy) fit keeps its merged class memory
+as rows of one batched ``heads.ClassStatistics``, a row per world class:
+a class's row holds its statistics as first fitted, and
 ``merge_class_statistics`` combines old and new rows, weighted by their
-support counts, when a later task shows the class again.  Each step scores
-all queries seen so far once; both head modes are argmaxes of that one
-scoring.
+support counts, when a later task shows the class again.  At step t every
+fit of the block fits a task of the same shape, so one stacked fit
+(``methods.support_fits`` -> ``methods.fit_statistics``), one merge and
+one stacked scoring of all queries seen so far serve them all; both head
+modes are argmaxes of that one scoring.  Only the encoding update and the
+working frame run once per fit.  Every fit has the bits it would have on
+its own (the batch axis of ``heads``), so a matrix does not depend on which
+block, or how large a block, its stream ran in.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -56,12 +63,13 @@ def merge_class_statistics(old: ClassStatistics, new: ClassStatistics) -> ClassS
     Row k of the result merges row k of ``old`` and of ``new``: its mean
     and covariance are the count-weighted averages and its count the sum.
     The merged covariances are factored together in one ``from_moments``
-    call.
+    call.  Stacks with a leading batch axis merge fit by fit, and slice b
+    has the bits of merging slice b alone.
 
     Raises
     ------
     DimensionMismatch
-        If the stacks differ in class count or dimension.
+        If the stacks differ in batch, class count or dimension.
     EmptyClass
         If a row's count is not positive on either side.
     """
@@ -69,12 +77,13 @@ def merge_class_statistics(old: ClassStatistics, new: ClassStatistics) -> ClassS
         raise DimensionMismatch("merged stacks disagree on class count or dimension")
     empty = (old.counts <= 0) | (new.counts <= 0)
     if np.any(empty):
-        raise EmptyClass(int(np.argmax(empty)), "merge needs positive counts on both sides")
+        raise EmptyClass(int(np.argmax(empty)) % empty.shape[-1],
+                         "merge needs positive counts on both sides")
     total = old.counts + new.counts
-    w_new, w_old = new.counts / total, old.counts / total
+    w_new, w_old = (new.counts / total)[..., None], (old.counts / total)[..., None]
     return ClassStatistics.from_moments(
-        w_new[:, None] * new.means + w_old[:, None] * old.means,
-        w_new[:, None, None] * new.covariances + w_old[:, None, None] * old.covariances,
+        w_new * new.means + w_old * old.means,
+        w_new[..., None] * new.covariances + w_old[..., None] * old.covariances,
         total,
     )
 
@@ -140,50 +149,76 @@ def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> li
     return encodings
 
 
-def _store(memory: ClassStatistics, rows, stats: ClassStatistics) -> None:
-    """Write ``stats``' rows into ``memory``'s ``rows``, in place."""
+def _classes(memory: ClassStatistics, ids) -> ClassStatistics:
+    """Classes ``ids`` of every fit of a stack, as fresh C-ordered arrays:
+    the layout ``take`` gives one fit's classes."""
+    return ClassStatistics(*(np.take(getattr(memory, f.name), ids, axis=1)
+                             for f in fields(ClassStatistics)))
+
+
+def _store(memory: ClassStatistics, ids, stats: ClassStatistics) -> None:
+    """Write ``stats``' classes into classes ``ids`` of every fit of
+    ``memory``, in place."""
     for f in fields(ClassStatistics):
-        getattr(memory, f.name)[rows] = getattr(stats, f.name)
+        getattr(memory, f.name)[:, ids] = getattr(stats, f.name)
 
 
 def run_continual_session(
     world: ClusterWorld,
     stream: StreamConfig,
+    seeds,
     strategies,
     head: HeadConfig = HeadConfig(),
-    seed: int = 0,
     class_groups: list | None = None,
-) -> dict:
-    """Lower-triangular accuracy matrices of one continual stream, keyed by
-    ``(strategy, head_mode)`` for every strategy in ``strategies`` and both
+) -> list:
+    """Lower-triangular accuracy matrices of a block of continual streams:
+    one dict per seed in ``seeds``, in order, keyed by ``(strategy,
+    head_mode)`` for every strategy in ``strategies`` and both
     ``HeadMode``s.
 
     Entry (i, j) for j <= i is accuracy on task j's query set after the
     head has seen tasks 0..i; entries above the diagonal are NaN.  Class
     groups default to disjoint consecutive blocks of the world's classes;
-    given groups, one per task, must each name distinct world class ids.
-    Merging weights use the per-task support counts even when statistics
-    come from transductive refinement, so class counts always total the
-    support examples shown.
+    given groups, one per task, must each name distinct world class ids,
+    and every stream of the block uses them.  Merging weights use the
+    per-task support counts even when statistics come from transductive
+    refinement, so class counts always total the support examples shown.
 
-    The stream (task encodings, support and query rows) is drawn once for
-    every strategy.  Each strategy keeps a merged class memory: one
-    ``ClassStatistics`` with a row per world class, whose count stays 0
-    until the class is first seen.  Step t fits its group once, merges it
-    into the memory in place, and scores the stacked queries of tasks 0..t
-    once against a copy of every seen class.  Single-head labels are the
-    argmax over all columns, multi-head labels for task j the argmax over
-    group j's columns; both break ties toward the lowest class id.  A GMM
-    head's log(1/K) prior counts every seen class in both modes.
+    Stream s draws its task encodings, then its support and query rows,
+    from its own ``Rng(seeds[s])``, once for every strategy.  Fit f is
+    stream ``f // len(strategies)`` under strategy ``f % len(strategies)``,
+    with its own encoding state.  The block's merged class memory is one
+    ``ClassStatistics`` of shape ``(F, k, ...)``: a row per fit and world
+    class, whose count stays 0 until the class is first seen.  At step t
+    every fit has the same shape (the same class group, shot and query
+    count; only its working frame differs), so the step makes one stacked
+    fit of the ``(F, n, d)`` support rows with the ``(F, m_t, d)`` task
+    queries, one merge of every fit's revisited classes, and one stacked
+    scoring of the queries of tasks 0..t against a copy of every seen
+    class.  The seen classes are the same for every fit, because the fits
+    share the class groups.  Only ``update_encoding`` and the working
+    frame's ``apply`` run once per fit.  Single-head labels are the argmax
+    over all columns, multi-head labels for task j the argmax over group
+    j's columns; both break ties toward the lowest class id.  A GMM head's
+    log(1/K) prior counts every seen class in both modes.
+
+    Each slice of the stacked fit, merge and scoring has the bits of the
+    same call on that fit alone (the batch axis of ``heads``), so a
+    stream's matrices do not depend on which block, or how large a block,
+    it ran in, or where in the block it sat.
 
     Raises
     ------
     InvalidConfig
-        If ``class_groups`` does not hold one group per task, or a group
-        names a class twice or an id outside [0, world.class_count).
+        If there is no seed or no strategy, ``class_groups`` does not hold
+        one group per task, or a group names a class twice or an id
+        outside [0, world.class_count).
     NotEnoughClasses
         If the default groups need more classes than the world has.
     """
+    seeds, strategies = list(seeds), list(strategies)
+    if not seeds or not strategies:
+        raise InvalidConfig("a block needs at least one stream and one strategy")
     t_count = stream.num_tasks
     if class_groups is None:
         needed = t_count * stream.classes_per_task
@@ -201,53 +236,62 @@ def run_continual_session(
         if min(group) < 0 or max(group) >= world.class_count:
             raise InvalidConfig(f"class group {group} leaves [0, {world.class_count})")
 
-    rng = Rng(seed)
-    true_encodings = make_task_encodings(world.dims, t_count, stream.drift, rng)
-
-    # latent draws are fixed up front; frames are applied per step
-    raw_support, raw_query = [], []
-    for group in class_groups:
-        for raw, count in ((raw_support, stream.shot), (raw_query, stream.query_per_class)):
-            raw.append(np.vstack(draw_class_examples(world, group, [count] * len(group), rng)))
+    # latent draws are fixed up front, per stream; frames are applied per step
+    true_encodings, raw_support, queries = [], [], []
+    for seed in seeds:
+        rng = Rng(seed)
+        true_encodings.append(make_task_encodings(world.dims, t_count, stream.drift, rng))
+        draws = [np.vstack(draw_class_examples(world, group, [count] * len(group), rng))
+                 for group in class_groups for count in (stream.shot, stream.query_per_class)]
+        raw_support.append(draws[0::2])
+        queries.append(np.vstack(draws[1::2]))
     # task j's queries are rows starts[j]:ends[j]; in_group[i, c]: c is in row i's group
     k, d = world.class_count, world.dims
-    queries = np.vstack(raw_query)
     truth = np.repeat(np.concatenate(class_groups), stream.query_per_class)
-    sizes = np.array([len(q) for q in raw_query])
+    sizes = np.array([len(group) * stream.query_per_class for group in class_groups])
     ends = np.cumsum(sizes)
     starts = ends - sizes
     in_group = np.repeat([np.isin(np.arange(k), group) for group in class_groups], sizes, axis=0)
 
-    matrices = {}
-    for strategy in strategies:
-        state = ContinualState(strategy=strategy)
-        # a row per world class; a count of 0 marks a class not seen yet
-        memory = ClassStatistics(np.zeros((k, d)), np.zeros((k, d, d)), np.zeros(k),
-                                 np.zeros((k, d, d)), np.zeros((k, d, d)), np.zeros(k))
-        single = matrices[strategy, HeadMode.SINGLE_HEAD] = np.full((t_count, t_count), np.nan)
-        multi = matrices[strategy, HeadMode.MULTI_HEAD] = np.full((t_count, t_count), np.nan)
-        for t in range(t_count):
-            rows = np.array(class_groups[t])
-            working = update_encoding(state, true_encodings[t])
-            feats = working.apply(queries[:ends[t]])
-            local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)
-            start = support_fits([head], working.apply(raw_support[t]), local_y,
-                                 feats[starts[t]:])[0]
-            new = replace(fit_statistics(head, start).statistics,
-                          counts=np.full(len(rows), float(stream.shot)))
-            seen = memory.counts[rows] > 0
-            if seen.any():
-                merged = merge_class_statistics(memory.take(rows[seen]), new.take(seen))
-                _store(memory, rows[seen], merged)
-            _store(memory, rows[~seen], new.take(~seen))
+    # fit f is stream owner[f] under strategy f % len(strategies)
+    owner = np.repeat(np.arange(len(seeds)), len(strategies))
+    fits = owner.size
+    states = [ContinualState(strategy=strategies[f % len(strategies)]) for f in range(fits)]
+    # a row per fit and world class; a count of 0 marks a class not seen yet
+    memory = ClassStatistics(np.zeros((fits, k, d)), np.zeros((fits, k, d, d)),
+                             np.zeros((fits, k)), np.zeros((fits, k, d, d)),
+                             np.zeros((fits, k, d, d)), np.zeros((fits, k)))
+    single, multi = np.full((2, fits, t_count, t_count), np.nan)
+    for t, group in enumerate(class_groups):
+        rows = np.array(group)
+        working = [update_encoding(state, true_encodings[s][t]) for state, s in zip(states, owner)]
+        feats = np.stack([w.apply(queries[s][:ends[t]]) for w, s in zip(working, owner)])
+        support = np.stack([w.apply(raw_support[s][t]) for w, s in zip(working, owner)])
+        local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)
+        start = support_fits([head], support, np.broadcast_to(local_y, support.shape[:2]),
+                             feats[:, starts[t]:])[0]
+        new = replace(fit_statistics(head, start).statistics,
+                      counts=np.full((fits, len(rows)), float(stream.shot)))
+        # the group's positions seen before, and not: the same for every fit
+        seen = memory.counts[0, rows] > 0
+        again, first = np.flatnonzero(seen), np.flatnonzero(~seen)
+        if again.size:
+            merged = merge_class_statistics(_classes(memory, rows[again]), _classes(new, again))
+            _store(memory, rows[again], merged)
+        _store(memory, rows[first], _classes(new, first))
 
-            seen_ids = np.flatnonzero(memory.counts > 0)
-            values = scores(head, memory.take(seen_ids), feats)
-            # multi-head: -inf outside each row's group (exact unless all of it is -inf)
-            own = np.where(in_group[:ends[t], seen_ids], values, -np.inf)
-            for matrix, labels in ((single, np.argmax(values, axis=1)),
-                                   (multi, np.argmax(own, axis=1))):
-                hits = np.add.reduceat(seen_ids[labels] == truth[:ends[t]], starts[:t + 1],
-                                       dtype=np.intp)
-                matrix[t, :t + 1] = hits / sizes[:t + 1]
-    return matrices
+        seen_ids = np.flatnonzero(memory.counts[0] > 0)
+        values = scores(head, _classes(memory, seen_ids), feats)
+        # multi-head: -inf outside each row's group (exact unless all of it is -inf)
+        own = np.where(in_group[:ends[t], seen_ids], values, -np.inf)
+        for matrix, labels in ((single, np.argmax(values, axis=-1)),
+                               (multi, np.argmax(own, axis=-1))):
+            hits = np.add.reduceat(seen_ids[labels] == truth[:ends[t]], starts[:t + 1],
+                                   axis=-1, dtype=np.intp)
+            matrix[:, t, :t + 1] = hits / sizes[:t + 1]
+    by_mode = {HeadMode.SINGLE_HEAD: single, HeadMode.MULTI_HEAD: multi}
+    return [
+        {(strategy, mode): matrix[s * len(strategies) + a]
+         for a, strategy in enumerate(strategies) for mode, matrix in by_mode.items()}
+        for s in range(len(seeds))
+    ]

@@ -37,15 +37,15 @@ The batch axis.  ``SupportLayout``, ``QuerySet``, ``class_statistics``,
 ``ClassStatistics``, ``class_scores`` (every metric) and ``softmax`` also
 take a leading batch axis: B fits with the same class count, support size
 and query count, estimated, factored and scored in one call each
-(``active`` steps a block of sessions this way).  Slice b of every result
-has the bits of the unbatched call on slice b.  Each support set's padded
-class Gram is still built on its own and only then stacked, because a
-common padding would change the GEMM's inner dimension; after that, every
-stacked ``np.matmul`` makes one BLAS call per slice with that slice's
-shape, elementwise operations and last-axis reductions act per element or
-per row, and the reductions over the class axis add the classes in the
-same order either way (``tests/test_batch_axis.py`` checks all of this bit
-for bit).  Without the axis, every call is the unbatched call it always
+(``active`` steps a block of sessions, and ``continual`` a block of
+streams, this way).  Slice b of every result has the bits of the unbatched
+call on slice b.  Each support set's padded class Gram is still built on
+its own and only then stacked, because a common padding would change the
+GEMM's inner dimension; after that, every stacked ``np.matmul`` makes one
+BLAS call per slice with that slice's shape, elementwise operations and
+last-axis reductions act per element or per row, and the reductions over
+the class axis add the classes in the same order either way
+(``tests/test_batch_axis.py`` checks all of this bit for bit).  Without the axis, every call is the unbatched call it always
 was: the same numpy work on the same shapes.
 """
 
@@ -130,10 +130,11 @@ class ClassStatistics:
     degenerate); ``covariances`` already include it.  Instances are not
     rebound and are safe to share across threads.  Their arrays are
     written in one place only: ``continual.run_continual_session`` keeps
-    one merged class memory per strategy, an instance with a row per world
-    class, and assigns rows of it in place; that instance never leaves the
-    session, whose every step scores one fresh copy of its seen rows
-    (``take``) for both head modes.
+    the merged class memory of a block of streams as one batched
+    instance, ``(F, k, ...)`` with a row per (stream, strategy) fit and
+    world class, and assigns classes of it in place, the same classes in
+    every fit; that instance never leaves the call, whose every step scores
+    one fresh copy of every fit's seen classes for both head modes.
 
     With a leading batch axis, the statistics of B fits of the same shape:
     ``(B, K, d)`` means, ``(B, K)`` counts and so on.

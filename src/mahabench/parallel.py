@@ -3,12 +3,12 @@
 ``ordered_map(fn, count)`` returns ``[fn(0), ..., fn(count - 1)]``.  Each
 unit must depend only on its index and on state that exists before the
 call (a world, a task list, a head), which is how the benchmark, active and
-continual loops seed their tasks, sessions and streams.  An active unit is
-a block of whole sessions (``cli.ACTIVE_BLOCK`` of them), stepped in
-lockstep under every strategy; a session's curves do not depend on the
-block it ran in.  The result is then
-the same list, in the same order, whether the units run in this process or
-in workers.
+continual loops seed their tasks, sessions and streams.  An active or a
+continual unit is a block of whole sessions or streams
+(``cli.LOCKSTEP_BLOCK`` of them), stepped in lockstep under every strategy;
+a session's curves and a stream's matrices do not depend on the block they
+ran in.  The result is then the same list, in the same order, whether the
+units run in this process or in workers.
 
 Workers are forked, one per CPU in the process's affinity mask and never
 more than there are units, so they inherit ``fn`` and everything it closes

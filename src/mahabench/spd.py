@@ -259,7 +259,8 @@ def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     if a.ndim not in (3, 4) or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatch(f"expected a (K, d, d) or (B, K, d, d) stack, got shape {a.shape}")
     d = a.shape[-1]
-    sym = a + a.swapaxes(-1, -2)
+    # C order whatever ``a``'s layout, so that the flat views below are views
+    sym = np.add(a, a.swapaxes(-1, -2), order="C")
     sym /= 2.0
     # LAPACK's Cholesky reports success on NaN input, so a NaN factor would
     # pass through

@@ -52,32 +52,42 @@ class TestAcquisitionScores:
             acquisition_scores(np.array([[0.5, 0.5]]), RANDOM)
 
 
+def open_rows(probs, acquired):
+    """``select_next``'s arguments for a pool: its unacquired rows and their
+    indices."""
+    open_idx = np.flatnonzero(~np.asarray(acquired, dtype=bool))
+    return np.asarray(probs)[open_idx], open_idx
+
+
 class TestSelectNext:
     def test_argmax_selection(self):
         probs = np.array([[0.95, 0.05], [0.7, 0.3]])
-        assert select_next(probs, ENTROPY, [False, False], Rng(0)) == 1
+        assert select_next(*open_rows(probs, [False, False]), ENTROPY, Rng(0)) == 1
 
     def test_tie_breaks_to_lowest_index(self):
         probs = np.array([[0.7, 0.3], [0.7, 0.3]])
-        assert select_next(probs, ENTROPY, [False, False], Rng(0)) == 0
+        assert select_next(*open_rows(probs, [False, False]), ENTROPY, Rng(0)) == 0
 
     def test_acquired_indices_skipped(self):
         probs = np.array([[0.5, 0.5], [0.9, 0.1], [0.8, 0.2]])
-        assert select_next(probs, ENTROPY, [True, False, False], Rng(0)) == 2
+        assert select_next(*open_rows(probs, [True, False, False]), ENTROPY, Rng(0)) == 2
 
     def test_random_reproducible(self):
         probs = np.full((6, 2), 0.5)
-        picks_a = [select_next(probs, RANDOM, np.zeros(6, bool), Rng(4)) for _ in range(5)]
-        picks_b = [select_next(probs, RANDOM, np.zeros(6, bool), Rng(4)) for _ in range(5)]
+        picks_a = [select_next(*open_rows(probs, np.zeros(6, bool)), RANDOM, Rng(4))
+                   for _ in range(5)]
+        picks_b = [select_next(*open_rows(probs, np.zeros(6, bool)), RANDOM, Rng(4))
+                   for _ in range(5)]
         assert picks_a == picks_b
 
     def test_pool_exhausted(self):
         with pytest.raises(PoolExhausted):
-            select_next(np.full((2, 2), 0.5), ENTROPY, [True, True], Rng(0))
+            select_next(*open_rows(np.full((2, 2), 0.5), [True, True]), ENTROPY, Rng(0))
 
     def test_mask_must_cover_the_pool(self):
+        # the indices must name one pool example per probability row
         with pytest.raises(DimensionMismatch):
-            select_next(np.full((3, 2), 0.5), ENTROPY, [False, False], Rng(0))
+            select_next(np.full((3, 2), 0.5), np.arange(2), ENTROPY, Rng(0))
 
 
 def toy_session(budget=3, seed=0):
@@ -118,9 +128,7 @@ def reference_session(session, strategy, head):
         curve[t] = float(np.mean(test_pred == session.test_y))
         if t == session.budget:
             break
-        full_probs = np.zeros((pool_size, fit.statistics.class_count))
-        full_probs[open_idx] = fit.query_probs
-        choice = select_next(full_probs, strategy, taken, rng)
+        choice = select_next(fit.query_probs, open_idx, strategy, rng)
         acquired.append(choice)
         taken[choice] = True
     return curve, acquired
@@ -242,7 +250,7 @@ ACTIVE_ARGV = ["active", "--sessions", "5", "--budget", "6", "--classes", "5",
 def test_active_bytes_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
     digests = set()
     for size in (1, 2, 3, 5, 7):
-        monkeypatch.setattr(cli, "ACTIVE_BLOCK", size)
+        monkeypatch.setattr(cli, "LOCKSTEP_BLOCK", size)
         out = tmp_path / f"block-{size}.csv"
         assert cli.cli_main([*ACTIVE_ARGV, "--out", str(out)]) == 0
         digests.add((out.read_bytes(), capsys.readouterr().out))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahabench import gmm, spd
+from mahabench.continual import merge_class_statistics
 from mahabench.heads import (
     ClassStatistics,
     MetricKind,
@@ -209,3 +210,35 @@ def test_statistics_concatenate_and_take_along_the_batch():
     order = np.array([2, 0, 3, 1])
     joined = ClassStatistics.concatenate([stats.take(order[:1]), stats.take(order[1:])])
     assert same_fields(joined, [stats.take(b) for b in order])
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=tasks, picks=st.data())
+def test_merge_matches_each_slice(task, picks):
+    # continual merges the revisited classes of a block of fits, picked from
+    # its memory along the class axis; each slice merges as that fit alone
+    features, labels, query_rows = task_stack(**task)
+    k = task["classes"]
+    layout = SupportLayout.build(features, labels)
+    old = class_statistics(layout, query_rows, np.zeros(query_rows.shape[:2] + (k,)), 1.0)
+    weights = softmax(Rng(task["seed"] ^ 7).normal(query_rows.shape[:2] + (k,)))
+    new = class_statistics(layout, query_rows, weights, 0.5)
+    ids = np.array(picks.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k,
+                                       unique=True)))
+    pick = [ClassStatistics(*(getattr(stats, f.name)[:, ids] for f in fields(stats)))
+            for stats in (old, new)]
+    merged = merge_class_statistics(*pick)
+    assert same_fields(merged, [merge_class_statistics(old.take(b).take(ids),
+                                                       new.take(b).take(ids))
+                                for b in range(task["batch"])])
+
+
+def test_factor_stack_does_not_depend_on_the_layout():
+    # a stack picked along its class axis is laid out class-major; its
+    # factors and inverses are still those of the same stack in C order
+    rng = Rng(11)
+    a = rng.normal((3, 4, 5, 3))
+    covs = (a.swapaxes(-1, -2) @ a + 0.1 * np.eye(3))[:, [2, 0, 3]]
+    assert not covs.flags.c_contiguous
+    for whole, part in zip(spd.factor_stack(covs), spd.factor_stack(covs.copy())):
+        assert same_bits(whole, part)

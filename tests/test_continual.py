@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtri
 
-from mahabench import continual
+from mahabench import cli, continual, parallel
 from mahabench.continual import (
     ContinualState,
     EncodingStrategy,
@@ -21,7 +21,9 @@ from mahabench.continual import (
 )
 from mahabench.errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses
 from mahabench.heads import ClassStatistics, SupportLayout, estimate_class_statistics
-from mahabench.methods import HeadConfig, fit_statistics, predict, predict_labels, support_fits
+from mahabench.methods import (HeadConfig, fit_statistics, predict, predict_labels, scores,
+                               support_fits)
+from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 from mahabench.spd import cholesky, ensure_pd
 from mahabench.worlds import EncodingTransform, draw_class_examples, make_cluster_world
@@ -262,11 +264,16 @@ def reference_matrix(world, stream, strategy, mode, head, seed, groups):
     return matrix
 
 
+def one_stream(world, stream, strategies, head=HeadConfig(), seed=0, class_groups=None):
+    """The matrices of the one stream drawn from ``seed``, run as a block of one."""
+    return run_continual_session(world, stream, [seed], strategies, head, class_groups)[0]
+
+
 class TestRunContinualSession:
     def test_single_task_matrix_matches_plain_accuracy(self):
         world = small_world()
         stream = StreamConfig(num_tasks=1, classes_per_task=3, shot=8, drift=0.0)
-        matrix = run_continual_session(world, stream, [EncodingStrategy.MOVING], seed=5)[
+        matrix = one_stream(world, stream, [EncodingStrategy.MOVING], seed=5)[
             EncodingStrategy.MOVING, HeadMode.MULTI_HEAD]
         assert matrix.shape == (1, 1)
         assert 0.0 <= matrix[0, 0] <= 1.0
@@ -289,7 +296,7 @@ class TestRunContinualSession:
         # statistics never change, so its accuracy row is constant
         world = small_world()
         stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=6, drift=0.0)
-        matrix = run_continual_session(world, stream, [EncodingStrategy.FIRST], seed=3)[
+        matrix = one_stream(world, stream, [EncodingStrategy.FIRST], seed=3)[
             EncodingStrategy.FIRST, HeadMode.MULTI_HEAD]
         for j in range(4):
             col = matrix[j:, j]
@@ -303,7 +310,7 @@ class TestRunContinualSession:
         stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=6, drift=1.0)
         first_final, moving_final = [], []
         for seed in range(8):
-            session = run_continual_session(
+            session = one_stream(
                 world, stream, [EncodingStrategy.FIRST, EncodingStrategy.MOVING], seed=seed
             )
             first_final.append(session[EncodingStrategy.FIRST, HeadMode.SINGLE_HEAD][3, 0])
@@ -315,7 +322,7 @@ class TestRunContinualSession:
         stream = StreamConfig(num_tasks=5, classes_per_task=2, shot=10, drift=1.0)
         drops = []
         for seed in range(10):
-            matrix = run_continual_session(world, stream, [EncodingStrategy.MOVING], seed=seed)[
+            matrix = one_stream(world, stream, [EncodingStrategy.MOVING], seed=seed)[
                 EncodingStrategy.MOVING, HeadMode.SINGLE_HEAD]
             drops.append(matrix[0, 0] - matrix[4, 0])
         assert np.mean(drops) > 0.2
@@ -324,7 +331,7 @@ class TestRunContinualSession:
         world = small_world()
         stream = StreamConfig(num_tasks=3, classes_per_task=2, shot=7, drift=0.5)
         groups = [[0, 1], [2, 3], [0, 1]]  # classes 0/1 appear twice
-        matrix = run_continual_session(
+        matrix = one_stream(
             world, stream, [EncodingStrategy.FIRST], seed=1, class_groups=groups,
         )[EncodingStrategy.FIRST, HeadMode.MULTI_HEAD]
         assert matrix.shape == (3, 3)
@@ -348,7 +355,7 @@ class TestRunContinualSession:
         groups = [[0, 1], [1, 2], [0, 2], [3, 0], [1, 3]]
         digest = hashlib.sha256()
         for seed in range(3):
-            matrix = run_continual_session(world, stream, [EncodingStrategy.FIRST],
+            matrix = one_stream(world, stream, [EncodingStrategy.FIRST],
                                            seed=seed, class_groups=groups)[
                 EncodingStrategy.FIRST, mode]
             digest.update(matrix.tobytes())
@@ -373,7 +380,7 @@ class TestRunContinualSession:
         stream = StreamConfig(num_tasks=len(groups), classes_per_task=1, shot=shot,
                               query_per_class=query, drift=drift)
         head = HeadConfig(gmm=gmm)
-        session = run_continual_session(world, stream, list(EncodingStrategy), head,
+        session = one_stream(world, stream, list(EncodingStrategy), head,
                                         seed=seed, class_groups=groups)
         assert set(session) == set(itertools.product(EncodingStrategy, HeadMode))
         for (strategy, mode), matrix in session.items():
@@ -391,7 +398,7 @@ class TestRunContinualSession:
     def test_bad_class_groups_are_config_errors(self, groups):
         stream = StreamConfig(num_tasks=2, classes_per_task=2, shot=2)
         with pytest.raises(InvalidConfig):
-            run_continual_session(small_world(), stream, [EncodingStrategy.FIRST],
+            one_stream(small_world(), stream, [EncodingStrategy.FIRST],
                                   class_groups=groups)
 
     @pytest.mark.parametrize("mode", list(HeadMode))
@@ -405,7 +412,7 @@ class TestRunContinualSession:
         monkeypatch.setattr(continual, "merge_class_statistics",
                             lambda old, new: merges.append(1))
         stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=3)
-        session = run_continual_session(small_world(), stream, [EncodingStrategy.MOVING], seed=0)
+        session = one_stream(small_world(), stream, [EncodingStrategy.MOVING], seed=0)
         assert (len(factored), len(merges)) == (4, 0)
         assert session[EncodingStrategy.MOVING, mode].shape == (4, 4)
 
@@ -413,14 +420,14 @@ class TestRunContinualSession:
         world = small_world(classes=4)
         stream = StreamConfig(num_tasks=3, classes_per_task=2, shot=5)
         with pytest.raises(NotEnoughClasses):
-            run_continual_session(world, stream, [EncodingStrategy.FIRST], seed=0)
+            one_stream(world, stream, [EncodingStrategy.FIRST], seed=0)
 
     def test_multi_head_at_least_single_head_on_average(self):
         world = small_world()
         stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=8, drift=0.5)
         multi, single = [], []
         for seed in range(8):
-            session = run_continual_session(world, stream, [EncodingStrategy.AVERAGING],
+            session = one_stream(world, stream, [EncodingStrategy.AVERAGING],
                                             seed=seed)
             multi.append(np.nanmean(session[EncodingStrategy.AVERAGING, HeadMode.MULTI_HEAD]))
             single.append(np.nanmean(session[EncodingStrategy.AVERAGING, HeadMode.SINGLE_HEAD]))
@@ -432,8 +439,130 @@ class TestRunContinualSession:
         world = small_world()
         stream = StreamConfig(num_tasks=2, classes_per_task=2, shot=4, drift=0.3)
         head = HeadConfig(refine=RefineConfig(min_steps=2, max_steps=4))
-        matrix = run_continual_session(
+        matrix = one_stream(
             world, stream, [EncodingStrategy.AVERAGING], head, seed=2,
         )[EncodingStrategy.AVERAGING, HeadMode.SINGLE_HEAD]
         assert matrix.shape == (2, 2)
         assert not np.isnan(matrix[1, 1])
+
+
+def reference_session(world, stream, strategies, head, seed, groups):
+    """One stream run on its own, one unbatched fit and one unbatched
+    scoring per (strategy, step): the loop ``run_continual_session`` ran
+    before it stepped a block of streams in lockstep.  Returns the stream's
+    matrices, keyed as the block's are."""
+    rng = Rng(seed)
+    true_encodings = make_task_encodings(world.dims, len(groups), stream.drift, rng)
+    raw_support, raw_query = [], []
+    for group in groups:
+        for raw, count in ((raw_support, stream.shot), (raw_query, stream.query_per_class)):
+            raw.append(np.vstack(draw_class_examples(world, group, [count] * len(group), rng)))
+    k, d, t_count = world.class_count, world.dims, len(groups)
+    queries = np.vstack(raw_query)
+    truth = np.repeat(np.concatenate(groups), stream.query_per_class)
+    sizes = np.array([len(q) for q in raw_query])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    in_group = np.repeat([np.isin(np.arange(k), group) for group in groups], sizes, axis=0)
+
+    def store(memory, rows, stats):
+        for f in fields(ClassStatistics):
+            getattr(memory, f.name)[rows] = getattr(stats, f.name)
+
+    matrices = {}
+    for strategy in strategies:
+        state = ContinualState(strategy=strategy)
+        memory = ClassStatistics(np.zeros((k, d)), np.zeros((k, d, d)), np.zeros(k),
+                                 np.zeros((k, d, d)), np.zeros((k, d, d)), np.zeros(k))
+        single = matrices[strategy, HeadMode.SINGLE_HEAD] = np.full((t_count, t_count), np.nan)
+        multi = matrices[strategy, HeadMode.MULTI_HEAD] = np.full((t_count, t_count), np.nan)
+        for t in range(t_count):
+            rows = np.array(groups[t])
+            working = update_encoding(state, true_encodings[t])
+            feats = working.apply(queries[:ends[t]])
+            local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)
+            start = support_fits([head], working.apply(raw_support[t]), local_y,
+                                 feats[starts[t]:])[0]
+            new = replace(fit_statistics(head, start).statistics,
+                          counts=np.full(len(rows), float(stream.shot)))
+            seen = memory.counts[rows] > 0
+            if seen.any():
+                store(memory, rows[seen],
+                      merge_class_statistics(memory.take(rows[seen]), new.take(seen)))
+            store(memory, rows[~seen], new.take(~seen))
+            seen_ids = np.flatnonzero(memory.counts > 0)
+            values = scores(head, memory.take(seen_ids), feats)
+            own = np.where(in_group[:ends[t], seen_ids], values, -np.inf)
+            for matrix, labels in ((single, np.argmax(values, axis=1)),
+                                   (multi, np.argmax(own, axis=1))):
+                hits = np.add.reduceat(seen_ids[labels] == truth[:ends[t]], starts[:t + 1],
+                                       dtype=np.intp)
+                matrix[t, :t + 1] = hits / sizes[:t + 1]
+    return matrices
+
+
+HEADS = {
+    "simple": HeadConfig(),
+    "transductive": HeadConfig(refine=RefineConfig()),
+    "gmm-em": HeadConfig(gmm=True, refine=RefineConfig()),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    head=st.sampled_from(sorted(HEADS)),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    order=st.permutations(list(EncodingStrategy)),
+    strategy_count=st.integers(1, 3),
+    # None: the default disjoint groups; else groups that revisit classes at random
+    groups=st.one_of(
+        st.none(),
+        st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+                 min_size=1, max_size=4)),
+    tasks=st.integers(1, 3),
+    shot=st.integers(1, 3),
+    query=st.integers(1, 3),
+    drift=st.sampled_from([0.0, 0.5, 1.5]),
+)
+def test_lockstep_block_matches_each_stream_run_alone(head, seeds, order, strategy_count,
+                                                      groups, tasks, shot, query, drift):
+    # a block of streams under several strategies gives, for each (stream,
+    # strategy, head mode), the matrix of that stream run on its own, bit
+    # for bit, wherever the stream sits in the block
+    world = make_cluster_world(3, 6, 4.0, rng_seed=1, mean_radius=1.5, scale_range=(0.5, 2.0))
+    stream = StreamConfig(num_tasks=len(groups) if groups else tasks, classes_per_task=2,
+                          shot=shot, query_per_class=query, drift=drift)
+    strategies = order[:strategy_count]
+    block = run_continual_session(world, stream, seeds, strategies, HEADS[head], groups)
+    assert len(block) == len(seeds)
+    default = [[2 * t, 2 * t + 1] for t in range(tasks)]
+    for seed, matrices in zip(seeds, block):
+        expected = reference_session(world, stream, strategies, HEADS[head], seed,
+                                     groups or default)
+        assert list(matrices) == list(expected)
+        for key, matrix in expected.items():
+            assert matrices[key].tobytes() == matrix.tobytes(), key
+
+
+def test_an_empty_block_is_a_config_error():
+    stream = StreamConfig(num_tasks=2, classes_per_task=2, shot=2)
+    with pytest.raises(InvalidConfig):
+        run_continual_session(small_world(), stream, [], [EncodingStrategy.FIRST])
+    with pytest.raises(InvalidConfig):
+        run_continual_session(small_world(), stream, [0, 1], [])
+
+
+CONTINUAL_ARGV = ["continual", "--streams", "7", "--length", "4", "--shot", "3", "--query", "3",
+                  "--dims", "3", "--method", "transductive"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_continual_bytes_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(parallel, "_worker_count", lambda count: min(workers, count))
+    digests = set()
+    for size in (1, 3, 20):
+        monkeypatch.setattr(cli, "LOCKSTEP_BLOCK", size)
+        out = tmp_path / f"block-{size}.csv"
+        assert cli.cli_main([*CONTINUAL_ARGV, "--out", str(out)]) == 0
+        digests.add((out.read_bytes(), capsys.readouterr().out))
+    assert len(digests) == 1
