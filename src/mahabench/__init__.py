@@ -98,7 +98,6 @@ from .spd import (
     ensure_pd,
     factor_stack,
     logdet,
-    solve_spd,
 )
 from .worlds import (
     ClusterWorld,

@@ -71,7 +71,7 @@ from .errors import InvalidConfig, MahabenchError
 from .methods import parse_method
 from .parallel import ordered_map
 from .refine import RefineConfig
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, derive_seeds
 from .worlds import (
     SamplerConfig,
     SamplerMode,
@@ -516,16 +516,16 @@ def _cmd_riemann(args, defaults) -> int:
     size = riemann_mod.block_size(args.dims, args.quadrature, args.points_per_field)
 
     def block_rows(block: int) -> list:
-        seeds = [derive_seed(args.seed, "riemann", fid)
-                 for fid in range(block * size, min(args.fields, (block + 1) * size))]
-        field = riemann_mod.make_two_centroid_field(np.array(seeds, dtype=np.uint64), **settings)
-        rng = Rng(np.array([derive_seed(s, "points") for s in seeds], dtype=np.uint64))
+        seeds = derive_seeds(args.seed, "riemann",
+                             np.arange(block * size, min(args.fields, (block + 1) * size)))
+        field = riemann_mod.make_two_centroid_field(seeds, **settings)
+        rng = Rng(derive_seeds(seeds, "points"))
         checks = []  # per point, the check's three columns as lists of reprs
         for _p in range(args.points_per_field):
             x = riemann_mod.sample_plateau_point(field, 0, rng)
             check = riemann_mod.energy_gap_check(field, x, 0, 1, args.quadrature)
             checks.append([list(map(repr, column.tolist())) for column in check])
-        return [(seed, "0-1", *(c[f] for c in point)) for f, seed in enumerate(seeds)
+        return [(seed, "0-1", *(c[f] for c in point)) for f, seed in enumerate(seeds.tolist())
                 for point in checks]
 
     blocks = ordered_map(block_rows, -(-args.fields // size))

@@ -39,14 +39,15 @@ take a leading batch axis: B fits with the same class count, support size
 and query count, estimated, factored and scored in one call each
 (``active`` steps a block of sessions, and ``continual`` a block of
 streams, this way).  Slice b of every result has the bits of the unbatched
-call on slice b.  Each support set's padded class Gram is still built on
-its own and only then stacked, because a common padding would change the
-GEMM's inner dimension; after that, every stacked ``np.matmul`` makes one
-BLAS call per slice with that slice's shape, elementwise operations and
-last-axis reductions act per element or per row, and the reductions over
-the class axis add the classes in the same order either way
-(``tests/test_batch_axis.py`` checks all of this bit for bit).  Without the axis, every call is the unbatched call it always
-was: the same numpy work on the same shapes.
+call on slice b.  A stack's support sets are grouped in one pass, but each
+one's class Gram is padded to its own largest class: slices padded alike
+share one stacked product, because a common padding would change the
+GEMM's inner dimension.  Every stacked ``np.matmul`` makes one BLAS call
+per slice with that slice's shape, elementwise operations and last-axis
+reductions act per element or per row, and the reductions over the class
+axis add the classes in the same order either way
+(``tests/test_batch_axis.py`` checks all of this bit for bit).  Without
+the axis, a call keeps the bits it always had.
 """
 
 import math
@@ -95,13 +96,6 @@ def _packed_products(x: np.ndarray) -> np.ndarray:
         np.multiply(x[..., i : i + 1], x[..., i:], out=out[..., start : start + d - i])
         start += d - i
     return out
-
-
-def _joined(cls, parts, join=np.stack):
-    """An instance of the dataclass ``cls`` whose every array joins those of
-    ``parts``: stacked on a new leading batch axis, or with
-    ``np.concatenate`` along the existing one."""
-    return cls(*(join([getattr(part, f.name) for part in parts]) for f in fields(cls) if f.init))
 
 
 def _taken(instance, index):
@@ -163,7 +157,8 @@ class ClassStatistics:
     @classmethod
     def concatenate(cls, parts) -> "ClassStatistics":
         """The fits of several batched stacks, in order, as one stack."""
-        return _joined(cls, parts, np.concatenate)
+        return cls(*(np.concatenate([getattr(part, f.name) for part in parts])
+                     for f in fields(cls) if f.init))
 
     @classmethod
     def from_moments(cls, means, covariances, counts) -> "ClassStatistics":
@@ -242,9 +237,8 @@ class SupportLayout:
         check on it runs here, once per support set.  ``K`` is
         ``num_classes``, or the largest label plus one when omitted.
         ``(B, n, d)`` features with ``(B, n)`` labels give a stack of B
-        layouts with a common K: each support set is checked and grouped on
-        its own, with the padding its own classes need, and the results are
-        stacked.
+        layouts with a common K, checked and grouped in one pass; each
+        slice has the bits of its own unbatched layout.
 
         Raises
         ------
@@ -266,32 +260,49 @@ class SupportLayout:
             raise DimensionMismatch("labels and features disagree on n")
         if support_x.shape[-2] == 0:
             raise EmptyClass(0, "support set is empty")
+        *batch, n, d = support_x.shape
+        if batch == [0]:
+            raise DimensionMismatch("a stack of support sets must hold at least one")
         k_count = int(num_classes) if num_classes is not None else int(support_y.max()) + 1
-        if support_x.ndim == 3:
-            if support_x.shape[0] == 0:
-                raise DimensionMismatch("a stack of support sets must hold at least one")
-            return _joined(cls, [cls.build(x, y, k_count) for x, y in zip(support_x, support_y)])
         if np.any(support_y < 0) or np.any(support_y >= k_count):
             raise LabelOutOfRange(f"support label outside [0, {k_count})")
         _require_finite(support_x, "support features")
-        n, d = support_x.shape
-        n_k = np.bincount(support_y, minlength=k_count)
-        center = support_x.sum(axis=0) / n
+        xs, ys = support_x.reshape(-1, n, d), support_y.reshape(-1, n)
+        b_count = len(xs)
+        # with slice b's labels offset by b K, one bincount and one stable
+        # argsort group the rows of every slice by class
+        key = (ys + k_count * np.arange(b_count)[:, None]).ravel()
+        n_k = np.bincount(key, minlength=b_count * k_count)
+        slot = np.empty(b_count * n, dtype=np.intp)
+        slot[np.argsort(key, kind="stable")] = (
+            np.arange(b_count * n) - np.repeat(np.cumsum(n_k) - n_k, n_k))
+        n_k, slot = n_k.reshape(b_count, k_count), slot.reshape(b_count, n)
+        center = xs.sum(axis=1) / n
+        shifted = xs - center[:, None, :]
+        sums = np.empty((b_count, k_count, d))
+        moments = np.empty((b_count, k_count, d * (d + 1) // 2))
         # class k's shifted rows fill the first n_k rows of a zero-padded
-        # (K, max n_k, d) block, whose Gram matrices are the class moments
-        order = np.argsort(support_y, kind="stable")
-        slot = np.empty(n, dtype=np.intp)
-        slot[order] = np.arange(n) - np.repeat(np.cumsum(n_k) - n_k, n_k)
-        block = np.zeros((k_count, int(n_k.max()), d))
-        block[support_y, slot] = support_x - center
-        gram = (block.transpose(0, 2, 1) @ block).reshape(k_count, d * d)
+        # (K, max n_k, d) block per slice, whose Gram matrices are the class
+        # moments; slices padded to the same length share one stacked
+        # product, so every BLAS call has the shape it has for one slice
+        longest = n_k.max(axis=1)
+        lengths = set(longest.tolist())
+        for m in lengths:
+            # views, not copies, when every slice has the same padding
+            group = np.flatnonzero(longest == m) if len(lengths) > 1 else slice(None)
+            rows = ys[group]
+            block = np.zeros((len(rows), k_count, m, d))
+            block[np.arange(len(rows))[:, None], rows, slot[group]] = shifted[group]
+            gram = (block.swapaxes(-1, -2) @ block).reshape(len(rows), k_count, d * d)
+            sums[group] = block.sum(axis=2)
+            moments[group] = np.take(gram, _packing(d)[2], axis=-1)
         return cls(
             features=support_x,
             labels=support_y,
-            class_sizes=n_k,
-            center=center,
-            class_sums=block.sum(axis=1),
-            class_moments=np.take(gram, _packing(d)[2], axis=1),
+            class_sizes=n_k.reshape(*batch, k_count),
+            center=center.reshape(*batch, d),
+            class_sums=sums.reshape(*batch, k_count, d),
+            class_moments=moments.reshape(*batch, k_count, -1),
         )
 
 

@@ -11,18 +11,21 @@ energy-gap approximation (1/2)(maha_i - maha_j).
 Fields come in blocks: F fields have centroids (F, K, d), precisions
 (F, K, d, d) and radii (F, K), one point each, (F, d), and results (F,).
 A field without the leading axis (an int seed, or arrays built by hand) is
-a block of one on the same code path, with float results.  Draws, norms,
-QR, covariance products, radii, checks, crossings, distances and weights
-are array expressions over the block; its paths' ragged quadrature grids
-are one node array, path p owning nodes offsets[p]:offsets[p + 1].
+a block of one on the same code path, with float results.  Everything is
+an array expression over the block: the block's covariances are factored
+by one ``spd.factor_stack`` call, and its paths' ragged quadrature grids
+are one node array, path p owning nodes offsets[p]:offsets[p + 1], mixed
+in ``(K, nodes)`` columns and summed per path by one ``np.add.reduceat``.
 
-Each covariance's Cholesky factor and solve, and per path the einsum
-q_k = delta^T P_k delta, the (n, K) @ (K,) weight mix, the weights @
-values sum and the Mahalanobis terms, stay one BLAS or LAPACK call each:
-their summation order follows the shape they are handed, so a stacked call
-would move a result's last bits with its block.  Python's float ``**`` in
-``sample_plateau_point`` stays too; numpy's vectorized power rounds
-differently.
+A field's results do not depend on its block.  Every sum runs over the
+last, contiguous axis of an elementwise product (``_quadratic_forms``,
+``_unit``) or over K in index order (``functools.reduce``), so it adds the
+same numbers in the same order whatever the block; the QR, the covariance
+products and the factorizations are stacked LAPACK and BLAS calls, one per
+matrix, with that matrix's shape.  A stacked ``np.einsum`` over fields
+would not be: its loop order follows the block's shape.  Python's float
+``**`` in ``sample_plateau_point`` stays too; numpy's vectorized power
+rounds differently.
 """
 
 from dataclasses import dataclass
@@ -72,24 +75,17 @@ class PartitionOfUnity:
         object.__setattr__(self, "support_radius", sup)
         object.__setattr__(self, "plateau_radius", flat)
 
-    def weights_at(self, dist: np.ndarray, rows_per_field=1) -> np.ndarray:
-        """(m, K) partition weights from the (m, K) distances to each centroid;
-        in a block, the rows of ``dist`` run field by field, rows_per_field[f]
-        of them for field f."""
-        # the arithmetic runs on (K, m) columns, each step one long loop over
-        # m; sums over K run in index order, as numpy's do below 8 terms
-        k = dist.shape[1]
-        cols = np.ascontiguousarray(dist.T)
-        flat = np.repeat(self.plateau_radius.reshape(-1, k).T, rows_per_field, axis=1)
-        width = np.repeat((self.support_radius - self.plateau_radius).reshape(-1, k).T,
-                          rows_per_field, axis=1)
-        s = np.clip((cols - flat) / width, 0.0, 1.0)
-        raw = 1.0 - s * s * (3.0 - 2.0 * s)
-        total = reduce(np.add, raw)
-        e = np.exp(-(cols - reduce(np.minimum, cols)))
-        soft = e / reduce(np.add, e)
-        weights = raw / np.maximum(total, 1.0) + np.maximum(1.0 - total, 0.0) * soft
-        return np.ascontiguousarray(weights.T)
+
+def _column_weights(cols, plateau, support) -> np.ndarray:
+    """(K, m) ``PartitionOfUnity`` weights from (K, m) columns of distances
+    and of the plateau and support radii each distance is measured against.
+    Each step is one long loop over m; sums over K run in index order."""
+    s = np.clip((cols - plateau) / (support - plateau), 0.0, 1.0)
+    raw = 1.0 - s * s * (3.0 - 2.0 * s)
+    total = reduce(np.add, raw)
+    e = np.exp(-(cols - reduce(np.minimum, cols)))
+    soft = e / reduce(np.add, e)
+    return raw / np.maximum(total, 1.0) + np.maximum(1.0 - total, 0.0) * soft
 
 
 def _pair_distances(centroids: np.ndarray) -> np.ndarray:
@@ -118,14 +114,20 @@ class MetricField:
     def from_covariances(cls, centroids, covariances, support_scale=0.45,
                          flatness=0.5) -> "MetricField":
         """Field from class covariances; radii scale with the smallest
-        centroid separation and ``flatness`` sets plateau/support."""
+        centroid separation and ``flatness`` sets plateau/support.
+
+        Raises ``NotPositiveDefinite`` for a covariance that factors only
+        after a repair, and ``NotRepairable`` for one no repair factors or
+        with a non-finite entry."""
         centroids = np.asarray(centroids, dtype=np.float64)
         covariances = np.asarray(covariances, dtype=np.float64)
         k, d = centroids.shape[-2:]
-        precisions = np.empty(covariances.shape)
-        eye = np.eye(d)
-        for i in np.ndindex(covariances.shape[:-2]):
-            precisions[i] = spd.solve_spd(spd.cholesky(covariances[i]), eye)
+        _sym, _factors, inverses, jitter = spd.factor_stack(covariances)
+        if np.any(jitter):
+            # a field's metric is never silently repaired: the exact
+            # factorization ensure_pd tried first fails again, with its pivot
+            spd.cholesky(covariances.reshape(-1, d, d)[np.flatnonzero(jitter)[0]])
+        precisions = np.swapaxes(inverses, -1, -2) @ inverses  # P = L^-T L^-1
         if k == 1:
             radius = np.ones(centroids.shape[:-1])
         else:
@@ -170,20 +172,15 @@ def block_size(dims: int, quadrature_points: int, points_per_field: int) -> int:
     return max(1, _BLOCK_BUDGET // (nodes + 2 * dims * dims))
 
 
-def _aligned(rows: np.ndarray) -> np.ndarray:
-    """``rows`` copied to start on 16-byte boundaries, as fresh vectors do:
-    the order of older (SSE) BLAS kernels' sums depends on it."""
-    d = rows.shape[-1]
-    out = np.empty((*rows.shape[:-1], d + d % 2))[..., :d]
-    out[...] = rows
-    return out
+def _quadratic_forms(matrices: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v^T M v for each (..., d, d) matrix and (..., d) row, as sums over the
+    last axis of elementwise products."""
+    return ((matrices * v[..., None, :]).sum(-1) * v).sum(-1)
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, one (1, d) @ (d, 1) product per row: the
-    ``ddot`` that ``np.linalg.norm`` takes of a single vector."""
-    rows = _aligned(rows)
-    return np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
+def _unit(rows: np.ndarray) -> np.ndarray:
+    """Each row over its Euclidean norm."""
+    return rows / np.sqrt((rows * rows).sum(-1))[..., None]
 
 
 def _crossings(plateau, support, a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -232,29 +229,22 @@ def _moving_path_energies(field, rows, x, delta, quadrature_points) -> np.ndarra
     """
     k, d = field.centroids.shape[-2:]
     offset = x[:, None, :] - field.centroids.reshape(-1, k, d)[rows]
-    delta = _aligned(delta)
-    a = (delta[:, None, :] @ delta[:, :, None])[:, 0, 0]  # one ddot per path
-    b = (offset @ delta[:, :, None])[..., 0]  # one gemv per path
-    c = np.einsum("pkd,pkd->pk", offset, offset)
+    a = (delta * delta).sum(-1)
+    b = (offset * delta[:, None, :]).sum(-1)
+    c = (offset * offset).sum(-1)
     part = field.partition
     plateau = part.plateau_radius.reshape(-1, k)[rows]
     support = part.support_radius.reshape(-1, k)[rows]
     nodes, weights, offsets = _quadrature_grid(
         quadrature_points, *_crossings(plateau, support, a, b, c))
+    q = _quadratic_forms(field.precisions.reshape(-1, k, d, d)[rows], delta[:, None, :])
     counts = np.diff(offsets)
-    a = np.repeat(a, counts)
-    b, c = (np.repeat(v.T, counts, axis=1) for v in (b, c))  # (K, nodes)
-    dist = np.sqrt(np.maximum((a * nodes + 2.0 * b) * nodes + c, 0.0))
-    per_field = np.zeros(part.plateau_radius.size // k, dtype=np.int64)
-    per_field[rows] = counts  # a field whose path does not move has no nodes
-    mixed = part.weights_at(dist.T, per_field)
-    precisions = field.precisions.reshape(-1, k, d, d)
-    energies = np.empty(len(rows))
-    for p, f in enumerate(rows):
-        q = np.einsum("kde,d,e->k", precisions[f], delta[p], delta[p])
-        lo, hi = offsets[p], offsets[p + 1]
-        energies[p] = weights[lo:hi] @ (mixed[lo:hi] @ q)
-    return energies
+    # per node, its path's values, one (K, nodes) column block each
+    b, c, plateau, support, q = (np.repeat(v.T, counts, axis=1)
+                                 for v in (b, c, plateau, support, q))
+    dist = np.sqrt(np.maximum((np.repeat(a, counts) * nodes + 2.0 * b) * nodes + c, 0.0))
+    integrand = reduce(np.add, _column_weights(dist, plateau, support) * q)
+    return np.add.reduceat(weights * integrand, offsets[:-1])
 
 
 def _result(values: np.ndarray, lead: tuple):
@@ -284,13 +274,6 @@ class GapCheck(NamedTuple):
     relative_error: float
 
 
-def _mahalanobis(x: np.ndarray, centroids: np.ndarray, precisions: np.ndarray) -> np.ndarray:
-    """(x_f - mu_f)^T P_f (x_f - mu_f) for each field f, one product per field."""
-    d = x.shape[-1]
-    diff = _aligned((x - centroids).reshape(-1, d))
-    return np.array([v @ p @ v for v, p in zip(diff, precisions.reshape(-1, d, d))])
-
-
 def energy_gap_check(
     field: MetricField, x: np.ndarray, i: int, j: int, quadrature_points: int = 256
 ) -> GapCheck:
@@ -307,8 +290,9 @@ def energy_gap_check(
     e_i = np.reshape(path_energy(field, x, cents[..., i, :], quadrature_points), -1)
     e_j = np.reshape(path_energy(field, x, cents[..., j, :], quadrature_points), -1)
     delta_e = e_i - e_j
-    maha = [_mahalanobis(x, cents[..., k, :], precs[..., k, :, :]) for k in (i, j)]
-    half_gap = 0.5 * (maha[0] - maha[1])
+    pair = [i, j]
+    maha = _quadratic_forms(precs[..., pair, :, :], x[..., None, :] - cents[..., pair, :])
+    half_gap = np.reshape(0.5 * (maha[..., 0] - maha[..., 1]), -1)
     rel = np.full(delta_e.shape, np.inf)
     np.divide(np.abs(delta_e - half_gap), np.abs(delta_e), out=rel, where=delta_e != 0)
     return GapCheck(*(_result(v, cents.shape[:-2]) for v in (delta_e, half_gap, rel)))
@@ -331,8 +315,7 @@ def make_two_centroid_field(seed, dims: int = 2, separation: float = 6.0,
     """
     check_settings(dims=dims, weak_side_scale=weak_side_scale)
     rng = Rng(seed)
-    direction = rng.normal(dims)
-    direction /= _norms(direction)[..., None]
+    direction = _unit(rng.normal(dims))
     centroids = np.stack([np.zeros_like(direction), separation * direction], axis=-2)
 
     # per centroid, a Gaussian for the eigenbasis, then eigenvalues in [1, 2)
@@ -350,8 +333,7 @@ def sample_plateau_point(field: MetricField, k: int, rng: Rng) -> np.ndarray:
     """A point uniformly inside the plateau ball of centroid k; in a block,
     one per field, from an ``Rng`` with one seed per field."""
     d = field.centroids.shape[-1]
-    direction = rng.normal(d)
-    direction /= _norms(direction)[..., None]
+    direction = _unit(rng.normal(d))
     u = rng.uniform(1)[..., 0]
     scale = np.reshape([float(v) ** (1.0 / d) for v in np.ravel(u)], u.shape)
     radius = field.partition.plateau_radius[..., k] * scale

@@ -69,6 +69,26 @@ def derive_seed(seed: int, *tags: int | str) -> int:
     return s
 
 
+def derive_seeds(seed, *tags) -> np.ndarray:
+    """``derive_seed`` over arrays: ``seed`` and each integer tag may be an
+    int or an array of them, broadcast together, and the result is the
+    uint64 array of child seeds with the bits ``derive_seed`` gives each
+    element.  A string tag is hashed once for the whole array."""
+    s = _uint64(seed)
+    with np.errstate(over="ignore"):  # 0-d operands compute as numpy scalars, which warn
+        for tag in tags:
+            t = np.uint64(fnv1a64(tag)) if isinstance(tag, str) else _uint64(tag)
+            s = _mix64_array(s ^ _mix64_array(t + _U64(GOLDEN)))
+    return np.asarray(s, dtype=np.uint64)
+
+
+def _uint64(value) -> np.ndarray:
+    """An int, or an array of ints, as uint64 mod 2**64."""
+    if isinstance(value, int):
+        value &= MASK64
+    return np.asarray(value).astype(np.uint64)
+
+
 class Rng:
     """Counter-mode splitmix64 stream, or a stack of them.
 

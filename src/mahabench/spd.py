@@ -1,11 +1,11 @@
 """Dense symmetric-positive-definite linear algebra on plain arrays.
 
-Factorization, solves, log-determinants and PSD repair used by every
-classification head.  A factor is the lower-triangular Cholesky factor L as
-a ``(d, d)`` array; ``quad_form`` and ``logdet`` also take a ``(K, d, d)``
-stack of factors.  Inputs are checked for squareness and symmetrized as
-(A + A^T) / 2 at the ``cholesky`` / ``ensure_pd`` / ``factor_stack``
-boundary only.
+Factorization, triangular inverses, log-determinants and PSD repair used
+by every classification head and by riemann's metric fields.  A factor is
+the lower-triangular Cholesky factor L as a ``(d, d)`` array;
+``quad_form`` and ``logdet`` also take a ``(K, d, d)`` stack of factors.
+Inputs are checked for squareness and symmetrized as (A + A^T) / 2 at the
+``cholesky`` / ``ensure_pd`` / ``factor_stack`` boundary only.
 
 ``factor_stack`` factors a ``(K, d, d)`` stack of covariances in one pass:
 one symmetrization and one finiteness check over the whole stack, then one
@@ -40,13 +40,13 @@ the unbatched call it always was.
 
 Which LAPACK runs where.  numpy's own LAPACK (its bundled scipy-openblas64)
 runs ``factor_stack``'s stacked ``np.linalg.cholesky``, the factorization
-of every head's covariances; the rounding of its ``dpotrf`` can differ
-from scipy's in the last bit, which is why an exact factor is pinned to
-``np.linalg.cholesky``.  scipy's compiled ``scipy/linalg/_flapack``
-extension, linked to scipy's own scipy-openblas, runs the rest: ``dpotrf``
-in ``cholesky`` (and so every ``ensure_pd`` repair, and every riemann
-covariance), ``dtrtri`` for every inverse factor and ``dpotrs`` in
-``solve_spd``.  numpy has no ``dtrtri`` and no ``dpotrs`` of its own.
+of every head's and every riemann field's covariances; the rounding of its
+``dpotrf`` can differ from scipy's in the last bit, which is why an exact
+factor is pinned to ``np.linalg.cholesky``.  scipy's compiled
+``scipy/linalg/_flapack`` extension, linked to scipy's own scipy-openblas,
+runs the rest: ``dpotrf`` in ``cholesky`` (and so every ``ensure_pd``
+repair) and ``dtrtri`` for every inverse factor.  numpy has no ``dtrtri``
+of its own.
 ``_flapack`` is loaded by file: the wrappers are the ones
 ``scipy.linalg.lapack`` re-exports, so every result is bit-identical, but
 neither ``scipy/__init__`` nor ``scipy/linalg/__init__`` runs.  The latter
@@ -81,7 +81,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dpotrf, dpotrs, dtrtri = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtri
+dpotrf, dtrtri = _flapack.dpotrf, _flapack.dtrtri
 
 # First entry 0 so well-conditioned inputs are never perturbed; the tail
 # guards pathological synthetic inputs (e.g. beta=0 ablations).
@@ -119,19 +119,6 @@ def cholesky(m) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal argument {-info} passed to dpotrf")
     return c
-
-
-def solve_spd(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = v given the factor L."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != factor.shape[0]:
-        raise DimensionMismatch(f"vector length {v.shape[0]} != matrix dim {factor.shape[0]}")
-    if not (np.all(np.isfinite(factor)) and np.all(np.isfinite(v))):
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = dpotrs(factor, v, lower=1)
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} passed to dpotrs")
-    return x
 
 
 def quad_form(factor: np.ndarray, rows: np.ndarray, centers: np.ndarray):

@@ -10,7 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mahabench import gmm, spd
@@ -86,6 +86,29 @@ def test_layouts_query_moments_and_statistics_match_each_slice(task, beta, weigh
     stats = class_statistics(layout, queries, weights, beta)
     assert same_fields(stats, [class_statistics(one, query_rows[b], weights[b], beta)
                                for b, one in enumerate(slices)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), classes=st.integers(1, 4), dims=st.integers(1, 6),
+       heavy=st.lists(st.integers(0, 8), min_size=2, max_size=5), unused=st.integers(0, 2))
+def test_layouts_of_slices_padded_to_different_lengths_match_each_slice(
+        seed, classes, dims, heavy, unused):
+    # slice b gives class 0 heavy[b] of its extra rows and the others to
+    # random classes, so the slices' largest classes, and with them the
+    # padded blocks whose Gram matrices are the class moments, differ in
+    # length; ``unused`` classes hold no row of any slice
+    rng = Rng(seed)
+    extra = max(heavy)
+    labels = np.stack([
+        np.concatenate([np.arange(classes), np.zeros(h, dtype=np.int64),
+                        rng.integers(0, classes - 1, extra - h)])[rng.permutation(classes + extra)]
+        for h in heavy])
+    features = rng.normal(labels.shape + (dims,))
+    k = classes + unused
+    layout = SupportLayout.build(features, labels, k)
+    slices = [SupportLayout.build(features[b], labels[b], k) for b in range(len(heavy))]
+    assert same_fields(layout, slices)
+    assume(len(set(layout.class_sizes.max(axis=1).tolist())) > 1)
 
 
 @settings(max_examples=60, deadline=None)

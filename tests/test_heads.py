@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtri
 
 from mahabench import heads
@@ -29,7 +30,7 @@ from mahabench.heads import (
 from mahabench.methods import HeadConfig, predict
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
-from mahabench.spd import cholesky, quad_form, solve_spd
+from mahabench.spd import cholesky, quad_form
 
 from fitting import fit_head
 
@@ -495,7 +496,7 @@ def bregman_divergence(z, z_ref, q) -> float:
     if z.shape != z_ref.shape:
         raise DimensionMismatch("z and z_ref must have the same shape")
     factor = cholesky(q)
-    grad_ref = 2.0 * solve_spd(factor, z_ref)
+    grad_ref = 2.0 * cho_solve((factor, True), z_ref)
     origin = np.zeros_like(z)
     return float(quad_form(factor, z, origin) - quad_form(factor, z_ref, origin)
                  - grad_ref @ (z - z_ref))

@@ -3,10 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahabench.errors import InvalidConfig
+from mahabench.errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    MahabenchError,
+    NotPositiveDefinite,
+    NotRepairable,
+)
 from mahabench.riemann import (
     MetricField,
     PartitionOfUnity,
+    _column_weights,
     check_settings,
     energy_gap_check,
     make_two_centroid_field,
@@ -20,7 +27,8 @@ def weights(field: MetricField, points) -> np.ndarray:
     """(m, K) partition weights of the field at each point (or at one point)."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dist = np.linalg.norm(pts[:, None, :] - field.centroids[None, :, :], axis=2)
-    return field.partition.weights_at(dist)
+    part = field.partition
+    return _column_weights(dist.T, part.plateau_radius[:, None], part.support_radius[:, None]).T
 
 
 def metric_at(field: MetricField, x: np.ndarray) -> np.ndarray:
@@ -53,6 +61,55 @@ def two_metric_field(weak=50.0, support_scale=0.18, flatness=0.5, seed=5):
     radius = np.full(2, support_scale * 6.0)
     part = PartitionOfUnity(radius, flatness * radius)
     return MetricField(cents, np.stack(precs), part)
+
+
+def precision_of(cov) -> np.ndarray:
+    """The precision ``from_covariances`` gives a one-centroid field of ``cov``."""
+    cov = np.asarray(cov, dtype=np.float64)
+    return MetricField.from_covariances(np.zeros((1, len(cov))), cov[None]).precisions[0]
+
+
+class TestPrecisions:
+    def test_identity_covariance(self):
+        assert np.allclose(precision_of(np.eye(2)), np.eye(2))
+
+    def test_diagonal_covariance(self):
+        assert np.allclose(precision_of(np.diag([4.0, 1.0])), np.diag([0.25, 1.0]))
+
+    def test_two_by_two_inverse_by_hand(self):
+        # inverse of [[2,1],[1,2]] is [[2,-1],[-1,2]]/3
+        expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
+        assert np.allclose(precision_of([[2.0, 1.0], [1.0, 2.0]]), expected, rtol=1e-12)
+
+    def test_a_stack_that_is_not_square_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            MetricField.from_covariances(np.zeros((1, 3)), np.eye(3)[None, :2])
+
+    def test_a_non_finite_covariance_is_rejected(self):
+        with pytest.raises(NotRepairable):
+            precision_of([[1.0, 0.0], [np.inf, 1.0]])
+
+    @pytest.mark.parametrize("cov, error", [
+        # singular: the smallest scheduled jitter would repair it
+        ([[1.0, 1.0], [1.0, 1.0]], NotPositiveDefinite),
+        # indefinite: no scheduled jitter repairs it
+        ([[1.0, 0.0], [0.0, -1.0]], NotRepairable),
+    ], ids=["singular", "indefinite"])
+    def test_a_covariance_that_is_not_positive_definite_is_a_typed_error(self, cov, error):
+        # a field's metric is the covariances it was given, never a repair
+        assert issubclass(error, MahabenchError)
+        with pytest.raises(error):
+            precision_of(cov)
+
+    def test_residuals_on_random_covariances(self):
+        # 1000 random SPD covariances up to dim 64
+        rng = Rng(2024)
+        for trial in range(1000):
+            d = 1 + trial % 64
+            a = rng.normal((d, d))
+            cov = a @ a.T + np.eye(d)
+            residual = np.linalg.norm(cov @ precision_of(cov) - np.eye(d)) / np.sqrt(d)
+            assert residual <= 1e-10
 
 
 class TestPartitionOfUnity:

@@ -10,8 +10,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mahabench.rng import Rng
+from mahabench.rng import Rng, derive_seed, derive_seeds
 
 
 def sha256(array: np.ndarray) -> str:
@@ -72,3 +74,25 @@ def test_row_i_of_a_seed_array_draw_is_the_draw_of_seed_i(streams):
         for row, rng in zip(rows, alone):
             assert row.tobytes() == getattr(rng, draw)(size).tobytes(), (draw, size)
     assert block._counter == alone[0]._counter
+
+
+# Python ints on both sides of the uint64 range, as the scalar form masks them
+INTS = st.integers(-(2**65), 2**65)
+TAG_ROWS = st.one_of(st.text(max_size=8), INTS,
+                     st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds=st.one_of(INTS, st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3)),
+       tags=st.lists(TAG_ROWS, max_size=4))
+def test_the_array_form_of_derive_seed_has_the_bits_of_the_scalar_form(seeds, tags):
+    # lists stand for uint64 arrays of three elements, broadcast with the
+    # int seeds and tags; a string tag is one tag for every element
+    args = [seeds, *tags]
+    got = derive_seeds(*(np.array(v, dtype=np.uint64) if isinstance(v, list) else v for v in args))
+    assert got.dtype == np.uint64
+    if any(isinstance(v, list) for v in args):
+        assert got.tolist() == [derive_seed(*(v[i] if isinstance(v, list) else v for v in args))
+                                for i in range(3)]
+    else:
+        assert got.shape == () and int(got) == derive_seed(seeds, *tags)

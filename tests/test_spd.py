@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from mahabench.errors import DimensionMismatch, NotPositiveDefinite, NotRepairable
@@ -15,7 +14,6 @@ from mahabench.spd import (
     factor_stack,
     logdet,
     quad_form,
-    solve_spd,
 )
 
 
@@ -77,55 +75,6 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite) as info:
             cholesky(np.zeros((2, 2)))
         assert info.value.pivot == 0
-
-
-class TestSolve:
-    def test_identity_factor(self):
-        f = cholesky(np.eye(2))
-        assert np.allclose(solve_spd(f, [3.0, -1.0]), [3.0, -1.0])
-
-    def test_diagonal_factor(self):
-        f = cholesky(np.diag([4.0, 1.0]))
-        assert np.allclose(solve_spd(f, [8.0, 5.0]), [2.0, 5.0])
-
-    def test_two_by_two_inverse_by_hand(self):
-        # inverse of [[2,1],[1,2]] is [[2,-1],[-1,2]]/3
-        f = cholesky(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(solve_spd(f, [1.0, 1.0]), [1.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
-
-    def test_dimension_mismatch(self):
-        f = cholesky(np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            solve_spd(f, np.ones(2))
-
-    def test_bits_match_cho_solve(self):
-        # one vector and a whole identity block, the inverse riemann builds
-        rng = Rng(8)
-        for trial in range(200):
-            d = 1 + trial % 16
-            a = rng.normal((d, d))
-            f = cholesky(a @ a.T + 0.1 * np.eye(d))
-            for v in (rng.normal(d), np.eye(d)):
-                assert solve_spd(f, v).tobytes() == cho_solve((f, True), v).tobytes()
-
-    def test_non_finite_input_is_rejected(self):
-        f = cholesky(np.eye(2))
-        with pytest.raises(ValueError):
-            solve_spd(f, [np.nan, 0.0])
-        with pytest.raises(ValueError):
-            solve_spd(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2))
-
-    def test_residuals_on_random_systems(self):
-        # 1000 random SPD systems up to dim 64
-        rng = Rng(2024)
-        for trial in range(1000):
-            d = 1 + trial % 64
-            a = rng.normal((d, d))
-            spd_mat = a @ a.T + np.eye(d)
-            v = rng.normal(d)
-            x = solve_spd(cholesky(spd_mat), v)
-            residual = np.linalg.norm(spd_mat @ x - v) / np.linalg.norm(v)
-            assert residual <= 1e-10
 
 
 class TestLogdet:
