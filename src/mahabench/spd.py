@@ -198,7 +198,12 @@ def ensure_pd(m) -> tuple[np.ndarray, np.ndarray, float]:
     Tries ``m + j*I`` for each ``j`` in ``DEFAULT_JITTER_SCHEDULE`` in order
     and returns the first repaired (symmetrized) matrix, its lower factor
     and the jitter ``j`` that worked.  The schedule starts at 0, so exact-PD
-    inputs come back unchanged, with jitter 0.
+    inputs come back unchanged, with jitter 0.  When every absolute step
+    fails, the nonzero steps are tried again times the largest diagonal
+    entry ``s``, those above the last absolute step only: a singular matrix
+    rounds by about eps * s, which no absolute step covers once ``s`` is
+    large.  A matrix the absolute steps repair gets the same jitter either
+    way.
 
     Raises
     ------
@@ -211,13 +216,16 @@ def ensure_pd(m) -> tuple[np.ndarray, np.ndarray, float]:
     if not np.all(np.isfinite(sym)):
         raise NotRepairable("matrix has non-finite entries")
     eye = np.eye(sym.shape[0])
-    for j in DEFAULT_JITTER_SCHEDULE:
+    scale = float(np.max(np.diagonal(sym)))
+    relative = tuple(j * scale for j in DEFAULT_JITTER_SCHEDULE[1:]
+                     if j * scale > DEFAULT_JITTER_SCHEDULE[-1])
+    for j in DEFAULT_JITTER_SCHEDULE + relative:
         try:
             repaired = sym if j == 0.0 else sym + j * eye
             return repaired, cholesky(repaired), float(j)
         except NotPositiveDefinite:
             continue
-    raise NotRepairable(f"no jitter in {DEFAULT_JITTER_SCHEDULE} repaired the matrix")
+    raise NotRepairable(f"no jitter in {DEFAULT_JITTER_SCHEDULE + relative} repaired the matrix")
 
 
 def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

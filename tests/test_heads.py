@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtri
@@ -202,6 +202,10 @@ class TestMomentsAgainstCenteredReference:
         zero_columns=st.lists(st.booleans(), min_size=5, max_size=5),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a singular estimate of scale 1e11, whose roundoff no absolute jitter
+    # step covers
+    @example(k_count=3, shots=[2, 1, 1, 1, 1], m=0, d=5, beta=0.0, offset=1e6,
+             translation=0.0, zero_columns=[False] * 5, seed=294115)
     def test_raw_moments_match_the_centered_formulas(
         self, k_count, shots, m, d, beta, offset, translation, zero_columns, seed
     ):

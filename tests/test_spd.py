@@ -119,6 +119,15 @@ class TestEnsurePd:
         assert jitter == 1e-10
         assert np.array_equal(repaired, np.ones((2, 2)) + 1e-10 * np.eye(2))
 
+    def test_large_scale_matrix_takes_a_relative_step(self):
+        # a pivot of -1e-3 under a diagonal of 1e11 is roundoff at that
+        # scale: no absolute step covers it, the first relative one does
+        repaired, _, jitter = ensure_pd(np.diag([1e11, -1e-3]))
+        assert jitter == DEFAULT_JITTER_SCHEDULE[1] * 1e11
+        assert np.array_equal(repaired, np.diag([1e11 + jitter, -1e-3 + jitter]))
+        with pytest.raises(NotRepairable):
+            ensure_pd(np.diag([1e11, -1e8]))
+
     def test_not_repairable(self):
         with pytest.raises(NotRepairable):
             ensure_pd(np.array([[-5.0, 0.0], [0.0, -5.0]]))
