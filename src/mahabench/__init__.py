@@ -6,10 +6,10 @@ episodic task samplers, active and continual learning loops, a Riemannian
 metric-field verification, and a deterministic benchmark harness.
 
 Every head is fitted and queried along one path in ``mahabench.methods``:
-``support_fits`` checks a task's support set and estimates its
-support-only statistics, ``fit_statistics`` turns that start into a head's
-fit (running ``refine.run_refinement`` for a transductive or GMM-EM head),
-and ``predict`` / ``predict_labels`` score queries under it.
+one ``fit_statistics`` call fits all of a task's heads (estimating the
+support-only statistics once per beta, and running
+``refine.run_refinement`` from them for a transductive or GMM-EM head),
+and ``predict`` / ``predict_labels`` score queries under a fit.
 
 numpy's and scipy's BLAS run on one thread unless the caller says
 otherwise.  While this package imports numpy and ``spd`` (which loads

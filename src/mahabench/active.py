@@ -10,9 +10,8 @@ A session (``ActiveSession``) is drawn once and run under every strategy.
 ``run_active_session`` steps a block of sessions, under every strategy, in
 lockstep: at step t each of the block's fits, one per (session, strategy),
 has the same class count, ``K + t`` labelled rows and ``pool - t`` open
-pool rows, so one stacked fit (``methods.support_fits`` ->
-``methods.fit_statistics``) and one stacked ``methods.predict_labels``
-serve them all.  Only the acquisition itself (``select_next``) runs once
+pool rows, so one stacked fit (``methods.fit_statistics``) and one
+stacked ``methods.predict_labels`` serve them all.  Only the acquisition itself (``select_next``) runs once
 per fit.  Every fit has the bits it would have on its own, so a curve does
 not depend on which block, or how large a block, its session ran in.
 """
@@ -23,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
-from .methods import HeadConfig, fit_statistics, predict_labels, support_fits
+from .methods import HeadConfig, fit_statistics, predict_labels
 from .rng import Rng
 
 
@@ -146,8 +145,7 @@ def run_active_session(sessions, strategies, head: HeadConfig, return_acquired: 
         open_idx = np.nonzero(~taken)[1].reshape(fits, pool_size - t)  # ascending per fit
         labeled_x = np.concatenate([seed_x, pool_x[by_fit, acquired[:, :t]]], axis=1)
         labeled_y = np.concatenate([seed_y, pool_y[by_fit, acquired[:, :t]]], axis=1)
-        start = support_fits([head], labeled_x, labeled_y, pool_x[by_fit, open_idx])[0]
-        fit = fit_statistics(head, start)
+        [fit] = fit_statistics([head], labeled_x, labeled_y, pool_x[by_fit, open_idx])
         test_pred = predict_labels(head, fit.statistics, test_x)
         curves[:, t] = np.mean(test_pred == test_y, axis=-1)
         if t == budget:

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .methods import evaluate_task, fit_statistics, support_fits
+from .methods import evaluate_task, fit_statistics
 from .parallel import ordered_map
 from .rng import derive_seed
 from .worlds import (
@@ -261,11 +261,8 @@ def recall_vs_shot(cfg: BenchConfig, tasks_by_domain: dict | None = None):
     def class_records(u: int) -> list:
         domain_id, idx = units[u]
         task = task_of(domain_id, idx)
-        starts = support_fits(heads.values(), task.support_x, task.support_y, task.query_x)
-        preds = {
-            method: fit_statistics(head, start).query_labels
-            for (method, head), start in zip(heads.items(), starts)
-        }
+        fits = fit_statistics(heads.values(), task.support_x, task.support_y, task.query_x)
+        preds = {method: fit.query_labels for method, fit in zip(heads, fits)}
         records = []
         for k in range(task.way):
             mask = task.query_y == k

@@ -67,7 +67,7 @@ from .continual import (
     StreamConfig,
     run_continual_session,
 )
-from .errors import InvalidConfig, MahabenchError
+from .errors import InvalidConfig, MahabenchError, check_sizes
 from .methods import parse_method
 from .parallel import ordered_map
 from .refine import RefineConfig
@@ -227,9 +227,7 @@ def _unread(args, defaults, why: str, *names: str) -> tuple:
 
 def _require_positive(args, *names: str) -> None:
     """Reject a run size below 1: it would aggregate nothing."""
-    for name in names:
-        if getattr(args, name) < 1:
-            raise InvalidConfig(f"--{name.replace('_', '-')} must be at least 1")
+    check_sizes(**{f"--{name.replace('_', '-')}": getattr(args, name) for name in names})
 
 
 def _distinct(names, flag: str) -> None:

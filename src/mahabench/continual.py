@@ -16,12 +16,12 @@ a class's row holds its statistics as first fitted, and
 ``merge_class_statistics`` combines old and new rows, weighted by their
 support counts, when a later task shows the class again.  At step t every
 fit of the block fits a task of the same shape, so one stacked fit
-(``methods.support_fits`` -> ``methods.fit_statistics``), one merge and
-one stacked scoring of all queries seen so far serve them all; both head
-modes are argmaxes of that one scoring.  Only the encoding update and the
-working frame run once per fit.  Every fit has the bits it would have on
-its own (the batch axis of ``heads``), so a matrix does not depend on which
-block, or how large a block, its stream ran in.
+(``methods.fit_statistics``), one merge and one stacked scoring of all
+queries seen so far serve them all; both head modes are argmaxes of that
+one scoring.  Only the encoding update and the working frame run once per
+fit.  Every fit has the bits it would have on its own (the batch axis of
+``heads``), so a matrix does not depend on which block, or how large a
+block, its stream ran in.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -29,9 +29,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses
+from .errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses, check_sizes
 from .heads import ClassStatistics
-from .methods import HeadConfig, fit_statistics, scores, support_fits
+from .methods import HeadConfig, fit_statistics, scores
 from .rng import Rng
 from .worlds import ClusterWorld, EncodingTransform, draw_class_examples
 
@@ -126,8 +126,8 @@ class StreamConfig:
     drift: float = 1.0  # magnitude of per-task true-encoding drift
 
     def __post_init__(self):
-        if min(self.num_tasks, self.classes_per_task, self.shot, self.query_per_class) < 1:
-            raise InvalidConfig("stream settings must be positive")
+        check_sizes(num_tasks=self.num_tasks, classes_per_task=self.classes_per_task,
+                    shot=self.shot, query_per_class=self.query_per_class)
         if self.drift < 0:
             raise InvalidConfig("drift must be nonnegative")
 
@@ -268,10 +268,9 @@ def run_continual_session(
         feats = np.stack([w.apply(queries[s][:ends[t]]) for w, s in zip(working, owner)])
         support = np.stack([w.apply(raw_support[s][t]) for w, s in zip(working, owner)])
         local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)
-        start = support_fits([head], support, np.broadcast_to(local_y, support.shape[:2]),
-                             feats[:, starts[t]:])[0]
-        new = replace(fit_statistics(head, start).statistics,
-                      counts=np.full((fits, len(rows)), float(stream.shot)))
+        [fit] = fit_statistics([head], support, np.broadcast_to(local_y, support.shape[:2]),
+                               feats[:, starts[t]:])
+        new = replace(fit.statistics, counts=np.full((fits, len(rows)), float(stream.shot)))
         # the group's positions seen before, and not: the same for every fit
         seen = memory.counts[0, rows] > 0
         again, first = np.flatnonzero(seen), np.flatnonzero(~seen)

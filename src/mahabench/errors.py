@@ -73,3 +73,14 @@ class FormatError(MahabenchError):
 
 class WorkerFailed(MahabenchError):
     """A worker process died, or sent back a result that could not be read."""
+
+
+def check_sizes(**sizes) -> None:
+    """Raise ``InvalidConfig`` for the first run size below 1; a
+    ``(low, high)`` range must also have its low end first."""
+    for name, size in sizes.items():
+        low, high = size if isinstance(size, tuple) else (size, size)
+        if low < 1:
+            raise InvalidConfig(f"{name} must be at least 1")
+        if high < low:
+            raise InvalidConfig(f"{name} must have its low end first")

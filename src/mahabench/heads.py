@@ -11,8 +11,8 @@ weights, and per class
 where ``n_k`` is the (soft) count and ``S`` and ``S_k`` are the
 count-normalized scatter matrices of the whole weighted set and of class k.
 Heads are fitted and queried through ``methods``, the one path:
-``support_fits`` -> ``fit_statistics`` -> ``refine.run_refinement``, then
-``predict`` or ``predict_labels``.  Scores deliberately carry no 1/2
+``fit_statistics`` (which runs ``refine.run_refinement`` for a refining
+head), then ``predict`` or ``predict_labels``.  Scores deliberately carry no 1/2
 coefficient; the GMM head owns that variant.
 
 The estimator works from moments, taken once per support set and once per
@@ -191,7 +191,7 @@ def _require_finite(x: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class SupportLayout:
-    """A labelled support set and its per-class moments, built once per
+    """The per-class moments of a labelled support set, built once per
     support set.
 
     Rows are shifted by the support mean ``center``; ``class_sums`` and
@@ -199,12 +199,10 @@ class SupportLayout:
     upper triangle of its sum of their outer products.  A fit that reuses
     the layout (every refinement iteration of one task) repeats none of
     this work.  With a leading batch axis, the layouts of B support sets of
-    the same size and class count: ``(B, n, d)`` features, ``(B, K)`` class
-    sizes and so on.
+    the same size and class count: ``(B, K)`` class sizes, ``(B, d)``
+    centers and so on.
     """
 
-    features: np.ndarray  # (n, d), finite
-    labels: np.ndarray  # (n,)
     class_sizes: np.ndarray  # (K,), n_k
     center: np.ndarray  # (d,), mean of all rows
     class_sums: np.ndarray  # (K, d), sum of each class's shifted rows
@@ -216,7 +214,7 @@ class SupportLayout:
 
     @property
     def dims(self) -> int:
-        return self.features.shape[-1]
+        return self.class_sums.shape[-1]
 
     @property
     def batch_shape(self) -> tuple:
@@ -297,8 +295,6 @@ class SupportLayout:
             sums[group] = block.sum(axis=2)
             moments[group] = np.take(gram, _packing(d)[2], axis=-1)
         return cls(
-            features=support_x,
-            labels=support_y,
             class_sizes=n_k.reshape(*batch, k_count),
             center=center.reshape(*batch, d),
             class_sums=sums.reshape(*batch, k_count, d),
@@ -310,7 +306,7 @@ class SupportLayout:
 class QuerySet:
     """An ``(m, d)`` batch of query rows, checked once, and their moments.
 
-    A fit builds one per task (``methods.support_fits``), and every
+    A fit builds one per task (``methods.fit_statistics``), and every
     estimate and every scoring of the task takes it.  The estimator takes
     the rows' moments about the support mean from it (``moments_about``);
     they are computed once and kept for the last center asked for.  With a
@@ -372,12 +368,11 @@ def class_statistics(
 ) -> ClassStatistics:
     """The one class-statistics estimator shared by every head.
 
-    Support row i counts with weight 1 toward class ``layout.labels[i]``
-    only; query row j counts toward class k with weight
-    ``query_weights[j, k]``.  ``query_x`` is an ``(m, d)`` array or a
-    ``QuerySet``, whose moments about the support mean are taken once.
-    Counts, means and second moments are weighted sums, and ``S`` is
-    normalized by the total count.  Query rows with zero weight add exact
+    Support row i counts with weight 1 toward its own class only; query row
+    j counts toward class k with weight ``query_weights[j, k]``.
+    ``query_x`` is an ``(m, d)`` array or a ``QuerySet``, whose moments
+    about the support mean are taken once.  Counts, means and second
+    moments are weighted sums, and ``S`` is normalized by the total count.  Query rows with zero weight add exact
     zeros, so an all-zero query block gives bit-identical statistics to an
     empty one.  A stack of layouts takes ``(B, m, d)`` queries and
     ``(B, m, K)`` weights and gives a stack of statistics.

@@ -4,15 +4,14 @@ A method is a head (metric-based or GMM) plus an optional refinement
 configuration.  The registry maps the benchmark's method names to
 configurations; ``simple:<metric>`` selects a metric ablation.
 
-Every head is fitted the same way.  ``support_fits`` checks a task's
-support set and groups it by class once (``heads.SupportLayout``), then
-estimates its support-only statistics once per distinct beta.
-``fit_statistics`` turns one such start fit into the head's fit: a
-single-pass head's fit is the start itself, and a refining head hands the
-start's layout and statistics to ``refine.run_refinement``.  A fit
-(``Fit``) carries the class statistics and the query predictions they
-give; ``scores``, ``predict`` and ``predict_labels`` score any batch under
-a head.
+Every head is fitted the same way, by one call for all of a task's heads.
+``fit_statistics`` checks the task's support set and groups it by class
+once (``heads.SupportLayout``), checks its query set once, and estimates
+the support-only statistics once per distinct beta.  A single-pass head's
+fit is that estimate; a refining head hands the layout and the estimate
+to ``refine.run_refinement``.  A fit (``Fit``) carries the class
+statistics and the query predictions they give; ``scores``, ``predict``
+and ``predict_labels`` score any batch under a head.
 
 Every step also takes a stack of B tasks of the same shape: ``(B, n, d)``
 support rows with ``(B, n)`` labels and ``(B, m, d)`` query rows give one
@@ -50,20 +49,18 @@ class HeadConfig:
 class Fit:
     """A head fitted to one (support, query) pair.
 
-    ``layout`` is the support set grouped by class and ``queries`` the
-    checked query set, both shared by every fit to the same task.
-    ``query_probs`` and ``query_labels`` are the head's class probabilities
-    and argmax labels (ties toward the lowest class index) for the query
-    set.  A refining head fills them from its last refresh, which scored
-    the query set under the final statistics.  A single-pass head scores
-    the query set the first time either is read, so a caller that reads
-    neither (continual) scores nothing.
+    ``queries`` is the checked query set, shared by every fit to the same
+    task.  ``query_probs`` and ``query_labels`` are the head's class
+    probabilities and argmax labels (ties toward the lowest class index)
+    for the query set.  A refining head fills them from its last refresh,
+    which scored the query set under the final statistics.  A single-pass
+    head scores the query set the first time either is read, so a caller
+    that reads neither (continual) scores nothing.
     """
 
     statistics: ClassStatistics
     head: HeadConfig
     queries: QuerySet
-    layout: SupportLayout
     refresh: tuple | None = None  # a refining head's last (probs, labels)
 
     @cached_property
@@ -81,18 +78,17 @@ class Fit:
         return self._predictions[1]
 
 
-def _single_pass(head: HeadConfig) -> HeadConfig:
-    return replace(head, refine=None)
+def fit_statistics(configs, support_x, support_y, query_x) -> list[Fit]:
+    """Every head of ``configs`` fitted to one (support, query) pair, in order.
 
-
-def support_fits(configs, support_x, support_y, query_x) -> list:
-    """The support-only fit of every head, in order: the ``start`` that
-    ``fit_statistics`` takes.
-
-    The support set is checked and grouped into one layout and the query
-    set is checked once (``heads.QuerySet``), statistics are estimated once
-    per distinct beta, and heads whose single-pass forms are equal share
-    one ``Fit``, so its query predictions are computed at most once.
+    The support set is checked and grouped into one layout, the query set
+    is checked once (``heads.QuerySet``), and the support-only statistics
+    are estimated once per distinct beta.  Heads whose single-pass forms
+    are equal share one single-pass ``Fit``, so its query predictions are
+    computed at most once.  A single-pass head's fit is that shared fit; a
+    refining head runs ``refine.run_refinement`` from its statistics at the
+    head's step limits and beta, and iteration 1 takes the shared fit's
+    query predictions, which are the bits that iteration would compute.
 
     Raises
     ------
@@ -102,31 +98,20 @@ def support_fits(configs, support_x, support_y, query_x) -> list:
     """
     layout = SupportLayout.build(support_x, support_y)
     queries = QuerySet.build(query_x, layout.dims)
-    statistics = {}
-    fits = {}
+    statistics, single_pass, fits = {}, {}, []
     for head in configs:
-        base = _single_pass(head)
-        if base not in fits:
+        base = replace(head, refine=None)
+        if base not in single_pass:
             if head.beta not in statistics:
                 statistics[head.beta] = estimate_class_statistics(layout, beta=head.beta)
-            fits[base] = Fit(statistics[head.beta], base, queries, layout)
-    return [fits[_single_pass(head)] for head in configs]
+            single_pass[base] = Fit(statistics[head.beta], base, queries)
+        start = single_pass[base]
+        fits.append(start if head.refine is None else _refined(head, layout, start))
+    return fits
 
 
-def fit_statistics(head: HeadConfig, start: Fit) -> Fit:
-    """Fit a head from its support-only fit ``start`` (``support_fits``),
-    which alone gives the support layout and the query set.
-
-    ``start`` is the whole fit of a single-pass head.  A refining head runs
-    ``refine.run_refinement`` on the start's layout and statistics at the
-    head's step limits and beta; iteration 1 takes the start's query
-    predictions, which are the bits that iteration would compute.  A
-    ``start`` that is not this head's support-only fit raises ``ValueError``.
-    """
-    if start.head != _single_pass(head):
-        raise ValueError("start is not the support-only fit of this head")
-    if head.refine is None:
-        return start
+def _refined(head: HeadConfig, layout: SupportLayout, start: Fit) -> Fit:
+    """``head`` refined from ``start``, its single-pass fit on ``layout``."""
 
     def refresh_query(stats, x):
         # iteration 1 runs on the start statistics, which ``start`` scores
@@ -135,10 +120,9 @@ def fit_statistics(head: HeadConfig, start: Fit) -> Fit:
             return start.query_probs, start.query_labels
         return predict(head, stats, x)
 
-    outcome = run_refinement(start.layout, start.statistics, start.queries, head.refine,
+    outcome = run_refinement(layout, start.statistics, start.queries, head.refine,
                              refresh_query, head.beta)
-    predictions = (outcome.query_probs, outcome.labels)
-    return Fit(outcome.statistics, head, start.queries, start.layout, predictions)
+    return Fit(outcome.statistics, head, start.queries, (outcome.query_probs, outcome.labels))
 
 
 def scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
@@ -170,18 +154,9 @@ def predict_labels(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
 
 def evaluate_task(configs, task) -> list[float]:
     """Query accuracy (fraction of query examples correct) of each head on
-    one task, in order.
-
-    The heads share their support-only fits (``support_fits``): the
-    support statistics are estimated once per distinct beta, and every
-    refining head starts from them.
-    """
-    starts = support_fits(configs, task.support_x, task.support_y, task.query_x)
-    accuracies = []
-    for head, start in zip(configs, starts):
-        fit = fit_statistics(head, start)
-        accuracies.append(float(np.mean(fit.query_labels == task.query_y)))
-    return accuracies
+    one task, in order, from one ``fit_statistics`` call."""
+    fits = fit_statistics(configs, task.support_x, task.support_y, task.query_x)
+    return [float(np.mean(fit.query_labels == task.query_y)) for fit in fits]
 
 
 def parse_method(name: str, refine_defaults: RefineConfig = RefineConfig(), beta: float = 1.0) -> HeadConfig:

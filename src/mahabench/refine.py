@@ -7,9 +7,9 @@ alternates weighted statistics, computed by the one estimator
 stops once the per-query argmax stops changing, subject to hard minimum and
 maximum step counts.
 
-``methods.fit_statistics`` is the only caller: it hands the loop the
-support layout and the support-only statistics of its start fit
-(``methods.support_fits``), which are iteration 1's statistics, and the
+``methods.fit_statistics`` is the only caller.  It hands the loop the
+task's support layout, the support-only statistics at the head's beta
+(iteration 1's statistics, shared with every head at that beta) and the
 head's ``predict``, which is the loop's only way to score.
 
 A stack of B fits of the same shape (a batched ``heads.SupportLayout``,
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig, check_sizes
 from .heads import ClassStatistics, QuerySet, SupportLayout, class_statistics
 
 
@@ -41,8 +41,7 @@ class RefineConfig:
     max_steps: int = 4
 
     def __post_init__(self):
-        if self.min_steps < 1:
-            raise InvalidConfig("min_steps must be at least 1")
+        check_sizes(min_steps=self.min_steps)
         if self.max_steps < self.min_steps:
             raise InvalidConfig("max_steps must be >= min_steps")
 

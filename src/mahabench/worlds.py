@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfig, NotEnoughClasses
+from .errors import FormatError, InvalidConfig, NotEnoughClasses, check_sizes
 from .rng import Rng
 
 TASK_FILE_VERSION = "v1"
@@ -103,17 +103,10 @@ class SamplerConfig:
     fixed_shot: int | None = None
 
     def __post_init__(self):
-        if self.way_range[0] > self.way_range[1] or self.way_range[0] < 1:
-            raise InvalidConfig("way_range must be ordered and positive")
-        if self.shot_range[0] > self.shot_range[1] or self.shot_range[0] < 1:
-            raise InvalidConfig("shot_range must be ordered and positive")
-        if self.support_cap <= 0:
-            raise InvalidConfig("support_cap must be positive")
-        if self.query_per_class <= 0:
-            raise InvalidConfig("query_per_class must be positive")
+        check_sizes(way_range=self.way_range, shot_range=self.shot_range,
+                    support_cap=self.support_cap, query_per_class=self.query_per_class)
         if self.mode is SamplerMode.FIXED_WAY_SHOT:
-            if (self.fixed_way or 0) < 1 or (self.fixed_shot or 0) < 1:
-                raise InvalidConfig("fixed mode needs fixed_way and fixed_shot of at least 1")
+            check_sizes(fixed_way=self.fixed_way or 0, fixed_shot=self.fixed_shot or 0)
 
     @property
     def min_way(self) -> int:

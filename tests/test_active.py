@@ -17,8 +17,7 @@ from mahabench.bench import DomainSpec
 from mahabench.cli import build_active_session
 from mahabench.errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
 from mahabench.heads import MetricKind, SupportLayout, estimate_class_statistics
-from mahabench.methods import (HeadConfig, fit_statistics, predict, predict_labels,
-                               support_fits)
+from mahabench.methods import HeadConfig, fit_statistics, predict, predict_labels
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 
@@ -122,8 +121,7 @@ def reference_session(session, strategy, head):
         open_idx = np.flatnonzero(~taken)
         labeled_x = np.vstack([session.seed_x, session.pool_x[acquired]])
         labeled_y = np.concatenate([session.seed_y, session.pool_y[acquired]]).astype(np.int64)
-        start = support_fits([head], labeled_x, labeled_y, session.pool_x[open_idx])[0]
-        fit = fit_statistics(head, start)
+        [fit] = fit_statistics([head], labeled_x, labeled_y, session.pool_x[open_idx])
         test_pred = predict_labels(head, fit.statistics, session.test_x)
         curve[t] = float(np.mean(test_pred == session.test_y))
         if t == session.budget:

@@ -22,9 +22,10 @@ from mahabench.heads import (
     SupportLayout,
     class_scores,
     class_statistics,
+    estimate_class_statistics,
     softmax,
 )
-from mahabench.methods import HeadConfig, fit_statistics, predict, predict_labels, support_fits
+from mahabench.methods import HeadConfig, fit_statistics, predict, predict_labels
 from mahabench.refine import RefineConfig, run_refinement
 from mahabench.rng import Rng
 
@@ -142,25 +143,27 @@ HEADS = [
 ]
 
 
-def refine_alone(head, start):
-    """The refinement ``fit_statistics`` runs for ``head`` from ``start``."""
-    return run_refinement(start.layout, start.statistics, start.queries, head.refine,
-                          lambda stats, x: predict(head, stats, x), head.beta)
+def refine_alone(head, features, labels, query_rows):
+    """The refinement ``fit_statistics`` runs for ``head`` on a task, from
+    the task's support-only estimate."""
+    layout = SupportLayout.build(features, labels)
+    return run_refinement(layout, estimate_class_statistics(layout, head.beta), query_rows,
+                          head.refine, lambda stats, x: predict(head, stats, x), head.beta)
 
 
 def fit_matches_each_slice(head, features, labels, query_rows, test_rows):
     """Fit ``head`` to the stack and to each slice; check that every slice's
     statistics, query predictions and test predictions have the bits of its
     own fit, and return the slices' refinement iteration counts."""
-    fit = fit_statistics(head, support_fits([head], features, labels, query_rows)[0])
+    [fit] = fit_statistics([head], features, labels, query_rows)
     probs, pred = predict(head, fit.statistics, test_rows)
     labels_only = predict_labels(head, fit.statistics, test_rows)
     iterations = []
     for b in range(features.shape[0]):
-        start = support_fits([head], features[b], labels[b], query_rows[b])[0]
         if head.refine is not None:
-            iterations.append(refine_alone(head, start).iterations_run)
-        one = fit_statistics(head, start)
+            iterations.append(refine_alone(head, features[b], labels[b], query_rows[b])
+                              .iterations_run)
+        [one] = fit_statistics([head], features[b], labels[b], query_rows[b])
         assert same_fields(fit.statistics.take([b]), [one.statistics])
         assert same_bits(fit.query_probs[b], one.query_probs)
         assert same_bits(fit.query_labels[b], one.query_labels)
@@ -192,7 +195,7 @@ def test_refinement_stops_each_fit_at_its_own_iteration():
             break
     else:
         pytest.fail("no stack of fits stopped at three different iterations")
-    outcome = refine_alone(head, support_fits([head], features, labels, query_rows)[0])
+    outcome = refine_alone(head, features, labels, query_rows)
     assert outcome.iterations_run == max(iterations)
     assert isinstance(outcome.iterations_run, int)
     assert isinstance(outcome.converged_early, bool)
@@ -206,9 +209,9 @@ def test_a_repair_in_one_slice_leaves_its_neighbours_exact():
     query_rows[1, :, -1] = 0.0
     for head in (HeadConfig(beta=0.0), HeadConfig(beta=0.0, refine=RefineConfig())):
         fit_matches_each_slice(head, features, labels, query_rows, query_rows)
-        stats = support_fits([head], features, labels, query_rows)[0].statistics
-        assert np.all(stats.jitter[1] > 0)
-        assert np.all(stats.jitter[[0, 2]] == 0)
+    stats = fit_statistics([HeadConfig(beta=0.0)], features, labels, query_rows)[0].statistics
+    assert np.all(stats.jitter[1] > 0)
+    assert np.all(stats.jitter[[0, 2]] == 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,7 +232,7 @@ def test_factor_stack_matches_each_slice(seed, batch, k, d, broken):
 
 def test_statistics_concatenate_and_take_along_the_batch():
     features, labels, query_rows = task_stack(3, 4, 3, 2, 2, 3)
-    stats = support_fits([HeadConfig()], features, labels, query_rows)[0].statistics
+    stats = fit_statistics([HeadConfig()], features, labels, query_rows)[0].statistics
     order = np.array([2, 0, 3, 1])
     joined = ClassStatistics.concatenate([stats.take(order[:1]), stats.take(order[1:])])
     assert same_fields(joined, [stats.take(b) for b in order])

@@ -21,8 +21,7 @@ from mahabench.continual import (
 )
 from mahabench.errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses
 from mahabench.heads import ClassStatistics, SupportLayout, estimate_class_statistics
-from mahabench.methods import (HeadConfig, fit_statistics, predict, predict_labels, scores,
-                               support_fits)
+from mahabench.methods import HeadConfig, fit_statistics, predict, predict_labels, scores
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 from mahabench.spd import cholesky, ensure_pd
@@ -248,10 +247,9 @@ def reference_matrix(world, stream, strategy, mode, head, seed, groups):
     for t, group in enumerate(groups):
         working = update_encoding(state, encodings[t])
         local_y = np.repeat(np.arange(len(group)), stream.shot)
-        start = support_fits([head], working.apply(support[t]), local_y,
-                             working.apply(query[t]))[0]
-        fit = replace(fit_statistics(head, start).statistics,
-                      counts=np.full(len(group), float(stream.shot)))
+        [fit] = fit_statistics([head], working.apply(support[t]), local_y,
+                               working.apply(query[t]))
+        fit = replace(fit.statistics, counts=np.full(len(group), float(stream.shot)))
         for row, cid in enumerate(group):
             new = fit.take([row])
             memory[cid] = merge_class_statistics(memory[cid], new) if cid in memory else new
@@ -481,10 +479,9 @@ def reference_session(world, stream, strategies, head, seed, groups):
             working = update_encoding(state, true_encodings[t])
             feats = working.apply(queries[:ends[t]])
             local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)
-            start = support_fits([head], working.apply(raw_support[t]), local_y,
-                                 feats[starts[t]:])[0]
-            new = replace(fit_statistics(head, start).statistics,
-                          counts=np.full(len(rows), float(stream.shot)))
+            [fit] = fit_statistics([head], working.apply(raw_support[t]), local_y,
+                                   feats[starts[t]:])
+            new = replace(fit.statistics, counts=np.full(len(rows), float(stream.shot)))
             seen = memory.counts[rows] > 0
             if seen.any():
                 store(memory, rows[seen],

@@ -12,11 +12,10 @@ from mahabench.heads import (
     class_scores,
     estimate_class_statistics,
 )
-from mahabench.methods import HeadConfig, predict
+from mahabench.methods import HeadConfig, fit_statistics, predict
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 
-from fitting import fit_head
 
 GMM = HeadConfig(gmm=True)
 
@@ -146,12 +145,12 @@ class TestGmmEmRefine:
     def test_bad_support_labels_raise_typed_errors(self, labels, error):
         support = np.zeros((len(labels), 2))
         with pytest.raises(error):
-            fit_head(gmm_em(), support, np.array(labels, dtype=np.int64), np.ones((3, 2)))
+            fit_statistics([gmm_em()], support, np.array(labels, dtype=np.int64), np.ones((3, 2)))
 
     def test_empty_query_equals_support_only_gmm(self):
         rng = Rng(13)
         sup, lab, _ = self._task(rng)
-        out = fit_head(gmm_em(), sup, lab, np.empty((0, 2)))
+        out = fit_statistics([gmm_em()], sup, lab, np.empty((0, 2)))[0]
         plain = estimate_class_statistics(SupportLayout.build(sup, lab), beta=1.0)
         assert np.allclose(out.statistics.means, plain.means, atol=1e-12)
         assert np.allclose(out.statistics.covariances, plain.covariances, atol=1e-12)
@@ -159,7 +158,7 @@ class TestGmmEmRefine:
     def test_single_step_matches_gmm_classify(self):
         rng = Rng(17)
         sup, lab, query = self._task(rng)
-        out = fit_head(gmm_em(1, 1), sup, lab, query)
+        out = fit_statistics([gmm_em(1, 1)], sup, lab, query)[0]
         plain = estimate_class_statistics(SupportLayout.build(sup, lab), beta=1.0)
         probs, _ = predict(GMM, plain, query)
         assert np.allclose(out.query_probs, probs, atol=1e-12)
@@ -211,7 +210,7 @@ class TestGmmEmRefine:
             sup, lab, query = self._task(rng)
             for steps in (1, 2, 3):
                 expected = oracle(sup, lab, query, 1.0, steps)
-                out = fit_head(gmm_em(steps, steps), sup, lab, query)
+                out = fit_statistics([gmm_em(steps, steps)], sup, lab, query)[0]
                 assert np.allclose(out.query_probs, expected, atol=1e-10)
 
     def test_priors_held_fixed_across_iterations(self):
@@ -220,5 +219,5 @@ class TestGmmEmRefine:
         sup = np.array([[-2.0, 0.0], [2.0, 0.0]])
         lab = np.array([0, 1], dtype=np.int64)
         query = np.array([[-1.5, 0.0], [1.5, 0.0]])
-        out = fit_head(gmm_em(2, 4), sup, lab, query)
+        out = fit_statistics([gmm_em(2, 4)], sup, lab, query)[0]
         assert np.allclose(out.query_probs.sum(axis=0), [1.0, 1.0], atol=1e-9)

@@ -27,12 +27,10 @@ from mahabench.heads import (
     estimate_class_statistics,
     softmax,
 )
-from mahabench.methods import HeadConfig, predict
+from mahabench.methods import HeadConfig, fit_statistics, predict
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 from mahabench.spd import cholesky, quad_form
-
-from fitting import fit_head
 
 
 TRANSDUCTIVE = HeadConfig(refine=RefineConfig())
@@ -421,7 +419,10 @@ def stats_fields(stats):
             stats.inverse_factors, stats.jitter]
 
 
-class TestScratchArena:
+class TestResultMemoryAndThreads:
+    """Results own their memory, threaded fits match serial ones, and the
+    kernels allocate no per-call block of the query set's size."""
+
     def test_results_own_their_memory_and_survive_later_calls(self):
         rng = Rng(51)
         layout, queries, weights = soft_task(rng, k=3, m=7, d=4)
@@ -442,8 +443,10 @@ class TestScratchArena:
             rng = Rng(seed)
             out = []
             for _ in range(40):
-                layout, queries, _ = soft_task(rng, k=5, m=60, d=8)
-                fit = fit_head(TRANSDUCTIVE, layout.features, layout.labels, queries)
+                k, m, d = 5, 60, 8
+                features, labels = rng.normal((2 * k, d)), np.repeat(np.arange(k), 2)
+                queries = rng.normal((m, d))
+                [fit] = fit_statistics([TRANSDUCTIVE], features, labels, queries)
                 out.append(class_scores(queries, fit.statistics, MetricKind.SQUARED_MAHALANOBIS))
                 out.extend(stats_fields(fit.statistics))
             return out

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,12 +21,10 @@ from mahabench.methods import (
     parse_method,
     predict,
     predict_labels,
-    support_fits,
 )
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 
-from fitting import fit_head
 
 HEADS = [HeadConfig(metric=metric) for metric in MetricKind] + [HeadConfig(gmm=True)]
 
@@ -73,30 +71,61 @@ METHODS = [
 ]
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_fit(fit, alone) -> bool:
+    """Every field of ``fit`` has the bits of ``alone``'s."""
+    if fit.head != alone.head or (fit.refresh is None) != (alone.refresh is None):
+        return False
+    return (all(same_bits(getattr(fit.statistics, f.name), getattr(alone.statistics, f.name))
+                for f in fields(fit.statistics))
+            and same_bits(fit.queries.rows, alone.queries.rows)
+            and same_bits(fit.query_probs, alone.query_probs)
+            and same_bits(fit.query_labels, alone.query_labels))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_shared_fits_give_the_bits_of_one_fit_per_head(seed):
     task = toy_task(seed)
-    got = evaluate_task(METHODS, task)
-    for head, accuracy in zip(METHODS, got):
-        # each head on its own, its query set scored again after the fit
-        alone = fit_head(head, task.support_x, task.support_y, task.query_x)
-        labels = predict_labels(head, alone.statistics, task.query_x)
-        assert accuracy == float(np.mean(labels == task.query_y))
-        assert alone.query_labels.tobytes() == labels.tobytes()
-        probs, _ = predict(head, alone.statistics, task.query_x)
-        assert alone.query_probs.tobytes() == probs.tobytes()
+    x, y, query = task.support_x, task.support_y, task.query_x
+    # two betas, in several orders, and one head named twice (single-pass
+    # for seeds 0 and 2, refining for 1 and 3)
+    shuffled = [METHODS[i] for i in Rng(seed).permutation(len(METHODS))]
+    for configs in (METHODS, METHODS[::-1], shuffled + [METHODS[seed]]):
+        got = evaluate_task(configs, task)
+        fits = fit_statistics(configs, x, y, query)
+        for head, accuracy, fit in zip(configs, got, fits):
+            alone = fit_statistics([head], x, y, query)[0]
+            assert fit.head == head and same_fit(fit, alone)
+            # each head's query set scored again after its fit
+            labels = predict_labels(head, alone.statistics, query)
+            assert accuracy == float(np.mean(labels == task.query_y))
+            assert alone.query_labels.tobytes() == labels.tobytes()
+            probs, _ = predict(head, alone.statistics, query)
+            assert alone.query_probs.tobytes() == probs.tobytes()
 
 
-def test_support_fits_estimate_once_per_beta_and_share_equal_scorers():
+def test_one_call_estimates_once_per_beta_and_shares_equal_scorers(monkeypatch):
     task = toy_task(0)
-    fits = support_fits(METHODS, task.support_x, task.support_y, task.query_x)
+    estimates = []
+    estimate = methods.estimate_class_statistics
+    monkeypatch.setattr(methods, "estimate_class_statistics",
+                        lambda *a, **k: estimates.append(k["beta"]) or estimate(*a, **k))
+    fits = fit_statistics(METHODS, task.support_x, task.support_y, task.query_x)
+    assert estimates == [1.0, 0.25]
+    assert len({id(fit.queries) for fit in fits}) == 1
+    single = [fit for head, fit in zip(METHODS, fits) if head.refine is None]
+    assert len({id(f) for f in single}) == 6  # 3 scorers at each of 2 betas
     by_beta = {}
     for head, fit in zip(METHODS, fits):
-        assert fit.head == replace(head, refine=None)
-        assert by_beta.setdefault(head.beta, fit.statistics) is fit.statistics
-    assert len({id(f) for f in fits}) == 6  # 3 scorers at each of 2 betas
-    simple, transductive = fits[0], fits[1]
-    assert simple is transductive
+        if head.refine is None:
+            assert by_beta.setdefault(head.beta, fit.statistics) is fit.statistics
+    repeated = fit_statistics([METHODS[0], METHODS[2], METHODS[0]], task.support_x,
+                              task.support_y, task.query_x)
+    assert repeated[0] is repeated[2]
 
 
 def test_the_refinement_starts_from_the_shared_scoring(monkeypatch):
@@ -123,17 +152,10 @@ def test_a_single_pass_fit_scores_nothing_until_read(monkeypatch):
     calls = []
     scorer = heads.class_scores
     monkeypatch.setattr(heads, "class_scores", lambda *a: calls.append(1) or scorer(*a))
-    fit = fit_head(HeadConfig(), task.support_x, task.support_y, task.query_x)
+    fit = fit_statistics([HeadConfig()], task.support_x, task.support_y, task.query_x)[0]
     assert calls == []
     fit.query_probs, fit.query_labels, fit.query_labels
     assert calls == [1]
-
-
-def test_a_start_fit_of_another_head_is_rejected():
-    task = toy_task(3)
-    start = support_fits([HeadConfig(beta=0.5)], task.support_x, task.support_y, task.query_x)[0]
-    with pytest.raises(ValueError, match="support-only fit"):
-        fit_statistics(parse_method("transductive"), start)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -151,7 +173,7 @@ def test_a_task_builds_one_support_layout_for_every_head(monkeypatch, seed):
 def fit_error(head, support_x, support_y, query_x):
     """The typed error fitting ``head`` raises, or None."""
     try:
-        fit = fit_head(head, support_x, support_y, query_x)
+        fit = fit_statistics([head], support_x, support_y, query_x)[0]
         fit.query_labels
     except (DimensionMismatch, EmptyClass, LabelOutOfRange, NonFiniteInput) as exc:
         return type(exc)

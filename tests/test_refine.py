@@ -11,11 +11,10 @@ from mahabench.errors import (
     NonFiniteInput,
 )
 from mahabench.heads import SupportLayout, estimate_class_statistics
-from mahabench.methods import HeadConfig, predict
+from mahabench.methods import HeadConfig, fit_statistics, predict
 from mahabench.refine import RefineConfig, run_refinement, weighted_class_statistics
 from mahabench.rng import Rng
 
-from fitting import fit_head
 
 MAHALANOBIS = HeadConfig()
 TRANSDUCTIVE = HeadConfig(refine=RefineConfig())
@@ -237,8 +236,8 @@ class TestRefine:
         # min = max = 1 is one support-only estimation pass, bit for bit
         sup, lab, query = small_task(Rng(seed), n_classes, shots, m_query, dims)
         one_step = HeadConfig(refine=RefineConfig(min_steps=1, max_steps=1))
-        out = fit_head(one_step, sup, lab, query)
-        plain = fit_head(MAHALANOBIS, sup, lab, query)
+        out = fit_statistics([one_step], sup, lab, query)[0]
+        plain = fit_statistics([MAHALANOBIS], sup, lab, query)[0]
         for name in STAT_FIELDS:
             assert np.array_equal(getattr(out.statistics, name), getattr(plain.statistics, name))
         assert out.query_probs.tobytes() == plain.query_probs.tobytes()
@@ -298,7 +297,7 @@ class TestRefine:
         sup, lab, _ = small_task(Rng(8), dims=2)
         for query in (np.ones((3, 3)), np.ones((2, 1)), np.ones(2)):
             with pytest.raises(DimensionMismatch):
-                fit_head(TRANSDUCTIVE, sup, lab, query)
+                fit_statistics([TRANSDUCTIVE], sup, lab, query)
 
     def test_negative_support_label_raises(self):
         # read as an index, -1 would silently become the last class
@@ -306,12 +305,12 @@ class TestRefine:
         lab = lab.copy()
         lab[0] = -1
         with pytest.raises(LabelOutOfRange):
-            fit_head(TRANSDUCTIVE, sup, lab, query)
+            fit_statistics([TRANSDUCTIVE], sup, lab, query)
 
     def test_empty_support_raises_empty_class(self):
         with pytest.raises(EmptyClass):
             empty = np.empty(0, dtype=np.int64)
-            fit_head(TRANSDUCTIVE, np.empty((0, 2)), empty, np.ones((3, 2)))
+            fit_statistics([TRANSDUCTIVE], np.empty((0, 2)), empty, np.ones((3, 2)))
 
     def test_single_step_equals_plain_classifier(self):
         rng = Rng(9)

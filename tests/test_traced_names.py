@@ -32,6 +32,25 @@ def test_every_traced_name_resolves(name):
     assert vars(owner)[attr] is function
 
 
+# The modules whose namespaces bind a traced function, as the benchmark's
+# traced run counts and pins them: the defining module, every module that
+# imports the function by name, and the package ("" here).
+PINNED_BINDINGS = {
+    "methods.fit_statistics": {"methods", "bench", "active", "continual"},
+    "heads.class_scores": {"heads", ""},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BINDINGS))
+def test_the_pinned_binding_counts_hold(name):
+    importlib.import_module("mahabench.cli")  # the traced run loads every module
+    function = layertrace._resolve("mahabench", name)[2]
+    bound = {key.partition(".")[2] for key, module in list(sys.modules.items())
+             if key.split(".")[0] == "mahabench" and module is not None
+             and any(value is function for value in vars(module).values())}
+    assert bound == PINNED_BINDINGS[name]
+
+
 @pytest.mark.parametrize("name", ["refine", "gmm"])
 def test_package_attributes_are_the_submodules(name):
     # a function exported under a submodule's name would shadow the module
