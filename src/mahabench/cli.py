@@ -22,7 +22,10 @@ from its flags (active and continual ``strategies``, continual
 sha256 of the sorted JSON of all the rest.  It holds no paths (``--out``,
 ``--tasks-file``), and no flag the run leaves unread: such a flag set away
 from its default exits 2.  Checks on flag values run before the echo.
-Identical seeds produce byte-identical outputs.
+Identical seeds produce byte-identical outputs.  Both digests come from
+CPython's builtin SHA-256 module (``_sha2``, or ``_sha256`` before 3.12),
+the bytes of ``hashlib.sha256``, which would also load OpenSSL: 3.6 MiB of
+every run's resident memory for two short hashes.
 
 bench and recall tasks, blocks of active sessions, blocks of continual
 streams (``LOCKSTEP_BLOCK`` sessions or streams each) and blocks of riemann
@@ -50,13 +53,20 @@ without ``mallopt`` is left as it is.
 import argparse
 import csv
 import ctypes
-import hashlib
 import json
 import math
 import sys
 from dataclasses import replace
 
 import numpy as np
+
+try:  # not hashlib, which loads OpenSSL (see the module docstring)
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without either module
+        from hashlib import sha256
 
 from . import bench as bench_mod
 from . import riemann as riemann_mod
@@ -211,7 +221,7 @@ def _echo(args, *unread: str, **facts) -> dict:
     config = {k: v for k, v in vars(args).items() if k not in ("out", "tasks_file", *unread)}
     config.update(schema=f"{args.command}/{CSV_SCHEMA_VERSION}", **facts)
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    config["config_hash"] = hashlib.sha256(blob).hexdigest()[:12]
+    config["config_hash"] = sha256(blob).hexdigest()[:12]
     print(json.dumps(config, sort_keys=True))
     return config
 
@@ -226,7 +236,8 @@ def _unread(args, defaults, why: str, *names: str) -> tuple:
 
 
 def _require_positive(args, *names: str) -> None:
-    """Reject a run size below 1: it would aggregate nothing."""
+    """Reject a size flag below 1, naming the flag; a config built from it
+    would name its own field instead."""
     check_sizes(**{f"--{name.replace('_', '-')}": getattr(args, name) for name in names})
 
 
@@ -273,10 +284,12 @@ def _domain_from_args(args, min_classes: int = 0) -> bench_mod.DomainSpec:
 
 def _sampler_from_args(args, defaults) -> tuple:
     """The sampler of the ``--mode`` flags, and the flags it leaves unread."""
+    _require_positive(args, "query")
     if args.mode == "metadataset":
         unread = _unread(args, defaults, "--mode metadataset draws way and shot", "way", "shot")
         return SamplerConfig(mode=SamplerMode.META_DATASET_LIKE,
                              query_per_class=args.query), unread
+    _require_positive(args, "way", "shot")
     return SamplerConfig(
         mode=SamplerMode.FIXED_WAY_SHOT,
         fixed_way=args.way,
@@ -291,6 +304,9 @@ def _methods(args, defaults) -> tuple:
     them."""
     names = tuple(m.strip() for m in args.method.split(",") if m.strip())
     _distinct(names, "--method")
+    _require_positive(args, "min_steps")
+    if args.max_steps < args.min_steps:
+        raise InvalidConfig("--max-steps must be >= --min-steps")
     refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps)
     heads = tuple((name, parse_method(name, refine_cfg, args.beta)) for name in names)
     # only a refining head reads the step limits
@@ -328,7 +344,7 @@ def _cmd_bench(args, defaults) -> int:
         for task in tasks:
             tasks_by_domain.setdefault(task.domain_id, []).append(task)
         with open(args.tasks_file, "rb") as fh:
-            facts = {"n_tasks": len(tasks), "tasks_sha256": hashlib.sha256(fh.read()).hexdigest()}
+            facts = {"n_tasks": len(tasks), "tasks_sha256": sha256(fh.read()).hexdigest()}
         cfg = replace(cfg, n_tasks=len(tasks))
     bench_mod.check_benchmark(cfg, tasks_by_domain)
     echo = _echo(args, *file_unread, *sampler_unread, *head_unread, **facts)
@@ -368,7 +384,7 @@ def _cmd_gen_tasks(args, defaults) -> int:
 
 
 def _cmd_recall(args, defaults) -> int:
-    _require_positive(args, "tasks")
+    _require_positive(args, "tasks", "query")
     sampler = SamplerConfig(mode=SamplerMode.META_DATASET_LIKE, query_per_class=args.query)
     cfg, unread = _bench_config(args, defaults, sampler)
     echo = _echo(args, *unread)
@@ -446,7 +462,7 @@ def _cmd_active(args, defaults) -> int:
 
 
 def _cmd_continual(args, defaults) -> int:
-    _require_positive(args, "streams")
+    _require_positive(args, "streams", "length", "classes_per_task", "shot", "query")
     strategies = _choices(EncodingStrategy, args.strategy, "all", "--strategy")
     modes = _choices(HeadMode, args.head_mode, "both", "--head-mode")
     head, unread = _one_head(args, defaults)

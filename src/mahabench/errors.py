@@ -36,7 +36,7 @@ class EmptyClass(MahabenchError):
 
 
 class LabelOutOfRange(MahabenchError):
-    """A class label lies outside ``[0, num_classes)``."""
+    """A support label is negative; classes are numbered from 0."""
 
 
 class InvalidConfig(MahabenchError):

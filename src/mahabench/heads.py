@@ -226,14 +226,12 @@ class SupportLayout:
         return _taken(self, index)
 
     @classmethod
-    def build(
-        cls, features: np.ndarray, labels: np.ndarray, num_classes: int | None = None
-    ) -> "SupportLayout":
+    def build(cls, features: np.ndarray, labels: np.ndarray) -> "SupportLayout":
         """Group ``(n, d)`` support rows by their labels in ``[0, K)``.
 
         This is where a labelled support set enters the package, so every
-        check on it runs here, once per support set.  ``K`` is
-        ``num_classes``, or the largest label plus one when omitted.
+        check on it runs here, once per support set.  ``K`` is the largest
+        label plus one.
         ``(B, n, d)`` features with ``(B, n)`` labels give a stack of B
         layouts with a common K, checked and grouped in one pass; each
         slice has the bits of its own unbatched layout.
@@ -246,7 +244,7 @@ class SupportLayout:
         EmptyClass
             If the support set is empty.
         LabelOutOfRange
-            If a label lies outside [0, K).
+            If a label is negative.
         NonFiniteInput
             If a support row has a NaN or infinite entry.
         """
@@ -261,9 +259,9 @@ class SupportLayout:
         *batch, n, d = support_x.shape
         if batch == [0]:
             raise DimensionMismatch("a stack of support sets must hold at least one")
-        k_count = int(num_classes) if num_classes is not None else int(support_y.max()) + 1
-        if np.any(support_y < 0) or np.any(support_y >= k_count):
-            raise LabelOutOfRange(f"support label outside [0, {k_count})")
+        if support_y.min() < 0:
+            raise LabelOutOfRange("support label below 0")
+        k_count = int(support_y.max()) + 1
         _require_finite(support_x, "support features")
         xs, ys = support_x.reshape(-1, n, d), support_y.reshape(-1, n)
         b_count = len(xs)

@@ -4,9 +4,12 @@ The feature space is given a metric field g(x) = sum_k w_k(x - mu_k) P_k
 where P_k is class k's precision (inverse covariance) and {w_k} is a
 partition of unity that is exactly 1 on a plateau around each centroid.
 Straight-line path energies under that field are integrated with piecewise
-Gauss-Legendre quadrature, split where the path crosses a plateau or support
-sphere, and the relative class scores are compared against the first-order
-energy-gap approximation (1/2)(maha_i - maha_j).
+8-point Gauss-Legendre quadrature, split where the path crosses a plateau or
+support sphere, and the relative class scores are compared against the
+first-order energy-gap approximation (1/2)(maha_i - maha_j).  The 8-point
+table is written out as float literals, bit for bit the nodes and weights of
+``numpy.polynomial.legendre.leggauss(8)``, so that importing this module
+does not import ``numpy.polynomial``.
 
 Fields come in blocks: F fields have centroids (F, K, d), precisions
 (F, K, d, d) and radii (F, K), one point each, (F, d), and results (F,).
@@ -39,7 +42,14 @@ from .errors import DimensionMismatch, InvalidConfig
 from .rng import Rng
 
 _GL_ORDER = 8
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+# ``np.polynomial.legendre.leggauss(8)`` as exact float reprs; calling it
+# would import ``numpy.polynomial``, 1.5 MiB of every run's resident memory
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 _ROOT_SIGNS = np.array([-1.0, 1.0])[:, None, None]
 _BLOCK_BUDGET = 1 << 15  # quadrature nodes and matrix entries per block of fields
 

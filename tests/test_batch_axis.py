@@ -72,7 +72,7 @@ def test_layouts_query_moments_and_statistics_match_each_slice(task, beta, weigh
     features, labels, query_rows = task_stack(**task)
     k = task["classes"]
     layout = SupportLayout.build(features, labels)
-    slices = [SupportLayout.build(features[b], labels[b], k) for b in range(task["batch"])]
+    slices = [SupportLayout.build(features[b], labels[b]) for b in range(task["batch"])]
     assert layout.batch_shape == (task["batch"],)
     assert same_fields(layout, slices)
 
@@ -97,17 +97,16 @@ def test_layouts_of_slices_padded_to_different_lengths_match_each_slice(
     # slice b gives class 0 heavy[b] of its extra rows and the others to
     # random classes, so the slices' largest classes, and with them the
     # padded blocks whose Gram matrices are the class moments, differ in
-    # length; ``unused`` classes hold no row of any slice
+    # length; the first ``unused`` classes hold no row of any slice
     rng = Rng(seed)
     extra = max(heavy)
-    labels = np.stack([
+    labels = unused + np.stack([
         np.concatenate([np.arange(classes), np.zeros(h, dtype=np.int64),
                         rng.integers(0, classes - 1, extra - h)])[rng.permutation(classes + extra)]
         for h in heavy])
     features = rng.normal(labels.shape + (dims,))
-    k = classes + unused
-    layout = SupportLayout.build(features, labels, k)
-    slices = [SupportLayout.build(features[b], labels[b], k) for b in range(len(heavy))]
+    layout = SupportLayout.build(features, labels)
+    slices = [SupportLayout.build(features[b], labels[b]) for b in range(len(heavy))]
     assert same_fields(layout, slices)
     assume(len(set(layout.class_sizes.max(axis=1).tolist())) > 1)
 

@@ -38,6 +38,22 @@ SMALL_ACTIVE = ["active", "--sessions", "1", "--budget", "2", "--classes", "3",
 SMALL_CONTINUAL = ["continual", "--streams", "1", "--length", "2", "--shot", "3",
                    "--query", "2", "--strategy", "moving", "--head-mode", "single"]
 
+# argvs whose last flag holds a size or a step limit that a config would
+# also reject under its own field name; the error names the flag
+SIZE_FLAG_ERRORS = [
+    *(["continual", flag, "0"]
+      for flag in ("--length", "--classes-per-task", "--shot", "--query")),
+    ["bench", "--tasks", "30", "--query", "0"],
+    ["bench", "--tasks", "30", "--mode", "metadataset", "--query", "0"],
+    ["bench", "--tasks", "30", "--way", "0"],
+    *(["gen-tasks", "--tasks", "2", "--out", "tasks.jsonl", flag, "0"]
+      for flag in ("--way", "--shot", "--query")),
+    ["recall", "--tasks", "2", "--query", "0"],
+    *([command, "--min-steps", "0"] for command in ("bench", "recall", "active", "continual")),
+    ["bench", "--tasks", "30", "--method", "transductive", "--max-steps", "1"],
+    ["continual", "--max-steps", "1"],
+]
+
 RUN_FLAGS = {"--seed", "--out", "--dims", "--classes", "--anisotropy", "--mean-radius",
              "--scale-spread", "--domain-id"}
 HEAD_FLAGS = {"--method", "--min-steps", "--max-steps", "--beta"}
@@ -175,6 +191,7 @@ class TestCliMain:
         ["continual", "--head-mode", "single,single"],
         ["bench", "--method", "simple,simple"],
         ["recall", "--tasks", "2", "--method", "transductive,simple,transductive"],
+        *SIZE_FLAG_ERRORS,
     ])
     def test_config_errors_exit_two(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where a run that wrongly passed would write
@@ -182,6 +199,8 @@ class TestCliMain:
         out, err = capsys.readouterr()
         assert "config error" in err
         assert out == ""  # a rejected run prints no configuration
+        if argv in SIZE_FLAG_ERRORS:
+            assert argv[-2] in err
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--tasks", "30", "--mean-radius", "nan"],
@@ -427,6 +446,25 @@ class TestModuleEntryPoints:
         assert "mahabench.spd" in loaded
         assert not {m for m in loaded if m == "_flapack" or m.split(".")[0] == "scipy"}
         assert {"multiprocessing", "concurrent.futures"} <= loaded
+
+    def test_importing_the_cli_loads_no_library_a_run_leaves_unused(self):
+        # each is resident memory of every run: OpenSSL (hashlib's _hashlib)
+        # 3.6 MiB for two digests, numpy.polynomial 1.5 MiB for one table,
+        # scipy's package inits where spd needs only its LAPACK wrappers
+        done = run_python("-c", "import sys, mahabench.cli; print(*sorted(sys.modules))")
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "_hashlib" not in loaded
+        assert not {m for m in loaded if m == "numpy.polynomial"
+                    or m.startswith("numpy.polynomial.") or m.split(".")[0] == "scipy"}
+
+    @pytest.mark.parametrize("data", [
+        json.dumps({"command": "riemann", "seed": 7, "schema": "riemann/v1"},
+                   sort_keys=True).encode("utf-8"),
+        np.random.default_rng(0).bytes(5 << 20),
+    ], ids=["echo", "5MiB"])
+    def test_the_digest_is_hashlibs(self, data):
+        assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
     def test_a_workload_call_imports_only_pool_internals(self, tmp_path):
         # a module first imported inside cli_main is timed with every run

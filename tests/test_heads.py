@@ -110,10 +110,9 @@ class TestEstimateClassStatistics:
             estimate_class_statistics(SupportLayout.build(np.zeros((2, 2)), np.array([0, 2])))
         assert info.value.class_index == 1
 
-    @pytest.mark.parametrize("labels, num_classes", [([0, -1], None), ([0, 2], 2)])
-    def test_label_out_of_range_raises(self, labels, num_classes):
+    def test_label_out_of_range_raises(self):
         with pytest.raises(LabelOutOfRange):
-            SupportLayout.build(np.zeros((2, 2)), np.array(labels), num_classes)
+            SupportLayout.build(np.zeros((2, 2)), np.array([0, -1]))
 
     def test_non_finite_support_row_raises(self):
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, np.nan]])
@@ -225,7 +224,7 @@ class TestMomentsAgainstCenteredReference:
         queries = centers[query_labels] + rng.normal((m, d)) if m else np.empty((0, d))
         weights = softmax(rng.normal((m, k_count)))
         weights[:, np.array(zero_columns[:k_count])] = 0.0
-        stats = class_statistics(SupportLayout.build(support, labels, k_count), queries,
+        stats = class_statistics(SupportLayout.build(support, labels), queries,
                                  weights, beta)
         means, covs, counts = centered_class_statistics(support, labels, k_count, queries,
                                                         weights, beta)
@@ -410,7 +409,7 @@ class TestInvariants:
 def soft_task(rng, k, m, d, per_class=2):
     """A support layout with ``per_class`` rows per class and soft query weights."""
     labels = np.repeat(np.arange(k), per_class)
-    layout = SupportLayout.build(rng.normal((k * per_class, d)), labels, k)
+    layout = SupportLayout.build(rng.normal((k * per_class, d)), labels)
     return layout, rng.normal((m, d)), softmax(rng.normal((m, k)))
 
 

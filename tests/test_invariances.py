@@ -4,7 +4,9 @@ At beta = 0 every class covariance transforms as ``A Q_k A^T`` under
 x -> Ax + b, so every squared Mahalanobis distance, and with it every label
 of ``simple``, ``transductive``, ``gmm`` and ``gmm-em``, stays the same
 (the GMM scores shift by one constant for every class).  Relabelling the
-classes permutes the probability columns of every head.
+classes permutes the probability columns of every head, and permuting the
+query rows permutes every head's query labels, at any beta: the transductive
+heads weigh the query rows by their soft labels, whatever their order.
 
 Summation order moves the last bits, so these compare labels, not bits.
 Each property assumes that every scoring of the reference fit, the
@@ -25,7 +27,8 @@ from mahabench.rng import Rng
 
 MARGIN = 1e-6
 
-HEADS = [parse_method(name, beta=0.0) for name in ("simple", "transductive", "gmm", "gmm-em")]
+NAMES = ("simple", "transductive", "gmm", "gmm-em")
+HEADS = [parse_method(name, beta=0.0) for name in NAMES]
 
 tasks = st.fixed_dictionaries({
     "seed": st.integers(0, 2**32 - 1),
@@ -93,3 +96,15 @@ def test_relabelling_the_classes_permutes_the_probability_columns(task, head, pe
     assert np.array_equal(relabelled.query_labels, perm[fit.query_labels])
     # column perm[k] of the relabelled fit is class k's
     assert np.allclose(relabelled.query_probs[:, perm], fit.query_probs, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(task=tasks, head=st.sampled_from([*HEADS, *(parse_method(name) for name in NAMES)]),
+       perm_seed=st.integers(0, 2**32 - 1))
+def test_permuting_the_queries_permutes_the_labels(task, head, perm_seed):
+    support_x, support_y, query_x = draw_task(**task)
+    perm = Rng(perm_seed).permutation(task["queries"])
+    fit, margin = fit_with_margin(head, support_x, support_y, query_x)
+    assume(margin > MARGIN)
+    shuffled, _ = fit_with_margin(head, support_x, support_y, query_x[perm])
+    assert np.array_equal(shuffled.query_labels, fit.query_labels[perm])

@@ -174,10 +174,10 @@ class TestWeightedClassStatistics:
         assert np.allclose(stats.means[1], (feats[1] + 0.5 * feats[2]) / 1.5)
 
     def test_soft_count_underflow_raises(self):
-        layout = SupportLayout.build(np.zeros((1, 2)), np.array([0]), 2)  # class 1 unsupported
+        layout = SupportLayout.build(np.zeros((1, 2)), np.array([1]))  # class 0 unsupported
         with pytest.raises(EmptyClass) as info:
             weighted_class_statistics(layout, np.zeros((1, 2)), np.zeros((1, 2)), 1.0)
-        assert info.value.class_index == 1
+        assert info.value.class_index == 0
 
     def test_non_finite_query_row_raises(self):
         layout = SupportLayout.build(np.array([[0.0, 0.0], [4.0, 0.0]]), np.array([0, 1]))

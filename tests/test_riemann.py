@@ -11,6 +11,8 @@ from mahabench.errors import (
     NotRepairable,
 )
 from mahabench.riemann import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     MetricField,
     PartitionOfUnity,
     _column_weights,
@@ -67,6 +69,12 @@ def precision_of(cov) -> np.ndarray:
     """The precision ``from_covariances`` gives a one-centroid field of ``cov``."""
     cov = np.asarray(cov, dtype=np.float64)
     return MetricField.from_covariances(np.zeros((1, len(cov))), cov[None]).precisions[0]
+
+
+def test_the_quadrature_table_is_numpys_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert _GL_NODES.dtype == nodes.dtype and _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.dtype == weights.dtype and _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 class TestPrecisions:
