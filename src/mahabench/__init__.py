@@ -11,25 +11,25 @@ support-only statistics once per beta, and running
 ``refine.run_refinement`` from them for a transductive or GMM-EM head),
 and ``predict`` / ``predict_labels`` score queries under a fit.
 
-numpy's and scipy's BLAS run on one thread unless the caller says
-otherwise.  While this package imports numpy and ``spd`` (which loads
-scipy's LAPACK), ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` default
-to 1 (a value the caller set is kept); OpenBLAS reads them as it loads, and
-the caller's environment is put back afterwards, so nothing the host
-program starts later inherits them.  ``parallel`` runs one worker process
-per CPU, and a BLAS thread pool in each of them would oversubscribe the
-cores; see ``parallel`` for the measured cost.  The default takes effect
-only when numpy is not loaded yet.
+numpy's BLAS runs on one thread unless the caller says otherwise.  While
+this package imports numpy, ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` default to 1 (a value the caller set is kept); the
+OpenBLAS numpy bundles reads them as it loads, and the caller's
+environment is put back afterwards, so nothing the host program starts
+later inherits them.  That library is the only BLAS and LAPACK the package
+loads: ``spd`` calls its ``dpotrf`` and ``dtrtri`` too.  ``parallel`` runs
+one worker process per CPU, and a BLAS thread pool in each of them would
+oversubscribe the cores; see ``parallel`` for the measured cost.  The
+default takes effect only when numpy is not loaded yet.
 """
 
 import os
 
-# OpenBLAS reads its thread count as it loads, which these imports do
+# OpenBLAS reads its thread count as it loads, which importing numpy does
 _unset = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if v not in os.environ]
 os.environ.update(dict.fromkeys(_unset, "1"))
 try:
     import numpy  # noqa: F401
-    from . import spd  # noqa: F401
 finally:
     for _var in _unset:
         os.environ.pop(_var, None)

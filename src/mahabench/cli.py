@@ -70,7 +70,7 @@ except ImportError:
 
 from . import bench as bench_mod
 from . import riemann as riemann_mod
-from .active import AcquisitionStrategy, ActiveSession, check_budget, run_active_session
+from .active import AcquisitionStrategy, ActiveSession, run_active_session
 from .continual import (
     EncodingStrategy,
     HeadMode,
@@ -203,6 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import: argparse's first message lookup imports ``locale``,
+# which each call would otherwise import inside its timed run
+_PARSER = build_parser()
+
+
 def _write_csv(path, config: dict, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# " + json.dumps(config, sort_keys=True) + "\n")
@@ -268,6 +273,14 @@ def _choices(enum, text: str, everything: str, flag: str) -> list:
 
 
 def _domain_from_args(args, min_classes: int = 0) -> bench_mod.DomainSpec:
+    """The world of the run flags; ``min_classes`` raises its class count."""
+    class_count = max(args.classes, min_classes)
+    if args.dims < 2:
+        raise InvalidConfig("--dims must be at least 2")
+    if class_count < 2:
+        raise InvalidConfig("--classes must be at least 2")
+    if args.anisotropy < 1.0:
+        raise InvalidConfig("--anisotropy must be >= 1")
     spread = args.scale_spread
     if spread < 1.0:
         raise InvalidConfig("--scale-spread must be >= 1")
@@ -275,7 +288,7 @@ def _domain_from_args(args, min_classes: int = 0) -> bench_mod.DomainSpec:
     return bench_mod.DomainSpec(
         domain_id=args.domain_id,
         dims=args.dims,
-        class_count=max(args.classes, min_classes),
+        class_count=class_count,
         anisotropy=args.anisotropy,
         mean_radius=args.mean_radius,
         scale_range=(lo, lo * spread),
@@ -333,6 +346,8 @@ def _cmd_bench(args, defaults) -> int:
         args, defaults, "--tasks-file fixes the tasks", "seed", "dims", "classes",
         "anisotropy", "mean_radius", "scale_spread", "domain_id", "tasks", "mode", "way",
         "shot", "query") if args.tasks_file else ()
+    if not args.tasks_file and args.tasks < 30:
+        raise InvalidConfig("--tasks must be at least 30 for CI sanity")
     sampler, sampler_unread = _sampler_from_args(args, defaults)
     cfg, head_unread = _bench_config(args, defaults, sampler)
     facts, tasks_by_domain = {}, None
@@ -427,11 +442,14 @@ def _one_head(args, defaults) -> tuple:
 
 
 def _cmd_active(args, defaults) -> int:
-    _require_positive(args, "sessions", "test_per_class")
+    _require_positive(args, "sessions", "pool_per_class", "test_per_class")
     strategies = _choices(AcquisitionStrategy, args.strategy, "all", "--strategy")
     head, unread = _one_head(args, defaults)
     world = _domain_from_args(args).build(args.seed)
-    check_budget(args.budget, world.class_count * args.pool_per_class)
+    pool = world.class_count * args.pool_per_class
+    if not 0 <= args.budget <= pool:
+        raise InvalidConfig(f"--budget must lie in [0, {pool}], the pool of --classes "
+                            f"{world.class_count} x --pool-per-class {args.pool_per_class}")
     echo = _echo(args, *unread, strategies=[s.value for s in strategies])
 
     def block_curves(block: int):
@@ -463,6 +481,8 @@ def _cmd_active(args, defaults) -> int:
 
 def _cmd_continual(args, defaults) -> int:
     _require_positive(args, "streams", "length", "classes_per_task", "shot", "query")
+    if args.drift < 0:
+        raise InvalidConfig("--drift must be nonnegative")
     strategies = _choices(EncodingStrategy, args.strategy, "all", "--strategy")
     modes = _choices(HeadMode, args.head_mode, "both", "--head-mode")
     head, unread = _one_head(args, defaults)
@@ -522,7 +542,7 @@ def _median(values) -> float:
 
 
 def _cmd_riemann(args, defaults) -> int:
-    _require_positive(args, "fields", "points_per_field")
+    _require_positive(args, "fields", "points_per_field", "dims")
     settings = {"dims": args.dims, "separation": args.separation, "flatness": args.flatness,
                 "support_scale": args.support_scale, "weak_side_scale": args.weak_scale}
     riemann_mod.check_settings(quadrature_points=args.quadrature, **settings)
@@ -578,7 +598,7 @@ def _set_allocator_thresholds() -> None:
 def cli_main(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     _set_allocator_thresholds()
-    parser = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints usage itself

@@ -54,6 +54,19 @@ SIZE_FLAG_ERRORS = [
     ["continual", "--max-steps", "1"],
 ]
 
+# argvs whose last flag holds a value the library rejects under a field name
+# or with a message that names no flag; the error names the flag
+WORLD_FLAG_ERRORS = [
+    ["bench", "--tasks", "5"],
+    ["continual", "--drift", "-1"],
+    ["bench", "--tasks", "30", "--dims", "1"],
+    ["bench", "--tasks", "30", "--classes", "1"],
+    ["gen-tasks", "--tasks", "2", "--out", "tasks.jsonl", "--anisotropy", "0.5"],
+    ["active", "--pool-per-class", "0"],
+    ["active", "--budget", "500"],
+    ["riemann", "--dims", "0"],
+]
+
 RUN_FLAGS = {"--seed", "--out", "--dims", "--classes", "--anisotropy", "--mean-radius",
              "--scale-spread", "--domain-id"}
 HEAD_FLAGS = {"--method", "--min-steps", "--max-steps", "--beta"}
@@ -192,6 +205,7 @@ class TestCliMain:
         ["bench", "--method", "simple,simple"],
         ["recall", "--tasks", "2", "--method", "transductive,simple,transductive"],
         *SIZE_FLAG_ERRORS,
+        *WORLD_FLAG_ERRORS,
     ])
     def test_config_errors_exit_two(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where a run that wrongly passed would write
@@ -199,8 +213,14 @@ class TestCliMain:
         out, err = capsys.readouterr()
         assert "config error" in err
         assert out == ""  # a rejected run prints no configuration
-        if argv in SIZE_FLAG_ERRORS:
+        if argv in SIZE_FLAG_ERRORS or argv in WORLD_FLAG_ERRORS:
             assert argv[-2] in err
+
+    def test_a_budget_past_the_pool_names_the_pool(self, capsys):
+        assert cli_main([*SMALL_ACTIVE, "--budget", "7"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --budget must lie in [0, 6], the pool of --classes 3"
+            " x --pool-per-class 2\n")
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--tasks", "30", "--mean-radius", "nan"],
@@ -385,12 +405,13 @@ def test_every_output_carries_the_one_echo(tmp_path, monkeypatch, capsys, argv, 
 
 
 def test_a_call_builds_the_parser_once(monkeypatch):
-    # the unread-flag check reads its defaults from the parser cli_main built
+    # the parser is built once, at import; a call, its unread-flag check's
+    # defaults included, reads that parser and builds none
     calls = []
     monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
     monkeypatch.setattr(parallel, "_worker_count", lambda count: 1)
     assert cli_main([*SMALL_CONTINUAL, "--method", "simple"]) == 0
-    assert len(calls) == 1
+    assert calls == []
 
 
 # each benchmark workload's argv at a size that runs in well under a second
@@ -439,13 +460,20 @@ class TestModuleEntryPoints:
 
     def test_importing_the_cli_skips_scipy_and_loads_the_pool(self):
         # scipy.linalg's package init is over half of every call's start-up,
-        # and a pool import left for the call would be timed with the run
-        done = run_python("-c", "import sys, mahabench.cli; print(*sorted(sys.modules))")
+        # a pool import left for the call would be timed with the run, and
+        # the stdlib pools cost resident memory for one fork-and-collect map
+        probe = ("import json, sys, mahabench.cli; "
+                 "maps = open('/proc/self/maps').read().split() if sys.platform == 'linux' else []; "
+                 "print(json.dumps([sorted(sys.modules), sorted({m for m in maps if 'openblas' in m})]))")
+        done = run_python("-c", probe)
         assert done.returncode == 0, done.stderr
-        loaded = set(done.stdout.split())
-        assert "mahabench.spd" in loaded
+        modules, openblas = json.loads(done.stdout)
+        loaded = set(modules)
+        assert {"mahabench.spd", "mahabench.parallel"} <= loaded
         assert not {m for m in loaded if m == "_flapack" or m.split(".")[0] == "scipy"}
-        assert {"multiprocessing", "concurrent.futures"} <= loaded
+        assert not {m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")}
+        if sys.platform == "linux":  # numpy's bundled OpenBLAS, and no second one
+            assert len(openblas) == 1 and "numpy.libs" in openblas[0]
 
     def test_importing_the_cli_loads_no_library_a_run_leaves_unused(self):
         # each is resident memory of every run: OpenSSL (hashlib's _hashlib)
@@ -476,7 +504,7 @@ class TestModuleEntryPoints:
         assert done.returncode == 0, done.stderr
         codes, imported = json.loads(done.stdout.splitlines()[-1])
         assert codes == [0] * len(argvs)
-        assert [m for m in imported if not m.startswith("multiprocessing.")] == []
+        assert imported == []
 
 
 @pytest.mark.parametrize("flags, keep", [

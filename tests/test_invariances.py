@@ -6,7 +6,9 @@ of ``simple``, ``transductive``, ``gmm`` and ``gmm-em``, stays the same
 (the GMM scores shift by one constant for every class).  Relabelling the
 classes permutes the probability columns of every head, and permuting the
 query rows permutes every head's query labels, at any beta: the transductive
-heads weigh the query rows by their soft labels, whatever their order.
+heads weigh the query rows by their soft labels, whatever their order.  The
+same holds slice by slice for a stack of same-shape tasks fitted in one
+call.
 
 Summation order moves the last bits, so these compare labels, not bits.
 Each property assumes that every scoring of the reference fit, the
@@ -108,3 +110,23 @@ def test_permuting_the_queries_permutes_the_labels(task, head, perm_seed):
     assume(margin > MARGIN)
     shuffled, _ = fit_with_margin(head, support_x, support_y, query_x[perm])
     assert np.array_equal(shuffled.query_labels, fit.query_labels[perm])
+
+
+@settings(max_examples=60, deadline=None)
+@given(task=tasks, batch=st.integers(1, 3),
+       head=st.sampled_from([*HEADS, *(parse_method(name) for name in NAMES)]),
+       perm_seed=st.integers(0, 2**32 - 1))
+def test_permuting_each_slices_queries_permutes_its_labels(task, batch, head, perm_seed):
+    # the stacked form: B same-shape tasks fitted in one call, each slice's
+    # query rows shuffled by a permutation of its own
+    slices = [draw_task(**{**task, "seed": (task["seed"] + b) % 2**32}) for b in range(batch)]
+    support_x, support_y, query_x = (np.stack(arrays) for arrays in zip(*slices))
+    rng = Rng(perm_seed)
+    perms = np.stack([rng.permutation(task["queries"]) for _ in range(batch)])
+    fit, margin = fit_with_margin(head, support_x, support_y, query_x)
+    assume(margin > MARGIN)
+    shuffled, _ = fit_with_margin(head, support_x, support_y,
+                                  np.take_along_axis(query_x, perms[..., None], axis=1))
+    assert fit.query_labels.shape == (batch, task["queries"])
+    assert np.array_equal(shuffled.query_labels,
+                          np.take_along_axis(fit.query_labels, perms, axis=1))

@@ -4,13 +4,15 @@ A change that means to keep every output (a refactor, a speed-up) must
 keep these hashes; a change that moves rows on purpose re-pins them and
 says which rows moved and why.  Floating-point results depend on the
 numerical stack: the hashes were taken with numpy 2.4.6 and scipy 1.17.1,
-both serially and on two worker processes.  Two OpenBLAS builds do the
+both serially and on two worker processes.  One OpenBLAS build does the
 arithmetic: numpy's scipy-openblas64 0.3.31 does every matmul and einsum,
-and scipy's own scipy-openblas 0.3.30 (the library ``ldd`` shows
-``scipy/linalg/_flapack*.so`` linked to) does every ``dtrtri`` and every
-``dpotrf`` outside ``np.linalg.cholesky``.  Both are DYNAMIC_ARCH builds,
-which pick their kernels for the CPU at run time (SkylakeX on the Xeon the
-hashes were last checked on).  The classifier pins also hold under the
+every factorization and, through ``spd``'s ctypes binding, every
+``dtrtri``.  Until the package dropped scipy, scipy's own scipy-openblas
+0.3.30 did every ``dtrtri`` and every ``dpotrf`` outside
+``np.linalg.cholesky``; every pin held across that change, because the two
+``dtrtri`` agree bit for bit and no pinned run repairs a covariance.  It is
+a DYNAMIC_ARCH build, which picks its kernels for the CPU at run time
+(SkylakeX on the Xeon the hashes were last checked on).  The classifier pins also hold under the
 Haswell kernels; the riemann pins do not, because riemann writes raw float
 energies and its QR, covariance products and factorizations round as the
 kernel does.

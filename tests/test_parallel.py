@@ -7,6 +7,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mahabench import errors, parallel
@@ -152,23 +153,69 @@ class TestOrderedMap:
     def test_no_units(self):
         assert ordered_map(lambda i: i, 0) == []
 
+    def test_a_result_larger_than_a_pipe_buffer_comes_back_intact(self, two_workers):
+        # a few MiB a unit, far past the 64 KiB a pipe holds
+        def unit(i):
+            return np.random.default_rng(i).bytes(3 << 20)
+
+        results = within_limit(lambda: ordered_map(unit, 3))
+        assert results == [np.random.default_rng(i).bytes(3 << 20) for i in range(3)]
+
+
+def no_children_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def raises_in_unit_1(i):
+    if i == 1:
+        raise FormatError(i, "bad")
+    return i
+
+
+def exits_in_unit_2(i):
+    if i == 2:
+        os._exit(1)
+    time.sleep(0.2)  # the other worker is still busy when the failure comes
+    return i
+
+
+class TestNoWorkerOutlivesTheCall:
+    # the benchmark refuses a run that leaves a process running
+
+    def test_after_a_normal_call(self, two_workers):
+        assert within_limit(lambda: ordered_map(lambda i: i, 40)) == list(range(40))
+        assert no_children_left()
+
+    def test_after_a_unit_that_raises(self, two_workers):
+        with pytest.raises(FormatError):
+            within_limit(lambda: ordered_map(raises_in_unit_1, 40))
+        assert no_children_left()
+
+    def test_after_a_worker_that_exits(self, two_workers):
+        with pytest.raises(WorkerFailed):
+            within_limit(lambda: ordered_map(exits_in_unit_2, 8))
+        assert no_children_left()
+
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# run in a fresh interpreter: the thread count numpy's and scipy's bundled
-# OpenBLAS libraries report after importing the package, and the BLAS
-# thread variables left in its environment
+# run in a fresh interpreter: the thread count the OpenBLAS numpy bundles,
+# the only BLAS the package loads, reports after importing the package, and
+# the BLAS thread variables left in its environment
 PROBE = """
 import ctypes, glob, importlib.util, json, os, sys
 import mahabench
 threads = []
-for package in ("numpy", "scipy"):
-    root = importlib.util.find_spec(package).submodule_search_locations[0]
-    for path in sorted(glob.glob(os.path.join(root + ".libs", "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        threads += [getattr(lib, name)() for name in (
-            "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-            "openblas_get_num_threads64_", "openblas_get_num_threads") if hasattr(lib, name)][:1]
+root = importlib.util.find_spec("numpy").submodule_search_locations[0]
+for path in sorted(glob.glob(os.path.join(root + ".libs", "*openblas*"))):
+    lib = ctypes.CDLL(path)
+    threads += [getattr(lib, name)() for name in (
+        "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+        "openblas_get_num_threads64_", "openblas_get_num_threads") if hasattr(lib, name)][:1]
 print(json.dumps({"threads": threads, "env": [os.environ.get(v) for v in sys.argv[1:]]}))
 """
 

@@ -1,10 +1,13 @@
+import _ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dtrtri
 
+from mahabench import spd
 from mahabench.errors import DimensionMismatch, NotPositiveDefinite, NotRepairable
 from mahabench.rng import Rng
 from mahabench.spd import (
@@ -75,6 +78,79 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite) as info:
             cholesky(np.zeros((2, 2)))
         assert info.value.pivot == 0
+
+
+def random_factors(rng: Rng, k: int, d: int) -> np.ndarray:
+    a = rng.normal((k, d, d + 2))
+    return np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(d))
+
+
+class TestNumpysLapack:
+    """``spd`` calls the dpotrf and dtrtri of the OpenBLAS numpy bundles; the
+    references are numpy's own Cholesky and scipy's f2py dtrtri."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 40), shift=st.sampled_from([0.0, 1e-8, 1.0]),
+           fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_cholesky_is_numpys_bit_for_bit(self, d, shift, fortran, seed):
+        a = Rng(seed).normal((d, d + 1))
+        m = a @ a.T + shift * np.eye(d)
+        if fortran:
+            m = np.asfortranarray(m)
+        ours = cholesky(m)
+        assert ours.flags.c_contiguous
+        assert ours.tobytes() == np.linalg.cholesky(m).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 33])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_inverses_are_scipys_dtrtri_on_any_layout(self, layout, d):
+        factors = random_factors(Rng(d), 5, d)
+        reference = np.stack([dtrtri(f, lower=1)[0] for f in factors])
+        kept = factors.copy()
+        if layout == "F":
+            stack = np.asfortranarray(factors)
+        elif layout == "strided":  # every other matrix of a stack twice as long
+            stack = np.repeat(factors, 2, axis=0)[::2]
+        else:
+            stack = factors
+        inverses = spd._lower_inverses(stack)
+        assert inverses.flags.c_contiguous
+        assert inverses.tobytes() == reference.tobytes()
+        # the factors are read, never overwritten
+        assert np.asarray(stack).tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 1, 1), (2, 3, 1, 1), (2, 3, 5, 5)])
+    def test_factor_stack_inverts_without_touching_its_factors(self, shape):
+        d = shape[-1]
+        covs = random_factors(Rng(7), int(np.prod(shape[:-2])), d)
+        covs = (covs @ covs.transpose(0, 2, 1)).reshape(shape)
+        _, factors, inverses, _ = factor_stack(covs)
+        assert np.array_equal(factors, np.linalg.cholesky((covs + covs.swapaxes(-1, -2)) / 2))
+        for factor, inverse in zip(factors.reshape(-1, d, d), inverses.reshape(-1, d, d)):
+            assert inverse.tobytes() == dtrtri(factor, lower=1)[0].tobytes()
+
+    @pytest.mark.parametrize("library", [False, True], ids=["no-library", "no-symbols"])
+    def test_without_numpys_openblas_the_import_error_names_what_it_sought(
+            self, tmp_path, monkeypatch, library):
+        libs = tmp_path / "numpy.libs"
+        libs.mkdir()
+        if library:  # a shared library of the right name, without LAPACK in it
+            (libs / "libscipy_openblas64_-0.so").symlink_to(_ctypes.__file__)
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        with pytest.raises(ImportError) as info:
+            spd._load_lapack()
+        message = str(info.value)
+        assert str(libs / "libscipy_openblas64_*.so") in message
+        assert "scipy_dpotrf_64_" in message and "scipy_dtrtri_64_" in message
+
+    def test_a_singular_factor_raises_with_its_diagonal_index(self):
+        # dtrtri's info is checked after every call: a zero on the diagonal
+        # of the second factor stops the stack there
+        factors = np.stack([np.eye(3), np.diag([1.0, 0.0, 2.0])])
+        with pytest.raises(NotPositiveDefinite) as info:
+            quad_form(factors, np.ones((2, 3)), np.zeros((2, 3)))
+        assert info.value.pivot == 1
+        assert "factor 1" in str(info.value)
 
 
 class TestLogdet:
@@ -170,8 +246,8 @@ class TestFactorStack:
         # covariances: an exact factor is np.linalg.cholesky's, of the whole
         # stack when that succeeds, bit for bit; a matrix numpy cannot factor
         # gets the per-class ensure_pd result, bit for bit, whose factor is
-        # scipy's public dpotrf of the repaired matrix; each inverse is
-        # dtrtri of its factor
+        # np.linalg.cholesky of the repaired matrix (both run the dpotrf of
+        # numpy's OpenBLAS); each inverse is scipy's dtrtri of its factor
         rng = Rng(seed)
         covs = []
         for j in range(k):
@@ -192,8 +268,8 @@ class TestFactorStack:
                     with pytest.raises(NotRepairable):
                         factor_stack(covs)
                     return
-                public = dpotrf(expected[-1][0], lower=1, clean=1)[0]
-                assert public.tobytes() == expected[-1][1].tobytes()
+                numpys = np.linalg.cholesky(expected[-1][0])
+                assert numpys.tobytes() == expected[-1][1].tobytes()
         repaired, factors, inverses, jitter = factor_stack(covs)
         assert repaired.shape == factors.shape == inverses.shape == (k, d, d)
         assert jitter.shape == (k,)
@@ -272,6 +348,10 @@ class TestQuadForm:
             quad_form(np.stack([f, f]), np.ones((4, 3, 3)), np.zeros((2, 3)))
         with pytest.raises(DimensionMismatch):
             quad_form(np.stack([f, f]), np.ones((4, 3)), np.ones((3, 3)))
+        with pytest.raises(DimensionMismatch):
+            quad_form(np.zeros((0, 0)), np.zeros((3, 0)), np.zeros(0))
+        with pytest.raises(DimensionMismatch):  # the factors are not square
+            quad_form(np.ones((2, 3, 2)), np.ones((4, 2)), np.zeros((2, 3)))
 
     @settings(max_examples=60, deadline=None)
     @given(
