@@ -57,6 +57,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
@@ -505,21 +506,19 @@ def _cmd_continual(args, defaults) -> int:
 
     blocks = ordered_map(block_matrices, -(-args.streams // LOCKSTEP_BLOCK))
     sessions = [session for block in blocks for session in block]
-    rows = [
-        (sid, strategy.value, mode.value, step, task, repr(float(accs[step, task])))
-        for sid, session in enumerate(sessions)
-        for strategy in strategies
-        for mode in modes
-        for accs in (session[strategy, mode],)
-        for step in range(args.length)
-        for task in range(step + 1)
-    ]
+    lower = np.tril_indices(args.length)  # (step, task), row-major
     if args.out:
+        # csv writes a float as its repr, which round-trips it
+        steps, tasks = (index.tolist() for index in lower)
+        rows = []
+        for sid, session in enumerate(sessions):
+            for strategy in strategies:
+                for mode in modes:
+                    rows += zip(repeat(sid), repeat(strategy.value), repeat(mode.value), steps,
+                                tasks, session[strategy, mode][lower].tolist())
         _write_csv(args.out, echo,
                    ["session_id", "strategy", "head_mode", "step", "task", "accuracy"], rows)
-    # the rows' values in the rows' order: (step, task) row-major, and repr
-    # round-trips a float
-    lower = np.tril_indices(args.length)
+    # the rows' values in the rows' order
     for strategy in strategies:
         for mode in modes:
             values = np.concatenate([session[strategy, mode][lower] for session in sessions])

@@ -9,8 +9,9 @@ drifting working frame therefore invalidates old statistics, which is the
 forgetting mechanism under the moving strategy.
 
 ``run_continual_session`` steps a block of streams, under every strategy,
-in lockstep.  Each stream is drawn once, from its own seed, and run under
-every strategy; each (stream, strategy) fit keeps its merged class memory
+in lockstep.  The block's streams are drawn together, once, from one
+``Rng`` over their seeds, and each is run under every strategy; each
+(stream, strategy) fit keeps its merged class memory
 as rows of one batched ``heads.ClassStatistics``, a row per world class:
 a class's row holds its statistics as first fitted, and
 ``merge_class_statistics`` combines old and new rows, weighted by their
@@ -18,10 +19,11 @@ support counts, when a later task shows the class again.  At step t every
 fit of the block fits a task of the same shape, so one stacked fit
 (``methods.fit_statistics``), one merge and one stacked scoring of all
 queries seen so far serve them all; both head modes are argmaxes of that
-one scoring.  Only the encoding update and the working frame run once per
-fit.  Every fit has the bits it would have on its own (the batch axis of
-``heads``), so a matrix does not depend on which block, or how large a
-block, its stream ran in.
+one scoring.  The fits' working frames map their rows in stacked
+products; only the encoding update runs once per fit.  Every fit
+has the bits it would have on its own (the batch axis of ``heads``, and
+a stream's draws are those of its seed alone), so a matrix does not
+depend on which block, or how large a block, its stream ran in.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -32,8 +34,8 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses, check_sizes
 from .heads import ClassStatistics
 from .methods import HeadConfig, fit_statistics, scores
-from .rng import Rng
-from .worlds import ClusterWorld, EncodingTransform, draw_class_examples
+from .rng import MASK64, Rng
+from .worlds import ClusterWorld, EncodingTransform, draw_class_examples, singular
 
 
 class EncodingStrategy(Enum):
@@ -132,21 +134,46 @@ class StreamConfig:
             raise InvalidConfig("drift must be nonnegative")
 
 
-def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> list[EncodingTransform]:
+def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> list:
     """Per-task true encodings: identity-anchored affine maps with the given
-    drift magnitude.  Zero drift makes every task's encoding the identity."""
-    encodings = []
+    drift magnitude.  Zero drift makes every task's encoding the identity.
+
+    A task's linear map is redrawn, up to 64 draws in all, while it is
+    singular (``worlds.singular``).  From an ``Rng`` over a 1-D stack of
+    seeds, one list per seed, in order, drawn for every stream at once:
+    list s is what ``Rng(seeds[s])`` alone gives, because a redraw draws
+    for the streams whose map failed, and advances their counters, alone.
+
+    Raises
+    ------
+    InvalidConfig
+        If a task's map is still singular after 64 draws.
+    """
+    eye, root = np.eye(dims), np.sqrt(dims)
+
+    def draw(rows=None):
+        return eye + drift * rng.normal((dims, dims), rows) / root
+
+    tasks = []
     for _ in range(num_tasks):
-        for _attempt in range(64):
-            linear = np.eye(dims) + drift * rng.normal((dims, dims)) / np.sqrt(dims)
-            if abs(np.linalg.det(linear)) > 1e-9:
+        linear = draw()
+        for attempt in range(64):
+            failed = singular(linear)
+            if not failed.any():
                 break
-        else:
-            raise InvalidConfig("could not draw an invertible task encoding")
+            if attempt == 63:
+                raise InvalidConfig("could not draw an invertible task encoding")
+            if rng.shape:
+                linear[failed] = draw(failed)  # for the failed streams alone
+            else:
+                linear = draw()
         offset = drift * rng.normal(dims)
         rng.normal(dims)  # a draw kept so that every stream's later draws stay put
-        encodings.append(EncodingTransform(linear, offset))
-    return encodings
+        tasks.append((linear, offset))
+    if not rng.shape:
+        return [EncodingTransform(linear, offset) for linear, offset in tasks]
+    return [[EncodingTransform(linear[s], offset[s]) for linear, offset in tasks]
+            for s in range(rng.shape[0])]
 
 
 def _classes(memory: ClassStatistics, ids) -> ClassStatistics:
@@ -184,8 +211,11 @@ def run_continual_session(
     per-task support counts even when statistics come from transductive
     refinement, so class counts always total the support examples shown.
 
-    Stream s draws its task encodings, then its support and query rows,
-    from its own ``Rng(seeds[s])``, once for every strategy.  Fit f is
+    The block draws its task encodings, then its support and query rows,
+    once for every strategy, from one ``Rng`` over ``seeds``: one draw per
+    task or class gives every stream its rows, and stream s gets the bits
+    ``Rng(seeds[s])`` alone gives it, a redrawn singular encoding
+    included (``make_task_encodings``).  Fit f is
     stream ``f // len(strategies)`` under strategy ``f % len(strategies)``,
     with its own encoding state.  The block's merged class memory is one
     ``ClassStatistics`` of shape ``(F, k, ...)``: a row per fit and world
@@ -196,11 +226,13 @@ def run_continual_session(
     queries, one merge of every fit's revisited classes, and one stacked
     scoring of the queries of tasks 0..t against a copy of every seen
     class.  The seen classes are the same for every fit, because the fits
-    share the class groups.  Only ``update_encoding`` and the working
-    frame's ``apply`` run once per fit.  Single-head labels are the argmax
-    over all columns, multi-head labels for task j the argmax over group
-    j's columns; both break ties toward the lowest class id.  A GMM head's
-    log(1/K) prior counts every seen class in both modes.
+    share the class groups.  The fits' working frames map the queries in
+    one stacked product and the support rows in another, each making one
+    BLAS call per fit with the shape of ``EncodingTransform.apply``'s own;
+    only ``update_encoding`` runs once per fit.  Single-head labels are
+    the argmax over all columns, multi-head labels for task j the argmax
+    over group j's columns; both break ties toward the lowest class id.  A
+    GMM head's log(1/K) prior counts every seen class in both modes.
 
     Each slice of the stacked fit, merge and scoring has the bits of the
     same call on that fit alone (the batch axis of ``heads``), so a
@@ -236,15 +268,14 @@ def run_continual_session(
         if min(group) < 0 or max(group) >= world.class_count:
             raise InvalidConfig(f"class group {group} leaves [0, {world.class_count})")
 
-    # latent draws are fixed up front, per stream; frames are applied per step
-    true_encodings, raw_support, queries = [], [], []
-    for seed in seeds:
-        rng = Rng(seed)
-        true_encodings.append(make_task_encodings(world.dims, t_count, stream.drift, rng))
-        draws = [np.vstack(draw_class_examples(world, group, [count] * len(group), rng))
-                 for group in class_groups for count in (stream.shot, stream.query_per_class)]
-        raw_support.append(draws[0::2])
-        queries.append(np.vstack(draws[1::2]))
+    # latent draws are fixed up front, for every stream at once from one
+    # Rng over the block's seeds: (S, n, d) support rows per task and
+    # (S, M, d) query rows of all tasks
+    rng = Rng(np.array([seed & MASK64 for seed in seeds], dtype=np.uint64))
+    true_encodings = make_task_encodings(world.dims, t_count, stream.drift, rng)
+    draws = [np.concatenate(draw_class_examples(world, group, [count] * len(group), rng), axis=-2)
+             for group in class_groups for count in (stream.shot, stream.query_per_class)]
+    raw_support, queries = draws[0::2], np.concatenate(draws[1::2], axis=-2)
     # task j's queries are rows starts[j]:ends[j]; in_group[i, c]: c is in row i's group
     k, d = world.class_count, world.dims
     truth = np.repeat(np.concatenate(class_groups), stream.query_per_class)
@@ -256,6 +287,7 @@ def run_continual_session(
     # fit f is stream owner[f] under strategy f % len(strategies)
     owner = np.repeat(np.arange(len(seeds)), len(strategies))
     fits = owner.size
+    queries = queries[owner]  # (F, M, d): fit f's copy of its stream's queries
     states = [ContinualState(strategy=strategies[f % len(strategies)]) for f in range(fits)]
     # a row per fit and world class; a count of 0 marks a class not seen yet
     memory = ClassStatistics(np.zeros((fits, k, d)), np.zeros((fits, k, d, d)),
@@ -265,8 +297,12 @@ def run_continual_session(
     for t, group in enumerate(class_groups):
         rows = np.array(group)
         working = [update_encoding(state, true_encodings[s][t]) for state, s in zip(states, owner)]
-        feats = np.stack([w.apply(queries[s][:ends[t]]) for w, s in zip(working, owner)])
-        support = np.stack([w.apply(raw_support[s][t]) for w, s in zip(working, owner)])
+        # every fit's working frame x -> x A^T + b, applied as one stacked
+        # product: a BLAS call per fit with the shape of ``apply``'s own
+        linear_t = np.stack([w.linear for w in working]).swapaxes(-1, -2)
+        offset = np.stack([w.offset for w in working])[:, None, :]
+        feats = queries[:, :ends[t]] @ linear_t + offset
+        support = raw_support[t][owner] @ linear_t + offset
         local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)
         [fit] = fit_statistics([head], support, np.broadcast_to(local_y, support.shape[:2]),
                                feats[:, starts[t]:])

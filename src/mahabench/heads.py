@@ -189,6 +189,14 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise NonFiniteInput(f"{what} contain NaN or infinite values")
 
 
+def _require_finite_moments(moments: np.ndarray, what: str) -> None:
+    """Raise ``NonFiniteInput`` unless every second moment of the finite
+    ``what`` rows is finite: rows near the square root of float64's
+    largest value, or beyond it, overflow where they are multiplied."""
+    if not np.all(np.isfinite(moments)):
+        raise NonFiniteInput(f"{what} features' second moments overflow float64")
+
+
 @dataclass(frozen=True)
 class SupportLayout:
     """The per-class moments of a labelled support set, built once per
@@ -273,8 +281,6 @@ class SupportLayout:
         slot[np.argsort(key, kind="stable")] = (
             np.arange(b_count * n) - np.repeat(np.cumsum(n_k) - n_k, n_k))
         n_k, slot = n_k.reshape(b_count, k_count), slot.reshape(b_count, n)
-        center = xs.sum(axis=1) / n
-        shifted = xs - center[:, None, :]
         sums = np.empty((b_count, k_count, d))
         moments = np.empty((b_count, k_count, d * (d + 1) // 2))
         # class k's shifted rows fill the first n_k rows of a zero-padded
@@ -283,15 +289,19 @@ class SupportLayout:
         # product, so every BLAS call has the shape it has for one slice
         longest = n_k.max(axis=1)
         lengths = set(longest.tolist())
-        for m in lengths:
-            # views, not copies, when every slice has the same padding
-            group = np.flatnonzero(longest == m) if len(lengths) > 1 else slice(None)
-            rows = ys[group]
-            block = np.zeros((len(rows), k_count, m, d))
-            block[np.arange(len(rows))[:, None], rows, slot[group]] = shifted[group]
-            gram = (block.swapaxes(-1, -2) @ block).reshape(len(rows), k_count, d * d)
-            sums[group] = block.sum(axis=2)
-            moments[group] = np.take(gram, _packing(d)[2], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+            center = xs.sum(axis=1) / n
+            shifted = xs - center[:, None, :]
+            for m in lengths:
+                # views, not copies, when every slice has the same padding
+                group = np.flatnonzero(longest == m) if len(lengths) > 1 else slice(None)
+                rows = ys[group]
+                block = np.zeros((len(rows), k_count, m, d))
+                block[np.arange(len(rows))[:, None], rows, slot[group]] = shifted[group]
+                gram = (block.swapaxes(-1, -2) @ block).reshape(len(rows), k_count, d * d)
+                sums[group] = block.sum(axis=2)
+                moments[group] = np.take(gram, _packing(d)[2], axis=-1)
+        _require_finite_moments(moments, "support")
         return cls(
             class_sizes=n_k.reshape(*batch, k_count),
             center=center.reshape(*batch, d),
@@ -353,8 +363,11 @@ class QuerySet:
         outer products of those, ``(m, d(d+1)/2)``."""
         kept = self._moments.get("last")  # one entry, read and written whole
         if kept is None or kept[0] is not center:
-            shifted = self.rows - center[..., None, :]
-            kept = self._moments["last"] = (center, shifted, _packed_products(shifted))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                shifted = self.rows - center[..., None, :]
+                products = _packed_products(shifted)
+            _require_finite_moments(products, "query")
+            kept = self._moments["last"] = (center, shifted, products)
         return kept[1], kept[2]
 
 

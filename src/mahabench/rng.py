@@ -97,43 +97,65 @@ class Rng:
     call sequence is reproducible by construction.
 
     ``Rng(seeds)`` with an array of seeds in [0, 2**64) runs one stream per
-    seed on a shared counter: every draw gains the seeds' leading axes, and
-    its row i is the bits the same draw gives from ``Rng(seeds[i])``.
-    ``below`` and ``permutation`` take a single seed.
+    seed, each with its own counter: every draw gains the seeds' leading
+    axes, and its row i is the bits the same draw gives from
+    ``Rng(seeds[i])``.  ``raw`` and ``normal`` take ``rows``, an index
+    array or a boolean mask over the seeds, to draw for those streams
+    alone; only their counters advance, so every stream still sees the
+    draws it would see on its own.  ``below`` and ``permutation`` take a
+    single seed.
     """
 
     def __init__(self, seed):
         seeds = np.asarray(seed if np.ndim(seed) else int(seed) & MASK64, dtype=np.uint64)
         self._seeds = seeds[..., None]  # one stream per row of a draw
-        self._counter = 0
+        # a single seed's counter is an int, a stack's an array shaped like its seeds
+        self._counter = np.zeros(seeds.shape, dtype=np.uint64) if seeds.ndim else 0
 
-    def raw(self, n: int) -> np.ndarray:
-        """Next ``n`` raw uint64 outputs."""
-        start = self._counter + 1
-        self._counter += n
-        # uint64 array arithmetic wraps modulo 2**64 without a warning
-        z = np.arange(start, start + n, dtype=np.uint64)
+    @property
+    def shape(self) -> tuple:
+        """The seeds' shape, which every draw leads with: ``()`` for one seed."""
+        return self._seeds.shape[:-1]
+
+    def raw(self, n: int, rows=None) -> np.ndarray:
+        """Next ``n`` raw uint64 outputs of every stream, or of the streams
+        picked by ``rows``."""
+        if isinstance(self._counter, int):  # one seed
+            if rows is not None:
+                raise ValueError("rows picks streams of a stack of seeds")
+            start = self._counter + 1
+            self._counter += n
+            # uint64 array arithmetic wraps modulo 2**64 without a warning
+            z = np.arange(start, start + n, dtype=np.uint64)
+            z *= _U64(GOLDEN)
+            return _mix64_array(z + self._seeds)
+        picked = ... if rows is None else rows
+        # stream s's i-th output mixes seed_s + (counter_s + i) * GOLDEN
+        bases = self._counter[picked][..., None] * _U64(GOLDEN) + self._seeds[picked]
+        self._counter[picked] += _U64(n)
+        z = np.arange(1, n + 1, dtype=np.uint64)
         z *= _U64(GOLDEN)
-        return _mix64_array(z + self._seeds)
+        return _mix64_array(z + bases)
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1), 53-bit resolution."""
         return (self.raw(n) >> _U64(11)).astype(np.float64) * _INV_2_53
 
-    def normal(self, shape) -> np.ndarray:
-        """Standard normals of the given shape via Box-Muller pairs."""
+    def normal(self, shape, rows=None) -> np.ndarray:
+        """Standard normals of the given shape via Box-Muller pairs, for
+        every stream or for the streams picked by ``rows``."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         count = math.prod(shape)
         pairs = (count + 1) // 2
         # the first `pairs` raw outputs give u1 in (0, 1], so log() is
         # finite, and the next `pairs` give u2 in [0, 1)
-        bits = (self.raw(2 * pairs) >> _U64(11)).astype(np.float64)
+        bits = (self.raw(2 * pairs, rows) >> _U64(11)).astype(np.float64)
         u1 = (bits[..., :pairs] + 1.0) * _INV_2_53
         u2 = bits[..., pairs:] * _INV_2_53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :count]
-        return z.reshape(self._seeds.shape[:-1] + shape)
+        return z.reshape(bits.shape[:-1] + shape)
 
     def below(self, bound: int) -> int:
         """One integer uniform on {0, ..., bound-1}."""

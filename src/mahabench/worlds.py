@@ -22,6 +22,17 @@ from .rng import Rng
 
 TASK_FILE_VERSION = "v1"
 
+# an encoding's linear map counts as singular at or below this |det|
+SINGULAR_DET = 1e-9
+
+
+def singular(linear: np.ndarray) -> np.ndarray:
+    """Whether each ``(..., d, d)`` linear map's determinant is at most
+    ``SINGULAR_DET`` in magnitude; a determinant past float64's range is
+    infinite, and far from singular."""
+    with np.errstate(over="ignore"):
+        return np.abs(np.linalg.det(linear)) <= SINGULAR_DET
+
 
 @dataclass(frozen=True)
 class ClusterWorld:
@@ -51,7 +62,7 @@ class EncodingTransform:
     def __post_init__(self):
         lin = np.asarray(self.linear, dtype=np.float64)
         off = np.asarray(self.offset, dtype=np.float64)
-        if abs(np.linalg.det(lin)) <= 1e-9:
+        if singular(lin):
             raise InvalidConfig("encoding transform is numerically singular")
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "offset", off)
@@ -198,7 +209,13 @@ def _rescale_shots(shots: np.ndarray, cap: int) -> np.ndarray:
 def draw_class_examples(
     world: ClusterWorld, class_ids, counts, rng: Rng
 ) -> list[np.ndarray]:
-    """Per-class Gaussian draws in latent space, one block per class id."""
+    """Per-class Gaussian draws in latent space, one ``(count, d)`` block
+    per class id.
+
+    From an ``Rng`` over a stack of S seeds each block is ``(S, count, d)``,
+    and row s has the bits of the block ``Rng(seeds[s])`` alone draws: every
+    stacked product makes one BLAS call per row, with that row's shape.
+    """
     blocks = []
     for cid, count in zip(class_ids, counts):
         raw = rng.normal((int(count), world.dims))

@@ -232,6 +232,17 @@ class TestCliMain:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"config error: {argv[-2]} must be finite\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--tasks", "30", "--mean-radius", "1e200"],
+        ["continual", "--length", "2", "--streams", "1", "--drift", "1e300"],
+        ["active", "--sessions", "1", "--budget", "2", "--mean-radius", "1e300"],
+    ], ids=lambda argv: argv[0])
+    def test_features_whose_moments_overflow_exit_one(self, argv, capsys):
+        # finite flags, but features whose squares pass float64's range
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: support features' second moments overflow float64\n")
+
     @pytest.mark.parametrize("flag", [
         ["--dims", "9"], ["--classes", "9"], ["--anisotropy", "2"], ["--mean-radius", "2"],
         ["--scale-spread", "2"], ["--domain-id", "other"], ["--tasks", "7"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtri
 
-from mahabench import cli, continual, parallel
+from mahabench import cli, continual, parallel, worlds
 from mahabench.continual import (
     ContinualState,
     EncodingStrategy,
@@ -414,6 +414,26 @@ class TestRunContinualSession:
         assert (len(factored), len(merges)) == (4, 0)
         assert session[EncodingStrategy.MOVING, mode].shape == (4, 4)
 
+    def test_a_block_draws_as_often_as_one_stream(self, monkeypatch):
+        # one Rng over the block's seeds: a block of 4 streams makes the
+        # draws of one stream, each for all 4 at once
+        calls = []
+        normal, draw = Rng.normal, continual.draw_class_examples
+        monkeypatch.setattr(Rng, "normal",
+                            lambda rng, *args: calls.append("normal") or normal(rng, *args))
+        monkeypatch.setattr(continual, "draw_class_examples",
+                            lambda *args: calls.append("draw") or draw(*args))
+        world = small_world()
+        stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=3)
+        made = {}
+        for seeds in ([0], [0, 1, 2, 3]):
+            calls.clear()
+            run_continual_session(world, stream, seeds, [EncodingStrategy.MOVING])
+            made[len(seeds)] = (calls.count("normal"), calls.count("draw"))
+        # per task: a linear map, an offset and a kept draw, then one draw
+        # per class for the support and one for the queries
+        assert made[4] == made[1] == (4 * (3 + 2 * 2), 4 * 2)
+
     def test_not_enough_classes(self):
         world = small_world(classes=4)
         stream = StreamConfig(num_tasks=3, classes_per_task=2, shot=5)
@@ -539,6 +559,46 @@ def test_lockstep_block_matches_each_stream_run_alone(head, seeds, order, strate
         assert list(matrices) == list(expected)
         for key, matrix in expected.items():
             assert matrices[key].tobytes() == matrix.tobytes(), key
+
+
+def test_streams_that_redraw_an_encoding_match_each_stream_run_alone(monkeypatch):
+    # a higher singular floor makes some streams of one block redraw a
+    # task's linear map, once or twice, and others draw each map once
+    seeds, tasks = list(range(6)), 3
+
+    def raw_outputs(seed):
+        rng = Rng(seed)
+        make_task_encodings(3, tasks, 1.5, rng)
+        return rng._counter
+
+    plain = [raw_outputs(seed) for seed in seeds]
+    monkeypatch.setattr(worlds, "SINGULAR_DET", 0.3)
+    extra = [raw_outputs(seed) - count for seed, count in zip(seeds, plain)]
+    assert sorted(set(extra)) == [0, 10, 20]  # a 3x3 map takes 10 raw outputs
+    block = make_task_encodings(3, tasks, 1.5, Rng(np.array(seeds, dtype=np.uint64)))
+    for seed, encodings in zip(seeds, block):
+        for got, alone in zip(encodings, make_task_encodings(3, tasks, 1.5, Rng(seed))):
+            assert got.linear.tobytes() == alone.linear.tobytes()
+            assert got.offset.tobytes() == alone.offset.tobytes()
+    # the frames must clear the raised floor too, so no averaging
+    world = make_cluster_world(3, 6, 4.0, rng_seed=1, mean_radius=1.5, scale_range=(0.5, 2.0))
+    stream = StreamConfig(num_tasks=tasks, classes_per_task=2, shot=2, query_per_class=3,
+                          drift=1.5)
+    strategies = [EncodingStrategy.FIRST, EncodingStrategy.MOVING]
+    groups = [[0, 1], [2, 3], [4, 5]]
+    for head in HEADS.values():
+        got = run_continual_session(world, stream, seeds, strategies, head)
+        for seed, matrices in zip(seeds, got):
+            expected = reference_session(world, stream, strategies, head, seed, groups)
+            for key, matrix in expected.items():
+                assert matrices[key].tobytes() == matrix.tobytes(), (seed, key)
+
+
+def test_a_map_singular_after_64_draws_is_a_config_error(monkeypatch):
+    monkeypatch.setattr(worlds, "SINGULAR_DET", np.inf)
+    for rng in (Rng(0), Rng(np.array([0, 1], dtype=np.uint64))):
+        with pytest.raises(InvalidConfig, match="invertible"):
+            make_task_encodings(2, 1, 1.0, rng)
 
 
 def test_an_empty_block_is_a_config_error():

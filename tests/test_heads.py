@@ -122,6 +122,18 @@ class TestEstimateClassStatistics:
         with pytest.raises(NonFiniteInput):
             SupportLayout.build(feats, np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e308])
+    def test_rows_whose_moments_overflow_raise(self, scale):
+        # finite rows whose squares pass float64's range, in the support or
+        # in the queries, with no numpy warning on the way
+        feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        labels = np.array([0, 0, 1, 1])
+        with pytest.raises(NonFiniteInput, match="support features' second moments overflow"):
+            SupportLayout.build(scale * feats, labels)
+        layout = SupportLayout.build(feats, labels)
+        with pytest.raises(NonFiniteInput, match="query features' second moments overflow"):
+            class_statistics(layout, scale * feats, np.full((4, 2), 0.5), 1.0)
+
     def test_factors_are_one_stack(self):
         rng = Rng(5)
         feats, labels = random_task(rng, n_classes=3, dims=4)

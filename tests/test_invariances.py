@@ -52,6 +52,13 @@ def draw_task(seed, classes, dims, shot, queries, spread):
             centers[query_y] + rng.normal((queries, dims)))
 
 
+def draw_stack(task, batch):
+    """``(support_x, support_y, query_x)`` of ``batch`` same-shape tasks,
+    slice b drawn from seed ``task["seed"] + b``, as ``(B, ...)`` stacks."""
+    slices = [draw_task(**{**task, "seed": (task["seed"] + b) % 2**32}) for b in range(batch)]
+    return tuple(np.stack(arrays) for arrays in zip(*slices))
+
+
 def fit_with_margin(head, support_x, support_y, query_x):
     """``head`` fitted to the task, and the smallest relative top-two score
     margin of any scoring the fit made."""
@@ -119,8 +126,7 @@ def test_permuting_the_queries_permutes_the_labels(task, head, perm_seed):
 def test_permuting_each_slices_queries_permutes_its_labels(task, batch, head, perm_seed):
     # the stacked form: B same-shape tasks fitted in one call, each slice's
     # query rows shuffled by a permutation of its own
-    slices = [draw_task(**{**task, "seed": (task["seed"] + b) % 2**32}) for b in range(batch)]
-    support_x, support_y, query_x = (np.stack(arrays) for arrays in zip(*slices))
+    support_x, support_y, query_x = draw_stack(task, batch)
     rng = Rng(perm_seed)
     perms = np.stack([rng.permutation(task["queries"]) for _ in range(batch)])
     fit, margin = fit_with_margin(head, support_x, support_y, query_x)
@@ -130,3 +136,44 @@ def test_permuting_each_slices_queries_permutes_its_labels(task, batch, head, pe
     assert fit.query_labels.shape == (batch, task["queries"])
     assert np.array_equal(shuffled.query_labels,
                           np.take_along_axis(fit.query_labels, perms, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(task=tasks, batch=st.integers(1, 3), head=st.sampled_from(HEADS),
+       map_seed=st.integers(0, 2**32 - 1))
+def test_each_slices_labels_at_beta_zero_do_not_change_under_its_affine_map(task, batch, head,
+                                                                            map_seed):
+    # the stacked form: slice b of one call moved by a map x -> A_b x + b_b of its own
+    support_x, support_y, query_x = draw_stack(task, batch)
+    rng = Rng(map_seed)
+    d = task["dims"]
+    a = np.eye(d) + 2.0 * rng.normal((batch, d, d))
+    b = 5.0 * rng.normal((batch, 1, d))
+    assume(np.all(np.linalg.cond(a) < 1e3))
+    fit, margin = fit_with_margin(head, support_x, support_y, query_x)
+    assume(margin > MARGIN)
+    a_t = a.swapaxes(-1, -2)
+    moved, _ = fit_with_margin(head, support_x @ a_t + b, support_y, query_x @ a_t + b)
+    assert not fit.statistics.jitter.any() and not moved.statistics.jitter.any()
+    assert moved.query_labels.shape == (batch, task["queries"])
+    assert np.array_equal(moved.query_labels, fit.query_labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(task=tasks, batch=st.integers(1, 3), head=st.sampled_from(HEADS),
+       perm_seed=st.integers(0, 2**32 - 1))
+def test_relabelling_each_slices_classes_permutes_its_probability_columns(task, batch, head,
+                                                                          perm_seed):
+    # the stacked form: slice b's classes relabelled by a permutation of its own
+    support_x, support_y, query_x = draw_stack(task, batch)
+    rng = Rng(perm_seed)
+    perms = np.stack([rng.permutation(task["classes"]) for _ in range(batch)])
+    fit, margin = fit_with_margin(head, support_x, support_y, query_x)
+    assume(margin > MARGIN)
+    relabelled, _ = fit_with_margin(head, support_x, np.take_along_axis(perms, support_y, axis=1),
+                                    query_x)
+    assert np.array_equal(relabelled.query_labels,
+                          np.take_along_axis(perms, fit.query_labels, axis=1))
+    # column perms[b, k] of slice b of the relabelled fit is class k's
+    assert np.allclose(np.take_along_axis(relabelled.query_probs, perms[:, None, :], axis=2),
+                       fit.query_probs, rtol=0.0, atol=1e-9)

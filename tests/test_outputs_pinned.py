@@ -87,6 +87,15 @@ PINNED = {
         ["continual", "--streams", "4", "--length", "5", "--method", "gmm-em"],
         "a23367f8136230744b88e5708e843d256419d9190159c86e9de3ce289653df8c",
     ),
+    "continual-two-blocks": (
+        # a block of 5 streams and a block of 2, under averaging frames and a
+        # refining head; hash taken when every stream drew from its own Rng
+        # and every fit applied its own working frame
+        ["continual", "--streams", "7", "--length", "4", "--shot", "3", "--query", "3",
+         "--dims", "3", "--drift", "1.5", "--method", "transductive",
+         "--strategy", "averaging,moving", "--head-mode", "multi"],
+        "a13c83e0754b22d1da0013c673c035dfa54b64b95346a1da76faf34efa65bcd7",
+    ),
     # both riemann hashes were taken when a block's precisions, path
     # energies and Mahalanobis terms became array expressions; against the
     # per-field formulas before them every row moved by roundoff alone
@@ -125,7 +134,7 @@ def has_avx2() -> bool:
 @pytest.mark.skipif(not has_avx2(), reason="the Haswell kernels need AVX2")
 def test_the_classifier_pins_hold_under_the_haswell_kernels(tmp_path):
     # OPENBLAS_CORETYPE overrides the kernels both OpenBLAS builds pick as
-    # they load, so it takes a fresh interpreter; one runs all nine argvs
+    # they load, so it takes a fresh interpreter; one runs every classifier argv
     outs = {name: str(tmp_path / f"{name}.csv") for name in CLASSIFIER_PINS}
     argvs = {name: [*PINNED[name][0], "--seed", "0", "--out", out] for name, out in outs.items()}
     script = ("import contextlib, hashlib, io, json, sys; from mahabench.cli import cli_main\n"

@@ -73,7 +73,38 @@ def test_row_i_of_a_seed_array_draw_is_the_draw_of_seed_i(streams):
         assert rows.shape == (streams, *np.atleast_1d(size))
         for row, rng in zip(rows, alone):
             assert row.tobytes() == getattr(rng, draw)(size).tobytes(), (draw, size)
-    assert block._counter == alone[0]._counter
+    # every stream keeps a counter of its own, at its scalar stream's count
+    assert block._counter.tolist() == [rng._counter for rng in alone]
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([True, False, True, False]), np.array([False, False, False, True]),
+    np.ones(4, dtype=bool), np.array([1, 2]), np.array([3, 0]), np.array([], dtype=np.intp),
+], ids=str)
+def test_a_draw_for_some_rows_advances_those_rows_alone(rows):
+    # after a draw for a subset (a mask, or indices in any order), each
+    # row's next draw, alone or with all rows, is its scalar stream's next draw
+    seeds = [7, 2**64 - 1, 0, 123456789]
+    block = Rng(np.array(seeds, dtype=np.uint64))
+    alone = [Rng(seed) for seed in seeds]
+    block.normal(3)
+    for rng in alone:
+        rng.normal(3)
+    picked = np.arange(4)[rows]
+    drawn = block.normal((2, 3), rows=rows)
+    assert drawn.shape == (len(picked), 2, 3)
+    for row, s in zip(drawn, picked):
+        assert row.tobytes() == alone[s].normal((2, 3)).tobytes()
+    assert block._counter.tolist() == [rng._counter for rng in alone]
+    for row, rng in zip(block.normal(5), alone):
+        assert row.tobytes() == rng.normal(5).tobytes()
+    for row, rng in zip(block.raw(3), alone):
+        assert row.tolist() == rng.raw(3).tolist()
+
+
+def test_rows_need_a_stack_of_seeds():
+    with pytest.raises(ValueError):
+        Rng(3).normal(2, rows=np.array([0]))
 
 
 # Python ints on both sides of the uint64 range, as the scalar form masks them
