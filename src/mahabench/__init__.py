@@ -46,7 +46,6 @@ from .bench import (
     BenchConfig,
     BenchmarkReport,
     DomainSpec,
-    RecallCurve,
     mean_ci,
     recall_vs_shot,
     run_benchmark,
@@ -84,7 +83,7 @@ from .heads import (
     class_scores,
     estimate_class_statistics,
 )
-from .methods import HeadConfig, parse_method
+from .methods import HeadConfig, TaskRecord, parse_method
 from .refine import RefineConfig, RefineOutcome, weighted_class_statistics
 from .riemann import (
     MetricField,

@@ -6,7 +6,8 @@ head's class probabilities.  Variation ratios are reported as
 is the same ordering as ranking by lowest maximum probability.  Statistics
 are refit from scratch after every acquisition.
 
-A session (``ActiveSession``) is drawn once and run under every strategy.
+A session (``ActiveSession``, drawn from a world by
+``build_active_session``) is drawn once and run under every strategy.
 ``run_active_session`` steps a block of sessions, under every strategy, in
 lockstep: at step t each of the block's fits, one per (session, strategy),
 has the same class count, ``K + t`` labelled rows and ``pool - t`` open
@@ -23,7 +24,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
 from .methods import HeadConfig, fit_statistics, predict_labels
-from .rng import Rng
+from .rng import Rng, derive_seed
+from .worlds import draw_class_examples
 
 
 class AcquisitionStrategy(Enum):
@@ -47,6 +49,23 @@ class ActiveSession:
 
     def __post_init__(self):
         check_budget(self.budget, self.pool_x.shape[0])
+
+
+def build_active_session(world, pool_per_class, test_per_class, budget, seed):
+    """Deterministic session over all world classes: one seed-support
+    example per class, then a pool and a held-out test set."""
+    rng = Rng(seed)
+    ids = list(range(world.class_count))
+    seed_x = np.vstack(draw_class_examples(world, ids, [1] * len(ids), rng))
+    seed_y = np.arange(world.class_count, dtype=np.int64)
+    pool_x = np.vstack(draw_class_examples(world, ids, [pool_per_class] * len(ids), rng))
+    pool_y = np.repeat(seed_y, pool_per_class)
+    test_x = np.vstack(draw_class_examples(world, ids, [test_per_class] * len(ids), rng))
+    test_y = np.repeat(seed_y, test_per_class)
+    return ActiveSession(
+        pool_x=pool_x, pool_y=pool_y, seed_x=seed_x, seed_y=seed_y,
+        test_x=test_x, test_y=test_y, budget=budget, seed=derive_seed(seed, "selection"),
+    )
 
 
 def check_budget(budget: int, pool_size: int) -> None:

@@ -2,8 +2,12 @@
 
 Every method in a run sees bit-identical tasks (task seeds are derived from
 the run seed, never from the method), which makes method comparisons
-paired.  Accuracy is per-task query accuracy averaged over tasks; intervals
-are 95% normal intervals ``1.96 * std / sqrt(n)`` over task accuracies.
+paired.  ``run_benchmark`` and ``recall_vs_shot`` share one unit per task,
+``methods.fit_statistics`` then ``methods.evaluate_task``, and aggregate the
+task's ``TaskRecord`` alone.  Accuracy is per-task query accuracy averaged
+over tasks; intervals are 95% normal intervals ``1.96 * std / sqrt(n)``
+over task accuracies.  Recall is per-class query recall averaged over the
+(task, class) pairs of a shot bucket.
 """
 
 from dataclasses import asdict, dataclass
@@ -11,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .methods import evaluate_task, fit_statistics
+from .methods import TaskRecord, evaluate_task, fit_statistics
 from .parallel import ordered_map
 from .rng import derive_seed
 from .worlds import (
@@ -161,17 +165,28 @@ def generate_tasks(cfg: BenchConfig, domain: DomainSpec) -> list[EpisodicTask]:
     return [task(i) for i in range(cfg.n_tasks)]
 
 
-def _task_units(cfg: BenchConfig, tasks_by_domain: dict | None):
-    """``(units, task)``: one ``(domain_id, task_index)`` per task, ordered by
-    domain and index, and ``task(domain_id, task_index)`` returning that
-    task.  Tasks that were not supplied are sampled inside ``task``, so each
-    unit samples its own."""
+def _task_records(cfg: BenchConfig, tasks_by_domain: dict | None) -> tuple:
+    """``(units, records)``: one ``(domain_id, task_index)`` per task, ordered
+    by domain and index, and each task's ``methods.TaskRecord`` under every
+    configured head.  Each unit takes its task, or samples it if none was
+    supplied, fits every head with one ``fit_statistics`` call and records
+    the fits."""
     if tasks_by_domain is None:
-        samplers = {d.domain_id: _task_sampler(cfg, d) for d in cfg.domains}
-        units = [(d, i) for d in sorted(samplers) for i in range(cfg.n_tasks)]
-        return units, lambda d, i: samplers[d](i)
-    units = [(d, i) for d in sorted(tasks_by_domain) for i in range(len(tasks_by_domain[d]))]
-    return units, lambda d, i: tasks_by_domain[d][i]
+        task_of = {d.domain_id: _task_sampler(cfg, d) for d in cfg.domains}
+        counts = dict.fromkeys(task_of, cfg.n_tasks)
+    else:
+        task_of = {d: tasks.__getitem__ for d, tasks in tasks_by_domain.items()}
+        counts = {d: len(tasks) for d, tasks in tasks_by_domain.items()}
+    units = [(d, i) for d in sorted(counts) for i in range(counts[d])]
+    configs = [head for _, head in cfg.methods]
+
+    def record(u: int) -> TaskRecord:
+        domain_id, index = units[u]
+        task = task_of[domain_id](index)
+        fits = fit_statistics(configs, task.support_x, task.support_y, task.query_x)
+        return evaluate_task(fits, task)
+
+    return units, ordered_map(record, len(units))
 
 
 def check_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> None:
@@ -190,26 +205,19 @@ def run_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> Benc
     configured domains.  ``check_benchmark`` says which runs it refuses.
     """
     check_benchmark(cfg, tasks_by_domain)
-    configs = [head for _, head in cfg.methods]
-    units, task_of = _task_units(cfg, tasks_by_domain)
-
-    def evaluate(u: int):
-        task = task_of(*units[u])
-        return task.seed, evaluate_task(configs, task)
-
-    results = ordered_map(evaluate, len(units))
+    units, records = _task_records(cfg, tasks_by_domain)
 
     rows = []
     summary = {}
     per_domain_means: dict[str, dict[str, float]] = {}
     for domain_id in dict.fromkeys(d for d, _ in units):
-        done = [(idx, res) for (d, idx), res in zip(units, results) if d == domain_id]
+        done = [(idx, rec) for (d, idx), rec in zip(units, records) if d == domain_id]
         per_domain_means[domain_id] = {}
         for m, (method, _) in enumerate(cfg.methods):
             method_rows = [
-                TaskRow(domain_id=domain_id, method=method, task_index=idx,
-                        task_seed=task_seed, accuracy=accs[m])
-                for idx, (task_seed, accs) in done
+                TaskRow(domain_id=domain_id, method=method, task_index=idx, task_seed=rec.seed,
+                        accuracy=float(rec.hits[m].sum() / rec.queries.sum()))
+                for idx, rec in done
             ]
             rows.extend(method_rows)
             mean, half = mean_ci([r.accuracy for r in method_rows])
@@ -228,71 +236,21 @@ def run_benchmark(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> Benc
     return report
 
 
-@dataclass(frozen=True)
-class RecallCurve:
-    """Mean class recall per shot bucket for one method."""
+def recall_vs_shot(cfg: BenchConfig, tasks_by_domain: dict | None = None) -> dict:
+    """Mean class recall bucketed by class shot, per method.
 
-    method: str
-    buckets: dict  # bucket label -> {"recall": float, "classes": int}
-
-
-@dataclass(frozen=True)
-class RecallRecord:
-    """Recall of a single (task, class) pair under every method."""
-
-    domain_id: str
-    task_index: int
-    shot: int
-    bucket: str
-    recalls: dict  # method -> recall
-
-
-def recall_vs_shot(cfg: BenchConfig, tasks_by_domain: dict | None = None):
-    """Class recall bucketed by class shot, per method.
-
-    Returns ``(curves, records)``: aggregated curves keyed by method, plus
-    the per-(task, class) records that produced them, which carry all
-    methods' recalls for paired comparisons.  Buckets with no classes are
-    omitted.
+    Returns ``{method: {bucket: {"recall", "classes"}}}``, buckets in
+    ``SHOT_BUCKETS`` order.  Each (task, class) pair with a query row counts
+    once in its shot's bucket, under every method; buckets with no classes
+    are omitted.
     """
-    heads = dict(cfg.methods)
-    units, task_of = _task_units(cfg, tasks_by_domain)
-
-    def class_records(u: int) -> list:
-        domain_id, idx = units[u]
-        task = task_of(domain_id, idx)
-        fits = fit_statistics(heads.values(), task.support_x, task.support_y, task.query_x)
-        preds = {method: fit.query_labels for method, fit in zip(heads, fits)}
-        records = []
-        for k in range(task.way):
-            mask = task.query_y == k
-            if not np.any(mask):
-                continue
-            shot = int(task.shots[k])
-            records.append(
-                RecallRecord(
-                    domain_id=domain_id,
-                    task_index=idx,
-                    shot=shot,
-                    bucket=shot_bucket(shot),
-                    recalls={m: float(np.mean(preds[m][mask] == k)) for m in heads},
-                )
-            )
-        return records
-
-    records = [r for task_records in ordered_map(class_records, len(units))
-               for r in task_records]
-
+    _, records = _task_records(cfg, tasks_by_domain)
     curves = {}
-    for method in heads:
-        buckets = {}
-        for lo, hi in SHOT_BUCKETS:
-            label = bucket_label(lo, hi)
-            vals = [r.recalls[method] for r in records if r.bucket == label]
-            if vals:
-                buckets[label] = {
-                    "recall": float(np.mean(vals)),
-                    "classes": len(vals),
-                }
-        curves[method] = RecallCurve(method=method, buckets=buckets)
-    return curves, records
+    for m, (method, _) in enumerate(cfg.methods):
+        recalls = {bucket_label(lo, hi): [] for lo, hi in SHOT_BUCKETS}
+        for rec in records:
+            for k in np.flatnonzero(rec.queries):
+                recalls[shot_bucket(rec.shots[k])].append(rec.hits[m, k] / rec.queries[k])
+        curves[method] = {label: {"recall": float(np.mean(vals)), "classes": len(vals)}
+                          for label, vals in recalls.items() if vals}
+    return curves

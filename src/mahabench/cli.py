@@ -71,7 +71,7 @@ except ImportError:
 
 from . import bench as bench_mod
 from . import riemann as riemann_mod
-from .active import AcquisitionStrategy, ActiveSession, run_active_session
+from .active import AcquisitionStrategy, build_active_session, run_active_session
 from .continual import (
     EncodingStrategy,
     HeadMode,
@@ -86,7 +86,6 @@ from .rng import Rng, derive_seed, derive_seeds
 from .worlds import (
     SamplerConfig,
     SamplerMode,
-    draw_class_examples,
     read_tasks,
     write_tasks,
 )
@@ -273,13 +272,18 @@ def _choices(enum, text: str, everything: str, flag: str) -> list:
     return members
 
 
-def _domain_from_args(args, min_classes: int = 0) -> bench_mod.DomainSpec:
-    """The world of the run flags; ``min_classes`` raises its class count."""
+def _domain_from_args(args, min_classes: int = 0, sampler=None) -> bench_mod.DomainSpec:
+    """The world of the run flags; ``min_classes`` raises its class count,
+    which must cover every class a task of ``sampler`` draws."""
     class_count = max(args.classes, min_classes)
     if args.dims < 2:
         raise InvalidConfig("--dims must be at least 2")
     if class_count < 2:
         raise InvalidConfig("--classes must be at least 2")
+    if sampler is not None and class_count < sampler.min_way:
+        least = (f"--way {sampler.min_way}" if sampler.mode is SamplerMode.FIXED_WAY_SHOT
+                 else f"{sampler.min_way}, the fewest classes a metadataset task draws")
+        raise InvalidConfig(f"--classes {class_count} is fewer than {least}")
     if args.anisotropy < 1.0:
         raise InvalidConfig("--anisotropy must be >= 1")
     spread = args.scale_spread
@@ -333,7 +337,7 @@ def _bench_config(args, defaults, sampler) -> tuple:
     """The run's ``BenchConfig``, and the head flags it leaves unread."""
     methods, unread = _methods(args, defaults)
     return bench_mod.BenchConfig(
-        domains=(_domain_from_args(args),),
+        domains=(_domain_from_args(args, sampler=sampler),),
         methods=methods,
         n_tasks=args.tasks,
         seed=args.seed,
@@ -391,7 +395,8 @@ def _cmd_gen_tasks(args, defaults) -> int:
         raise InvalidConfig("gen-tasks requires --out")
     _require_positive(args, "tasks")
     sampler, unread = _sampler_from_args(args, defaults)
-    cfg = bench_mod.BenchConfig((_domain_from_args(args),), (), args.tasks, args.seed, sampler)
+    cfg = bench_mod.BenchConfig((_domain_from_args(args, sampler=sampler),), (), args.tasks,
+                                args.seed, sampler)
     _echo(args, *unread)
     tasks = bench_mod.generate_tasks(cfg, cfg.domains[0])
     write_tasks(args.out, tasks)
@@ -404,33 +409,16 @@ def _cmd_recall(args, defaults) -> int:
     sampler = SamplerConfig(mode=SamplerMode.META_DATASET_LIKE, query_per_class=args.query)
     cfg, unread = _bench_config(args, defaults, sampler)
     echo = _echo(args, *unread)
-    curves, _records = bench_mod.recall_vs_shot(cfg)
+    curves = bench_mod.recall_vs_shot(cfg)
     rows = []
     for method, _ in cfg.methods:
-        for label, entry in curves[method].buckets.items():
+        for label, entry in curves[method].items():
             rows.append((method, label, repr(entry["recall"]), entry["classes"]))
     if args.out:
         _write_csv(args.out, echo, ["method", "bucket", "mean_recall", "classes"], rows)
     for method, label, recall, classes in rows:
         print(f"{method} shot {label}: recall {float(recall):.4f} ({classes} classes)")
     return 0
-
-
-def build_active_session(world, pool_per_class, test_per_class, budget, seed):
-    """Deterministic session over all world classes: one seed-support
-    example per class, then a pool and a held-out test set."""
-    rng = Rng(seed)
-    ids = list(range(world.class_count))
-    seed_x = np.vstack(draw_class_examples(world, ids, [1] * len(ids), rng))
-    seed_y = np.arange(world.class_count, dtype=np.int64)
-    pool_x = np.vstack(draw_class_examples(world, ids, [pool_per_class] * len(ids), rng))
-    pool_y = np.repeat(seed_y, pool_per_class)
-    test_x = np.vstack(draw_class_examples(world, ids, [test_per_class] * len(ids), rng))
-    test_y = np.repeat(seed_y, test_per_class)
-    return ActiveSession(
-        pool_x=pool_x, pool_y=pool_y, seed_x=seed_x, seed_y=seed_y,
-        test_x=test_x, test_y=test_y, budget=budget, seed=derive_seed(seed, "selection"),
-    )
 
 
 def _one_head(args, defaults) -> tuple:

@@ -191,8 +191,9 @@ def _require_finite(x: np.ndarray, what: str) -> None:
 
 def _require_finite_moments(moments: np.ndarray, what: str) -> None:
     """Raise ``NonFiniteInput`` unless every second moment of the finite
-    ``what`` rows is finite: rows near the square root of float64's
-    largest value, or beyond it, overflow where they are multiplied."""
+    ``what`` rows, or sum of them, is finite: rows near the square root of
+    float64's largest value, or beyond it, overflow where they are
+    multiplied or summed."""
     if not np.all(np.isfinite(moments)):
         raise NonFiniteInput(f"{what} features' second moments overflow float64")
 
@@ -254,7 +255,8 @@ class SupportLayout:
         LabelOutOfRange
             If a label is negative.
         NonFiniteInput
-            If a support row has a NaN or infinite entry.
+            If a support row has a NaN or infinite entry, or the rows'
+            second moments, or their sums over the classes, overflow float64.
         """
         support_x = np.asarray(features, dtype=np.float64)
         support_y = np.asarray(labels, dtype=np.int64)
@@ -301,7 +303,9 @@ class SupportLayout:
                 gram = (block.swapaxes(-1, -2) @ block).reshape(len(rows), k_count, d * d)
                 sums[group] = block.sum(axis=2)
                 moments[group] = np.take(gram, _packing(d)[2], axis=-1)
-        _require_finite_moments(moments, "support")
+            # every estimate sums the moments over the classes
+            totals = moments.sum(axis=1)
+        _require_finite_moments(totals, "support")
         return cls(
             class_sizes=n_k.reshape(*batch, k_count),
             center=center.reshape(*batch, d),
@@ -395,7 +399,8 @@ def class_statistics(
     EmptyClass
         If some class's count is below ``SOFT_COUNT_FLOOR``.
     NonFiniteInput
-        If a query row has a NaN or infinite entry.
+        If a query row has a NaN or infinite entry, or the rows' second
+        moments, or their weighted sums, overflow float64.
     """
     d = layout.dims
     shifted, products = QuerySet.build(query_x, d).moments_about(layout.center)
@@ -405,15 +410,18 @@ def class_statistics(
         raise EmptyClass(int(np.argmax(counts < SOFT_COUNT_FLOOR)) % k_count)
     rows, cols, _, position = _packing(d)
     weights_t = query_weights.swapaxes(-1, -2)
-    sums = weights_t @ shifted
-    sums += layout.class_sums
-    packed = weights_t @ products
-    packed += layout.class_moments  # second moments about the support mean
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        sums = weights_t @ shifted
+        sums += layout.class_sums
+        packed = weights_t @ products
+        packed += layout.class_moments  # second moments about the support mean
+        task_sums, task_moments = sums.sum(axis=-2), packed.sum(axis=-2)
+    _require_finite_moments(task_moments, "query")
 
     # scatters about the means are R / n - mu mu^T, blended in packed form
     total = counts.sum(axis=-1, keepdims=True)
-    task_mean = sums.sum(axis=-2) / total
-    task_scatter = packed.sum(axis=-2) / total - task_mean[..., rows] * task_mean[..., cols]
+    task_mean = task_sums / total
+    task_scatter = task_moments / total - task_mean[..., rows] * task_mean[..., cols]
     class_means = sums / counts[..., None]
     packed /= counts[..., None]
     packed -= np.take(class_means, rows, axis=-1) * np.take(class_means, cols, axis=-1)

@@ -11,7 +11,10 @@ the support-only statistics once per distinct beta.  A single-pass head's
 fit is that estimate; a refining head hands the layout and the estimate
 to ``refine.run_refinement``.  A fit (``Fit``) carries the class
 statistics and the query predictions they give; ``scores``, ``predict``
-and ``predict_labels`` score any batch under a head.
+and ``predict_labels`` score any batch under a head.  ``evaluate_task``
+reads a task's fits into one ``TaskRecord``: per head and class, the query
+rows labelled right.  Bench's accuracies and recall's curves both
+aggregate it.
 
 Every step also takes a stack of B tasks of the same shape: ``(B, n, d)``
 support rows with ``(B, n)`` labels and ``(B, m, d)`` query rows give one
@@ -152,11 +155,32 @@ def predict_labels(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
     return np.argmax(scores(head, stats, x), axis=-1)
 
 
-def evaluate_task(configs, task) -> list[float]:
-    """Query accuracy (fraction of query examples correct) of each head on
-    one task, in order, from one ``fit_statistics`` call."""
-    fits = fit_statistics(configs, task.support_x, task.support_y, task.query_x)
-    return [float(np.mean(fit.query_labels == task.query_y)) for fit in fits]
+@dataclass(frozen=True, eq=False)
+class TaskRecord:
+    """What a task's heads got right, per head and per class.
+
+    ``hits[h, k]`` counts the query rows of class k that head h labelled k,
+    ``queries[k]`` the query rows of class k and ``shots[k]`` its support
+    rows.  Head h's accuracy is ``hits[h].sum() / queries.sum()`` and its
+    recall on class k ``hits[h, k] / queries[k]``: the bits ``np.mean``
+    gives on the boolean arrays of correct rows.
+    """
+
+    seed: int  # the task's seed
+    shots: np.ndarray  # (way,)
+    queries: np.ndarray  # (way,)
+    hits: np.ndarray  # (heads, way)
+
+
+def evaluate_task(fits, task) -> TaskRecord:
+    """The record of ``fits`` (``fit_statistics``'s fits to ``task``, one
+    per head) against the task's query labels."""
+    query_y = task.query_y
+    hits = np.zeros((len(fits), task.way), dtype=np.int64)
+    for h, fit in enumerate(fits):
+        hits[h] = np.bincount(query_y[fit.query_labels == query_y], minlength=task.way)
+    return TaskRecord(seed=task.seed, shots=task.shots,
+                      queries=np.bincount(query_y, minlength=task.way), hits=hits)
 
 
 def parse_method(name: str, refine_defaults: RefineConfig = RefineConfig(), beta: float = 1.0) -> HeadConfig:

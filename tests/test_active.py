@@ -10,11 +10,11 @@ from mahabench.active import (
     AcquisitionStrategy,
     ActiveSession,
     acquisition_scores,
+    build_active_session,
     run_active_session,
     select_next,
 )
 from mahabench.bench import DomainSpec
-from mahabench.cli import build_active_session
 from mahabench.errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
 from mahabench.heads import MetricKind, SupportLayout, estimate_class_statistics
 from mahabench.methods import HeadConfig, fit_statistics, predict, predict_labels

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mahabench import bench, parallel
 from mahabench.bench import (
     BenchConfig,
     DomainSpec,
@@ -12,7 +15,7 @@ from mahabench.bench import (
     shot_bucket,
 )
 from mahabench.errors import InvalidConfig
-from mahabench.methods import parse_method
+from mahabench.methods import fit_statistics, parse_method
 from mahabench.worlds import SamplerConfig, SamplerMode
 
 from episodes import tasks_equal
@@ -175,18 +178,43 @@ class TestRecallVsShot:
             seed=3,
             sampler=FIXED_55,
         )
-        curves, records = recall_vs_shot(cfg)
-        for entry in curves["simple"].buckets.values():
+        curves = recall_vs_shot(cfg)
+        for entry in curves["simple"].values():
             assert entry["recall"] == 1.0
-        assert all(r.recalls["simple"] == 1.0 for r in records)
 
     def test_fixed_shot_run_has_single_bucket(self):
         cfg = small_config(n_tasks=30)
-        curves, _ = recall_vs_shot(cfg)
-        assert list(curves["simple"].buckets) == ["5-9"]
+        curves = recall_vs_shot(cfg)
+        assert list(curves["simple"]) == ["5-9"]
 
-    def test_records_are_paired_across_methods(self):
-        cfg = small_config(methods=("simple", "transductive"), n_tasks=30)
-        _, records = recall_vs_shot(cfg)
-        for r in records:
-            assert set(r.recalls) == {"simple", "transductive"}
+
+@pytest.mark.parametrize("run", [run_benchmark, recall_vs_shot])
+def test_a_run_fits_each_task_once(run, monkeypatch):
+    # serial, so that the calls are made in this process
+    monkeypatch.setattr(parallel, "_worker_count", lambda count: 1)
+    calls = []
+    fit = bench.fit_statistics
+    monkeypatch.setattr(bench, "fit_statistics", lambda *a: calls.append(1) or fit(*a))
+    records = []
+    evaluate = bench.evaluate_task
+    monkeypatch.setattr(bench, "evaluate_task", lambda *a: records.append(1) or evaluate(*a))
+    run(small_config(methods=("simple", "transductive", "gmm-em"), n_tasks=30))
+    assert len(calls) == len(records) == 30
+
+
+def test_a_class_with_no_query_row_counts_in_no_recall():
+    cfg = small_config(methods=("simple", "transductive"))
+    task = generate_tasks(cfg, cfg.domains[0])[0]
+    kept = task.query_y != 2  # class 2 keeps its support rows and loses its queries
+    gap = replace(task, query_x=task.query_x[kept], query_y=task.query_y[kept])
+    curves = recall_vs_shot(cfg, {"t": [gap]})
+    report = run_benchmark(cfg, {"t": [gap]})
+    fits = fit_statistics([head for _, head in cfg.methods], gap.support_x, gap.support_y,
+                          gap.query_x)
+    for (method, _), fit in zip(cfg.methods, fits):
+        recalls = [np.mean(fit.query_labels[gap.query_y == k] == k)
+                   for k in range(task.way) if k != 2]
+        assert curves[method] == {"5-9": {"recall": float(np.mean(recalls)),
+                                          "classes": task.way - 1}}
+        [row] = [r for r in report.rows if r.method == method]
+        assert row.accuracy == float(np.mean(fit.query_labels == gap.query_y))

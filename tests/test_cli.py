@@ -65,6 +65,9 @@ WORLD_FLAG_ERRORS = [
     ["active", "--pool-per-class", "0"],
     ["active", "--budget", "500"],
     ["riemann", "--dims", "0"],
+    ["bench", "--tasks", "30", "--way", "8", "--classes", "6"],
+    ["gen-tasks", "--tasks", "2", "--out", "tasks.jsonl", "--way", "8", "--classes", "6"],
+    ["recall", "--tasks", "3", "--classes", "4"],
 ]
 
 RUN_FLAGS = {"--seed", "--out", "--dims", "--classes", "--anisotropy", "--mean-radius",
@@ -221,6 +224,15 @@ class TestCliMain:
         assert capsys.readouterr().err == (
             "config error: --budget must lie in [0, 6], the pool of --classes 3"
             " x --pool-per-class 2\n")
+
+    @pytest.mark.parametrize("argv, need", [
+        (WORLD_FLAG_ERRORS[-3], "--way 8"),
+        (WORLD_FLAG_ERRORS[-1], "5, the fewest classes a metadataset task draws"),
+    ], ids=["bench", "recall"])
+    def test_too_few_classes_names_what_needs_more(self, argv, need, capsys):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --classes {argv[-1]} is fewer than {need}\n"
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--tasks", "30", "--mean-radius", "nan"],
@@ -559,7 +571,7 @@ class TestParallelUnits:
 
     def test_dead_worker_exits_one_with_an_error_line(self, monkeypatch, capsys):
         monkeypatch.setattr(parallel, "_worker_count", lambda count: min(2, count))
-        monkeypatch.setattr(bench, "evaluate_task", lambda head, task: os._exit(1))
+        monkeypatch.setattr(bench, "evaluate_task", lambda fits, task: os._exit(1))
         assert cli_main(["bench", "--tasks", "30", "--method", "simple"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -134,6 +134,19 @@ class TestEstimateClassStatistics:
         with pytest.raises(NonFiniteInput, match="query features' second moments overflow"):
             class_statistics(layout, scale * feats, np.full((4, 2), 0.5), 1.0)
 
+    @pytest.mark.parametrize("side", ["support", "query"])
+    @pytest.mark.parametrize("head", [TRANSDUCTIVE, HeadConfig(gmm=True, refine=RefineConfig())],
+                             ids=["transductive", "gmm-em"])
+    def test_moments_whose_sums_overflow_raise(self, head, side):
+        # each row's products are finite (about 1.4e306), but sums of 100 or
+        # more of them pass float64's range; the error names the rows' side
+        small = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        large = np.tile([[1.2e153, -1.2e153], [-1.2e153, 1.2e153]], (100, 1))
+        support, queries = (large, small) if side == "support" else (small, large)
+        labels = np.arange(len(support)) % 2
+        with pytest.raises(NonFiniteInput, match=f"{side} features' second moments overflow"):
+            fit_statistics([head], support, labels, queries)
+
     def test_factors_are_one_stack(self):
         rng = Rng(5)
         feats, labels = random_task(rng, n_classes=3, dims=4)

@@ -56,6 +56,9 @@ def toy_task(seed, way=4, shot=3, query_per_class=5, dims=3):
     support_y = np.repeat(np.arange(way), shot)
     query_y = np.repeat(np.arange(way), query_per_class)
     return SimpleNamespace(
+        seed=seed,
+        way=way,
+        shots=np.full(way, shot),
         support_x=centers[support_y] + rng.normal((way * shot, dims)),
         support_y=support_y,
         query_x=centers[query_y] + rng.normal((way * query_per_class, dims)),
@@ -95,13 +98,20 @@ def test_shared_fits_give_the_bits_of_one_fit_per_head(seed):
     # for seeds 0 and 2, refining for 1 and 3)
     shuffled = [METHODS[i] for i in Rng(seed).permutation(len(METHODS))]
     for configs in (METHODS, METHODS[::-1], shuffled + [METHODS[seed]]):
-        got = evaluate_task(configs, task)
         fits = fit_statistics(configs, x, y, query)
-        for head, accuracy, fit in zip(configs, got, fits):
+        record = evaluate_task(fits, task)
+        assert record.seed == seed and same_bits(record.shots, task.shots)
+        assert record.queries.tolist() == [5] * task.way
+        assert record.hits.shape == (len(configs), task.way)
+        for head, hits, fit in zip(configs, record.hits, fits):
             alone = fit_statistics([head], x, y, query)[0]
             assert fit.head == head and same_fit(fit, alone)
+            # per class, the query rows the fit's labels get right
+            assert hits.tolist() == [int(np.sum(fit.query_labels[task.query_y == k] == k))
+                                     for k in range(task.way)]
             # each head's query set scored again after its fit
             labels = predict_labels(head, alone.statistics, query)
+            accuracy = hits.sum() / record.queries.sum()
             assert accuracy == float(np.mean(labels == task.query_y))
             assert alone.query_labels.tobytes() == labels.tobytes()
             probs, _ = predict(head, alone.statistics, query)
@@ -139,7 +149,8 @@ def test_the_refinement_starts_from_the_shared_scoring(monkeypatch):
         methods, "run_refinement", lambda *a: outcomes.append(loop(*a)) or outcomes[-1]
     )
     simple, transductive = parse_method("simple"), parse_method("transductive")
-    evaluate_task([simple, transductive], task)
+    evaluate_task(fit_statistics([simple, transductive], task.support_x, task.support_y,
+                                 task.query_x), task)
     scorings = len(calls)
     [outcome] = outcomes
     assert outcome.iterations_run == 3
@@ -166,7 +177,8 @@ def test_a_task_builds_one_support_layout_for_every_head(monkeypatch, seed):
     monkeypatch.setattr(
         SupportLayout, "build", classmethod(lambda cls, *a: builds.append(1) or build(cls, *a))
     )
-    evaluate_task(METHODS, toy_task(seed))
+    task = toy_task(seed)
+    evaluate_task(fit_statistics(METHODS, task.support_x, task.support_y, task.query_x), task)
     assert len(builds) == 1
 
 
