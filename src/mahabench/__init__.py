@@ -51,7 +51,6 @@ from .bench import (
     run_benchmark,
 )
 from .continual import (
-    ContinualState,
     EncodingStrategy,
     HeadMode,
     StreamConfig,
@@ -100,7 +99,6 @@ from .spd import (
 )
 from .worlds import (
     ClusterWorld,
-    EncodingTransform,
     EpisodicTask,
     SamplerConfig,
     SamplerMode,

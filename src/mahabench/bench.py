@@ -2,7 +2,9 @@
 
 Every method in a run sees bit-identical tasks (task seeds are derived from
 the run seed, never from the method), which makes method comparisons
-paired.  ``run_benchmark`` and ``recall_vs_shot`` share one unit per task,
+paired.  A sampled task's features are its world's latent draws
+(``worlds.sample_task``); only a continual stream gives each task its own
+encoding.  ``run_benchmark`` and ``recall_vs_shot`` share one unit per task,
 ``methods.fit_statistics`` then ``methods.evaluate_task``, and aggregate the
 task's ``TaskRecord`` alone.  Accuracy is per-task query accuracy averaged
 over tasks; intervals are 95% normal intervals ``1.96 * std / sqrt(n)``
@@ -20,7 +22,6 @@ from .parallel import ordered_map
 from .rng import derive_seed
 from .worlds import (
     ClusterWorld,
-    EncodingTransform,
     EpisodicTask,
     SamplerConfig,
     check_world_shape,
@@ -150,11 +151,10 @@ class BenchmarkReport:
 def _task_sampler(cfg: BenchConfig, domain: DomainSpec):
     """Task ``i`` of one domain's sequence, as a function of ``i`` alone."""
     world = domain.build(cfg.seed)
-    encoding = EncodingTransform.identity(domain.dims)
 
     def task(i: int) -> EpisodicTask:
         task_seed = derive_seed(cfg.seed, "task", domain.domain_id, i)
-        return sample_task(world, cfg.sampler, encoding, task_seed)
+        return sample_task(world, cfg.sampler, task_seed)
 
     return task
 

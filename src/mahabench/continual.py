@@ -1,12 +1,13 @@
 """Streaming tasks with statistics merging and encoding strategies.
 
 Each task in a stream carries its own true affine encoding of the latent
-feature space.  The head tracks a working encoding per strategy: the most
-recent task's (moving), the first task's (first), or a running average
-(averaging).  Features are always realized in the current working frame,
-while saved class statistics keep the frame they were estimated in; a
-drifting working frame therefore invalidates old statistics, which is the
-forgetting mechanism under the moving strategy.
+feature space, a ``(linear, offset)`` pair of arrays ``(A, b)`` that maps
+a feature row ``x`` to ``x @ A.T + b``.  The head tracks a working
+encoding per strategy: the most recent task's (moving), the first task's
+(first), or a running average (averaging).  Features are always realized
+in the current working frame, while saved class statistics keep the frame
+they were estimated in; a drifting working frame therefore invalidates old
+statistics, which is the forgetting mechanism under the moving strategy.
 
 ``run_continual_session`` steps a block of streams, under every strategy,
 in lockstep.  The block's streams are drawn together, once, from one
@@ -19,8 +20,9 @@ support counts, when a later task shows the class again.  At step t every
 fit of the block fits a task of the same shape, so one stacked fit
 (``methods.fit_statistics``), one merge and one stacked scoring of all
 queries seen so far serve them all; both head modes are argmaxes of that
-one scoring.  The fits' working frames map their rows in stacked
-products; only the encoding update runs once per fit.  Every fit
+one scoring.  Each strategy's working frames are one stack, a frame per
+stream, updated by one ``update_encoding`` call per step, and the fits'
+frames map their rows in stacked products.  Every fit
 has the bits it would have on its own (the batch axis of ``heads``, and
 a stream's draws are those of its seed alone), so a matrix does not
 depend on which block, or how large a block, its stream ran in.
@@ -35,7 +37,7 @@ from .errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClass
 from .heads import ClassStatistics
 from .methods import HeadConfig, fit_statistics, scores
 from .rng import MASK64, Rng
-from .worlds import ClusterWorld, EncodingTransform, draw_class_examples, singular
+from .worlds import ClusterWorld, draw_class_examples, singular
 
 
 class EncodingStrategy(Enum):
@@ -47,16 +49,6 @@ class EncodingStrategy(Enum):
 class HeadMode(Enum):
     MULTI_HEAD = "multi"
     SINGLE_HEAD = "single"
-
-
-@dataclass
-class ContinualState:
-    """Mutable per-session encoding memory."""
-
-    strategy: EncodingStrategy
-    tasks_seen: int = 0
-    first_encoding: EncodingTransform | None = None
-    average_encoding: EncodingTransform | None = None
 
 
 def merge_class_statistics(old: ClassStatistics, new: ClassStatistics) -> ClassStatistics:
@@ -90,31 +82,33 @@ def merge_class_statistics(old: ClassStatistics, new: ClassStatistics) -> ClassS
     )
 
 
-def update_encoding(state: ContinualState, new_encoding: EncodingTransform) -> EncodingTransform:
-    """Advance the state by one task and return the working encoding.
+def update_encoding(strategy: EncodingStrategy, step: int, new: tuple, working: tuple | None
+                    ) -> tuple:
+    """One strategy's working frames after task ``step`` (0-based), as a
+    ``(linear, offset)`` pair of arrays shaped like ``new``.
 
-    Averaging combines the affine parameters elementwise with weights
-    (1/t, (t-1)/t); the averaged transform must stay invertible (checked at
-    construction).
+    ``new`` holds task ``step``'s true encodings and ``working`` the frames
+    this call returned at ``step - 1`` (unread at step 0), each with any
+    leading axes, such as one per stream of a block.  Averaging combines the
+    affine parameters elementwise with weights (1/t, (t-1)/t) at the t-th
+    task, so every frame has the bits of its own call.
+
+    Raises
+    ------
+    InvalidConfig
+        If an averaged linear map is numerically singular
+        (``worlds.singular``).
     """
-    state.tasks_seen += 1
-    t = state.tasks_seen
-    if state.first_encoding is None:
-        state.first_encoding = new_encoding
-    if state.strategy is EncodingStrategy.MOVING:
-        return new_encoding
-    if state.strategy is EncodingStrategy.FIRST:
-        return state.first_encoding
-    if t == 1 or state.average_encoding is None:
-        state.average_encoding = new_encoding
-    else:
-        prev = state.average_encoding
-        w_new, w_old = 1.0 / t, (t - 1.0) / t
-        state.average_encoding = EncodingTransform(
-            linear=w_new * new_encoding.linear + w_old * prev.linear,
-            offset=w_new * new_encoding.offset + w_old * prev.offset,
-        )
-    return state.average_encoding
+    if step == 0 or strategy is EncodingStrategy.MOVING:
+        return new
+    if strategy is EncodingStrategy.FIRST:
+        return working
+    t = step + 1
+    w_new, w_old = 1.0 / t, (t - 1.0) / t
+    linear = w_new * new[0] + w_old * working[0]
+    if singular(linear).any():
+        raise InvalidConfig("encoding transform is numerically singular")
+    return linear, w_new * new[1] + w_old * working[1]
 
 
 @dataclass(frozen=True)
@@ -134,15 +128,17 @@ class StreamConfig:
             raise InvalidConfig("drift must be nonnegative")
 
 
-def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> list:
+def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> tuple:
     """Per-task true encodings: identity-anchored affine maps with the given
-    drift magnitude.  Zero drift makes every task's encoding the identity.
+    drift magnitude, as a ``(linear, offset)`` pair of arrays shaped
+    ``(*rng.shape, num_tasks, dims, dims)`` and ``(*rng.shape, num_tasks,
+    dims)``.  Zero drift makes every task's encoding the identity.
 
     A task's linear map is redrawn, up to 64 draws in all, while it is
     singular (``worlds.singular``).  From an ``Rng`` over a 1-D stack of
-    seeds, one list per seed, in order, drawn for every stream at once:
-    list s is what ``Rng(seeds[s])`` alone gives, because a redraw draws
-    for the streams whose map failed, and advances their counters, alone.
+    seeds, every stream's maps are drawn at once, and row s is what
+    ``Rng(seeds[s])`` alone gives, because a redraw draws for the streams
+    whose map failed, and advances their counters, alone.
 
     Raises
     ------
@@ -154,7 +150,7 @@ def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> li
     def draw(rows=None):
         return eye + drift * rng.normal((dims, dims), rows) / root
 
-    tasks = []
+    linears, offsets = [], []
     for _ in range(num_tasks):
         linear = draw()
         for attempt in range(64):
@@ -167,13 +163,10 @@ def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> li
                 linear[failed] = draw(failed)  # for the failed streams alone
             else:
                 linear = draw()
-        offset = drift * rng.normal(dims)
+        linears.append(linear)
+        offsets.append(drift * rng.normal(dims))
         rng.normal(dims)  # a draw kept so that every stream's later draws stay put
-        tasks.append((linear, offset))
-    if not rng.shape:
-        return [EncodingTransform(linear, offset) for linear, offset in tasks]
-    return [[EncodingTransform(linear[s], offset[s]) for linear, offset in tasks]
-            for s in range(rng.shape[0])]
+    return np.stack(linears, axis=-3), np.stack(offsets, axis=-2)
 
 
 def _classes(memory: ClassStatistics, ids) -> ClassStatistics:
@@ -215,9 +208,11 @@ def run_continual_session(
     once for every strategy, from one ``Rng`` over ``seeds``: one draw per
     task or class gives every stream its rows, and stream s gets the bits
     ``Rng(seeds[s])`` alone gives it, a redrawn singular encoding
-    included (``make_task_encodings``).  Fit f is
-    stream ``f // len(strategies)`` under strategy ``f % len(strategies)``,
-    with its own encoding state.  The block's merged class memory is one
+    included (``make_task_encodings``).  Fit f is stream ``f //
+    len(strategies)`` under strategy ``f % len(strategies)``.  Each
+    strategy's working frames are one ``(S, d, d)`` and ``(S, d)`` pair,
+    advanced by one ``update_encoding`` call per step.  The block's merged
+    class memory is one
     ``ClassStatistics`` of shape ``(F, k, ...)``: a row per fit and world
     class, whose count stays 0 until the class is first seen.  At step t
     every fit has the same shape (the same class group, shot and query
@@ -228,9 +223,9 @@ def run_continual_session(
     class.  The seen classes are the same for every fit, because the fits
     share the class groups.  The fits' working frames map the queries in
     one stacked product and the support rows in another, each making one
-    BLAS call per fit with the shape of ``EncodingTransform.apply``'s own;
-    only ``update_encoding`` runs once per fit.  Single-head labels are
-    the argmax over all columns, multi-head labels for task j the argmax
+    BLAS call per fit with the shape of ``x @ A.T + b`` on that fit's rows
+    alone.  Single-head labels are the argmax over all columns, multi-head
+    labels for task j the argmax
     over group j's columns; both break ties toward the lowest class id.  A
     GMM head's log(1/K) prior counts every seen class in both modes.
 
@@ -243,8 +238,9 @@ def run_continual_session(
     ------
     InvalidConfig
         If there is no seed or no strategy, ``class_groups`` does not hold
-        one group per task, or a group names a class twice or an id
-        outside [0, world.class_count).
+        one group per task, a group names a class twice or an id outside
+        [0, world.class_count), or an averaged frame is singular
+        (``update_encoding``).
     NotEnoughClasses
         If the default groups need more classes than the world has.
     """
@@ -272,7 +268,7 @@ def run_continual_session(
     # Rng over the block's seeds: (S, n, d) support rows per task and
     # (S, M, d) query rows of all tasks
     rng = Rng(np.array([seed & MASK64 for seed in seeds], dtype=np.uint64))
-    true_encodings = make_task_encodings(world.dims, t_count, stream.drift, rng)
+    true_linear, true_offset = make_task_encodings(world.dims, t_count, stream.drift, rng)
     draws = [np.concatenate(draw_class_examples(world, group, [count] * len(group), rng), axis=-2)
              for group in class_groups for count in (stream.shot, stream.query_per_class)]
     raw_support, queries = draws[0::2], np.concatenate(draws[1::2], axis=-2)
@@ -288,7 +284,7 @@ def run_continual_session(
     owner = np.repeat(np.arange(len(seeds)), len(strategies))
     fits = owner.size
     queries = queries[owner]  # (F, M, d): fit f's copy of its stream's queries
-    states = [ContinualState(strategy=strategies[f % len(strategies)]) for f in range(fits)]
+    frames = [None] * len(strategies)  # each strategy's (S, d, d) and (S, d) working frames
     # a row per fit and world class; a count of 0 marks a class not seen yet
     memory = ClassStatistics(np.zeros((fits, k, d)), np.zeros((fits, k, d, d)),
                              np.zeros((fits, k)), np.zeros((fits, k, d, d)),
@@ -296,11 +292,12 @@ def run_continual_session(
     single, multi = np.full((2, fits, t_count, t_count), np.nan)
     for t, group in enumerate(class_groups):
         rows = np.array(group)
-        working = [update_encoding(state, true_encodings[s][t]) for state, s in zip(states, owner)]
+        frames = [update_encoding(strategy, t, (true_linear[:, t], true_offset[:, t]), frame)
+                  for strategy, frame in zip(strategies, frames)]
         # every fit's working frame x -> x A^T + b, applied as one stacked
-        # product: a BLAS call per fit with the shape of ``apply``'s own
-        linear_t = np.stack([w.linear for w in working]).swapaxes(-1, -2)
-        offset = np.stack([w.offset for w in working])[:, None, :]
+        # product: a BLAS call per fit with the shape of its own rows alone
+        linear_t = np.stack([a for a, _ in frames], axis=1).reshape(fits, d, d).swapaxes(-1, -2)
+        offset = np.stack([b for _, b in frames], axis=1).reshape(fits, 1, d)
         feats = queries[:, :ends[t]] @ linear_t + offset
         support = raw_support[t][owner] @ linear_t + offset
         local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)

@@ -3,8 +3,11 @@
 A world is a set of Gaussian classes standing in for an adapted feature
 space: means on a shell, covariances with a controlled condition number.
 Tasks are sampled from a world either with variable way/shot (way uniform
-on a range, per-class shots uniform then rescaled to a support cap) or with
-fixed way/shot, and every draw is a pure function of a 64-bit seed.
+on ``WAY_RANGE``, per-class shots uniform on ``SHOT_RANGE`` then rescaled to
+``SUPPORT_CAP`` support rows) or with fixed way/shot, and every draw is a
+pure function of a 64-bit seed.  A task's features are the world's latent
+draws themselves; a continual stream maps them through its own
+per-task encodings (``continual.make_task_encodings``).
 
 Task files are JSON Lines: a header record, then one record per task.
 Floats are serialized with Python's shortest round-trip repr, so reading a
@@ -21,6 +24,12 @@ from .errors import FormatError, InvalidConfig, NotEnoughClasses, check_sizes
 from .rng import Rng
 
 TASK_FILE_VERSION = "v1"
+
+# variable-way tasks: way and per-class shots are uniform on [lo, hi), and
+# shots shrink to fit the support cap
+WAY_RANGE = (5, 50)
+SHOT_RANGE = (1, 100)
+SUPPORT_CAP = 500
 
 # an encoding's linear map counts as singular at or below this |det|
 SINGULAR_DET = 1e-9
@@ -50,29 +59,6 @@ class ClusterWorld:
 
     def factor(self, class_id: int) -> np.ndarray:
         return self._factors[class_id]
-
-
-@dataclass(frozen=True)
-class EncodingTransform:
-    """Affine feature transform: a task's encoding of the world's features."""
-
-    linear: np.ndarray  # (d, d), invertible
-    offset: np.ndarray  # (d,)
-
-    def __post_init__(self):
-        lin = np.asarray(self.linear, dtype=np.float64)
-        off = np.asarray(self.offset, dtype=np.float64)
-        if singular(lin):
-            raise InvalidConfig("encoding transform is numerically singular")
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "offset", off)
-
-    @classmethod
-    def identity(cls, dims: int) -> "EncodingTransform":
-        return cls(np.eye(dims), np.zeros(dims))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) @ self.linear.T + self.offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,23 +92,19 @@ class SamplerConfig:
     """Way/shot distribution settings for task sampling."""
 
     mode: SamplerMode = SamplerMode.META_DATASET_LIKE
-    way_range: tuple[int, int] = (5, 50)
-    shot_range: tuple[int, int] = (1, 100)
-    support_cap: int = 500
     query_per_class: int = 10
     fixed_way: int | None = None
     fixed_shot: int | None = None
 
     def __post_init__(self):
-        check_sizes(way_range=self.way_range, shot_range=self.shot_range,
-                    support_cap=self.support_cap, query_per_class=self.query_per_class)
+        check_sizes(query_per_class=self.query_per_class)
         if self.mode is SamplerMode.FIXED_WAY_SHOT:
             check_sizes(fixed_way=self.fixed_way or 0, fixed_shot=self.fixed_shot or 0)
 
     @property
     def min_way(self) -> int:
         """The fewest classes a task draws, so the fewest a world must have."""
-        return self.fixed_way if self.mode is SamplerMode.FIXED_WAY_SHOT else self.way_range[0]
+        return self.fixed_way if self.mode is SamplerMode.FIXED_WAY_SHOT else WAY_RANGE[0]
 
 
 def check_world_shape(dims: int, class_count: int, anisotropy: float, scale_range) -> None:
@@ -223,43 +205,30 @@ def draw_class_examples(
     return blocks
 
 
-def sample_task(
-    world: ClusterWorld,
-    cfg: SamplerConfig,
-    encoding: EncodingTransform,
-    rng_seed: int,
-) -> EpisodicTask:
+def sample_task(world: ClusterWorld, cfg: SamplerConfig, rng_seed: int) -> EpisodicTask:
     """Sample one episodic task from a world, deterministically in the seed.
 
     Draw order is fixed: way (variable mode only), class permutation,
     per-class shots, then per task-class support rows followed by query
-    rows.  Features are latent Gaussian draws mapped through ``encoding``.
+    rows.  Features are the latent Gaussian draws.
     """
     if world.class_count < cfg.min_way:
         raise NotEnoughClasses(f"world has {world.class_count} classes, need {cfg.min_way}")
     rng = Rng(rng_seed)
     if cfg.mode is SamplerMode.META_DATASET_LIKE:
-        way = int(rng.integers(cfg.way_range[0], cfg.way_range[1], 1)[0])
+        way = int(rng.integers(WAY_RANGE[0], WAY_RANGE[1], 1)[0])
         way = min(way, world.class_count)
         chosen = rng.permutation(world.class_count)[:way]
-        shots = rng.integers(cfg.shot_range[0], cfg.shot_range[1], way)
-        shots = _rescale_shots(shots, cfg.support_cap)
+        shots = rng.integers(SHOT_RANGE[0], SHOT_RANGE[1], way)
+        shots = _rescale_shots(shots, SUPPORT_CAP)
     else:
         way = int(cfg.fixed_way)
         chosen = rng.permutation(world.class_count)[:way]
         shots = np.full(way, int(cfg.fixed_shot), dtype=np.int64)
 
-    support_blocks = []
-    query_blocks = []
-    for slot in range(way):
-        block = draw_class_examples(
-            world, [chosen[slot]], [int(shots[slot]) + cfg.query_per_class], rng
-        )[0]
-        support_blocks.append(block[: shots[slot]])
-        query_blocks.append(block[shots[slot] :])
-
-    support_x = encoding.apply(np.vstack(support_blocks))
-    query_x = encoding.apply(np.vstack(query_blocks))
+    blocks = draw_class_examples(world, chosen, shots + cfg.query_per_class, rng)
+    support_x = np.vstack([block[:shot] for block, shot in zip(blocks, shots)])
+    query_x = np.vstack([block[shot:] for block, shot in zip(blocks, shots)])
     support_y = np.repeat(np.arange(way, dtype=np.int64), shots)
     query_y = np.repeat(np.arange(way, dtype=np.int64), cfg.query_per_class)
     return EpisodicTask(
@@ -301,14 +270,26 @@ def write_tasks(path, tasks) -> None:
             fh.write(json.dumps(_task_record(task), sort_keys=True) + "\n")
 
 
+def _integer(rec: dict, key: str, lo: int, hi: int | None, line_no: int) -> int:
+    """``rec[key]``, which must be a JSON integer in ``[lo, hi)``: ``int()``
+    would read 2.5 as 2 and true as 1."""
+    value = rec[key]
+    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+            or (hi is not None and value >= hi)):
+        bounds = f"in [{lo}, {hi})" if hi is not None else f">= {lo}"
+        raise FormatError(line_no, f"{key} {json.dumps(value)} is not an integer {bounds}")
+    return value
+
+
 def _parse_examples(rows, dims, line_no):
+    # widths first: ``dims`` comes from the file, and the array is sized by it
+    for row in rows:
+        if len(row["features"]) != dims:
+            raise FormatError(line_no, f"expected {dims} features, got {len(row['features'])}")
     feats = np.empty((len(rows), dims))
     labels = np.empty(len(rows), dtype=np.int64)
     for i, row in enumerate(rows):
-        values = row["features"]
-        if len(values) != dims:
-            raise FormatError(line_no, f"expected {dims} features, got {len(values)}")
-        feats[i] = values
+        feats[i] = row["features"]
         label = row["label"]
         # int64 assignment would truncate 0.7 to 0 and read true as 1
         if isinstance(label, bool) or not isinstance(label, int):
@@ -346,8 +327,11 @@ def read_tasks(path) -> list:
     ------
     FormatError
         With the 1-based line of the first bad record: malformed JSON or
-        fields, a non-finite feature, an empty support or query set, a label
-        outside ``[0, way)``, or a class with no support row.
+        fields, a ``dims`` or ``way`` that is not an integer >= 1, a
+        ``seed`` that is not an integer in ``[0, 2**64)``, a ``domain_id``
+        that is not a string, a non-finite feature, an empty support or
+        query set, a label outside ``[0, way)``, or a class with no support
+        row.
     """
     tasks = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -365,15 +349,19 @@ def read_tasks(path) -> list:
             continue
         try:
             rec = json.loads(line)
-            dims = int(rec["dims"])
+            dims = _integer(rec, "dims", 1, None, line_no)
             support_x, support_y = _parse_examples(rec["support"], dims, line_no)
             query_x, query_y = _parse_examples(rec["query"], dims, line_no)
-            way = int(rec["way"])
+            way = _integer(rec, "way", 1, None, line_no)
             _check_labels(way, support_y, query_y, line_no)
+            # bench sorts domain ids, and a None beside a string cannot sort
+            if not isinstance(rec["domain_id"], str):
+                raise FormatError(line_no, f"domain_id {json.dumps(rec['domain_id'])} "
+                                           "is not a string")
             tasks.append(
                 EpisodicTask(
                     domain_id=rec["domain_id"],
-                    seed=int(rec["seed"]),
+                    seed=_integer(rec, "seed", 0, 1 << 64, line_no),
                     way=way,
                     dims=dims,
                     support_x=support_x,

@@ -10,7 +10,6 @@ from scipy.linalg.lapack import dtrtri
 
 from mahabench import cli, continual, parallel, worlds
 from mahabench.continual import (
-    ContinualState,
     EncodingStrategy,
     HeadMode,
     StreamConfig,
@@ -25,7 +24,7 @@ from mahabench.methods import HeadConfig, fit_statistics, predict, predict_label
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 from mahabench.spd import cholesky, ensure_pd
-from mahabench.worlds import EncodingTransform, draw_class_examples, make_cluster_world
+from mahabench.worlds import draw_class_examples, make_cluster_world
 
 
 def stack(means, covs, counts):
@@ -147,72 +146,93 @@ class TestMergeClassStatistics:
                                rtol=1e-10, atol=1e-12)
 
 
+def apply(frame, x):
+    """Feature rows ``x`` in the frame ``(A, b)``."""
+    linear, offset = frame
+    return x @ linear.T + offset
+
+
+def working_frames(strategy, encodings):
+    """The working frames after each of ``encodings``, in order."""
+    frames, working = [], None
+    for step, new in enumerate(encodings):
+        working = update_encoding(strategy, step, new, working)
+        frames.append(working)
+    return frames
+
+
 class TestUpdateEncoding:
     def _enc(self, value, dims=2):
-        return EncodingTransform(np.eye(dims) * (1.0 + value), np.full(dims, value))
+        return np.eye(dims) * (1.0 + value), np.full(dims, value)
 
     def test_first_task_returns_new_encoding_for_all_strategies(self):
         for strategy in EncodingStrategy:
-            state = ContinualState(strategy=strategy)
             enc = self._enc(0.5)
-            working = update_encoding(state, enc)
-            assert working is enc or np.allclose(working.linear, enc.linear)
-            assert state.tasks_seen == 1
+            linear, offset = update_encoding(strategy, 0, enc, None)
+            assert np.array_equal(linear, enc[0]) and np.array_equal(offset, enc[1])
 
     def test_moving_tracks_latest(self):
-        state = ContinualState(strategy=EncodingStrategy.MOVING)
-        update_encoding(state, self._enc(0.1))
-        working = update_encoding(state, self._enc(0.9))
-        assert np.allclose(working.offset, 0.9)
+        working = working_frames(EncodingStrategy.MOVING, [self._enc(0.1), self._enc(0.9)])[-1]
+        assert np.allclose(working[1], 0.9)
 
     def test_first_is_frozen_forever(self):
-        state = ContinualState(strategy=EncodingStrategy.FIRST)
         first = self._enc(0.3)
-        update_encoding(state, first)
-        for v in (0.5, 0.7, 0.9, 1.1):
-            working = update_encoding(state, self._enc(v))
-        assert np.array_equal(working.linear, first.linear)
-        assert np.array_equal(working.offset, first.offset)
+        encodings = [first, *(self._enc(v) for v in (0.5, 0.7, 0.9, 1.1))]
+        linear, offset = working_frames(EncodingStrategy.FIRST, encodings)[-1]
+        assert np.array_equal(linear, first[0])
+        assert np.array_equal(offset, first[1])
 
     def test_averaging_at_t2_is_elementwise_mean(self):
-        state = ContinualState(strategy=EncodingStrategy.AVERAGING)
         a, b = self._enc(0.2), self._enc(0.6)
-        update_encoding(state, a)
-        working = update_encoding(state, b)
-        assert np.allclose(working.linear, (a.linear + b.linear) / 2)
-        assert np.allclose(working.offset, (a.offset + b.offset) / 2)
+        linear, offset = working_frames(EncodingStrategy.AVERAGING, [a, b])[-1]
+        assert np.allclose(linear, (a[0] + b[0]) / 2)
+        assert np.allclose(offset, (a[1] + b[1]) / 2)
 
     def test_averaging_matches_running_mean(self):
-        state = ContinualState(strategy=EncodingStrategy.AVERAGING)
         values = [0.1, 0.5, 0.9, 0.3]
-        working = None
-        for v in values:
-            working = update_encoding(state, self._enc(v))
-        assert np.allclose(working.offset, np.mean(values))
+        working = working_frames(EncodingStrategy.AVERAGING, [self._enc(v) for v in values])[-1]
+        assert np.allclose(working[1], np.mean(values))
 
     def test_first_and_averaging_coincide_for_constant_encodings(self):
-        enc = self._enc(0.4)
-        s_first = ContinualState(strategy=EncodingStrategy.FIRST)
-        s_avg = ContinualState(strategy=EncodingStrategy.AVERAGING)
-        for _ in range(5):
-            w_first = update_encoding(s_first, enc)
-            w_avg = update_encoding(s_avg, enc)
-        assert np.allclose(w_first.linear, w_avg.linear)
-        assert np.allclose(w_first.offset, w_avg.offset)
+        encodings = [self._enc(0.4)] * 5
+        w_first = working_frames(EncodingStrategy.FIRST, encodings)[-1]
+        w_avg = working_frames(EncodingStrategy.AVERAGING, encodings)[-1]
+        assert np.allclose(w_first[0], w_avg[0])
+        assert np.allclose(w_first[1], w_avg[1])
+
+    @pytest.mark.parametrize("strategy", list(EncodingStrategy))
+    def test_a_stacked_call_gives_each_stream_the_bits_of_its_own(self, strategy):
+        # the frames of 4 streams over 5 tasks, stepped as one (4, d, d) stack
+        linear, offset = make_task_encodings(3, 5, 1.5, Rng(np.arange(4, dtype=np.uint64)))
+        stacked = working_frames(strategy, [(linear[:, t], offset[:, t]) for t in range(5)])
+        for s in range(4):
+            alone = working_frames(strategy, [(linear[s, t], offset[s, t]) for t in range(5)])
+            for (a, b), (a_s, b_s) in zip(stacked, alone):
+                assert a[s].tobytes() == a_s.tobytes() and b[s].tobytes() == b_s.tobytes()
+
+    def test_a_singular_averaged_frame_is_a_config_error(self):
+        # A and -A average to the zero map, though each is invertible
+        a = np.array([[2.0, 1.0], [0.5, 3.0]])
+        with pytest.raises(InvalidConfig, match="singular"):
+            update_encoding(EncodingStrategy.AVERAGING, 1, (-a, np.zeros(2)), (a, np.zeros(2)))
+        # one stream of a block with a singular average fails the whole step
+        old, new = np.stack([np.eye(2), a]), np.stack([np.eye(2), -a])
+        with pytest.raises(InvalidConfig, match="singular"):
+            update_encoding(EncodingStrategy.AVERAGING, 1, (new, np.zeros((2, 2))),
+                            (old, np.zeros((2, 2))))
 
 
 class TestMakeTaskEncodings:
     def test_zero_drift_gives_identities(self):
-        encs = make_task_encodings(3, 4, 0.0, Rng(0))
-        for e in encs:
-            assert np.array_equal(e.linear, np.eye(3))
-            assert np.array_equal(e.offset, np.zeros(3))
+        linear, offset = make_task_encodings(3, 4, 0.0, Rng(0))
+        assert np.array_equal(linear, np.broadcast_to(np.eye(3), (4, 3, 3)))
+        assert np.array_equal(offset, np.zeros((4, 3)))
 
     def test_drift_produces_distinct_invertible_transforms(self):
-        encs = make_task_encodings(3, 4, 1.0, Rng(1))
-        for e in encs:
-            assert abs(np.linalg.det(e.linear)) > 1e-9
-        assert not np.allclose(encs[0].linear, encs[1].linear)
+        linear, offset = make_task_encodings(3, 4, 1.0, Rng(1))
+        assert linear.shape == (4, 3, 3) and offset.shape == (4, 3)
+        assert np.all(np.abs(np.linalg.det(linear)) > 1e-9)
+        assert not np.allclose(linear[0], linear[1])
 
 
 def small_world(seed=7, classes=10):
@@ -236,19 +256,19 @@ def reference_matrix(world, stream, strategy, mode, head, seed, groups):
     step t.  Merged statistics are kept one class at a time.
     """
     rng = Rng(seed)
-    encodings = make_task_encodings(world.dims, len(groups), stream.drift, rng)
+    linear, offset = make_task_encodings(world.dims, len(groups), stream.drift, rng)
     support, query = [], []
     for group in groups:
         for store, count in ((support, stream.shot), (query, stream.query_per_class)):
             store.append(np.vstack(draw_class_examples(world, group, [count] * len(group), rng)))
-    state = ContinualState(strategy=strategy)
     memory = {}  # class id -> one-row ClassStatistics
     matrix = np.full((len(groups), len(groups)), np.nan)
+    working = None
     for t, group in enumerate(groups):
-        working = update_encoding(state, encodings[t])
+        working = update_encoding(strategy, t, (linear[t], offset[t]), working)
         local_y = np.repeat(np.arange(len(group)), stream.shot)
-        [fit] = fit_statistics([head], working.apply(support[t]), local_y,
-                               working.apply(query[t]))
+        [fit] = fit_statistics([head], apply(working, support[t]), local_y,
+                               apply(working, query[t]))
         fit = replace(fit.statistics, counts=np.full(len(group), float(stream.shot)))
         for row, cid in enumerate(group):
             new = fit.take([row])
@@ -256,7 +276,7 @@ def reference_matrix(world, stream, strategy, mode, head, seed, groups):
         for j in range(t + 1):
             ids = sorted(groups[j]) if mode is HeadMode.MULTI_HEAD else sorted(memory)
             labels = predict_labels(head, stack_rows([memory[c] for c in ids]),
-                                    working.apply(query[j]))
+                                    apply(working, query[j]))
             truth = np.repeat(groups[j], stream.query_per_class)
             matrix[t, j] = np.mean(np.array(ids)[labels] == truth)
     return matrix
@@ -434,6 +454,28 @@ class TestRunContinualSession:
         # per class for the support and one for the queries
         assert made[4] == made[1] == (4 * (3 + 2 * 2), 4 * 2)
 
+    def test_a_block_checks_its_frames_as_often_as_one_stream(self, monkeypatch):
+        # each task's maps and each averaged frame are checked for every
+        # stream of the block in one stacked determinant
+        calls, check = [], worlds.singular
+
+        def counting(linear):
+            calls.append(1)
+            return check(linear)
+
+        monkeypatch.setattr(worlds, "singular", counting)
+        monkeypatch.setattr(continual, "singular", counting)
+        world = small_world()
+        stream = StreamConfig(num_tasks=4, classes_per_task=2, shot=3)
+        made = {}
+        for seeds in ([0], [0, 1, 2, 3]):
+            calls.clear()
+            run_continual_session(world, stream, seeds, list(EncodingStrategy))
+            made[len(seeds)] = len(calls)
+        # per task one check of the drawn maps, and from the second task on
+        # one of the averaged frames
+        assert made[4] == made[1] == 4 + 3
+
     def test_not_enough_classes(self):
         world = small_world(classes=4)
         stream = StreamConfig(num_tasks=3, classes_per_task=2, shot=5)
@@ -470,7 +512,7 @@ def reference_session(world, stream, strategies, head, seed, groups):
     before it stepped a block of streams in lockstep.  Returns the stream's
     matrices, keyed as the block's are."""
     rng = Rng(seed)
-    true_encodings = make_task_encodings(world.dims, len(groups), stream.drift, rng)
+    linear, offset = make_task_encodings(world.dims, len(groups), stream.drift, rng)
     raw_support, raw_query = [], []
     for group in groups:
         for raw, count in ((raw_support, stream.shot), (raw_query, stream.query_per_class)):
@@ -489,17 +531,17 @@ def reference_session(world, stream, strategies, head, seed, groups):
 
     matrices = {}
     for strategy in strategies:
-        state = ContinualState(strategy=strategy)
+        working = None
         memory = ClassStatistics(np.zeros((k, d)), np.zeros((k, d, d)), np.zeros(k),
                                  np.zeros((k, d, d)), np.zeros((k, d, d)), np.zeros(k))
         single = matrices[strategy, HeadMode.SINGLE_HEAD] = np.full((t_count, t_count), np.nan)
         multi = matrices[strategy, HeadMode.MULTI_HEAD] = np.full((t_count, t_count), np.nan)
         for t in range(t_count):
             rows = np.array(groups[t])
-            working = update_encoding(state, true_encodings[t])
-            feats = working.apply(queries[:ends[t]])
+            working = update_encoding(strategy, t, (linear[t], offset[t]), working)
+            feats = apply(working, queries[:ends[t]])
             local_y = np.repeat(np.arange(len(rows), dtype=np.int64), stream.shot)
-            [fit] = fit_statistics([head], working.apply(raw_support[t]), local_y,
+            [fit] = fit_statistics([head], apply(working, raw_support[t]), local_y,
                                    feats[starts[t]:])
             new = replace(fit.statistics, counts=np.full(len(rows), float(stream.shot)))
             seen = memory.counts[rows] > 0
@@ -576,10 +618,9 @@ def test_streams_that_redraw_an_encoding_match_each_stream_run_alone(monkeypatch
     extra = [raw_outputs(seed) - count for seed, count in zip(seeds, plain)]
     assert sorted(set(extra)) == [0, 10, 20]  # a 3x3 map takes 10 raw outputs
     block = make_task_encodings(3, tasks, 1.5, Rng(np.array(seeds, dtype=np.uint64)))
-    for seed, encodings in zip(seeds, block):
-        for got, alone in zip(encodings, make_task_encodings(3, tasks, 1.5, Rng(seed))):
-            assert got.linear.tobytes() == alone.linear.tobytes()
-            assert got.offset.tobytes() == alone.offset.tobytes()
+    for s, seed in enumerate(seeds):
+        for got, alone in zip(block, make_task_encodings(3, tasks, 1.5, Rng(seed))):
+            assert got[s].tobytes() == alone.tobytes()
     # the frames must clear the raised floor too, so no averaging
     world = make_cluster_world(3, 6, 4.0, rng_seed=1, mean_radius=1.5, scale_range=(0.5, 2.0))
     stream = StreamConfig(num_tasks=tasks, classes_per_task=2, shot=2, query_per_class=3,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from mahabench.errors import FormatError, InvalidConfig, NotEnoughClasses
 from mahabench.heads import SupportLayout, estimate_class_statistics
 from mahabench.methods import HeadConfig, predict
 from mahabench.worlds import (
-    EncodingTransform,
     SamplerConfig,
     SamplerMode,
     make_cluster_world,
@@ -62,7 +62,7 @@ class TestMakeClusterWorld:
 class TestSampleTask:
     def test_fixed_way_shot_counts(self):
         world = make_cluster_world(3, 8, 2.0, rng_seed=5)
-        task = sample_task(world, FIXED, EncodingTransform.identity(3), 42)
+        task = sample_task(world, FIXED, 42)
         assert task.way == 5
         assert task.support_x.shape == (5, 3)
         assert task.query_x.shape == (50, 3)
@@ -71,11 +71,10 @@ class TestSampleTask:
 
     def test_deterministic_in_seed(self):
         world = make_cluster_world(3, 8, 2.0, rng_seed=5)
-        enc = EncodingTransform.identity(3)
-        a = sample_task(world, FIXED, enc, 42)
-        b = sample_task(world, FIXED, enc, 42)
+        a = sample_task(world, FIXED, 42)
+        b = sample_task(world, FIXED, 42)
         assert tasks_equal(a, b)
-        c = sample_task(world, FIXED, enc, 43)
+        c = sample_task(world, FIXED, 43)
         assert not tasks_equal(a, c)
 
     def test_not_enough_classes(self):
@@ -84,34 +83,20 @@ class TestSampleTask:
             sample_task(
                 world,
                 SamplerConfig(mode=SamplerMode.FIXED_WAY_SHOT, fixed_way=9, fixed_shot=1),
-                EncodingTransform.identity(3),
                 0,
             )
 
     def test_metadataset_support_cap_and_class_coverage(self):
         world = make_cluster_world(4, 50, 2.0, rng_seed=9)
         cfg = SamplerConfig(mode=SamplerMode.META_DATASET_LIKE)
-        enc = EncodingTransform.identity(4)
         for seed in range(200):
-            task = sample_task(world, cfg, enc, seed)
+            task = sample_task(world, cfg, seed)
             assert 5 <= task.way <= 50
             assert task.support_x.shape[0] <= 500
             assert np.all(task.shots >= 1)
             assert np.array_equal(
                 np.bincount(task.query_y, minlength=task.way), np.full(task.way, 10)
             )
-
-    def test_encoding_applied_to_features(self):
-        world = make_cluster_world(2, 6, 2.0, rng_seed=7)
-        identity = EncodingTransform.identity(2)
-        affine = EncodingTransform(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, -1.0]))
-        raw = sample_task(world, FIXED, identity, 11)
-        mapped = sample_task(world, FIXED, affine, 11)
-        assert np.allclose(mapped.support_x, raw.support_x @ affine.linear.T + affine.offset)
-
-    def test_singular_encoding_rejected(self):
-        with pytest.raises(InvalidConfig):
-            EncodingTransform(np.zeros((2, 2)), np.zeros(2))
 
     def test_far_separated_spherical_world_is_nearly_solved(self):
         # sanity oracle: trivially separable clusters give the plain
@@ -120,10 +105,9 @@ class TestSampleTask:
         cfg = SamplerConfig(
             mode=SamplerMode.FIXED_WAY_SHOT, fixed_way=5, fixed_shot=5, query_per_class=10
         )
-        enc = EncodingTransform.identity(4)
         correct = total = 0
         for seed in range(100):
-            task = sample_task(world, cfg, enc, seed)
+            task = sample_task(world, cfg, seed)
             stats = estimate_class_statistics(SupportLayout.build(task.support_x, task.support_y))
             _, labels = predict(HeadConfig(), stats, task.query_x)
             correct += int(np.sum(labels == task.query_y))
@@ -134,8 +118,7 @@ class TestSampleTask:
 class TestTaskFiles:
     def _tasks(self, n=3):
         world = make_cluster_world(3, 8, 4.0, rng_seed=21, scale_range=(0.5, 2.0))
-        enc = EncodingTransform.identity(3)
-        return [sample_task(world, FIXED, enc, seed) for seed in range(n)]
+        return [sample_task(world, FIXED, seed) for seed in range(n)]
 
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -207,6 +190,40 @@ class TestTaskFiles:
             read_tasks(path)
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("edit, message", [
+        # a zero width needs featureless rows to get past the width check
+        (lambda rec: rec.update(dims=0, support=[dict(r, features=[]) for r in rec["support"]],
+                                query=[dict(r, features=[]) for r in rec["query"]]),
+         "dims 0 is not an integer >= 1"),
+        (lambda rec: rec.update(dims=True), "dims true is not an integer"),
+        (lambda rec: rec.update(dims=10**12), "expected 1000000000000 features, got 3"),
+        (lambda rec: rec.update(way=2.5), "way 2.5 is not an integer >= 1"),
+        (lambda rec: rec.update(way=0), "way 0 is not an integer"),
+        (lambda rec: rec.update(seed=-5), "seed -5 is not an integer in"),
+        (lambda rec: rec.update(seed=2**64), f"seed {2**64} is not an integer in"),
+        (lambda rec: rec.update(seed=2**70), f"seed {2**70} is not an integer in"),
+        (lambda rec: rec.update(seed="7"), 'seed "7" is not an integer'),
+        (lambda rec: rec.update(domain_id=None), "domain_id null is not a string"),
+        (lambda rec: rec.update(domain_id=3), "domain_id 3 is not a string"),
+    ], ids=["dims-0", "dims-bool", "dims-huge", "way-float", "way-0", "seed-negative", "seed-2**64",
+            "seed-2**70", "seed-string", "domain-null", "domain-int"])
+    def test_bad_header_fields_report_line_number(self, tmp_path, edit, message):
+        path = tmp_path / "fields.jsonl"
+        write_tasks(path, self._tasks(2))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        edit(rec)
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=message) as info:
+            read_tasks(path)
+        assert info.value.line == 3
+
+    def test_largest_seed_is_read_back(self, tmp_path):
+        path = tmp_path / "seed.jsonl"
+        write_tasks(path, [replace(self._tasks(1)[0], seed=2**64 - 1)])
+        assert read_tasks(path)[0].seed == 2**64 - 1
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "noheader.jsonl"
         path.write_text('{"domain_id": "x"}\n')
@@ -225,14 +242,6 @@ class TestTaskFiles:
 
 
 class TestSamplerConfigValidation:
-    def test_bad_ranges(self):
-        with pytest.raises(InvalidConfig):
-            SamplerConfig(way_range=(10, 5))
-        with pytest.raises(InvalidConfig):
-            SamplerConfig(shot_range=(0, 5))
-        with pytest.raises(InvalidConfig):
-            SamplerConfig(support_cap=0)
-
     def test_fixed_mode_needs_way_and_shot(self):
         with pytest.raises(InvalidConfig):
             SamplerConfig(mode=SamplerMode.FIXED_WAY_SHOT)
