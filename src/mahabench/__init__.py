@@ -9,7 +9,8 @@ Every head is fitted and queried along one path in ``mahabench.methods``:
 one ``fit_statistics`` call fits all of a task's heads (estimating the
 support-only statistics once per beta, and running
 ``refine.run_refinement`` from them for a transductive or GMM-EM head),
-and ``predict`` / ``predict_labels`` score queries under a fit.
+and ``predict`` scores queries under a fit.  A head's score is one of
+``MetricKind``'s, GMM included, and ``heads.class_scores`` computes them all.
 
 numpy's BLAS runs on one thread unless the caller says otherwise.  While
 this package imports numpy, ``OPENBLAS_NUM_THREADS`` and

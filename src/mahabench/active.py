@@ -12,9 +12,10 @@ A session (``ActiveSession``, drawn from a world by
 lockstep: at step t each of the block's fits, one per (session, strategy),
 has the same class count, ``K + t`` labelled rows and ``pool - t`` open
 pool rows, so one stacked fit (``methods.fit_statistics``) and one
-stacked ``methods.predict_labels`` serve them all.  Only the acquisition itself (``select_next``) runs once
-per fit.  Every fit has the bits it would have on its own, so a curve does
-not depend on which block, or how large a block, its session ran in.
+stacked scoring of the test sets (``heads.class_scores``) serve them all.
+Only the acquisition itself (``select_next``) runs once per fit.  Every
+fit has the bits it would have on its own, so a curve does not depend on
+which block, or how large a block, its session ran in.
 """
 
 from dataclasses import dataclass
@@ -22,8 +23,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import heads
 from .errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
-from .methods import HeadConfig, fit_statistics, predict_labels
+from .methods import HeadConfig, fit_statistics
 from .rng import Rng, derive_seed
 from .worlds import draw_class_examples
 
@@ -118,7 +120,7 @@ def select_next(
     return int(open_idx[np.argmax(acquisition_scores(probs, strategy))])
 
 
-def run_active_session(sessions, strategies, head: HeadConfig, return_acquired: bool = False):
+def run_active_session(sessions, strategies, head: HeadConfig):
     """Accuracy curves of a block of sessions under every strategy.
 
     Returns a ``(sessions, strategies, budget + 1)`` array: ``curves[s, a, t]``
@@ -127,9 +129,8 @@ def run_active_session(sessions, strategies, head: HeadConfig, return_acquired: 
     treat the unacquired pool as the refinement query set, so pool
     probabilities fall out of the refinement itself; either way they are
     the fit's query probabilities.  Every (session, strategy) pair draws
-    its random selections from its own ``Rng(session.seed)``.  With
-    ``return_acquired`` the ``(sessions, strategies, budget)`` acquired
-    pool indices, in acquisition order, are returned alongside the curves.
+    its random selections from its own ``Rng(session.seed)``, and fit f's
+    ``select_next`` call comes before fit f + 1's at every step.
 
     Raises
     ------
@@ -165,7 +166,8 @@ def run_active_session(sessions, strategies, head: HeadConfig, return_acquired: 
         labeled_x = np.concatenate([seed_x, pool_x[by_fit, acquired[:, :t]]], axis=1)
         labeled_y = np.concatenate([seed_y, pool_y[by_fit, acquired[:, :t]]], axis=1)
         [fit] = fit_statistics([head], labeled_x, labeled_y, pool_x[by_fit, open_idx])
-        test_pred = predict_labels(head, fit.statistics, test_x)
+        # ties break toward the lowest class index, as in ``methods.predict``
+        test_pred = np.argmax(heads.class_scores(test_x, fit.statistics, head.metric), axis=-1)
         curves[:, t] = np.mean(test_pred == test_y, axis=-1)
         if t == budget:
             break
@@ -174,7 +176,4 @@ def run_active_session(sessions, strategies, head: HeadConfig, return_acquired: 
                                  rngs[f])
             acquired[f, t] = choice
             taken[f, choice] = True
-    shape = (len(sessions), len(strategies))
-    if return_acquired:
-        return curves.reshape(*shape, budget + 1), acquired.reshape(*shape, budget)
-    return curves.reshape(*shape, budget + 1)
+    return curves.reshape(len(sessions), len(strategies), budget + 1)

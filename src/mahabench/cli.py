@@ -32,7 +32,7 @@ streams (``LOCKSTEP_BLOCK`` sessions or streams each) and blocks of riemann
 fields run in forked worker processes, one per CPU of the process's
 affinity mask; the rows come out in the same order and the same bytes as a
 serial run, whatever the block size.  A comma list that names a method,
-strategy or head mode twice exits 2.  ``taskset -c 0 mahabench ...`` runs
+strategy or head mode twice, or one head under two names, exits 2.  ``taskset -c 0 mahabench ...`` runs
 serially, which is also how to take a per-layer trace.  Without ``fork`` (or ``sched_getaffinity``)
 every run is serial.  ``python -m mahabench`` and ``python -m
 mahabench.cli`` run the same command line as the ``mahabench`` script.
@@ -127,8 +127,8 @@ def _run_flags(p: argparse.ArgumentParser) -> None:
 
 def _head_flags(p: argparse.ArgumentParser, method: str) -> None:
     p.add_argument("--method", default=method,
-                   help="comma list (one name for active and continual); "
-                        "metric ablations as simple:<metric>")
+                   help="comma list (one name for active and continual) of "
+                        "<simple|transductive>[:<score>], gmm or gmm-em")
     p.add_argument("--min-steps", type=int, default=2)
     p.add_argument("--max-steps", type=int, default=4)
     p.add_argument("--beta", type=float, default=1.0)
@@ -246,14 +246,18 @@ def _require_positive(args, *names: str) -> None:
     check_sizes(**{f"--{name.replace('_', '-')}": getattr(args, name) for name in names})
 
 
-def _distinct(names, flag: str) -> None:
-    """Reject a comma list that names something twice: that name's rows
-    would be written once per mention."""
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise InvalidConfig(f"{flag} names {name!r} more than once")
-        seen.add(name)
+def _distinct(named, flag: str) -> None:
+    """Reject a comma list that names one thing twice, under one spelling or
+    two: its rows would be written once per mention.  ``named`` holds
+    ``(spelling, thing)`` pairs."""
+    seen = {}
+    for spelling, thing in named:
+        if thing in seen:
+            first = seen[thing]
+            if first == spelling:
+                raise InvalidConfig(f"{flag} names {spelling!r} more than once")
+            raise InvalidConfig(f"{flag} names one head twice, as {first!r} and {spelling!r}")
+        seen[thing] = spelling
 
 
 def _choices(enum, text: str, everything: str, flag: str) -> list:
@@ -268,7 +272,7 @@ def _choices(enum, text: str, everything: str, flag: str) -> list:
         raise InvalidConfig(str(exc)) from None
     if not members:
         raise InvalidConfig(f"{text!r} names no {enum.__name__}")
-    _distinct([m.value for m in members], flag)
+    _distinct([(m.value, m) for m in members], flag)
     return members
 
 
@@ -321,12 +325,19 @@ def _methods(args, defaults) -> tuple:
     of the flags a run makes, and the step-limit flags if no method reads
     them."""
     names = tuple(m.strip() for m in args.method.split(",") if m.strip())
-    _distinct(names, "--method")
+    if not names:
+        raise InvalidConfig(f"--method {args.method!r} names no method")
     _require_positive(args, "min_steps")
     if args.max_steps < args.min_steps:
         raise InvalidConfig("--max-steps must be >= --min-steps")
+    if args.beta < 0:  # finite, as cli_main checks every float flag
+        raise InvalidConfig("--beta must be nonnegative")
     refine_cfg = RefineConfig(min_steps=args.min_steps, max_steps=args.max_steps)
-    heads = tuple((name, parse_method(name, refine_cfg, args.beta)) for name in names)
+    try:
+        heads = tuple((name, parse_method(name, refine_cfg, args.beta)) for name in names)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"--method: {exc}") from None
+    _distinct(heads, "--method")
     # only a refining head reads the step limits
     unread = () if any(h.refine is not None for _, h in heads) else _unread(
         args, defaults, "no method in --method refines", "min_steps", "max_steps")
@@ -425,7 +436,7 @@ def _one_head(args, defaults) -> tuple:
     """The head of ``--method`` for commands that run a single method, and the
     head flags it leaves unread."""
     if "," in args.method or not args.method.strip():
-        raise InvalidConfig(f"{args.command} runs one method, got {args.method!r}")
+        raise InvalidConfig(f"{args.command} runs one method, got --method {args.method!r}")
     ((_, head),), unread = _methods(args, defaults)
     return head, unread
 

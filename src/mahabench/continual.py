@@ -33,9 +33,10 @@ from enum import Enum
 
 import numpy as np
 
+from . import heads
 from .errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses, check_sizes
 from .heads import ClassStatistics
-from .methods import HeadConfig, fit_statistics, scores
+from .methods import HeadConfig, fit_statistics
 from .rng import MASK64, Rng
 from .worlds import ClusterWorld, draw_class_examples, singular
 
@@ -313,7 +314,7 @@ def run_continual_session(
         _store(memory, rows[first], _classes(new, first))
 
         seen_ids = np.flatnonzero(memory.counts[0] > 0)
-        values = scores(head, _classes(memory, seen_ids), feats)
+        values = heads.class_scores(feats, _classes(memory, seen_ids), head.metric)
         # multi-head: -inf outside each row's group (exact unless all of it is -inf)
         own = np.where(in_group[:ends[t], seen_ids], values, -np.inf)
         for matrix, labels in ((single, np.argmax(values, axis=-1)),

@@ -1,32 +1,21 @@
 """Gaussian-mixture classification heads.
 
-Unlike the plain Mahalanobis head, these scores keep the 1/2 coefficients
-and add a uniform class prior and a log-determinant term:
-
-    log(1/K) - (1/2) (z - mu_k)^T Q_k^-1 (z - mu_k) - (1/2) log |Q_k|
-
-A GMM head is fitted and queried through ``methods`` like every other
-head (``fit_statistics``, then ``predict`` or ``predict_labels``).
-GMM-EM is the refinement loop with these scores as its refresh;
-everything else (weighted updates, step limits) is identical to the
-metric head.
+The GMM score is ``heads.MetricKind.GMM_LOG_POSTERIOR`` (method ``gmm``,
+and ``gmm-em`` with the refinement), which ``heads.class_scores`` computes
+like every other score; it alone keeps the 1/2 coefficients and the
+log-determinant.  ``gmm_log_scores`` stays as a named alias of that call
+for the benchmark's per-layer trace, which names it; no package module
+calls it.
 """
 
 import numpy as np
 
-from . import spd
-from .heads import ClassStatistics, _mahalanobis_sq, _query_rows
+from . import heads
+from .heads import ClassStatistics, MetricKind
 
 
 def gmm_log_scores(query, stats: ClassStatistics) -> np.ndarray:
     """Unnormalized log posterior per class, under a uniform prior, for one
     query, an (m, d) batch or a ``heads.QuerySet``; ``(B, m, K)`` scores of
     ``(B, m, d)`` rows under a stack of statistics."""
-    rows, single = _query_rows(query, stats)
-    k_count = stats.class_count
-    scores = (
-        np.log(np.full(k_count, 1.0 / k_count))[None, :]
-        - 0.5 * _mahalanobis_sq(rows, stats)
-        - 0.5 * spd.logdet(stats.factors)[..., None, :]
-    )
-    return scores[0] if single else scores
+    return heads.class_scores(query, stats, MetricKind.GMM_LOG_POSTERIOR)

@@ -1,7 +1,7 @@
-"""Closed-form class statistics and metric-based class scores.
+"""Closed-form class statistics and per-class scores.
 
 The core head estimates a mean and a regularized covariance per class, then
-scores queries with a choice of metric (``class_scores``).
+scores queries with one of the ``MetricKind`` scores (``class_scores``).
 ``class_statistics`` is the one estimator every head uses: support rows
 count fully toward their own class, query rows toward every class with soft
 weights, and per class
@@ -12,8 +12,10 @@ where ``n_k`` is the (soft) count and ``S`` and ``S_k`` are the
 count-normalized scatter matrices of the whole weighted set and of class k.
 Heads are fitted and queried through ``methods``, the one path:
 ``fit_statistics`` (which runs ``refine.run_refinement`` for a refining
-head), then ``predict`` or ``predict_labels``.  Scores deliberately carry no 1/2
-coefficient; the GMM head owns that variant.
+head), then ``predict``.  Only the GMM score, a log posterior under a
+uniform prior, keeps the 1/2 coefficients and the log-determinant:
+
+    log(1/K) - (1/2) (z - mu_k)^T Q_k^-1 (z - mu_k) - (1/2) log |Q_k|
 
 The estimator works from moments, taken once per support set and once per
 query set.  All rows are shifted by the support mean ``c``.  A
@@ -110,6 +112,7 @@ class MetricKind(Enum):
     ABSOLUTE_L1 = "l1"
     COSINE_SIMILARITY = "cosine"
     NEGATIVE_DOT_PRODUCT = "dot"
+    GMM_LOG_POSTERIOR = "gmm"
 
 
 @dataclass(frozen=True)
@@ -462,24 +465,6 @@ def estimate_class_statistics(layout: SupportLayout, beta: float = 1.0) -> Class
     return class_statistics(layout, no_queries, np.empty((*batch, 0, layout.class_count)), beta)
 
 
-def _query_rows(query, stats: ClassStatistics) -> tuple:
-    """``(rows, single)``: one vector, an ``(m, d)`` batch or a ``QuerySet``
-    as checked rows for ``stats``, and whether a single vector was given.
-    A stack of statistics takes ``(B, m, d)`` rows.
-
-    Raises
-    ------
-    DimensionMismatch
-        If the rows do not match the statistics' width or batch.
-    """
-    single = not isinstance(query, QuerySet) and np.ndim(query) == 1
-    rows = QuerySet.build(np.asarray(query)[None, :] if single else query, stats.dims).rows
-    if rows.shape[:-2] != stats.counts.shape[:-1]:
-        raise DimensionMismatch(f"query rows {rows.shape} do not match statistics "
-                                f"{stats.means.shape}")
-    return rows, single
-
-
 def _mahalanobis_sq(rows: np.ndarray, stats: ClassStatistics) -> np.ndarray:
     """(..., m, K) squared Mahalanobis distances through the cached inverse factors."""
     return spd.inverse_quad_form(stats.inverse_factors, rows, stats.means)
@@ -493,9 +478,19 @@ def class_scores(query, stats: ClassStatistics, metric: MetricKind) -> np.ndarra
     Higher means more likely.  Distance metrics are negated; cosine
     similarity and the dot product are used directly as scores (the
     "negative dot product" of the distance framing is the negated
-    similarity, so the raw dot product already ranks correctly).
+    similarity, so the raw dot product already ranks correctly).  The GMM
+    score is the module docstring's log posterior.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the rows do not match the statistics' width or batch.
     """
-    rows, single = _query_rows(query, stats)
+    single = not isinstance(query, QuerySet) and np.ndim(query) == 1
+    rows = QuerySet.build(np.asarray(query)[None, :] if single else query, stats.dims).rows
+    if rows.shape[:-2] != stats.counts.shape[:-1]:
+        raise DimensionMismatch(f"query rows {rows.shape} do not match statistics "
+                                f"{stats.means.shape}")
     if metric is MetricKind.SQUARED_MAHALANOBIS:
         scores = -_mahalanobis_sq(rows, stats)
     elif metric is MetricKind.ROOT_RIEMANNIAN:
@@ -515,6 +510,10 @@ def class_scores(query, stats: ClassStatistics, metric: MetricKind) -> np.ndarra
         scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
     elif metric is MetricKind.NEGATIVE_DOT_PRODUCT:
         scores = rows @ stats.means.swapaxes(-1, -2)
+    elif metric is MetricKind.GMM_LOG_POSTERIOR:
+        prior = np.log(np.full(stats.class_count, 1.0 / stats.class_count))
+        scores = (prior - 0.5 * _mahalanobis_sq(rows, stats)
+                  - 0.5 * spd.logdet(stats.factors)[..., None, :])
     else:
         raise ValueError(f"unknown metric {metric}")
     return scores[0] if single else scores

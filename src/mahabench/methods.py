@@ -1,8 +1,10 @@
 """Head configurations, and the one path that fits and queries a head.
 
-A method is a head (metric-based or GMM) plus an optional refinement
-configuration.  The registry maps the benchmark's method names to
-configurations; ``simple:<metric>`` selects a metric ablation.
+A method is a head (one of ``heads.MetricKind``'s scores) plus an optional
+refinement configuration.  ``parse_method`` reads the benchmark's method
+names, ``<simple|transductive>[:<score>]``: ``simple:euclidean`` selects a
+metric ablation, and ``gmm`` and ``gmm-em`` name ``simple:gmm`` and
+``transductive:gmm``.
 
 Every head is fitted the same way, by one call for all of a task's heads.
 ``fit_statistics`` checks the task's support set and groups it by class
@@ -10,11 +12,11 @@ once (``heads.SupportLayout``), checks its query set once, and estimates
 the support-only statistics once per distinct beta.  A single-pass head's
 fit is that estimate; a refining head hands the layout and the estimate
 to ``refine.run_refinement``.  A fit (``Fit``) carries the class
-statistics and the query predictions they give; ``scores``, ``predict``
-and ``predict_labels`` score any batch under a head.  ``evaluate_task``
-reads a task's fits into one ``TaskRecord``: per head and class, the query
-rows labelled right.  Bench's accuracies and recall's curves both
-aggregate it.
+statistics and the query predictions they give; ``predict`` scores any
+batch under a head, and ``heads.class_scores`` is the score itself.
+``evaluate_task`` reads a task's fits into one ``TaskRecord``: per head
+and class, the query rows labelled right.  Bench's accuracies and recall's
+curves both aggregate it.
 
 Every step also takes a stack of B tasks of the same shape: ``(B, n, d)``
 support rows with ``(B, n)`` labels and ``(B, m, d)`` query rows give one
@@ -28,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import gmm, heads
+from . import heads
 from .errors import InvalidConfig
 from .heads import (ClassStatistics, MetricKind, QuerySet, SupportLayout, check_beta,
                     estimate_class_statistics)
@@ -42,7 +44,6 @@ class HeadConfig:
     metric: MetricKind = MetricKind.SQUARED_MAHALANOBIS
     beta: float = 1.0
     refine: RefineConfig | None = None  # None = single estimation pass
-    gmm: bool = False  # GMM scoring with a uniform prior
 
     def __post_init__(self):
         check_beta(self.beta)
@@ -128,31 +129,18 @@ def _refined(head: HeadConfig, layout: SupportLayout, start: Fit) -> Fit:
     return Fit(outcome.statistics, head, start.queries, (outcome.query_probs, outcome.labels))
 
 
-def scores(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
-    """The head's class scores for a batch or a vector; higher is more likely."""
-    # scorers are looked up on their modules: a by-name import would add a
-    # binding to the ones perfbench's traced run counts and pins
-    if head.gmm:
-        return gmm.gmm_log_scores(x, stats)
-    return heads.class_scores(x, stats, head.metric)
-
-
 def predict(head: HeadConfig, stats: ClassStatistics, x) -> tuple:
     """``(probs, labels)`` under a fitted head, from one scoring.
 
     For an ``(m, d)`` batch, the ``(m, K)`` softmax probabilities and the
     ``(m,)`` argmax labels; for one vector, ``(K,)`` probabilities and one
-    label.  Ties break toward the lowest class index.
+    label; under a stack of statistics, ``(B, m, K)`` and ``(B, m)``.  Ties
+    break toward the lowest class index.
     """
-    values = scores(head, stats, x)
+    # looked up on its module: a by-name import would add a binding to the
+    # ones perfbench's traced run counts and pins
+    values = heads.class_scores(x, stats, head.metric)
     return heads.softmax(values), np.argmax(values, axis=-1)
-
-
-def predict_labels(head: HeadConfig, stats: ClassStatistics, x) -> np.ndarray:
-    """Argmax labels for an ``(m, d)`` batch, or ``(B, m)`` labels of
-    ``(B, m, d)`` rows under a stack of statistics; ties break toward the
-    lowest class index.  The labels of ``predict``, without the softmax."""
-    return np.argmax(scores(head, stats, x), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,21 +172,17 @@ def evaluate_task(fits, task) -> TaskRecord:
 
 
 def parse_method(name: str, refine_defaults: RefineConfig = RefineConfig(), beta: float = 1.0) -> HeadConfig:
-    """Resolve a method name like ``simple``, ``transductive`` or
-    ``simple:euclidean`` into a head configuration."""
-    base, _, suffix = name.partition(":")
-    metric = MetricKind.SQUARED_MAHALANOBIS
-    if suffix:
-        try:
-            metric = MetricKind(suffix)
-        except ValueError:
-            raise InvalidConfig(f"unknown metric {suffix!r}") from None
-    if base == "simple":
-        return HeadConfig(metric=metric, beta=beta)
-    if base == "transductive":
-        return HeadConfig(metric=metric, beta=beta, refine=refine_defaults)
-    if base == "gmm":
-        return HeadConfig(beta=beta, gmm=True)
-    if base == "gmm-em":
-        return HeadConfig(beta=beta, gmm=True, refine=refine_defaults)
-    raise InvalidConfig(f"unknown method {name!r}")
+    """Resolve a method name, ``<simple|transductive>[:<score>]`` with a
+    ``MetricKind`` value as the score (``mahalanobis`` if left out), or the
+    alias ``gmm`` or ``gmm-em``, into a head configuration.  Any other name,
+    a suffix on an alias included, raises ``InvalidConfig``."""
+    aliases = {"gmm": "simple:gmm", "gmm-em": "transductive:gmm"}
+    base, colon, suffix = aliases.get(name, name).partition(":")
+    if base not in ("simple", "transductive"):
+        raise InvalidConfig(f"unknown method {name!r}")
+    try:
+        metric = MetricKind(suffix) if colon else MetricKind.SQUARED_MAHALANOBIS
+    except ValueError:
+        raise InvalidConfig(f"unknown score {suffix!r} in method {name!r}") from None
+    return HeadConfig(metric=metric, beta=beta,
+                      refine=refine_defaults if base == "transductive" else None)

@@ -15,8 +15,9 @@ file back reproduces the exact bit patterns that were written.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .rng import Rng
 
 TASK_FILE_VERSION = "v1"
 
-# variable-way tasks: way and per-class shots are uniform on [lo, hi), and
-# shots shrink to fit the support cap
+# variable-way tasks: way and per-class shots are uniform on [lo, hi], both
+# ends included, and shots shrink to fit the support cap
 WAY_RANGE = (5, 50)
 SHOT_RANGE = (1, 100)
 SUPPORT_CAP = 500
@@ -45,7 +46,8 @@ def singular(linear: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClusterWorld:
-    """Generative description of one synthetic domain."""
+    """Generative description of one synthetic domain, built by
+    ``make_cluster_world`` or by hand from its means and covariances."""
 
     domain_id: str
     dims: int
@@ -54,11 +56,12 @@ class ClusterWorld:
     true_covariances: np.ndarray  # (C, d, d)
     anisotropy: float
     seed: int
-    # lower Cholesky factors of the true covariances, cached for sampling
-    _factors: np.ndarray = field(repr=False, default=None)
 
-    def factor(self, class_id: int) -> np.ndarray:
-        return self._factors[class_id]
+    @cached_property
+    def sampling_factors(self) -> np.ndarray:
+        """``(C, d, d)`` lower Cholesky factors of the true covariances,
+        factored in one stacked call the first time a draw needs them."""
+        return np.linalg.cholesky(self.true_covariances)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +150,6 @@ def make_cluster_world(
     means = center + mean_radius * directions / norms
 
     covs = np.empty((class_count, dims, dims))
-    factors = np.empty((class_count, dims, dims))
     log_scale_lo, log_scale_hi = np.log(scale_range[0]), np.log(scale_range[1])
     for c in range(class_count):
         gauss = rng.normal((dims, dims))
@@ -161,7 +163,6 @@ def make_cluster_world(
             u = rng.uniform(dims - 2)
             eigs[2:] = s * np.exp(-u * np.log(anisotropy))
         covs[c] = (q * eigs) @ q.T
-        factors[c] = np.linalg.cholesky(covs[c])
     return ClusterWorld(
         domain_id=domain_id,
         dims=dims,
@@ -170,7 +171,6 @@ def make_cluster_world(
         true_covariances=covs,
         anisotropy=float(anisotropy),
         seed=rng_seed,
-        _factors=factors,
     )
 
 
@@ -199,9 +199,10 @@ def draw_class_examples(
     stacked product makes one BLAS call per row, with that row's shape.
     """
     blocks = []
+    factors = world.sampling_factors
     for cid, count in zip(class_ids, counts):
         raw = rng.normal((int(count), world.dims))
-        blocks.append(world.true_means[cid] + raw @ world.factor(cid).T)
+        blocks.append(world.true_means[cid] + raw @ factors[cid].T)
     return blocks
 
 

@@ -1,11 +1,12 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahabench import cli
+from mahabench import active, cli
 from mahabench.active import (
     AcquisitionStrategy,
     ActiveSession,
@@ -17,7 +18,7 @@ from mahabench.active import (
 from mahabench.bench import DomainSpec
 from mahabench.errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
 from mahabench.heads import MetricKind, SupportLayout, estimate_class_statistics
-from mahabench.methods import HeadConfig, fit_statistics, predict, predict_labels
+from mahabench.methods import HeadConfig, fit_statistics, predict
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 
@@ -122,7 +123,7 @@ def reference_session(session, strategy, head):
         labeled_x = np.vstack([session.seed_x, session.pool_x[acquired]])
         labeled_y = np.concatenate([session.seed_y, session.pool_y[acquired]]).astype(np.int64)
         [fit] = fit_statistics([head], labeled_x, labeled_y, session.pool_x[open_idx])
-        test_pred = predict_labels(head, fit.statistics, session.test_x)
+        _, test_pred = predict(head, fit.statistics, session.test_x)
         curve[t] = float(np.mean(test_pred == session.test_y))
         if t == session.budget:
             break
@@ -130,6 +131,23 @@ def reference_session(session, strategy, head):
         acquired.append(choice)
         taken[choice] = True
     return curve, acquired
+
+
+def run_recording(sessions, strategies, head):
+    """``run_active_session``'s curves, and the ``(sessions, strategies,
+    budget)`` pool indices it acquired, in acquisition order, read off its
+    ``select_next`` calls: one per fit per step, in fit order."""
+    picks = []
+
+    def recording(*args):
+        picks.append(select_next(*args))
+        return picks[-1]
+
+    with mock.patch.object(active, "select_next", recording):
+        curves = run_active_session(sessions, strategies, head)
+    fits = curves.shape[0] * curves.shape[1]
+    acquired = np.array(picks, dtype=np.intp).reshape(-1, fits).T  # (fits, budget)
+    return curves, acquired.reshape(*curves.shape[:2], -1)
 
 
 class TestRunActiveSession:
@@ -148,8 +166,7 @@ class TestRunActiveSession:
         assert np.all((curves >= 0.0) & (curves <= 1.0))
 
     def test_acquired_set_grows_without_repeats(self):
-        _, acquired = run_active_session([toy_session(budget=6, seed=3)], [RANDOM],
-                                         HeadConfig(), return_acquired=True)
+        _, acquired = run_recording([toy_session(budget=6, seed=3)], [RANDOM], HeadConfig())
         assert acquired.shape == (1, 1, 6)
         assert len(set(acquired[0, 0].tolist())) == 6
 
@@ -158,7 +175,7 @@ class TestRunActiveSession:
         # score by entropy, acquire the argmax among unacquired
         session = toy_session(budget=5)
         head = HeadConfig(metric=MetricKind.SQUARED_MAHALANOBIS)
-        curves, acquired = run_active_session([session], [ENTROPY], head, return_acquired=True)
+        curves, acquired = run_recording([session], [ENTROPY], head)
 
         taken = []
         expected_curve = []
@@ -209,7 +226,7 @@ class TestRunActiveSession:
 HEADS = {
     "simple": HeadConfig(),
     "transductive": HeadConfig(refine=RefineConfig()),
-    "gmm-em": HeadConfig(gmm=True, refine=RefineConfig()),
+    "gmm-em": HeadConfig(metric=MetricKind.GMM_LOG_POSTERIOR, refine=RefineConfig()),
 }
 
 
@@ -231,8 +248,7 @@ def test_lockstep_block_matches_each_session_run_alone(head, seeds, order, strat
     budget = round(budget_frac * pool_size)  # 0 up to the whole pool
     sessions = [build_active_session(world, 3, 2, budget, seed) for seed in seeds]
     strategies = order[:strategy_count]
-    curves, acquired = run_active_session(sessions, strategies, HEADS[head],
-                                          return_acquired=True)
+    curves, acquired = run_recording(sessions, strategies, HEADS[head])
     for s, session in enumerate(sessions):
         for a, strategy in enumerate(strategies):
             curve, picks = reference_session(session, strategy, HEADS[head])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mahabench import gmm, spd
+from mahabench import spd
 from mahabench.continual import merge_class_statistics
 from mahabench.heads import (
     ClassStatistics,
@@ -25,7 +25,7 @@ from mahabench.heads import (
     estimate_class_statistics,
     softmax,
 )
-from mahabench.methods import HeadConfig, fit_statistics, predict, predict_labels
+from mahabench.methods import HeadConfig, fit_statistics, predict
 from mahabench.refine import RefineConfig, run_refinement
 from mahabench.rng import Rng
 
@@ -120,12 +120,10 @@ def test_every_scorer_matches_each_slice(task, metric):
                              np.zeros(query_rows.shape[:2] + (k,)), 1.0)
     singles = [stats.take(b) for b in range(task["batch"])]
     scores = class_scores(query_rows, stats, metric)
-    gmm_scores = gmm.gmm_log_scores(query_rows, stats)
     forms = spd.inverse_quad_form(stats.inverse_factors, query_rows, stats.means)
     probs = softmax(scores)
     for b, one in enumerate(singles):
         assert same_bits(scores[b], class_scores(query_rows[b], one, metric))
-        assert same_bits(gmm_scores[b], gmm.gmm_log_scores(query_rows[b], one))
         assert same_bits(forms[b], spd.inverse_quad_form(one.inverse_factors, query_rows[b],
                                                          one.means))
         assert same_bits(probs[b], softmax(scores[b]))
@@ -134,11 +132,11 @@ def test_every_scorer_matches_each_slice(task, metric):
 HEADS = [
     HeadConfig(),
     HeadConfig(metric=MetricKind.SQUARED_EUCLIDEAN),
-    HeadConfig(gmm=True),
+    HeadConfig(metric=MetricKind.GMM_LOG_POSTERIOR),
     HeadConfig(refine=RefineConfig()),
     HeadConfig(refine=RefineConfig(min_steps=1, max_steps=6)),
     HeadConfig(metric=MetricKind.COSINE_SIMILARITY, refine=RefineConfig(2, 5)),
-    HeadConfig(gmm=True, refine=RefineConfig(1, 5)),
+    HeadConfig(metric=MetricKind.GMM_LOG_POSTERIOR, refine=RefineConfig(1, 5)),
 ]
 
 
@@ -156,7 +154,6 @@ def fit_matches_each_slice(head, features, labels, query_rows, test_rows):
     own fit, and return the slices' refinement iteration counts."""
     [fit] = fit_statistics([head], features, labels, query_rows)
     probs, pred = predict(head, fit.statistics, test_rows)
-    labels_only = predict_labels(head, fit.statistics, test_rows)
     iterations = []
     for b in range(features.shape[0]):
         if head.refine is not None:
@@ -168,7 +165,6 @@ def fit_matches_each_slice(head, features, labels, query_rows, test_rows):
         assert same_bits(fit.query_labels[b], one.query_labels)
         one_probs, one_pred = predict(head, one.statistics, test_rows[b])
         assert same_bits(probs[b], one_probs) and same_bits(pred[b], one_pred)
-        assert same_bits(labels_only[b], predict_labels(head, one.statistics, test_rows[b]))
     return iterations
 
 

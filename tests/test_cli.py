@@ -58,6 +58,11 @@ SIZE_FLAG_ERRORS = [
 # or with a message that names no flag; the error names the flag
 WORLD_FLAG_ERRORS = [
     ["bench", "--tasks", "5"],
+    ["bench", "--tasks", "30", "--beta", "-1"],
+    ["active", "--beta", "-1"],
+    ["bench", "--tasks", "30", "--method", ","],
+    *(["bench", "--tasks", "30", "--method", name]
+      for name in ("gmm:euclidean", "gmm-em:l1", "gmm:", "simple:", "nope")),
     ["continual", "--drift", "-1"],
     ["bench", "--tasks", "30", "--dims", "1"],
     ["bench", "--tasks", "30", "--classes", "1"],
@@ -159,7 +164,6 @@ class TestCliMain:
         ["recall", "--scale-spread", "0.5"],
         ["gen-tasks"],
         ["continual", "--min-steps", "0"],
-        ["bench", "--tasks", "30", "--beta", "-1"],
         ["active", "--budget", "100", "--classes", "3", "--pool-per-class", "2"],
         ["active", "--sessions", "0"],
         ["active", "--test-per-class", "0"],
@@ -207,6 +211,9 @@ class TestCliMain:
         ["continual", "--head-mode", "single,single"],
         ["bench", "--method", "simple,simple"],
         ["recall", "--tasks", "2", "--method", "transductive,simple,transductive"],
+        # one head under two spellings would write the same rows twice
+        ["bench", "--tasks", "30", "--method", "simple,simple:mahalanobis"],
+        ["bench", "--tasks", "30", "--method", "gmm,simple:gmm"],
         *SIZE_FLAG_ERRORS,
         *WORLD_FLAG_ERRORS,
     ])

@@ -19,8 +19,14 @@ from mahabench.continual import (
     update_encoding,
 )
 from mahabench.errors import DimensionMismatch, EmptyClass, InvalidConfig, NotEnoughClasses
-from mahabench.heads import ClassStatistics, SupportLayout, estimate_class_statistics
-from mahabench.methods import HeadConfig, fit_statistics, predict, predict_labels, scores
+from mahabench.heads import (
+    ClassStatistics,
+    MetricKind,
+    SupportLayout,
+    class_scores,
+    estimate_class_statistics,
+)
+from mahabench.methods import HeadConfig, fit_statistics, predict
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 from mahabench.spd import cholesky, ensure_pd
@@ -275,8 +281,8 @@ def reference_matrix(world, stream, strategy, mode, head, seed, groups):
             memory[cid] = merge_class_statistics(memory[cid], new) if cid in memory else new
         for j in range(t + 1):
             ids = sorted(groups[j]) if mode is HeadMode.MULTI_HEAD else sorted(memory)
-            labels = predict_labels(head, stack_rows([memory[c] for c in ids]),
-                                    apply(working, query[j]))
+            _, labels = predict(head, stack_rows([memory[c] for c in ids]),
+                                apply(working, query[j]))
             truth = np.repeat(groups[j], stream.query_per_class)
             matrix[t, j] = np.mean(np.array(ids)[labels] == truth)
     return matrix
@@ -397,7 +403,8 @@ class TestRunContinualSession:
                                    scale_range=(0.5, 2.0))
         stream = StreamConfig(num_tasks=len(groups), classes_per_task=1, shot=shot,
                               query_per_class=query, drift=drift)
-        head = HeadConfig(gmm=gmm)
+        head = HeadConfig(metric=MetricKind.GMM_LOG_POSTERIOR if gmm
+                          else MetricKind.SQUARED_MAHALANOBIS)
         session = one_stream(world, stream, list(EncodingStrategy), head,
                                         seed=seed, class_groups=groups)
         assert set(session) == set(itertools.product(EncodingStrategy, HeadMode))
@@ -550,7 +557,7 @@ def reference_session(world, stream, strategies, head, seed, groups):
                       merge_class_statistics(memory.take(rows[seen]), new.take(seen)))
             store(memory, rows[~seen], new.take(~seen))
             seen_ids = np.flatnonzero(memory.counts > 0)
-            values = scores(head, memory.take(seen_ids), feats)
+            values = class_scores(feats, memory.take(seen_ids), head.metric)
             own = np.where(in_group[:ends[t], seen_ids], values, -np.inf)
             for matrix, labels in ((single, np.argmax(values, axis=1)),
                                    (multi, np.argmax(own, axis=1))):
@@ -563,7 +570,7 @@ def reference_session(world, stream, strategies, head, seed, groups):
 HEADS = {
     "simple": HeadConfig(),
     "transductive": HeadConfig(refine=RefineConfig()),
-    "gmm-em": HeadConfig(gmm=True, refine=RefineConfig()),
+    "gmm-em": HeadConfig(metric=MetricKind.GMM_LOG_POSTERIOR, refine=RefineConfig()),
 }
 
 

@@ -17,11 +17,12 @@ from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 
 
-GMM = HeadConfig(gmm=True)
+GMM = HeadConfig(metric=MetricKind.GMM_LOG_POSTERIOR)
 
 
 def gmm_em(steps_min=2, steps_max=4):
-    return HeadConfig(gmm=True, refine=RefineConfig(min_steps=steps_min, max_steps=steps_max))
+    return HeadConfig(metric=MetricKind.GMM_LOG_POSTERIOR,
+                      refine=RefineConfig(min_steps=steps_min, max_steps=steps_max))
 
 
 def stats_with(means, covs):

@@ -34,6 +34,7 @@ from mahabench.spd import cholesky, quad_form
 
 
 TRANSDUCTIVE = HeadConfig(refine=RefineConfig())
+GMM_EM = HeadConfig(metric=MetricKind.GMM_LOG_POSTERIOR, refine=RefineConfig())
 
 
 def stats_with_covariances(means, covs):
@@ -135,7 +136,7 @@ class TestEstimateClassStatistics:
             class_statistics(layout, scale * feats, np.full((4, 2), 0.5), 1.0)
 
     @pytest.mark.parametrize("side", ["support", "query"])
-    @pytest.mark.parametrize("head", [TRANSDUCTIVE, HeadConfig(gmm=True, refine=RefineConfig())],
+    @pytest.mark.parametrize("head", [TRANSDUCTIVE, GMM_EM],
                              ids=["transductive", "gmm-em"])
     def test_moments_whose_sums_overflow_raise(self, head, side):
         # each row's products are finite (about 1.4e306), but sums of 100 or
@@ -359,7 +360,7 @@ class TestClassify:
     def test_non_finite_query_raises(self):
         # a NaN score must not turn into label 0 through argmax
         stats = stats_with_covariances([[0.0, 0.0], [4.0, 0.0]], [np.eye(2), np.eye(2)])
-        for head in [HeadConfig(metric=metric) for metric in MetricKind] + [HeadConfig(gmm=True)]:
+        for head in [HeadConfig(metric=metric) for metric in MetricKind]:
             with pytest.raises(NonFiniteInput):
                 predict(head, stats, np.array([np.nan, 0.0]))
             with pytest.raises(NonFiniteInput):

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mahabench import methods
+from mahabench import heads
 from mahabench.methods import fit_statistics, parse_method
 from mahabench.rng import Rng
 
@@ -63,16 +63,16 @@ def fit_with_margin(head, support_x, support_y, query_x):
     """``head`` fitted to the task, and the smallest relative top-two score
     margin of any scoring the fit made."""
     margins = []
-    score = methods.scores
+    score = heads.class_scores
 
-    def recording(h, stats, rows):
-        values = score(h, stats, rows)
+    def recording(rows, stats, metric):
+        values = score(rows, stats, metric)
         top = np.sort(values, axis=-1)[..., -2:]
         margins.append(np.min((top[..., 1] - top[..., 0]) / (1.0 + np.abs(top[..., 1]))))
         return values
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(methods, "scores", recording)
+        patch.setattr(heads, "class_scores", recording)
         [fit] = fit_statistics([head], support_x, support_y, query_x)
         fit.query_labels  # a single-pass fit scores when first read
     return fit, min(margins)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from mahabench import heads, methods
-from mahabench.errors import DimensionMismatch, EmptyClass, LabelOutOfRange, NonFiniteInput
+from mahabench.errors import (
+    DimensionMismatch,
+    EmptyClass,
+    InvalidConfig,
+    LabelOutOfRange,
+    NonFiniteInput,
+)
 from mahabench.gmm import gmm_log_scores
 from mahabench.heads import (
     MetricKind,
@@ -20,16 +26,15 @@ from mahabench.methods import (
     fit_statistics,
     parse_method,
     predict,
-    predict_labels,
 )
 from mahabench.refine import RefineConfig
 from mahabench.rng import Rng
 
 
-HEADS = [HeadConfig(metric=metric) for metric in MetricKind] + [HeadConfig(gmm=True)]
+HEADS = [HeadConfig(metric=metric) for metric in MetricKind]
 
 
-@pytest.mark.parametrize("head", HEADS, ids=lambda h: "gmm" if h.gmm else h.metric.value)
+@pytest.mark.parametrize("head", HEADS, ids=lambda h: h.metric.value)
 def test_predictions_are_the_bits_of_the_head_classifier(head):
     rng = Rng(3)
     first, second = rng.normal((6, 4)), rng.normal((6, 4)) + 2.0
@@ -37,17 +42,41 @@ def test_predictions_are_the_bits_of_the_head_classifier(head):
     support = np.vstack([first, second, first])
     stats = estimate_class_statistics(SupportLayout.build(support, np.repeat(np.arange(3), 6)))
     queries = np.vstack([3.0 * rng.normal((40, 4)), stats.means])
-    if head.gmm:
-        scores = gmm_log_scores(queries, stats)
-    else:
-        scores = class_scores(queries, stats, head.metric)
+    scores = class_scores(queries, stats, head.metric)
+    if head.metric is MetricKind.GMM_LOG_POSTERIOR:
+        assert gmm_log_scores(queries, stats).tobytes() == scores.tobytes()
     probs, labels = predict(head, stats, queries)
     assert probs.tobytes() == softmax(scores).tobytes()
     assert labels.tobytes() == np.argmax(scores, axis=1).tobytes()
     assert not np.any(labels == 2)  # ties break toward the lowest class index
-    got = predict_labels(head, stats, queries)
-    assert got.dtype == labels.dtype
-    assert got.tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize("name, same", [
+    ("simple", "simple:mahalanobis"),
+    ("gmm", "simple:gmm"),
+    ("gmm-em", "transductive:gmm"),
+    ("transductive", "transductive:mahalanobis"),
+])
+def test_an_alias_parses_to_the_head_it_names(name, same):
+    refine = RefineConfig(min_steps=1, max_steps=3)
+    assert parse_method(name, refine, 0.5) == parse_method(same, refine, 0.5)
+
+
+def test_every_score_is_a_suffix_of_both_bases():
+    for metric in MetricKind:
+        simple = parse_method(f"simple:{metric.value}")
+        assert simple == HeadConfig(metric=metric)
+        assert parse_method(f"transductive:{metric.value}") == HeadConfig(
+            metric=metric, refine=RefineConfig())
+
+
+@pytest.mark.parametrize("name", [
+    "gmm:euclidean", "gmm-em:l1", "gmm:", "gmm:gmm", "simple:", "transductive:", "simple:nope",
+    "simple:mahalanobis:l1", "nope", "mahalanobis", "", ":gmm",
+])
+def test_parse_method_rejects_any_other_name(name):
+    with pytest.raises(InvalidConfig):
+        parse_method(name)
 
 
 def toy_task(seed, way=4, shot=3, query_per_class=5, dims=3):
@@ -110,11 +139,10 @@ def test_shared_fits_give_the_bits_of_one_fit_per_head(seed):
             assert hits.tolist() == [int(np.sum(fit.query_labels[task.query_y == k] == k))
                                      for k in range(task.way)]
             # each head's query set scored again after its fit
-            labels = predict_labels(head, alone.statistics, query)
+            probs, labels = predict(head, alone.statistics, query)
             accuracy = hits.sum() / record.queries.sum()
             assert accuracy == float(np.mean(labels == task.query_y))
             assert alone.query_labels.tobytes() == labels.tobytes()
-            probs, _ = predict(head, alone.statistics, query)
             assert alone.query_probs.tobytes() == probs.tobytes()
 
 
@@ -194,7 +222,7 @@ def fit_error(head, support_x, support_y, query_x):
 
 @pytest.mark.parametrize(
     "head", METHODS[:6],
-    ids=lambda h: ("gmm" if h.gmm else h.metric.value) + ("-refining" if h.refine else ""),
+    ids=lambda h: h.metric.value + ("-refining" if h.refine else ""),
 )
 def test_bad_input_raises_a_typed_error_through_fit_statistics(head):
     task = toy_task(4, way=3, shot=2, query_per_class=2, dims=2)

@@ -7,9 +7,12 @@ import pytest
 from mahabench.errors import FormatError, InvalidConfig, NotEnoughClasses
 from mahabench.heads import SupportLayout, estimate_class_statistics
 from mahabench.methods import HeadConfig, predict
+from mahabench.rng import Rng
 from mahabench.worlds import (
+    ClusterWorld,
     SamplerConfig,
     SamplerMode,
+    draw_class_examples,
     make_cluster_world,
     read_tasks,
     sample_task,
@@ -49,6 +52,21 @@ class TestMakeClusterWorld:
         world = make_cluster_world(4, 6, 2.0, rng_seed=2, mean_radius=1.0, center_norm=10.0)
         center = 10.0 * np.ones(4) / 2.0
         assert np.allclose(np.linalg.norm(world.true_means - center, axis=1), 1.0)
+
+    def test_a_hand_built_world_draws_through_its_covariance_factors(self):
+        # a world built from its means and covariances alone, without
+        # make_cluster_world, draws mean + z L^T, L each covariance's factor
+        means = np.array([[0.0, 0.0], [3.0, 1.0]])
+        covs = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, -0.3], [-0.3, 0.5]]])
+        world = ClusterWorld("by-hand", 2, 2, means, covs, anisotropy=4.0, seed=0)
+        rng = Rng(7)
+        for cid, count, block in zip([1, 0], [3, 2],
+                                     draw_class_examples(world, [1, 0], [3, 2], Rng(7))):
+            raw = rng.normal((count, 2))
+            expected = means[cid] + raw @ np.linalg.cholesky(covs[cid]).T
+            assert block.tobytes() == expected.tobytes()
+        task = sample_task(world, replace(FIXED, fixed_way=2, fixed_shot=3), 11)
+        assert task.support_x.shape == (6, 2) and np.all(np.isfinite(task.query_x))
 
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfig):
