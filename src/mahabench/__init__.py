@@ -38,7 +38,6 @@ del _unset, numpy
 
 from .active import (
     AcquisitionStrategy,
-    ActiveSession,
     acquisition_scores,
     run_active_session,
     select_next,

@@ -6,74 +6,36 @@ head's class probabilities.  Variation ratios are reported as
 is the same ordering as ranking by lowest maximum probability.  Statistics
 are refit from scratch after every acquisition.
 
-A session (``ActiveSession``, drawn from a world by
-``build_active_session``) is drawn once and run under every strategy.
-``run_active_session`` steps a block of sessions, under every strategy, in
-lockstep: at step t each of the block's fits, one per (session, strategy),
-has the same class count, ``K + t`` labelled rows and ``pool - t`` open
-pool rows, so one stacked fit (``methods.fit_statistics``) and one
-stacked scoring of the test sets (``heads.class_scores``) serve them all.
-Only the acquisition itself (``select_next``) runs once per fit.  Every
-fit has the bits it would have on its own, so a curve does not depend on
-which block, or how large a block, its session ran in.
+``run_active_session`` draws a block of sessions from a world and steps
+them, under every strategy, in lockstep, as ``continual.run_continual_session``
+does for streams.  The block's seed rows, pools and test sets are drawn
+together, once, from one ``Rng`` over the block's seeds, and each session
+is run under every strategy.  At step t each of the block's fits, one per
+(session, strategy), has the same class count, ``K + t`` labelled rows and
+``pool - t`` open pool rows, so one stacked fit (``methods.fit_statistics``)
+and one stacked scoring of the test sets (``heads.class_scores``) serve
+them all.  Only the acquisition itself (``select_next``) runs once per fit.
+Every fit has the bits it would have on its own (the batch axis of
+``heads``, and a session's draws are those of its seed alone), so a curve
+does not depend on which block, or how large a block, its session ran in.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import heads
-from .errors import DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore
+from .errors import (DimensionMismatch, InvalidConfig, PoolExhausted, StrategyHasNoScore,
+                     check_sizes)
 from .methods import HeadConfig, fit_statistics
-from .rng import Rng, derive_seed
-from .worlds import draw_class_examples
+from .rng import MASK64, Rng, derive_seeds
+from .worlds import ClusterWorld, draw_class_examples
 
 
 class AcquisitionStrategy(Enum):
     RANDOM = "random"
     PREDICTIVE_ENTROPY = "entropy"
     VARIATION_RATIOS = "variation-ratios"
-
-
-@dataclass(frozen=True)
-class ActiveSession:
-    """A pool with hidden labels, an initial labelled set and a test set."""
-
-    pool_x: np.ndarray
-    pool_y: np.ndarray  # hidden until acquired
-    seed_x: np.ndarray
-    seed_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-    budget: int
-    seed: int = 0  # drives random selection only
-
-    def __post_init__(self):
-        check_budget(self.budget, self.pool_x.shape[0])
-
-
-def build_active_session(world, pool_per_class, test_per_class, budget, seed):
-    """Deterministic session over all world classes: one seed-support
-    example per class, then a pool and a held-out test set."""
-    rng = Rng(seed)
-    ids = list(range(world.class_count))
-    seed_x = np.vstack(draw_class_examples(world, ids, [1] * len(ids), rng))
-    seed_y = np.arange(world.class_count, dtype=np.int64)
-    pool_x = np.vstack(draw_class_examples(world, ids, [pool_per_class] * len(ids), rng))
-    pool_y = np.repeat(seed_y, pool_per_class)
-    test_x = np.vstack(draw_class_examples(world, ids, [test_per_class] * len(ids), rng))
-    test_y = np.repeat(seed_y, test_per_class)
-    return ActiveSession(
-        pool_x=pool_x, pool_y=pool_y, seed_x=seed_x, seed_y=seed_y,
-        test_x=test_x, test_y=test_y, budget=budget, seed=derive_seed(seed, "selection"),
-    )
-
-
-def check_budget(budget: int, pool_size: int) -> None:
-    """Raise ``InvalidConfig`` unless ``budget`` labels fit in the pool."""
-    if budget < 0 or budget > pool_size:
-        raise InvalidConfig("budget must lie in [0, pool size]")
 
 
 def acquisition_scores(pool_probs: np.ndarray, strategy: AcquisitionStrategy) -> np.ndarray:
@@ -120,51 +82,63 @@ def select_next(
     return int(open_idx[np.argmax(acquisition_scores(probs, strategy))])
 
 
-def run_active_session(sessions, strategies, head: HeadConfig):
-    """Accuracy curves of a block of sessions under every strategy.
+def run_active_session(world: ClusterWorld, pool_per_class: int, test_per_class: int,
+                       budget: int, seeds, strategies, head: HeadConfig) -> np.ndarray:
+    """Accuracy curves of a block of sessions, one per seed in ``seeds``,
+    under every strategy: ``curves[s, a, t]`` is session s's test accuracy
+    under strategy a after ``t`` acquisitions, shaped ``(sessions,
+    strategies, budget + 1)``.
 
-    Returns a ``(sessions, strategies, budget + 1)`` array: ``curves[s, a, t]``
-    is session s's test accuracy under strategy a after ``t`` acquisitions.
-    Statistics are refit from scratch at every step.  Transductive heads
-    treat the unacquired pool as the refinement query set, so pool
-    probabilities fall out of the refinement itself; either way they are
-    the fit's query probabilities.  Every (session, strategy) pair draws
-    its random selections from its own ``Rng(session.seed)``, and fit f's
-    ``select_next`` call comes before fit f + 1's at every step.
+    A session holds, over all of the world's classes in class order, one
+    seed row per class, then ``pool_per_class`` pool rows and
+    ``test_per_class`` test rows per class.  The block draws each of the
+    three sets in one ``draw_class_examples`` call from one ``Rng`` over
+    ``seeds``, and session s gets the bits ``Rng(seeds[s])`` alone draws;
+    its random selections come from ``Rng(derive_seed(seeds[s],
+    "selection"))``, one generator per strategy.  Statistics are refit from
+    scratch at every step.  Transductive heads treat the unacquired pool as
+    the refinement query set; either way the pool probabilities are the
+    fit's query probabilities.  Fit f is session ``f // len(strategies)``
+    under strategy ``f % len(strategies)``, and its ``select_next`` call
+    comes before fit f + 1's at every step.
 
-    Raises
-    ------
-    DimensionMismatch
-        If the sessions differ in pool, seed-set or test-set shape.
-    InvalidConfig
-        If there is no session or no strategy, or the budgets differ.
+    Raises ``InvalidConfig`` if there is no seed or no strategy, a
+    per-class size is below 1, or ``budget`` lies outside ``[0,
+    world.class_count * pool_per_class]``.
     """
-    sessions, strategies = list(sessions), list(strategies)
-    if not sessions or not strategies:
+    seeds, strategies = list(seeds), list(strategies)
+    if not seeds or not strategies:
         raise InvalidConfig("a block needs at least one session and one strategy")
-    first = sessions[0]
-    arrays = ("pool_x", "pool_y", "seed_x", "seed_y", "test_x", "test_y")
-    for other in sessions[1:]:
-        if other.budget != first.budget:
-            raise InvalidConfig("the sessions of a block must share their budget")
-        if any(getattr(other, name).shape != getattr(first, name).shape for name in arrays):
-            raise DimensionMismatch("the sessions of a block must share their shapes")
+    check_sizes(pool_per_class=pool_per_class, test_per_class=test_per_class)
+    k = world.class_count
+    pool_size = k * pool_per_class
+    if not 0 <= budget <= pool_size:
+        raise InvalidConfig(f"budget must lie in [0, {pool_size}], the pool size")
+
+    # seed, pool and test rows, (S, k * count, d) each, for every session at once
+    seeds = np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)
+    rng = Rng(seeds)
+    seed_x, pool_x, test_x = [
+        np.concatenate(draw_class_examples(world, range(k), [count] * k, rng), axis=-2)
+        for count in (1, pool_per_class, test_per_class)]
+    seed_y = np.arange(k, dtype=np.int64)
+    pool_y, test_y = np.repeat(seed_y, pool_per_class), np.repeat(seed_y, test_per_class)
 
     # fit f is session owner[f] under strategy f % len(strategies)
-    owner = np.repeat(np.arange(len(sessions)), len(strategies))
-    pool_x, pool_y, seed_x, seed_y, test_x, test_y = (
-        np.stack([getattr(sessions[s], name) for s in owner]) for name in arrays)
-    rngs = [Rng(sessions[s].seed) for s in owner]
-    fits, pool_size, budget = owner.size, first.pool_x.shape[0], first.budget
+    owner = np.repeat(np.arange(len(seeds)), len(strategies))
+    seed_x, pool_x, test_x = seed_x[owner], pool_x[owner], test_x[owner]
+    rngs = [Rng(seed) for seed in derive_seeds(seeds, "selection")[owner]]
+    fits = owner.size
     by_fit = np.arange(fits)[:, None]
     taken = np.zeros((fits, pool_size), dtype=bool)
     acquired = np.empty((fits, budget), dtype=np.intp)  # in acquisition order, which the refit sees
     curves = np.empty((fits, budget + 1))
+    seed_y = np.broadcast_to(seed_y, (fits, k))
 
     for t in range(budget + 1):
         open_idx = np.nonzero(~taken)[1].reshape(fits, pool_size - t)  # ascending per fit
         labeled_x = np.concatenate([seed_x, pool_x[by_fit, acquired[:, :t]]], axis=1)
-        labeled_y = np.concatenate([seed_y, pool_y[by_fit, acquired[:, :t]]], axis=1)
+        labeled_y = np.concatenate([seed_y, pool_y[acquired[:, :t]]], axis=1)
         [fit] = fit_statistics([head], labeled_x, labeled_y, pool_x[by_fit, open_idx])
         # ties break toward the lowest class index, as in ``methods.predict``
         test_pred = np.argmax(heads.class_scores(test_x, fit.statistics, head.metric), axis=-1)
@@ -176,4 +150,4 @@ def run_active_session(sessions, strategies, head: HeadConfig):
                                  rngs[f])
             acquired[f, t] = choice
             taken[f, choice] = True
-    return curves.reshape(len(sessions), len(strategies), budget + 1)
+    return curves.reshape(len(seeds), len(strategies), budget + 1)

@@ -63,15 +63,10 @@ def average_ranks(per_domain_means: dict) -> dict:
     totals = {m: 0.0 for m in methods}
     for domain_means in per_domain_means.values():
         accs = np.array([domain_means[m] for m in methods])
-        order = np.argsort(-accs, kind="stable")
-        ranks = np.empty(len(methods))
-        pos = 0
-        while pos < len(methods):
-            end = pos
-            while end + 1 < len(methods) and accs[order[end + 1]] == accs[order[pos]]:
-                end += 1
-            ranks[order[pos : end + 1]] = (pos + end) / 2.0 + 1.0
-            pos = end + 1
+        # 1 + the methods strictly better + half the other methods tied
+        better = (accs[None, :] > accs[:, None]).sum(axis=1)
+        tied = (accs[None, :] == accs[:, None]).sum(axis=1) - 1
+        ranks = 1.0 + better + tied / 2.0
         for m, r in zip(methods, ranks):
             totals[m] += r
     n = len(per_domain_means)

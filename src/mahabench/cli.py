@@ -27,15 +27,17 @@ CPython's builtin SHA-256 module (``_sha2``, or ``_sha256`` before 3.12),
 the bytes of ``hashlib.sha256``, which would also load OpenSSL: 3.6 MiB of
 every run's resident memory for two short hashes.
 
-bench and recall tasks, blocks of active sessions, blocks of continual
-streams (``LOCKSTEP_BLOCK`` sessions or streams each) and blocks of riemann
-fields run in forked worker processes, one per CPU of the process's
-affinity mask; the rows come out in the same order and the same bytes as a
-serial run, whatever the block size.  A comma list that names a method,
-strategy or head mode twice, or one head under two names, exits 2.  ``taskset -c 0 mahabench ...`` runs
-serially, which is also how to take a per-layer trace.  Without ``fork`` (or ``sched_getaffinity``)
-every run is serial.  ``python -m mahabench`` and ``python -m
-mahabench.cli`` run the same command line as the ``mahabench`` script.
+bench and recall tasks, and blocks of active sessions, continual streams
+(``LOCKSTEP_BLOCK`` each) and riemann fields, run in forked worker
+processes, one per CPU of the process's affinity mask.  One runner,
+``_by_block``, seeds unit i ``derive_seeds(--seed, tag, i)`` and runs the
+blocks, so the rows come out in the same order and bytes as a serial run,
+whatever the block size.  A comma list that names a method, strategy or
+head mode twice, or one head under two names, exits 2.  ``taskset -c 0
+mahabench ...`` runs serially, which is also how to take a per-layer trace.
+Without ``fork`` (or ``sched_getaffinity``) every run is serial.  ``python
+-m mahabench`` and ``python -m mahabench.cli`` run the same command line as
+the ``mahabench`` script.
 
 ``cli_main`` raises glibc's malloc trim threshold to 256 MiB and its mmap
 threshold to 32 MiB (``mallopt``) for its process, and so for the workers
@@ -71,7 +73,7 @@ except ImportError:
 
 from . import bench as bench_mod
 from . import riemann as riemann_mod
-from .active import AcquisitionStrategy, build_active_session, run_active_session
+from .active import AcquisitionStrategy, run_active_session
 from .continual import (
     EncodingStrategy,
     HeadMode,
@@ -82,7 +84,7 @@ from .errors import InvalidConfig, MahabenchError, check_sizes
 from .methods import parse_method
 from .parallel import ordered_map
 from .refine import RefineConfig
-from .rng import Rng, derive_seed, derive_seeds
+from .rng import Rng, derive_seeds
 from .worlds import (
     SamplerConfig,
     SamplerMode,
@@ -432,6 +434,17 @@ def _cmd_recall(args, defaults) -> int:
     return 0
 
 
+def _by_block(seed: int, tag: str, count: int, size: int, run) -> list:
+    """``run``'s results for units 0..count-1, concatenated in unit order:
+    block b, units ``[b * size, min(count, (b + 1) * size))``, is one
+    ``ordered_map`` unit, and ``run`` gets unit i's seed as ``derive_seeds(seed,
+    tag, i)``."""
+    def block(b: int):
+        return run(derive_seeds(seed, tag, np.arange(b * size, min(count, (b + 1) * size))))
+
+    return [result for results in ordered_map(block, -(-count // size)) for result in results]
+
+
 def _one_head(args, defaults) -> tuple:
     """The head of ``--method`` for commands that run a single method, and the
     head flags it leaves unread."""
@@ -452,17 +465,13 @@ def _cmd_active(args, defaults) -> int:
                             f"{world.class_count} x --pool-per-class {args.pool_per_class}")
     echo = _echo(args, *unread, strategies=[s.value for s in strategies])
 
-    def block_curves(block: int):
-        sids = range(block * LOCKSTEP_BLOCK, min(args.sessions, (block + 1) * LOCKSTEP_BLOCK))
-        sessions = [build_active_session(world, args.pool_per_class, args.test_per_class,
-                                         args.budget, derive_seed(args.seed, "active", sid))
-                    for sid in sids]
-        return run_active_session(sessions, strategies, head)
-
-    blocks = ordered_map(block_curves, -(-args.sessions // LOCKSTEP_BLOCK))
+    sessions = _by_block(
+        args.seed, "active", args.sessions, LOCKSTEP_BLOCK,
+        lambda seeds: run_active_session(world, args.pool_per_class, args.test_per_class,
+                                         args.budget, seeds, strategies, head))
     rows = [
         (sid, strategy.value, step, repr(float(acc)))
-        for sid, session in enumerate(c for curves in blocks for c in curves)
+        for sid, session in enumerate(sessions)
         for strategy, accs in zip(strategies, session)
         for step, acc in enumerate(accs)
     ]
@@ -498,13 +507,9 @@ def _cmd_continual(args, defaults) -> int:
                  head_modes=[m.value for m in modes], classes=domain.class_count)
     world = domain.build(args.seed)
 
-    def block_matrices(block: int):
-        sids = range(block * LOCKSTEP_BLOCK, min(args.streams, (block + 1) * LOCKSTEP_BLOCK))
-        seeds = [derive_seed(args.seed, "continual", sid) for sid in sids]
-        return run_continual_session(world, stream, seeds, strategies, head)
-
-    blocks = ordered_map(block_matrices, -(-args.streams // LOCKSTEP_BLOCK))
-    sessions = [session for block in blocks for session in block]
+    sessions = _by_block(
+        args.seed, "continual", args.streams, LOCKSTEP_BLOCK,
+        lambda seeds: run_continual_session(world, stream, seeds, strategies, head))
     lower = np.tril_indices(args.length)  # (step, task), row-major
     if args.out:
         # csv writes a float as its repr, which round-trips it
@@ -540,16 +545,21 @@ def _median(values) -> float:
 
 
 def _cmd_riemann(args, defaults) -> int:
-    _require_positive(args, "fields", "points_per_field", "dims")
+    _require_positive(args, "fields", "points_per_field")
     settings = {"dims": args.dims, "separation": args.separation, "flatness": args.flatness,
-                "support_scale": args.support_scale, "weak_side_scale": args.weak_scale}
-    riemann_mod.check_settings(quadrature_points=args.quadrature, **settings)
+                "support_scale": args.support_scale, "weak_side_scale": args.weak_scale,
+                "quadrature_points": args.quadrature}
+    flags = {"weak_side_scale": "--weak-scale", "quadrature_points": "--quadrature"}
+    for name, value in settings.items():
+        try:  # one setting per call, so that the error names its flag
+            riemann_mod.check_settings(**{name: value})
+        except InvalidConfig as exc:
+            flag = flags.get(name, "--" + name.replace("_", "-"))
+            raise InvalidConfig(f"{flag}: {exc}") from None
+    del settings["quadrature_points"]
     echo = _echo(args)
-    size = riemann_mod.block_size(args.dims, args.quadrature, args.points_per_field)
 
-    def block_rows(block: int) -> list:
-        seeds = derive_seeds(args.seed, "riemann",
-                             np.arange(block * size, min(args.fields, (block + 1) * size)))
+    def field_rows(seeds) -> list:
         field = riemann_mod.make_two_centroid_field(seeds, **settings)
         rng = Rng(derive_seeds(seeds, "points"))
         checks = []  # per point, the check's three columns as lists of reprs
@@ -560,8 +570,8 @@ def _cmd_riemann(args, defaults) -> int:
         return [(seed, "0-1", *(c[f] for c in point)) for f, seed in enumerate(seeds.tolist())
                 for point in checks]
 
-    blocks = ordered_map(block_rows, -(-args.fields // size))
-    rows = [row for rows in blocks for row in rows]
+    size = riemann_mod.block_size(args.dims, args.quadrature, args.points_per_field)
+    rows = _by_block(args.seed, "riemann", args.fields, size, field_rows)
     if args.out:
         _write_csv(args.out, echo,
                    ["field_seed", "pair", "delta_energy", "half_gap", "rel_error"], rows)

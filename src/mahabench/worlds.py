@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfig, NotEnoughClasses, check_sizes
+from .errors import DimensionMismatch, FormatError, InvalidConfig, NotEnoughClasses, check_sizes
 from .rng import Rng
 
 TASK_FILE_VERSION = "v1"
@@ -47,15 +47,26 @@ def singular(linear: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ClusterWorld:
     """Generative description of one synthetic domain, built by
-    ``make_cluster_world`` or by hand from its means and covariances."""
+    ``make_cluster_world`` or by hand from its means and covariances; arrays
+    that are not ``(C, d)`` and ``(C, d, d)`` raise ``DimensionMismatch``."""
 
     domain_id: str
-    dims: int
-    class_count: int
     true_means: np.ndarray  # (C, d)
     true_covariances: np.ndarray  # (C, d, d)
-    anisotropy: float
-    seed: int
+
+    def __post_init__(self):
+        means, covs = np.shape(self.true_means), np.shape(self.true_covariances)
+        if len(means) != 2 or covs != (*means, means[-1]):
+            raise DimensionMismatch(f"means {means} and covariances {covs} are not "
+                                    "(C, d) and (C, d, d)")
+
+    @property
+    def dims(self) -> int:
+        return self.true_means.shape[1]
+
+    @property
+    def class_count(self) -> int:
+        return self.true_means.shape[0]
 
     @cached_property
     def sampling_factors(self) -> np.ndarray:
@@ -163,15 +174,7 @@ def make_cluster_world(
             u = rng.uniform(dims - 2)
             eigs[2:] = s * np.exp(-u * np.log(anisotropy))
         covs[c] = (q * eigs) @ q.T
-    return ClusterWorld(
-        domain_id=domain_id,
-        dims=dims,
-        class_count=class_count,
-        true_means=means,
-        true_covariances=covs,
-        anisotropy=float(anisotropy),
-        seed=rng_seed,
-    )
+    return ClusterWorld(domain_id=domain_id, true_means=means, true_covariances=covs)
 
 
 def _rescale_shots(shots: np.ndarray, cap: int) -> np.ndarray:

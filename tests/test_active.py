@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,9 +8,7 @@ from hypothesis import strategies as st
 from mahabench import active, cli
 from mahabench.active import (
     AcquisitionStrategy,
-    ActiveSession,
     acquisition_scores,
-    build_active_session,
     run_active_session,
     select_next,
 )
@@ -20,7 +17,8 @@ from mahabench.errors import DimensionMismatch, InvalidConfig, PoolExhausted, St
 from mahabench.heads import MetricKind, SupportLayout, estimate_class_statistics
 from mahabench.methods import HeadConfig, fit_statistics, predict
 from mahabench.refine import RefineConfig
-from mahabench.rng import Rng
+from mahabench.rng import Rng, derive_seed
+from mahabench.worlds import ClusterWorld, draw_class_examples
 
 ENTROPY = AcquisitionStrategy.PREDICTIVE_ENTROPY
 VARIATION = AcquisitionStrategy.VARIATION_RATIOS
@@ -90,42 +88,44 @@ class TestSelectNext:
             select_next(np.full((3, 2), 0.5), np.arange(2), ENTROPY, Rng(0))
 
 
-def toy_session(budget=3, seed=0):
-    # two tight, well-separated clusters; pool equals the test set
-    rng = Rng(9)
-    c0, c1 = np.array([0.0, 0.0]), np.array([8.0, 0.0])
-    pool_x = np.vstack([c0 + 0.1 * rng.normal((5, 2)), c1 + 0.1 * rng.normal((5, 2))])
-    pool_y = np.array([0] * 5 + [1] * 5, dtype=np.int64)
-    return ActiveSession(
-        pool_x=pool_x,
-        pool_y=pool_y,
-        seed_x=np.vstack([c0, c1]),
-        seed_y=np.array([0, 1], dtype=np.int64),
-        test_x=pool_x.copy(),
-        test_y=pool_y.copy(),
-        budget=budget,
-        seed=seed,
-    )
+def toy_session(budget=3, seeds=(0,)):
+    """``run_active_session``'s session arguments, strategies and head
+    aside: two tight, well-separated classes, 5 pool and 5 test rows each."""
+    world = ClusterWorld("toy", np.array([[0.0, 0.0], [8.0, 0.0]]),
+                         np.stack([0.01 * np.eye(2)] * 2))
+    return world, 5, 5, budget, list(seeds)
 
 
-def reference_session(session, strategy, head):
+def reference_rows(world, pool_per_class, test_per_class, seed):
+    """A session's ``(x, y)`` seed, pool and test sets as documented: drawn
+    in that order from ``Rng(seed)``, each over all of the world's classes,
+    in class order."""
+    rng = Rng(seed)
+    ids = range(world.class_count)
+    return [(np.vstack(draw_class_examples(world, ids, [count] * len(ids), rng)),
+             np.repeat(np.arange(world.class_count, dtype=np.int64), count))
+            for count in (1, pool_per_class, test_per_class)]
+
+
+def reference_session(world, pool_per_class, test_per_class, budget, seed, strategy, head):
     """One (session, strategy) pair run on its own, one unbatched fit per
-    step: the loop ``run_active_session`` ran before it stepped a block of
-    sessions and strategies in lockstep.  Returns the curve and the
+    step, on the rows of ``reference_rows`` and with random selections from
+    ``Rng(derive_seed(seed, "selection"))``.  Returns the curve and the
     acquired indices."""
-    rng = Rng(session.seed)
+    (seed_x, seed_y), (pool_x, pool_y), (test_x, test_y) = reference_rows(
+        world, pool_per_class, test_per_class, seed)
+    rng = Rng(derive_seed(seed, "selection"))
     acquired = []
-    pool_size = session.pool_x.shape[0]
-    taken = np.zeros(pool_size, dtype=bool)
-    curve = np.empty(session.budget + 1)
-    for t in range(session.budget + 1):
+    taken = np.zeros(pool_x.shape[0], dtype=bool)
+    curve = np.empty(budget + 1)
+    for t in range(budget + 1):
         open_idx = np.flatnonzero(~taken)
-        labeled_x = np.vstack([session.seed_x, session.pool_x[acquired]])
-        labeled_y = np.concatenate([session.seed_y, session.pool_y[acquired]]).astype(np.int64)
-        [fit] = fit_statistics([head], labeled_x, labeled_y, session.pool_x[open_idx])
-        _, test_pred = predict(head, fit.statistics, session.test_x)
-        curve[t] = float(np.mean(test_pred == session.test_y))
-        if t == session.budget:
+        labeled_x = np.vstack([seed_x, pool_x[acquired]])
+        labeled_y = np.concatenate([seed_y, pool_y[acquired]])
+        [fit] = fit_statistics([head], labeled_x, labeled_y, pool_x[open_idx])
+        _, test_pred = predict(head, fit.statistics, test_x)
+        curve[t] = float(np.mean(test_pred == test_y))
+        if t == budget:
             break
         choice = select_next(fit.query_probs, open_idx, strategy, rng)
         acquired.append(choice)
@@ -133,10 +133,10 @@ def reference_session(session, strategy, head):
     return curve, acquired
 
 
-def run_recording(sessions, strategies, head):
-    """``run_active_session``'s curves, and the ``(sessions, strategies,
-    budget)`` pool indices it acquired, in acquisition order, read off its
-    ``select_next`` calls: one per fit per step, in fit order."""
+def run_recording(*args):
+    """``run_active_session(*args)``'s curves, and the ``(sessions,
+    strategies, budget)`` pool indices it acquired, in acquisition order,
+    read off its ``select_next`` calls: one per fit per step, in fit order."""
     picks = []
 
     def recording(*args):
@@ -144,7 +144,7 @@ def run_recording(sessions, strategies, head):
         return picks[-1]
 
     with mock.patch.object(active, "select_next", recording):
-        curves = run_active_session(sessions, strategies, head)
+        curves = run_active_session(*args)
     fits = curves.shape[0] * curves.shape[1]
     acquired = np.array(picks, dtype=np.intp).reshape(-1, fits).T  # (fits, budget)
     return curves, acquired.reshape(*curves.shape[:2], -1)
@@ -152,46 +152,50 @@ def run_recording(sessions, strategies, head):
 
 class TestRunActiveSession:
     def test_budget_zero_single_point_curve(self):
-        curves = run_active_session([toy_session(budget=0)], [ENTROPY], HeadConfig())
+        curves = run_active_session(*toy_session(budget=0), [ENTROPY], HeadConfig())
         assert curves.shape == (1, 1, 1)
 
     def test_perfectly_separable_curve_stays_at_ceiling(self):
-        curves = run_active_session([toy_session(budget=5)], [ENTROPY], HeadConfig())
+        curves = run_active_session(*toy_session(budget=5), [ENTROPY], HeadConfig())
         assert np.allclose(curves, 1.0)
 
     def test_curve_length_and_range(self):
-        sessions = [toy_session(budget=4, seed=s) for s in range(2)]
-        curves = run_active_session(sessions, list(AcquisitionStrategy), HeadConfig())
+        curves = run_active_session(*toy_session(budget=4, seeds=range(2)),
+                                    list(AcquisitionStrategy), HeadConfig())
         assert curves.shape == (2, 3, 5)
         assert np.all((curves >= 0.0) & (curves <= 1.0))
 
     def test_acquired_set_grows_without_repeats(self):
-        _, acquired = run_recording([toy_session(budget=6, seed=3)], [RANDOM], HeadConfig())
+        _, acquired = run_recording(*toy_session(budget=6, seeds=[3]), [RANDOM], HeadConfig())
         assert acquired.shape == (1, 1, 6)
         assert len(set(acquired[0, 0].tolist())) == 6
 
     def test_session_trace_matches_brute_force(self):
-        # independent replay of the simple-head session: refit, classify,
-        # score by entropy, acquire the argmax among unacquired
-        session = toy_session(budget=5)
+        # independent replay of the simple-head session on the documented
+        # rows: refit, classify, score by entropy, acquire the argmax among
+        # unacquired
+        world, pool_per_class, test_per_class, budget, [seed] = toy_session(budget=5)
         head = HeadConfig(metric=MetricKind.SQUARED_MAHALANOBIS)
-        curves, acquired = run_recording([session], [ENTROPY], head)
+        curves, acquired = run_recording(world, pool_per_class, test_per_class, budget, [seed],
+                                         [ENTROPY], head)
+        (seed_x, seed_y), (pool_x, pool_y), (test_x, test_y) = reference_rows(
+            world, pool_per_class, test_per_class, seed)
 
         taken = []
         expected_curve = []
-        for t in range(session.budget + 1):
-            lx = np.vstack([session.seed_x, session.pool_x[taken]])
-            ly = np.concatenate([session.seed_y, session.pool_y[taken]]).astype(np.int64)
+        for t in range(budget + 1):
+            lx = np.vstack([seed_x, pool_x[taken]])
+            ly = np.concatenate([seed_y, pool_y[taken]])
             stats = estimate_class_statistics(SupportLayout.build(lx, ly), beta=1.0)
-            _, pred = predict(head, stats, session.test_x)
-            expected_curve.append(np.mean(pred == session.test_y))
-            if t == session.budget:
+            _, pred = predict(head, stats, test_x)
+            expected_curve.append(np.mean(pred == test_y))
+            if t == budget:
                 break
             best, best_score = None, -np.inf
-            for i in range(session.pool_x.shape[0]):
+            for i in range(pool_x.shape[0]):
                 if i in taken:
                     continue
-                probs, _ = predict(head, stats, session.pool_x[i])
+                probs, _ = predict(head, stats, pool_x[i])
                 ent = -np.sum(np.where(probs > 0, probs * np.log(probs), 0.0))
                 if ent > best_score:
                     best, best_score = i, ent
@@ -210,17 +214,22 @@ class TestRunActiveSession:
 
     def test_budget_validation(self):
         with pytest.raises(InvalidConfig):
-            toy_session(budget=11)
+            run_active_session(*toy_session(budget=11), [ENTROPY], HeadConfig())
 
-    def test_a_block_must_share_its_shapes_and_budget(self):
-        other = toy_session(budget=3)
-        short = replace(other, pool_x=other.pool_x[:8], pool_y=other.pool_y[:8])
-        with pytest.raises(DimensionMismatch):
-            run_active_session([other, short], [ENTROPY], HeadConfig())
+    @pytest.mark.parametrize("change", [
+        {"seeds": []},
+        {"strategies": []},
+        {"pool_per_class": 0},
+        {"test_per_class": 0},
+        {"budget": -1},
+        {"budget": 11},  # the pool of 2 classes x 5, plus one
+    ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
+    def test_the_runner_rejects_an_empty_block_and_sizes_out_of_range(self, change):
+        world, pool_per_class, test_per_class, budget, seeds = toy_session()
+        args = {"pool_per_class": pool_per_class, "test_per_class": test_per_class,
+                "budget": budget, "seeds": seeds, "strategies": [ENTROPY], **change}
         with pytest.raises(InvalidConfig):
-            run_active_session([other, toy_session(budget=2)], [ENTROPY], HeadConfig())
-        with pytest.raises(InvalidConfig):
-            run_active_session([other], [], HeadConfig())
+            run_active_session(world, head=HeadConfig(), **args)
 
 
 HEADS = {
@@ -233,7 +242,7 @@ HEADS = {
 @settings(max_examples=30, deadline=None)
 @given(
     head=st.sampled_from(sorted(HEADS)),
-    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
     order=st.permutations(list(AcquisitionStrategy)),
     strategy_count=st.integers(1, 3),
     world_seed=st.integers(0, 50),
@@ -246,12 +255,11 @@ def test_lockstep_block_matches_each_session_run_alone(head, seeds, order, strat
     world = DomainSpec("world", dims=3, class_count=4, mean_radius=1.5).build(world_seed)
     pool_size = 4 * 3
     budget = round(budget_frac * pool_size)  # 0 up to the whole pool
-    sessions = [build_active_session(world, 3, 2, budget, seed) for seed in seeds]
     strategies = order[:strategy_count]
-    curves, acquired = run_recording(sessions, strategies, HEADS[head])
-    for s, session in enumerate(sessions):
+    curves, acquired = run_recording(world, 3, 2, budget, seeds, strategies, HEADS[head])
+    for s, seed in enumerate(seeds):
         for a, strategy in enumerate(strategies):
-            curve, picks = reference_session(session, strategy, HEADS[head])
+            curve, picks = reference_session(world, 3, 2, budget, seed, strategy, HEADS[head])
             assert curves[s, a].tobytes() == curve.tobytes()
             assert acquired[s, a].tolist() == picks
 

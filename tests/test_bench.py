@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from mahabench import bench, parallel
 from mahabench.bench import (
@@ -70,6 +73,20 @@ class TestAggregation:
         assert ranks["x"] == pytest.approx((1 + 2.5) / 2)
         assert ranks["y"] == pytest.approx((2 + 2.5) / 2)
         assert ranks["z"] == pytest.approx((3 + 1) / 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda methods: st.lists(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=methods, max_size=methods),
+        min_size=1, max_size=4)))
+    def test_ranks_are_scipys_tie_averaged_ranks(self, per_domain):
+        # accuracies from four values, so that most domains hold ties; ranks
+        # are halves, so their means are exact
+        methods = [f"m{i}" for i in range(len(per_domain[0]))]
+        ranks = average_ranks({f"d{j}": dict(zip(methods, accs))
+                               for j, accs in enumerate(per_domain)})
+        expected = np.mean([rankdata(-np.array(accs), method="average") for accs in per_domain],
+                           axis=0)
+        assert [ranks[m] for m in methods] == expected.tolist()
 
     def test_shot_buckets(self):
         assert shot_bucket(1) == "1"

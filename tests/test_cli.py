@@ -70,6 +70,14 @@ WORLD_FLAG_ERRORS = [
     ["active", "--pool-per-class", "0"],
     ["active", "--budget", "500"],
     ["riemann", "--dims", "0"],
+    ["riemann", "--fields", "1", "--quadrature", "1"],
+    # settings the field's partition checks would reject, checked from the flags
+    ["riemann", "--fields", "1", "--flatness", "5"],
+    ["riemann", "--fields", "1", "--flatness", "-0.5"],
+    ["riemann", "--fields", "1", "--support-scale", "0"],
+    ["riemann", "--fields", "1", "--support-scale", "2"],
+    ["riemann", "--fields", "1", "--separation", "0"],
+    ["riemann", "--weak-scale", "0"],
     ["bench", "--tasks", "30", "--way", "8", "--classes", "6"],
     ["gen-tasks", "--tasks", "2", "--out", "tasks.jsonl", "--way", "8", "--classes", "6"],
     ["recall", "--tasks", "3", "--classes", "4"],
@@ -178,7 +186,6 @@ class TestCliMain:
         ["continual", "--drift", "nan"],
         ["riemann", "--separation", "inf"],
         ["riemann", "--dims", "0"],
-        ["riemann", "--weak-scale", "0"],
         ["bench", "--tasks", "30", "--mode", "metadataset", "--way", "7"],
         ["bench", "--tasks", "30", "--mode", "metadataset", "--shot", "9"],
         # no method refines, so the step limits would be ignored
@@ -198,13 +205,6 @@ class TestCliMain:
         ["bench", "--tasks", "30", "--way", "50", "--classes", "12"],
         ["active", "--sessions", "1", "--budget", "-1", "--classes", "3"],
         ["bench", "--tasks", "30", "--dims", "0"],
-        ["riemann", "--fields", "1", "--quadrature", "1"],
-        # settings the field's partition checks would reject, checked from the flags
-        ["riemann", "--fields", "1", "--flatness", "5"],
-        ["riemann", "--fields", "1", "--flatness", "-0.5"],
-        ["riemann", "--fields", "1", "--support-scale", "0"],
-        ["riemann", "--fields", "1", "--support-scale", "2"],
-        ["riemann", "--fields", "1", "--separation", "0"],
         # a name repeated in a comma list would write its rows once per mention
         ["active", "--strategy", "entropy,entropy"],
         ["continual", "--strategy", "first,first", "--head-mode", "single,single"],

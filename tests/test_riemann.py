@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahabench import cli, riemann
 from mahabench.errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -397,3 +398,17 @@ def test_a_fields_rows_do_not_depend_on_its_block(seed, dims, points, quadrature
     assert block.shape == (points, 3, fields)
     for f, (field_seed, point_seed) in enumerate(zip(seeds, point_seeds)):
         assert block[:, :, f].tobytes() == checks(field_seed, point_seed).tobytes()
+
+
+RIEMANN_ARGV = ["riemann", "--fields", "9", "--points-per-field", "2", "--dims", "3",
+                "--quadrature", "40"]
+
+
+def test_riemann_bytes_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
+    digests = set()
+    for size in (1, 2, 7, riemann.block_size(3, 40, 2)):
+        monkeypatch.setattr(riemann, "block_size", lambda *settings, size=size: size)
+        out = tmp_path / f"block-{size}.csv"
+        assert cli.cli_main([*RIEMANN_ARGV, "--out", str(out)]) == 0
+        digests.add((out.read_bytes(), capsys.readouterr().out))
+    assert len(digests) == 1

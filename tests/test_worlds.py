@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mahabench.errors import FormatError, InvalidConfig, NotEnoughClasses
+from mahabench.errors import DimensionMismatch, FormatError, InvalidConfig, NotEnoughClasses
 from mahabench.heads import SupportLayout, estimate_class_statistics
 from mahabench.methods import HeadConfig, predict
 from mahabench.rng import Rng
@@ -58,7 +58,8 @@ class TestMakeClusterWorld:
         # make_cluster_world, draws mean + z L^T, L each covariance's factor
         means = np.array([[0.0, 0.0], [3.0, 1.0]])
         covs = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, -0.3], [-0.3, 0.5]]])
-        world = ClusterWorld("by-hand", 2, 2, means, covs, anisotropy=4.0, seed=0)
+        world = ClusterWorld("by-hand", means, covs)
+        assert (world.dims, world.class_count) == (2, 2)
         rng = Rng(7)
         for cid, count, block in zip([1, 0], [3, 2],
                                      draw_class_examples(world, [1, 0], [3, 2], Rng(7))):
@@ -67,6 +68,17 @@ class TestMakeClusterWorld:
             assert block.tobytes() == expected.tobytes()
         task = sample_task(world, replace(FIXED, fixed_way=2, fixed_shot=3), 11)
         assert task.support_x.shape == (6, 2) and np.all(np.isfinite(task.query_x))
+
+    @pytest.mark.parametrize("means, covs", [
+        (np.zeros((2, 3)), np.stack([np.eye(2)] * 2)),  # covariances narrower than the means
+        (np.zeros((5, 2)), np.stack([np.eye(2)] * 2)),  # fewer covariances than classes
+        (np.zeros((2, 2)), np.eye(2)),  # one covariance for the whole world
+        (np.zeros(2), np.stack([np.eye(2)] * 2)),  # means without a class axis
+    ], ids=["dims", "classes", "unstacked", "flat-means"])
+    def test_a_hand_built_world_whose_arrays_disagree_is_rejected(self, means, covs):
+        # caught when the world is built, not as a numpy error in its first draw
+        with pytest.raises(DimensionMismatch):
+            ClusterWorld("by-hand", means, covs)
 
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfig):
