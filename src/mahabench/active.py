@@ -82,6 +82,16 @@ def select_next(
     return int(open_idx[np.argmax(acquisition_scores(probs, strategy))])
 
 
+def check_budget(**sizes) -> None:
+    """Raise ``InvalidConfig`` unless ``0 <= budget <= class count * pool
+    per class``; ``sizes`` holds those three numbers, in that order, under
+    the names the message gives them."""
+    (budget_name, budget), (classes_name, classes), (per_class_name, per_class) = sizes.items()
+    if not 0 <= budget <= classes * per_class:
+        raise InvalidConfig(f"{budget_name} must lie in [0, {classes * per_class}], the pool of "
+                            f"{classes_name} {classes} x {per_class_name} {per_class}")
+
+
 def run_active_session(world: ClusterWorld, pool_per_class: int, test_per_class: int,
                        budget: int, seeds, strategies, head: HeadConfig) -> np.ndarray:
     """Accuracy curves of a block of sessions, one per seed in ``seeds``,
@@ -111,9 +121,8 @@ def run_active_session(world: ClusterWorld, pool_per_class: int, test_per_class:
         raise InvalidConfig("a block needs at least one session and one strategy")
     check_sizes(pool_per_class=pool_per_class, test_per_class=test_per_class)
     k = world.class_count
+    check_budget(budget=budget, class_count=k, pool_per_class=pool_per_class)
     pool_size = k * pool_per_class
-    if not 0 <= budget <= pool_size:
-        raise InvalidConfig(f"budget must lie in [0, {pool_size}], the pool size")
 
     # seed, pool and test rows, (S, k * count, d) each, for every session at once
     seeds = np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)

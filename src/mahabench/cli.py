@@ -73,7 +73,7 @@ except ImportError:
 
 from . import bench as bench_mod
 from . import riemann as riemann_mod
-from .active import AcquisitionStrategy, run_active_session
+from .active import AcquisitionStrategy, check_budget, run_active_session
 from .continual import (
     EncodingStrategy,
     HeadMode,
@@ -459,10 +459,8 @@ def _cmd_active(args, defaults) -> int:
     strategies = _choices(AcquisitionStrategy, args.strategy, "all", "--strategy")
     head, unread = _one_head(args, defaults)
     world = _domain_from_args(args).build(args.seed)
-    pool = world.class_count * args.pool_per_class
-    if not 0 <= args.budget <= pool:
-        raise InvalidConfig(f"--budget must lie in [0, {pool}], the pool of --classes "
-                            f"{world.class_count} x --pool-per-class {args.pool_per_class}")
+    check_budget(**{"--budget": args.budget, "--classes": world.class_count,
+                    "--pool-per-class": args.pool_per_class})
     echo = _echo(args, *unread, strategies=[s.value for s in strategies])
 
     sessions = _by_block(

@@ -132,8 +132,9 @@ class StreamConfig:
 def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> tuple:
     """Per-task true encodings: identity-anchored affine maps with the given
     drift magnitude, as a ``(linear, offset)`` pair of arrays shaped
-    ``(*rng.shape, num_tasks, dims, dims)`` and ``(*rng.shape, num_tasks,
-    dims)``.  Zero drift makes every task's encoding the identity.
+    ``(*S, num_tasks, dims, dims)`` and ``(*S, num_tasks, dims)``, S the
+    shape of ``rng``'s seeds.  Zero drift makes every task's encoding the
+    identity.
 
     A task's linear map is redrawn, up to 64 draws in all, while it is
     singular (``worlds.singular``).  From an ``Rng`` over a 1-D stack of
@@ -160,7 +161,7 @@ def make_task_encodings(dims: int, num_tasks: int, drift: float, rng: Rng) -> tu
                 break
             if attempt == 63:
                 raise InvalidConfig("could not draw an invertible task encoding")
-            if rng.shape:
+            if linear.ndim > 2:  # a stack of streams
                 linear[failed] = draw(failed)  # for the failed streams alone
             else:
                 linear = draw()

@@ -348,8 +348,7 @@ class QuerySet:
         Raises
         ------
         DimensionMismatch
-            If the rows are not ``(m, dims)`` or ``(B, m, dims)`` (any empty
-            array counts as 0 rows).
+            If the rows are not ``(m, dims)`` or ``(B, m, dims)``.
         NonFiniteInput
             If a query row has a NaN or infinite entry.
         """
@@ -358,8 +357,6 @@ class QuerySet:
                 raise DimensionMismatch(f"query width {query.dims} does not match dim {dims}")
             return query
         rows = np.asarray(query, dtype=np.float64)
-        if rows.size == 0 and rows.shape[:1] == (0,):
-            rows = rows.reshape(0, dims)
         if rows.ndim not in (2, 3) or rows.shape[-1] != dims:
             raise DimensionMismatch(f"query shape {rows.shape} does not match dim {dims}")
         _require_finite(rows, "query features")

@@ -112,11 +112,6 @@ class Rng:
         # a single seed's counter is an int, a stack's an array shaped like its seeds
         self._counter = np.zeros(seeds.shape, dtype=np.uint64) if seeds.ndim else 0
 
-    @property
-    def shape(self) -> tuple:
-        """The seeds' shape, which every draw leads with: ``()`` for one seed."""
-        return self._seeds.shape[:-1]
-
     def raw(self, n: int, rows=None) -> np.ndarray:
         """Next ``n`` raw uint64 outputs of every stream, or of the streams
         picked by ``rows``."""

@@ -9,10 +9,10 @@ Inputs are checked for squareness and symmetrized as (A + A^T) / 2 at the
 
 ``factor_stack`` factors a ``(K, d, d)`` stack of covariances in one pass:
 one symmetrization and one finiteness check over the whole stack, then one
-``np.linalg.cholesky`` call over the stack.  Only a matrix whose exact
-factorization fails goes through ``ensure_pd``'s jitter schedule, and the
-jitter each matrix needed comes back as a ``(K,)`` array, so no repair is
-silent.
+``np.linalg.cholesky`` call over the stack.  Only when that call fails does
+each matrix go through ``ensure_pd``, which factors an exact-PD matrix as
+it is and repairs the others on its jitter schedule; the jitter each
+matrix needed comes back as a ``(K,)`` array, so no repair is silent.
 
 Quadratic forms are evaluated as ||L^-1 v||^2 through the LAPACK triangular
 inverse of the factor (``dtrtri``), never through an inverse of L L^T.  This
@@ -43,7 +43,7 @@ library: the scipy-openblas64 build numpy bundles
 (``numpy.libs/libscipy_openblas64_*.so``), which ``import numpy`` has
 already mapped.  ``np.linalg.cholesky`` runs ``factor_stack``'s stacked
 factorization, the factorization of every head's and every riemann
-field's covariances.  ``cholesky`` (and so every ``ensure_pd`` repair) and
+field's covariances.  ``cholesky`` (and so every ``ensure_pd`` call) and
 every inverse factor call that library's ``dpotrf`` and ``dtrtri`` through
 ctypes, by their ILP64 symbols ``scipy_dpotrf_64_`` and
 ``scipy_dtrtri_64_``; numpy has no ``dtrtri`` of its own.  numpy runs the
@@ -286,11 +286,11 @@ def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     and the ``(K,)`` or ``(B, K)`` jitter each matrix needed (0 for an
     exact factorization).  The stack is factored by one
     ``np.linalg.cholesky`` call, over all B * K matrices; when that raises,
-    each matrix is factored on its own, and one whose exact factorization
-    fails is handed to ``ensure_pd``.  So an exact factor has the bits of
-    ``np.linalg.cholesky`` on its matrix, and a repaired matrix, factor and
-    jitter are ``ensure_pd``'s, whatever the other matrices of the stack
-    are.  Each inverse is one ``dtrtri`` call, on a work copy of the factors.
+    every matrix goes to ``ensure_pd``, whose first, exact attempt
+    (jitter 0) has the bits of ``np.linalg.cholesky``.  So an exact factor
+    has those bits on its matrix, and a repaired matrix, factor and jitter
+    are ``ensure_pd``'s, whatever the other matrices of the stack are.
+    Each inverse is one ``dtrtri`` call, on a work copy of the factors.
 
     Raises
     ------
@@ -319,8 +319,5 @@ def factor_stack(covs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         flat_sym, flat_factors = sym.reshape(-1, d, d), factors.reshape(-1, d, d)
         flat_jitter = jitter.reshape(-1)
         for k, m in enumerate(flat_sym):
-            try:
-                flat_factors[k] = np.linalg.cholesky(m)
-            except np.linalg.LinAlgError:
-                flat_sym[k], flat_factors[k], flat_jitter[k] = ensure_pd(m)
+            flat_sym[k], flat_factors[k], flat_jitter[k] = ensure_pd(m)
     return sym, factors, _lower_inverses(factors), jitter

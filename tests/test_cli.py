@@ -83,6 +83,62 @@ WORLD_FLAG_ERRORS = [
     ["recall", "--tasks", "3", "--classes", "4"],
 ]
 
+# argvs a configuration check rejects before the run echoes its configuration;
+# tests/test_reachable.py traces them too, so that these checks are reached
+CONFIG_ERRORS = [
+    ["bench", "--method", "nope"],
+    ["bench", "--method", "simple:nope"],
+    ["bench", "--tasks", "5"],
+    ["recall", "--scale-spread", "0.5"],
+    ["gen-tasks"],
+    ["continual", "--min-steps", "0"],
+    ["active", "--budget", "100", "--classes", "3", "--pool-per-class", "2"],
+    ["active", "--sessions", "0"],
+    ["active", "--test-per-class", "0"],
+    ["continual", "--streams", "0"],
+    ["riemann", "--fields", "0"],
+    ["riemann", "--points-per-field", "0"],
+    ["recall", "--tasks", "0"],
+    ["bench", "--tasks", "30", "--beta", "nan"],
+    ["bench", "--tasks", "30", "--beta", "inf"],
+    ["bench", "--tasks", "30", "--method", "transductive", "--beta", "nan"],
+    ["bench", "--tasks", "30", "--mean-radius", "nan"],
+    ["continual", "--drift", "nan"],
+    ["riemann", "--separation", "inf"],
+    ["riemann", "--dims", "0"],
+    ["bench", "--tasks", "30", "--mode", "metadataset", "--way", "7"],
+    ["bench", "--tasks", "30", "--mode", "metadataset", "--shot", "9"],
+    # no method refines, so the step limits would be ignored
+    [*SMALL_ACTIVE, "--min-steps", "5", "--max-steps", "9"],
+    [*SMALL_ACTIVE, "--min-steps", "1"],
+    [*SMALL_CONTINUAL, "--max-steps", "9"],
+    ["bench", "--tasks", "30", "--method", "simple,gmm", "--min-steps", "1"],
+    ["recall", "--tasks", "2", "--method", "simple:euclidean,gmm", "--max-steps", "6"],
+    ["bench", "--tasks", "30", "--way", "-1"],
+    ["bench", "--tasks", "30", "--shot", "-2"],
+    ["gen-tasks", "--tasks", "2", "--way", "-1", "--out", "tasks.jsonl"],
+    ["gen-tasks", "--tasks", "0", "--out", "tasks.jsonl"],
+    ["gen-tasks", "--tasks", "-5", "--out", "tasks.jsonl"],
+    [*SMALL_ACTIVE, "--strategy", ","],
+    [*SMALL_CONTINUAL, "--strategy", ","],
+    # checks the library makes, run before the echo
+    ["bench", "--tasks", "30", "--way", "50", "--classes", "12"],
+    ["active", "--sessions", "1", "--budget", "-1", "--classes", "3"],
+    ["bench", "--tasks", "30", "--dims", "0"],
+    # a name repeated in a comma list would write its rows once per mention
+    ["active", "--strategy", "entropy,entropy"],
+    ["continual", "--strategy", "first,first", "--head-mode", "single,single"],
+    ["continual", "--head-mode", "single,single"],
+    ["bench", "--method", "simple,simple"],
+    ["recall", "--tasks", "2", "--method", "transductive,simple,transductive"],
+    # one head under two spellings would write the same rows twice
+    ["bench", "--tasks", "30", "--method", "simple,simple:mahalanobis"],
+    ["bench", "--tasks", "30", "--method", "gmm,simple:gmm"],
+    *SIZE_FLAG_ERRORS,
+    *WORLD_FLAG_ERRORS,
+]
+
+
 RUN_FLAGS = {"--seed", "--out", "--dims", "--classes", "--anisotropy", "--mean-radius",
              "--scale-spread", "--domain-id"}
 HEAD_FLAGS = {"--method", "--min-steps", "--max-steps", "--beta"}
@@ -165,58 +221,7 @@ class TestCliMain:
         assert cli_main(argv) == 2
         assert argv[-2] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["bench", "--method", "nope"],
-        ["bench", "--method", "simple:nope"],
-        ["bench", "--tasks", "5"],
-        ["recall", "--scale-spread", "0.5"],
-        ["gen-tasks"],
-        ["continual", "--min-steps", "0"],
-        ["active", "--budget", "100", "--classes", "3", "--pool-per-class", "2"],
-        ["active", "--sessions", "0"],
-        ["active", "--test-per-class", "0"],
-        ["continual", "--streams", "0"],
-        ["riemann", "--fields", "0"],
-        ["riemann", "--points-per-field", "0"],
-        ["recall", "--tasks", "0"],
-        ["bench", "--tasks", "30", "--beta", "nan"],
-        ["bench", "--tasks", "30", "--beta", "inf"],
-        ["bench", "--tasks", "30", "--method", "transductive", "--beta", "nan"],
-        ["bench", "--tasks", "30", "--mean-radius", "nan"],
-        ["continual", "--drift", "nan"],
-        ["riemann", "--separation", "inf"],
-        ["riemann", "--dims", "0"],
-        ["bench", "--tasks", "30", "--mode", "metadataset", "--way", "7"],
-        ["bench", "--tasks", "30", "--mode", "metadataset", "--shot", "9"],
-        # no method refines, so the step limits would be ignored
-        [*SMALL_ACTIVE, "--min-steps", "5", "--max-steps", "9"],
-        [*SMALL_ACTIVE, "--min-steps", "1"],
-        [*SMALL_CONTINUAL, "--max-steps", "9"],
-        ["bench", "--tasks", "30", "--method", "simple,gmm", "--min-steps", "1"],
-        ["recall", "--tasks", "2", "--method", "simple:euclidean,gmm", "--max-steps", "6"],
-        ["bench", "--tasks", "30", "--way", "-1"],
-        ["bench", "--tasks", "30", "--shot", "-2"],
-        ["gen-tasks", "--tasks", "2", "--way", "-1", "--out", "tasks.jsonl"],
-        ["gen-tasks", "--tasks", "0", "--out", "tasks.jsonl"],
-        ["gen-tasks", "--tasks", "-5", "--out", "tasks.jsonl"],
-        [*SMALL_ACTIVE, "--strategy", ","],
-        [*SMALL_CONTINUAL, "--strategy", ","],
-        # checks the library makes, run before the echo
-        ["bench", "--tasks", "30", "--way", "50", "--classes", "12"],
-        ["active", "--sessions", "1", "--budget", "-1", "--classes", "3"],
-        ["bench", "--tasks", "30", "--dims", "0"],
-        # a name repeated in a comma list would write its rows once per mention
-        ["active", "--strategy", "entropy,entropy"],
-        ["continual", "--strategy", "first,first", "--head-mode", "single,single"],
-        ["continual", "--head-mode", "single,single"],
-        ["bench", "--method", "simple,simple"],
-        ["recall", "--tasks", "2", "--method", "transductive,simple,transductive"],
-        # one head under two spellings would write the same rows twice
-        ["bench", "--tasks", "30", "--method", "simple,simple:mahalanobis"],
-        ["bench", "--tasks", "30", "--method", "gmm,simple:gmm"],
-        *SIZE_FLAG_ERRORS,
-        *WORLD_FLAG_ERRORS,
-    ])
+    @pytest.mark.parametrize("argv", CONFIG_ERRORS)
     def test_config_errors_exit_two(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # where a run that wrongly passed would write
         assert cli_main(argv) == 2

@@ -12,6 +12,7 @@ from mahabench.worlds import (
     ClusterWorld,
     SamplerConfig,
     SamplerMode,
+    _rescale_shots,
     draw_class_examples,
     make_cluster_world,
     read_tasks,
@@ -127,6 +128,12 @@ class TestSampleTask:
             assert np.array_equal(
                 np.bincount(task.query_y, minlength=task.way), np.full(task.way, 10)
             )
+
+    def test_shots_past_the_cap_are_trimmed_from_the_largest_classes(self):
+        # the floors leave 520 shots, 20 over the cap; no sampled task
+        # overshoots after its floors, so the trim is checked here
+        shots = np.array([1] * 40 + [100] * 10)
+        assert _rescale_shots(shots, 500).tolist() == [1] * 40 + [46] * 10
 
     def test_far_separated_spherical_world_is_nearly_solved(self):
         # sanity oracle: trivially separable clusters give the plain
